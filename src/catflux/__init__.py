@@ -8,8 +8,7 @@ Monte Carlo experiments, and Markov-partition symbolic coding for the
 unperturbed map.
 """
 
-from .torus import (CatSystem, HarmonicForce, Harmonic, IntMatrix2,
-                    SpectralData, TorusPoint, matrix_power, sigma, spectral,
+from .torus import (CatSystem, HarmonicForce, Harmonic, TorusPoint, sigma,
                     step, time_reversal)
 from .trig import TrigPoly, Truncation, geometric_sum, quadrature_average
 from .conjugation import (ConjugationSeries, ExpansionRateSeries, OrderSeries,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -19,13 +18,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .conjugation import conjugation_order_k, expansion_rate_series
-from .cumulants import CorrelationEngine, build_table, sigma_series, transport_matrix
-from .fluctuation import (asymmetry_coefficients, check_rel1, check_rel3,
-                          ft_report, lambda_from_cumulants, zeta,
+from .cumulants import CorrelationEngine, build_table
+from .fluctuation import (asymmetry_coefficients, ft_report, zeta,
                           zeta_closed_form, zeta_ft_imposed)
 from .partition import (CatCoder, birkhoff_frequencies, build_cat_partition,
-                        partition_from_json, partition_to_json,
-                        transition_matrix, verify_markov)
+                        partition_to_json, transition_matrix, verify_markov)
 from .simulate import (SimConfig, build_curve, fit_models, measure_asymmetry,
                        simulate, slope_and_A)
 from .torus import CatSystem, HarmonicForce, TorusPoint
@@ -36,7 +33,7 @@ class ConfigError(ValueError):
 
 
 _CONFIG_KEYS = {"force", "eps", "order", "tau", "T", "N", "bin_width",
-                "seed", "workers", "shift_window", "out_dir", "p_max",
+                "seed", "workers", "shift_window", "p_max",
                 "boundary_terms", "sigma_mode"}
 
 
@@ -50,6 +47,8 @@ def load_config(path: str) -> Dict:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if "eps" in data:
+        eps_list_from_config(data)
     return data
 
 
@@ -72,8 +71,11 @@ def eps_list_from_config(data: Dict) -> List[float]:
     eps = data.get("eps")
     if isinstance(eps, (int, float)):
         eps = [eps]
-    if not isinstance(eps, list) or not eps:
-        raise ConfigError("config needs a nonempty 'eps' list")
+    if (not isinstance(eps, list) or not eps
+            or not all(isinstance(e, (int, float)) and not isinstance(e, bool)
+                       for e in eps)):
+        raise ConfigError("config needs a nonempty 'eps' list of numbers, "
+                          f"got {eps!r}")
     return [float(e) for e in eps]
 
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .torus import CatSystem, HarmonicForce, TorusPoint
+from .torus import HarmonicForce
 from .trig import (DEFAULT_TRUNCATION, LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly,
                    Truncation, V_MINUS, V_PLUS, accumulate, geometric_sum)
 
@@ -490,10 +490,7 @@ def conjugacy_residual(force: HarmonicForce, max_order: int,
             w *= eps
         h1 = P1 + d1
         h2 = P2 + d2
-        f1 = np.zeros_like(P1)
-        for h in force.harmonics:
-            f1 += h.amp * np.sin(h.nu[0] * h1 + h.nu[1] * h2)
-        img1 = h1 + h2 + eps * f1
+        img1 = h1 + h2 + eps * force.value(h1, h2)
         img2 = h1 + 2.0 * h2
         r1 = (S1 + e1 - img1 + math.pi) % two_pi - math.pi
         r2 = (S2 + e2 - img2 + math.pi) % two_pi - math.pi

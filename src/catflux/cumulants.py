@@ -31,7 +31,7 @@ import numpy as np
 from .conjugation import (ConjugationSeries, ExpansionRateSeries, chain_order)
 from .torus import HarmonicForce
 from .trig import (DEFAULT_TRUNCATION, LAMBDA_PLUS, TrigPoly, Truncation,
-                   V_MINUS, V_PLUS)
+                   V_MINUS, V_PLUS, product_average, s0_power)
 
 DEFAULT_SHIFT_WINDOW = 12
 SUFFICIENCY_EXTRA = 3
@@ -181,7 +181,7 @@ class MomentEngine:
         total_hi = sum(b[1] for b in bounds)
         val = 0.0
         if all(b[0] <= total_hi - b[1] + 1e-9 for b in bounds):
-            val = _product_average([self.shifted(r) for r in key])
+            val = product_average([self.shifted(r) for r in key])
         self.moments[key] = val
         return val
 
@@ -206,23 +206,6 @@ class MomentEngine:
             total += coef * prod
         self._ursells[key] = total
         return total
-
-
-def _product_average(polys: Sequence[TrigPoly]) -> float:
-    acc: Dict[Tuple[int, int], complex] | None = None
-    for f in sorted(polys, key=lambda p: len(p.coeffs)):
-        if acc is None:
-            acc = dict(f.coeffs)
-        else:
-            nxt: Dict[Tuple[int, int], complex] = {}
-            for nu1, c1 in acc.items():
-                for nu2, c2 in f.coeffs.items():
-                    nu = (nu1[0] + nu2[0], nu1[1] + nu2[1])
-                    nxt[nu] = nxt.get(nu, 0) + c1 * c2
-            acc = nxt
-        if not acc:
-            return 0.0
-    return acc.get((0, 0), 0j).real if acc else 1.0
 
 
 def _order_splits(slots: int, total: int, minimum: int = 1) -> Iterator[Tuple[int, ...]]:
@@ -514,7 +497,7 @@ def transport_matrix(force_family: Sequence[HarmonicForce],
             total = 0.0
             for k in range(-shift_window, shift_window + 1):
                 shifted = currents[i].compose_power(k, trunc)
-                total += (_product_average([shifted, currents[j]])
+                total += (product_average([shifted, currents[j]])
                           - currents[i].average() * currents[j].average())
             L[i][j] = 0.5 * total
     resid = max(abs(L[i][j] - L[j][i]) for i in range(s) for j in range(s))
@@ -544,7 +527,6 @@ def replay_moments_on_grid(engine: MomentEngine, n: int = 256,
     base_grids: Dict[int, np.ndarray] = {}
     idx = np.arange(n)
     I, J = np.meshgrid(idx, idx, indexing="ij")
-    from .trig import _mat_pow
     shifted_cache: Dict[FactorRef, np.ndarray] = {}
 
     def base_grid(bid: int) -> np.ndarray:
@@ -565,7 +547,7 @@ def replay_moments_on_grid(engine: MomentEngine, n: int = 256,
             return base_grid(bid)
         cached = shifted_cache.get(ref)
         if cached is None:
-            a, b, c, d = _mat_pow(shift)
+            a, b, c, d = s0_power(shift)
             I2 = ((a % n) * I + (b % n) * J) % n
             J2 = ((c % n) * I + (d % n) * J) % n
             cached = base_grid(bid)[I2, J2]

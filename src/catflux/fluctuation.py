@@ -13,8 +13,8 @@ is provided only as an independent oracle for tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -356,14 +356,13 @@ def asymmetry_coefficients(table: CumulantTable, max_order: int = 4
 
 @dataclass
 class FTReport:
-    """Per-order residuals of the FT-implied relations, plus a p* slot."""
+    """Per-order residuals of the FT-implied relations."""
 
     max_order: int
     rel1: Dict[int, List[float]]
     rel3: Dict[int, Dict[int, float]]   # n -> {eps_order: residual}
     first_violation_order: Optional[int]
     leading_violation: Optional[float]
-    p_star_estimate: Optional[float] = None
 
 
 def ft_report(table: CumulantTable, max_order: int = 4,

@@ -22,14 +22,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
-                     eigen_coords, from_eigen, lattice_coords,
+                     from_eigen, lattice_coords, lattice_from_b_shift,
                      lattice_from_eigen_shift)
 from .torus import TorusPoint
+from .trig import s0_power
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,27 +362,6 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
     return [Rectangle(i, *bx) for i, bx in enumerate(ordered)]
 
 
-def _walls_around(a: float, b: float, horiz_f, vert_f,
-                  guard: float = 1e-10) -> Optional[Tuple[int, int, int, int]]:
-    left = right = down = up = None
-    dl = dr = dd = du = math.inf
-    for i, (av, lo, hi) in enumerate(vert_f):
-        if lo - guard <= b <= hi + guard:
-            if av < a - guard and a - av < dl:
-                dl, left = a - av, i
-            if av > a + guard and av - a < dr:
-                dr, right = av - a, i
-    for i, (bv, lo, hi) in enumerate(horiz_f):
-        if lo - guard <= a <= hi + guard:
-            if bv < b - guard and b - bv < dd:
-                dd, down = b - bv, i
-            if bv > b + guard and bv - b < du:
-                du, up = bv - b, i
-    if None in (left, right, down, up):
-        return None
-    return left, right, down, up
-
-
 def _canonical_box(a0: Q5, b0: Q5, da: Q5, db: Q5
                    ) -> Tuple[Q5, Q5, Q5, Q5]:
     """Translate the box so its center's (x, y) lies in [0,1)^2."""
@@ -406,16 +386,11 @@ class MarkovReport:
     messages: List[str] = field(default_factory=list)
 
 
-def _side_match_translate(a_target: Q5, a_side: Q5) -> Optional[Tuple[int, int]]:
-    """Lattice (m, n) with A(m,n) = a_target - a_side, if integral."""
-    return lattice_from_eigen_shift(a_target - a_side)
-
-
 def _interval_cover(target_lo: Q5, target_hi: Q5,
                     pieces: List[Tuple[Q5, Q5]]) -> bool:
     """Exact 1-D covering test of [lo, hi] by closed intervals."""
     pieces = sorted((p for p in pieces if p[1] > target_lo and p[0] < target_hi),
-                    key=lambda p: float(p[0]))
+                    key=lambda p: p[0])
     reach = target_lo
     for lo, hi in pieces:
         if lo > reach:
@@ -450,12 +425,10 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
                 if i == j and m == 0 and n == 0:
                     continue
                 A, B = lattice_coords(m, n)
-                alo = max(r1.anchor_a, r2.anchor_a + A, key=float)
-                ahi = min(r1.anchor_a + r1.extent_a,
-                          r2.anchor_a + r2.extent_a + A, key=float)
-                blo = max(r1.anchor_b, r2.anchor_b + B, key=float)
-                bhi = min(r1.anchor_b + r1.extent_b,
-                          r2.anchor_b + r2.extent_b + B, key=float)
+                alo = max(r1.anchor_a, r2.anchor_a + A)
+                ahi = min(r1.anchor_a + r1.extent_a, r2.anchor_a + r2.extent_a + A)
+                blo = max(r1.anchor_b, r2.anchor_b + B)
+                bhi = min(r1.anchor_b + r1.extent_b, r2.anchor_b + r2.extent_b + B)
                 if ahi > alo and bhi > blo:
                     disjoint_ok = False
                     msgs.append(f"interiors of R{r1.rid} and R{r2.rid} overlap "
@@ -478,7 +451,7 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
         ihi = LAMBDA_MINUS_Q * bhi
         pieces = []
         for a2, lo2, hi2, _ in stable_sides:
-            mn = _side_match_translate(ia, a2)
+            mn = lattice_from_eigen_shift(ia - a2)
             if mn is not None:
                 _, B = lattice_coords(*mn)
                 pieces.append((lo2 + B, hi2 + B))
@@ -496,7 +469,7 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
         pieces = []
         for b2, lo2, hi2, _ in unstable_sides:
             # translate must satisfy B(m,n) = ib - b2
-            mn = _lattice_from_b_shift(ib - b2)
+            mn = lattice_from_b_shift(ib - b2)
             if mn is not None:
                 A, _ = lattice_coords(*mn)
                 pieces.append((lo2 + A, hi2 + A))
@@ -507,19 +480,6 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
 
     ok = area_ok and disjoint_ok and stable_ok and unstable_ok
     return MarkovReport(ok, area_ok, disjoint_ok, stable_ok, unstable_ok, msgs)
-
-
-def _lattice_from_b_shift(delta: Q5) -> Optional[Tuple[int, int]]:
-    """(m, n) with B(m,n) == delta, if integral.
-
-    B(m,n) = (mu m - n)/sqrt5 = m/2 + (m - 2n) sqrt5/10, so m = 2 a-part
-    and n = a-part - 5 b-part.
-    """
-    m = 2 * delta.a
-    n = delta.a - 5 * delta.b
-    if m.denominator != 1 or n.denominator != 1:
-        return None
-    return int(m), int(n)
 
 
 def _overlap_candidates(r1: Rectangle, r2: Rectangle) -> Iterator[Tuple[int, int]]:
@@ -590,8 +550,8 @@ def _lattice_overlaps(a0, a1, b0, b1, c0, c1, d0, d1) -> List[Tuple[Q5, Q5]]:
     for m in range(math.floor(x_lo), math.ceil(x_hi) + 1):
         for n in range(math.floor(y_lo), math.ceil(y_hi) + 1):
             A, B = lattice_coords(m, n)
-            if (min(a1, c1 + A, key=float) > max(a0, c0 + A, key=float)
-                    and min(b1, d1 + B, key=float) > max(b0, d0 + B, key=float)):
+            if (min(a1, c1 + A) > max(a0, c0 + A)
+                    and min(b1, d1 + B) > max(b0, d0 + B)):
                 hits.append((A, B))
     return hits
 
@@ -734,10 +694,10 @@ class CatCoder:
             lo_b = lm * (lo_b - B)
             hi_b = lm * (hi_b - B)
         r0 = rects[window.symbol(0)]
-        lo_a = max(lo_a, r0.anchor_a, key=float)
-        hi_a = min(hi_a, r0.anchor_a + r0.extent_a, key=float)
-        lo_b = max(lo_b, r0.anchor_b, key=float)
-        hi_b = min(hi_b, r0.anchor_b + r0.extent_b, key=float)
+        lo_a = max(lo_a, r0.anchor_a)
+        hi_a = min(hi_a, r0.anchor_a + r0.extent_a)
+        lo_b = max(lo_b, r0.anchor_b)
+        hi_b = min(hi_b, r0.anchor_b + r0.extent_b)
         if not (hi_a > lo_a and hi_b > lo_b):
             raise PartitionError("empty refinement cell for the given window")
         ca = (lo_a + hi_a) / Q5(2)
@@ -748,13 +708,6 @@ class CatCoder:
         db = float(hi_b - lo_b) * _ES_LEN
         diameter = math.hypot(da, db) * TWO_PI
         return center, diameter
-
-
-def _qpow(base: Q5, k: int) -> Q5:
-    out = Q5(1)
-    for _ in range(k):
-        out = out * base
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -768,11 +721,7 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint, n_steps: int,
     j <= block) and membership is evaluated with vectorized box tests over
     candidate lattice translates.
     """
-    mats = []
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(block):
-        mats.append((a, b, c, d))
-        a, b, c, d = a + c, b + d, a + 2 * c, b + 2 * d
+    mats = [s0_power(j) for j in range(block)]
     x = np.empty(n_steps)
     y = np.empty(n_steps)
     cx, cy = x0.psi1 / TWO_PI, x0.psi2 / TWO_PI
@@ -783,13 +732,9 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint, n_steps: int,
             aj, bj, cj, dj = mats[j]
             x[pos + j] = (aj * cx + bj * cy) % 1.0
             y[pos + j] = (cj * cx + dj * cy) % 1.0
-        am, bm, cm, dm = mats[block - 1]
-        nx = (am * cx + bm * cy + (cx + cy)) % 1.0   # S^block = S * S^{block-1}
-        ny = (cm * cx + dm * cy + (cx + cy)) % 1.0
-        # compute S^block directly instead: apply S to the last block point
-        nx = (x[pos + take - 1] + y[pos + take - 1]) % 1.0
-        ny = (x[pos + take - 1] + 2 * y[pos + take - 1]) % 1.0
-        cx, cy = nx, ny
+        # the next block starts at S applied to the last point of this one
+        cx = (x[pos + take - 1] + y[pos + take - 1]) % 1.0
+        cy = (x[pos + take - 1] + 2 * y[pos + take - 1]) % 1.0
         pos += take
     assign = assign_rectangles(coder, x, y)
     counts = np.bincount(assign[assign >= 0], minlength=len(coder.partition))

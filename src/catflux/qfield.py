@@ -3,7 +3,9 @@
 The cat map's eigendata lives in Q(sqrt5): lambda_pm = (3 +- sqrt5)/2 and the
 eigendirections have slopes (1 +- sqrt5)/2.  Segment-incidence tests in the
 Markov-partition geometry are degenerate in floating point, so all boundary
-geometry is done on numbers a + b sqrt5 with rational a, b.
+geometry is done on numbers a + b sqrt5 with rational a, b.  The
+eigen-coordinates of lattice vectors, in closed form, and their inverses
+live here too.
 """
 
 from __future__ import annotations
@@ -98,7 +100,20 @@ class Q5:
 
     # ------------------------------------------------------------------
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT5
+        a, b = self.a, self.b
+        if not (a > 0 > b or b > 0 > a):
+            return float(a) + float(b) * _SQRT5
+        # With mixed signs, float(a) + float(b) sqrt5 cancels.  Write the
+        # value as (p + q sqrt5)/d in integers, carry q sqrt5 to k fractional
+        # bits by isqrt, and let int / int round once; k keeps 64 bits of
+        # the result, using |p + q sqrt5| = |p^2 - 5 q^2| / |p - q sqrt5|.
+        d = math.lcm(a.denominator, b.denominator)
+        p = a.numerator * (d // a.denominator)
+        q = b.numerator * (d // b.denominator)
+        k = max(0, 66 + max(abs(p), 3 * abs(q)).bit_length()
+                - abs(p * p - 5 * q * q).bit_length())
+        root = math.isqrt(5 * q * q << 2 * k)
+        return ((p << k) + (root if q > 0 else -root)) / (d << k)
 
     def floor(self) -> int:
         """Exact floor; the float estimate is verified and corrected."""
@@ -150,8 +165,10 @@ def eigen_coords(x: Q5, y: Q5) -> Tuple[Q5, Q5]:
 
 
 def lattice_coords(m: int, n: int) -> Tuple[Q5, Q5]:
-    """Eigen-coordinates (A, B) of the lattice vector (m, n)."""
-    return eigen_coords(Q5(m), Q5(n))
+    """Eigen-coordinates (A, B) of the lattice vector (m, n), in closed form:
+    A = m/2 + (2n - m) sqrt5/10 and B = m/2 + (m - 2n) sqrt5/10."""
+    half = Fraction(m, 2)
+    return Q5(half, Fraction(2 * n - m, 10)), Q5(half, Fraction(m - 2 * n, 10))
 
 
 def from_eigen(a: Q5, b: Q5) -> Tuple[Q5, Q5]:
@@ -167,6 +184,19 @@ def lattice_from_eigen_shift(delta: Q5) -> Tuple[int, int] | None:
     """
     m = 2 * delta.a
     n = 5 * delta.b + delta.a
+    if m.denominator != 1 or n.denominator != 1:
+        return None
+    return int(m), int(n)
+
+
+def lattice_from_b_shift(delta: Q5) -> Tuple[int, int] | None:
+    """The unique (m, n) with B(m,n) == delta, if it is integral.
+
+    B(m,n) = m/2 + (m - 2n) sqrt5/10, so m = 2 a-part and
+    n = a-part - 5 b-part must both be integers.
+    """
+    m = 2 * delta.a
+    n = delta.a - 5 * delta.b
     if m.denominator != 1 or n.denominator != 1:
         return None
     return int(m), int(n)

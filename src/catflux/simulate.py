@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -103,11 +103,6 @@ class RunStats:
     max_abs_p: float
     n_windows: int
 
-    def mean_p(self) -> float:
-        # algebraic identity: the window sums add up to T sigma_bar
-        w = sum(self.counts.values())
-        return 1.0 if w else float("nan")
-
 
 def _simulate_run(config: SimConfig, run_index: int
                   ) -> Tuple[int, float, np.ndarray]:
@@ -115,7 +110,7 @@ def _simulate_run(config: SimConfig, run_index: int
     rng = np.random.Generator(np.random.Philox(key=config.seed ^ run_index))
     x1, x2 = rng.uniform(0.0, 2.0 * math.pi, 2)
     eps = config.system.epsilon
-    harmonics = [(h.nu[0], h.nu[1], h.amp, h.amp * (2 * h.nu[0] - h.nu[1]))
+    harmonics = [(h.nu[0], h.nu[1], h.amp, h.jac_amp)
                  for h in config.system.force.harmonics]
     two_pi = 2.0 * math.pi
     tau = config.tau

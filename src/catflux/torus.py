@@ -1,8 +1,9 @@
-"""The unperturbed and perturbed cat maps on T^2.
+"""The perturbed cat map on T^2.
 
-Spectral data of S0 = (1 1; 1 2), exact integer matrix powers, the perturbed
-step S_eps(psi) = S0 psi + eps f(psi) mod 2pi, the phase-space contraction
-rate sigma = -log|det DS_eps|, and the time reversal I0 = (-1 0; -1 1).
+The step S_eps(psi) = S0 psi + eps f(psi) mod 2pi with S0 = (1 1; 1 2), the
+phase-space contraction rate sigma = -log|det DS_eps|, and the time reversal
+I0 = (-1 0; -1 1).  The eigendata of S0 lives in trig (floats) and qfield
+(exact), its integer powers in trig.s0_power.
 
 All values are immutable after construction and safe to share.
 """
@@ -11,20 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .trig import (LAMBDA_MINUS, LAMBDA_PLUS, SQRT5, TrigPoly, V_MINUS,
-                   V_PLUS)
+from .trig import TrigPoly, V_MINUS, V_PLUS
 
 TWO_PI = 2.0 * math.pi
-
-MATRIX_POWER_CAP = 40  # entries grow like lambda_+^{|k|}; 40 keeps them well inside int64
-
-
-class NotHyperbolicError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -43,106 +37,23 @@ class TorusPoint:
 
 
 @dataclass(frozen=True)
-class IntMatrix2:
-    """2x2 integer matrix; the cat map is (1 1; 1 2) with det 1."""
-
-    a11: int = 1
-    a12: int = 1
-    a21: int = 1
-    a22: int = 2
-
-    def det(self) -> int:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def entries(self) -> Tuple[int, int, int, int]:
-        return (self.a11, self.a12, self.a21, self.a22)
-
-    def apply(self, x: TorusPoint) -> TorusPoint:
-        return TorusPoint(self.a11 * x.psi1 + self.a12 * x.psi2,
-                          self.a21 * x.psi1 + self.a22 * x.psi2)
-
-    def __matmul__(self, other: "IntMatrix2") -> "IntMatrix2":
-        return IntMatrix2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
-
-CAT_MATRIX = IntMatrix2(1, 1, 1, 2)
-TIME_REVERSAL_MATRIX = IntMatrix2(-1, 0, -1, 1)
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigenpairs of a symmetric hyperbolic SL(2,Z) matrix."""
-
-    lambda_plus: float
-    lambda_minus: float
-    v_plus_hat: Tuple[float, float]
-    v_minus_hat: Tuple[float, float]
-    norm_plus: float   # pre-normalization |(1, lambda_+ - 1)|
-    norm_minus: float
-
-
-def spectral(s0: IntMatrix2 = CAT_MATRIX) -> SpectralData:
-    """Eigenvalues and unit eigenvectors (positive first component).
-
-    Requires a symmetric matrix with two distinct real eigenvalues; the
-    eigenvector for lambda is (1, (lambda - a11)/a12), normalized.
-    """
-    if s0.a12 != s0.a21:
-        raise NotHyperbolicError("matrix must be symmetric")
-    tr = s0.a11 + s0.a22
-    disc = tr * tr - 4 * s0.det()
-    if disc <= 0:
-        raise NotHyperbolicError("not hyperbolic: degenerate spectrum")
-    rt = math.sqrt(float(disc))
-    lp = (tr + rt) / 2.0
-    lm = (tr - rt) / 2.0
-    if s0.a12 == 0:
-        raise NotHyperbolicError("diagonal matrix: eigenvectors align with axes")
-
-    def unit_vec(lam: float) -> Tuple[Tuple[float, float], float]:
-        v = (1.0, (lam - s0.a11) / s0.a12)
-        n = math.hypot(*v)
-        return (v[0] / n, v[1] / n), n
-
-    vp, np_ = unit_vec(lp)
-    vm, nm = unit_vec(lm)
-    return SpectralData(lp, lm, vp, vm, np_, nm)
-
-
-CAT_SPECTRAL = spectral(CAT_MATRIX)
-
-
-def matrix_power(k: int, s0: IntMatrix2 = CAT_MATRIX) -> IntMatrix2:
-    """Exact S0^k for any integer k (det 1 makes the inverse integral)."""
-    if abs(k) > MATRIX_POWER_CAP:
-        raise OverflowError(f"|k| = {abs(k)} exceeds matrix power cap {MATRIX_POWER_CAP}")
-    if k == 0:
-        return IntMatrix2(1, 0, 0, 1)
-    if s0.det() != 1:
-        raise ValueError("matrix_power with negative k requires det = 1")
-    base = s0 if k > 0 else IntMatrix2(s0.a22, -s0.a12, -s0.a21, s0.a11)
-    result = IntMatrix2(1, 0, 0, 1)
-    b = base
-    n = abs(k)
-    while n:
-        if n & 1:
-            result = result @ b
-        b = b @ b
-        n >>= 1
-    return result
-
-
-@dataclass(frozen=True)
 class Harmonic:
     """One force harmonic: amp * sin(nu . psi) applied to the first coordinate."""
 
     nu: Tuple[int, int]
     amp: float
+
+    @property
+    def jac_amp(self) -> float:
+        """Amplitude of this harmonic's cos(nu . psi) term in g, where
+        det DS_eps = 1 + eps g.
+
+        For a force on the first coordinate only, expanding the determinant
+        of S0 + eps Df along its first row gives the cat-map cofactor
+        combination g = 2 d1(f1) - d2(f1); for f = sin psi1 this reproduces
+        sigma = -log(1 + 2 eps cos psi1).
+        """
+        return self.amp * (2 * self.nu[0] - self.nu[1])
 
 
 @dataclass(frozen=True)
@@ -174,16 +85,10 @@ class HarmonicForce:
         return out
 
     def jacobian_poly(self) -> TrigPoly:
-        """g(psi) with det DS_eps = 1 + eps g(psi).
-
-        For a force on the first coordinate only, expanding the determinant
-        of S0 + eps Df along its first row gives the cofactor combination
-        g = a22 d1(f1) - a21 d2(f1) = 2 d1(f1) - d2(f1) for the cat map;
-        this reproduces sigma = -log(1 + 2 eps cos psi1) for f = sin psi1.
-        """
+        """g(psi) with det DS_eps = 1 + eps g(psi); see Harmonic.jac_amp."""
         out = TrigPoly.zero()
         for h in self.harmonics:
-            out = out + TrigPoly.cosine(h.nu, h.amp * (2 * h.nu[0] - h.nu[1]))
+            out = out + TrigPoly.cosine(h.nu, h.jac_amp)
         return out
 
     def jacobian_extremes(self, n: int
@@ -215,13 +120,13 @@ class HarmonicForce:
         v = V_PLUS if alpha > 0 else V_MINUS
         return self.f1_poly() * v[0]
 
-    def value(self, psi1: float, psi2: float) -> float:
-        return sum(h.amp * math.sin(h.nu[0] * psi1 + h.nu[1] * psi2)
+    def value(self, psi1, psi2):
+        """f1(psi); takes floats or numpy arrays of angles."""
+        return sum(h.amp * np.sin(h.nu[0] * psi1 + h.nu[1] * psi2)
                    for h in self.harmonics)
 
     def jacobian_value(self, psi1: float, psi2: float) -> float:
-        return sum(h.amp * (2 * h.nu[0] - h.nu[1])
-                   * math.cos(h.nu[0] * psi1 + h.nu[1] * psi2)
+        return sum(h.jac_amp * math.cos(h.nu[0] * psi1 + h.nu[1] * psi2)
                    for h in self.harmonics)
 
     def grad_value(self, psi1: float, psi2: float) -> Tuple[float, float]:
@@ -236,16 +141,13 @@ class HarmonicForce:
 class CatSystem:
     """The perturbed map S_eps psi = S0 psi + eps f(psi) mod 2pi."""
 
-    s0: IntMatrix2 = CAT_MATRIX
     epsilon: float = 0.0
     force: HarmonicForce = field(default_factory=lambda: HarmonicForce(()))
 
     def step(self, x: TorusPoint) -> TorusPoint:
         f1 = self.force.value(x.psi1, x.psi2)
-        return TorusPoint(
-            self.s0.a11 * x.psi1 + self.s0.a12 * x.psi2 + self.epsilon * f1,
-            self.s0.a21 * x.psi1 + self.s0.a22 * x.psi2,
-        )
+        return TorusPoint(x.psi1 + x.psi2 + self.epsilon * f1,
+                          x.psi1 + 2 * x.psi2)
 
     def det_jacobian(self, x: TorusPoint) -> float:
         return 1.0 + self.epsilon * self.force.jacobian_value(x.psi1, x.psi2)
@@ -258,13 +160,14 @@ class CatSystem:
         return -math.log(det)
 
     def sigma_generic(self, x: TorusPoint) -> float:
-        """sigma from the assembled 2x2 Jacobian; oracle for sigma()."""
+        """sigma from the assembled Jacobian; oracle for sigma().
+
+        DS_eps = (1 + eps d1 f1, 1 + eps d2 f1; 1, 2).
+        """
         d1, d2 = self.force.grad_value(x.psi1, x.psi2)
-        a = self.s0.a11 + self.epsilon * d1
-        b = self.s0.a12 + self.epsilon * d2
-        c = float(self.s0.a21)
-        d = float(self.s0.a22)
-        det = a * d - b * c
+        a = 1 + self.epsilon * d1
+        b = 1 + self.epsilon * d2
+        det = 2.0 * a - b
         if det <= 0.0:
             raise ValueError(f"map not locally invertible: det DS_eps = {det} at {x}")
         return -math.log(det)
@@ -280,4 +183,4 @@ def sigma(x: TorusPoint, sys: CatSystem) -> float:
 
 def time_reversal(x: TorusPoint) -> TorusPoint:
     """Apply I0 = (-1 0; -1 1) mod 2pi; an involution with I0 S0 = S0^{-1} I0."""
-    return TIME_REVERSAL_MATRIX.apply(x)
+    return TorusPoint(-x.psi1, x.psi2 - x.psi1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -70,8 +70,12 @@ class Truncation:
 DEFAULT_TRUNCATION = Truncation()
 
 
-def _mat_pow(k: int) -> Tuple[int, int, int, int]:
-    """Exact integer entries of S0^k, any sign of k."""
+def s0_power(k: int) -> Tuple[int, int, int, int]:
+    """Exact integer entries (a11, a12, a21, a22) of S0^k, any sign of k.
+
+    Entries are Python ints and grow like lambda_+^{|k|}; frequency growth
+    is bounded by Truncation.max_freq_norm, not here.
+    """
     if k == 0:
         return (1, 0, 0, 1)
     base = S0 if k > 0 else S0_INV
@@ -210,12 +214,6 @@ class TrigPoly:
             return 0
         return max(max(abs(nu[0]), abs(nu[1])) for nu in self.coeffs)
 
-    def min_freq_norm(self) -> int:
-        """Smallest |nu|_inf over the support (0 if a constant term exists)."""
-        if not self.coeffs:
-            return 0
-        return min(max(abs(nu[0]), abs(nu[1])) for nu in self.coeffs)
-
     def is_real(self, tol: float = 1e-12) -> bool:
         for nu, c in self.coeffs.items():
             m = (-nu[0], -nu[1])
@@ -240,7 +238,7 @@ class TrigPoly:
         """f(S0^p psi): moves the coefficient at nu to (S0^T)^p nu."""
         if p == 0 or not self.coeffs:
             return self
-        a, b, c, d = _mat_pow(p)
+        a, b, c, d = s0_power(p)
         # S0 is symmetric, so (S0^T)^p = S0^p; written out for clarity.
         out: Dict[Freq, complex] = {}
         for (n1, n2), coef in self.coeffs.items():

@@ -16,9 +16,11 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 class TestConfigHandling:
     def test_unknown_key_exits_3(self, tmp_path):
-        cfg = write_config(tmp_path, bogus=1)
-        assert main(["cumulants", "--config", str(cfg), "--out",
-                     str(tmp_path / "o")]) == 3
+        # out_dir is not a config key: the output directory is --out
+        for key in ("bogus", "out_dir"):
+            cfg = write_config(tmp_path, **{key: 1})
+            assert main(["cumulants", "--config", str(cfg), "--out",
+                         str(tmp_path / "o")]) == 3, key
 
     def test_empty_eps_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, eps=[])

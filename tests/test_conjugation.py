@@ -9,7 +9,7 @@ from catflux.conjugation import (ConjugationSeries, OrderCapError,
                                  radius_estimate, rates_order1, rates_order_k)
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
 from catflux.trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS,
-                          V_PLUS, _mat_pow)
+                          V_PLUS, s0_power)
 
 FORCE = HarmonicForce.single_harmonic()
 NP = math.sqrt(LAMBDA_PLUS + 1)
@@ -20,7 +20,7 @@ class TestConjugationFirstOrder:
         # h_+^(1) = -sum_p lambda_+^{-(p+1)} (lambda_++1)^{-1/2} sin(S^p psi . e1)
         hp, hm = conjugation_order1(FORCE)
         for p in range(0, 6):
-            a, b, c, d = _mat_pow(p)
+            a, b, c, d = s0_power(p)
             nu = (a, b)  # (S0^T)^p e1
             want = -(LAMBDA_PLUS ** -(p + 1)) / NP / 2j
             assert hp.coeffs[nu] == pytest.approx(want, rel=1e-12)

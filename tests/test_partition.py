@@ -9,12 +9,39 @@ from catflux.partition import (CatCoder, MarkovPartition, PartitionError,
                                build_cat_partition, partition_from_json,
                                partition_to_json, transition_matrix,
                                verify_markov)
-from catflux.qfield import Q5, eigen_coords
-from catflux.torus import CAT_MATRIX, TorusPoint
+from catflux.qfield import (LAMBDA_MINUS_Q, Q5, eigen_coords, lattice_coords,
+                            lattice_from_b_shift, lattice_from_eigen_shift)
+from catflux.torus import CatSystem, TorusPoint, step
 from fractions import Fraction
 
 LAMBDA_PLUS = (3 + math.sqrt(5)) / 2
 TWO_PI = 2 * math.pi
+
+
+class TestLatticeCoords:
+    def test_closed_form_matches_eigen_coords(self):
+        for m in range(-30, 31):
+            for n in range(-30, 31):
+                assert lattice_coords(m, n) == eigen_coords(Q5(m), Q5(n))
+
+    def test_shift_inverses_round_trip(self):
+        for m in range(-12, 13):
+            for n in range(-12, 13):
+                A, B = lattice_coords(m, n)
+                assert lattice_from_eigen_shift(A) == (m, n)
+                assert lattice_from_b_shift(B) == (m, n)
+        off_lattice = Q5(Fraction(1, 3), Fraction(1, 10))
+        assert lattice_from_eigen_shift(off_lattice) is None
+        assert lattice_from_b_shift(off_lattice) is None
+
+    def test_float_of_small_q5_is_accurate(self):
+        # lambda_-^k = a + b sqrt5 with a ~ -b sqrt5 ~ lambda_+^k / 2, so the
+        # value is a fraction ~2 lambda_-^{2k} of either part
+        power = Q5(1)
+        for k in range(1, 31):
+            power = power * LAMBDA_MINUS_Q
+            if k in (10, 20, 30):
+                assert float(power) == pytest.approx(LAMBDA_PLUS ** -k, rel=1e-13)
 
 
 class TestConstruction:
@@ -141,7 +168,7 @@ class TestCoding:
         for _ in range(100):
             p = TorusPoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
             w1 = cat_coder.encode(p, 4)
-            w2 = cat_coder.encode(CAT_MATRIX.apply(p), 3)
+            w2 = cat_coder.encode(step(p, CatSystem()), 3)
             assert w1.symbols[2:] == w2.symbols
 
 

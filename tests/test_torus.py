@@ -3,65 +3,58 @@ import math
 import numpy as np
 import pytest
 
-from catflux.torus import (CAT_MATRIX, CatSystem, HarmonicForce, IntMatrix2,
-                           NotHyperbolicError, TorusPoint, matrix_power,
-                           sigma, spectral, step, time_reversal)
+from catflux.torus import (CatSystem, HarmonicForce, TorusPoint, sigma, step,
+                           time_reversal)
+from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, V_MINUS, V_PLUS, s0_power
 
 SQRT5 = math.sqrt(5.0)
 
 
+def matmul(m1, m2):
+    """Product of 2x2 integer matrices stored as (a11, a12, a21, a22)."""
+    a, b, c, d = m1
+    e, f, g, h = m2
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 class TestSpectral:
     def test_eigenvalues(self):
-        sd = spectral(CAT_MATRIX)
-        assert sd.lambda_plus == pytest.approx((3 + SQRT5) / 2, abs=1e-14)
-        assert sd.lambda_plus * sd.lambda_minus == pytest.approx(1.0, abs=1e-14)
+        assert LAMBDA_PLUS == pytest.approx((3 + SQRT5) / 2, abs=1e-14)
+        assert LAMBDA_PLUS * LAMBDA_MINUS == pytest.approx(1.0, abs=1e-14)
 
     def test_prenormalization_norm(self):
-        sd = spectral(CAT_MATRIX)
         # |(1, lambda_+ - 1)|^2 = lambda_+ + 1 by lambda^2 = 3 lambda - 1
-        assert sd.norm_plus ** 2 == pytest.approx(sd.lambda_plus + 1, abs=1e-12)
+        norm = math.hypot(1.0, LAMBDA_PLUS - 1.0)
+        assert norm ** 2 == pytest.approx(LAMBDA_PLUS + 1, abs=1e-12)
+        assert V_PLUS[0] == pytest.approx(1.0 / norm, abs=1e-15)
 
     def test_eigen_equations_and_orthogonality(self):
-        sd = spectral(CAT_MATRIX)
-        for lam, v in ((sd.lambda_plus, sd.v_plus_hat),
-                       (sd.lambda_minus, sd.v_minus_hat)):
+        for lam, v in ((LAMBDA_PLUS, V_PLUS), (LAMBDA_MINUS, V_MINUS)):
             mv = (v[0] + v[1], v[0] + 2 * v[1])
             assert mv[0] == pytest.approx(lam * v[0], abs=1e-12)
             assert mv[1] == pytest.approx(lam * v[1], abs=1e-12)
             assert v[0] > 0
-        dot = (sd.v_plus_hat[0] * sd.v_minus_hat[0]
-               + sd.v_plus_hat[1] * sd.v_minus_hat[1])
+        dot = V_PLUS[0] * V_MINUS[0] + V_PLUS[1] * V_MINUS[1]
         assert abs(dot) < 1e-14
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(NotHyperbolicError):
-            spectral(IntMatrix2(1, 0, 0, 1))
-        with pytest.raises(NotHyperbolicError):
-            spectral(IntMatrix2(1, 2, 1, 2))
 
 
 class TestMatrixPower:
     def test_small_powers(self):
-        assert matrix_power(0).entries() == (1, 0, 0, 1)
-        assert matrix_power(1).entries() == (1, 1, 1, 2)
-        assert matrix_power(-1).entries() == (2, -1, -1, 1)
+        assert s0_power(0) == (1, 0, 0, 1)
+        assert s0_power(1) == (1, 1, 1, 2)
+        assert s0_power(-1) == (2, -1, -1, 1)
 
     def test_recursion_and_antisymmetry(self):
         for k in range(-30, 30):
-            sk = matrix_power(k)
-            sk1 = matrix_power(k + 1)
-            assert (CAT_MATRIX @ sk).entries() == sk1.entries()
-            smk = matrix_power(-k)
-            assert sk.a12 == -smk.a12 and sk.a21 == -smk.a21
-            assert smk.a11 == sk.a22
+            sk = s0_power(k)
+            assert matmul(s0_power(1), sk) == s0_power(k + 1)
+            smk = s0_power(-k)
+            assert sk[1] == -smk[1] and sk[2] == -smk[2]
+            assert smk[0] == sk[3]
 
     def test_offdiagonal_strictly_increasing(self):
-        vals = [abs(matrix_power(k).a12) for k in range(1, 20)]
+        vals = [abs(s0_power(k)[1]) for k in range(1, 20)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_cap(self):
-        with pytest.raises(OverflowError):
-            matrix_power(41)
 
 
 class TestStepAndSigma:
@@ -151,10 +144,8 @@ class TestTimeReversal:
 
     def test_reversal_identity(self):
         # I0 S0 = S0^{-1} I0 as integer matrices
-        from catflux.torus import TIME_REVERSAL_MATRIX
-        lhs = TIME_REVERSAL_MATRIX @ CAT_MATRIX
-        rhs = matrix_power(-1) @ TIME_REVERSAL_MATRIX
-        assert lhs.entries() == rhs.entries()
+        i0 = (-1, 0, -1, 1)
+        assert matmul(i0, s0_power(1)) == matmul(s0_power(-1), i0)
 
     def test_fixed_point(self):
         p = time_reversal(TorusPoint(0.0, 0.0))
