@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -35,21 +36,49 @@ class ConfigError(ValueError):
 _CONFIG_KEYS = {"force", "eps", "order", "tau", "T", "N", "bin_width",
                 "seed", "workers", "shift_window", "p_max",
                 "boundary_terms", "sigma_mode"}
+# integer keys with their least allowed value; the float keys are positive
+_INT_KEYS = {"order": 1, "tau": 1, "T": 1, "N": 1, "seed": 0, "workers": 1,
+             "shift_window": 1}
+_POSITIVE_KEYS = ("bin_width", "p_max")
 
 
-def load_config(path: str) -> Dict:
+def load_config(path: str, overrides: Optional[Dict] = None) -> Dict:
+    """Read a config, apply the non-None overrides and check every key.
+
+    Numeric keys are checked here, before any work, so a subcommand never
+    meets a value of the wrong type or range; an integral float such as
+    1e6 is accepted for an integer key and stored as an int.
+    """
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    data.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "eps" in data:
         eps_list_from_config(data)
+    for key, least in _INT_KEYS.items():
+        val = data.get(key)
+        if isinstance(val, float) and val.is_integer():
+            data[key] = val = int(val)
+        if key in data and (isinstance(val, bool) or not isinstance(val, int)
+                            or val < least):
+            raise ConfigError(f"config key {key!r} must be an integer "
+                              f">= {least}, got {val!r}")
+    for key in _POSITIVE_KEYS:
+        val = data.get(key)
+        if key in data and not (_is_number(val) and 0 < val < math.inf):
+            raise ConfigError(f"config key {key!r} must be a positive "
+                              f"number, got {val!r}")
     return data
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def force_from_config(data: Dict) -> HarmonicForce:
@@ -71,9 +100,7 @@ def eps_list_from_config(data: Dict) -> List[float]:
     eps = data.get("eps")
     if isinstance(eps, (int, float)):
         eps = [eps]
-    if (not isinstance(eps, list) or not eps
-            or not all(isinstance(e, (int, float)) and not isinstance(e, bool)
-                       for e in eps)):
+    if not isinstance(eps, list) or not eps or not all(map(_is_number, eps)):
         raise ConfigError("config needs a nonempty 'eps' list of numbers, "
                           f"got {eps!r}")
     return [float(e) for e in eps]
@@ -98,7 +125,7 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 # ----------------------------------------------------------------------
 def cmd_coeffs(data: Dict, out: Path) -> None:
     force = force_from_config(data)
-    order = int(data.get("order", 2))
+    order = data.get("order", 2)
     conj = conjugation_order_k(force, order)
     au = expansion_rate_series(force, order,
                                boundary=data.get("boundary_terms", "off") == "on")
@@ -111,8 +138,8 @@ def cmd_coeffs(data: Dict, out: Path) -> None:
 
 def cmd_cumulants(data: Dict, out: Path) -> None:
     force = force_from_config(data)
-    order = int(data.get("order", 4))
-    window = int(data.get("shift_window", 12))
+    order = data.get("order", 4)
+    window = data.get("shift_window", 12)
     eng = CorrelationEngine(force, order, shift_window=window)
     table = build_table(force, order, shift_window=window, engine=eng)
     eps_list = eps_list_from_config(data)
@@ -132,9 +159,9 @@ def cmd_cumulants(data: Dict, out: Path) -> None:
 
 def cmd_zeta(data: Dict, out: Path) -> None:
     force = force_from_config(data)
-    order = int(data.get("order", 4))
+    order = data.get("order", 4)
     table = build_table(force, order,
-                        shift_window=int(data.get("shift_window", 12)))
+                        shift_window=data.get("shift_window", 12))
     zs = zeta(table, order)
     closed = zeta_closed_form(table, order)
     imposed = zeta_ft_imposed(table, order)
@@ -157,9 +184,9 @@ def cmd_zeta(data: Dict, out: Path) -> None:
 
 def cmd_ftcheck(data: Dict, out: Path) -> None:
     force = force_from_config(data)
-    order = int(data.get("order", 4))
+    order = data.get("order", 4)
     table = build_table(force, order,
-                        shift_window=int(data.get("shift_window", 12)))
+                        shift_window=data.get("shift_window", 12))
     report = ft_report(table, order)
     A, B = asymmetry_coefficients(table, order)
     payload = {
@@ -178,12 +205,12 @@ def cmd_ftcheck(data: Dict, out: Path) -> None:
 def cmd_simulate(data: Dict, out: Path) -> None:
     force = force_from_config(data)
     eps_list = eps_list_from_config(data)
-    tau = int(data.get("tau", 100))
-    T = int(data.get("T", 10 ** 6))
-    N = int(data.get("N", 20))
-    seed = int(data.get("seed", 2024))
-    workers = int(data.get("workers", 1))
-    bin_width = float(data.get("bin_width", 0.05))
+    tau = data.get("tau", 100)
+    T = data.get("T", 10 ** 6)
+    N = data.get("N", 20)
+    seed = data.get("seed", 2024)
+    workers = data.get("workers", 1)
+    bin_width = data.get("bin_width", 0.05)
     summary = {"meta": _meta(data), "runs": []}
     run_rows = ["eps,run,bin_p,count"]
     curve_rows = ["eps,p,y,err"]
@@ -200,7 +227,7 @@ def cmd_simulate(data: Dict, out: Path) -> None:
         curve = build_curve(stats, config)
         for p, y, e in curve.rows():
             curve_rows.append(f"{eps},{p:.4f},{y:.8g},{e:.8g}")
-        res = slope_and_A(curve, p_max=float(data.get("p_max", 2.0)))
+        res = slope_and_A(curve, p_max=data.get("p_max", 2.0))
         summary["runs"].append({
             "eps": eps,
             "sigma_bar_runs": [s.sigma_bar for s in stats],
@@ -216,14 +243,14 @@ def cmd_simulate(data: Dict, out: Path) -> None:
 def cmd_fit(data: Dict, out: Path) -> None:
     force = force_from_config(data)
     eps_list = eps_list_from_config(data)
-    tau = int(data.get("tau", 25))
+    tau = data.get("tau", 25)
     points = []
     for eps in eps_list:
-        res = measure_asymmetry(force, eps, T=int(data.get("T", 400_000)),
-                                tau=tau, N=int(data.get("N", 12)),
-                                seed=int(data.get("seed", 2024)),
-                                workers=int(data.get("workers", 1)),
-                                p_max=float(data.get("p_max", 2.0)))
+        res = measure_asymmetry(force, eps, T=data.get("T", 400_000),
+                                tau=tau, N=data.get("N", 12),
+                                seed=data.get("seed", 2024),
+                                workers=data.get("workers", 1),
+                                p_max=data.get("p_max", 2.0))
         points.append((eps, res.A, res.stderr))
     f1, f2 = fit_models(points, tau)
     payload = {
@@ -241,7 +268,7 @@ def cmd_symbolic(data: Dict, out: Path) -> None:
     tm = transition_matrix(part)
     coder = CatCoder(part, tm)
     x0 = TorusPoint(1.234567, 2.345678)
-    freqs = birkhoff_frequencies(coder, x0, int(data.get("T", 10 ** 5)))
+    freqs = birkhoff_frequencies(coder, x0, data.get("T", 10 ** 5))
     payload = {
         "meta": _meta(data),
         "rectangles": len(part),
@@ -263,9 +290,9 @@ def cmd_report(data: Dict, out: Path) -> None:
     from the cubic term B p^3; the two agree only where B = 0.
     """
     force = force_from_config(data)
-    order = int(data.get("order", 4))
+    order = data.get("order", 4)
     table = build_table(force, order,
-                        shift_window=int(data.get("shift_window", 12)))
+                        shift_window=data.get("shift_window", 12))
     ft = ft_report(table, order)
     A_series, B_series = asymmetry_coefficients(table, order)
     eps_list = eps_list_from_config(data)
@@ -273,15 +300,15 @@ def cmd_report(data: Dict, out: Path) -> None:
     p_star = None
     for eps in eps_list:
         config = SimConfig(system=CatSystem(epsilon=eps, force=force),
-                           T=int(data.get("T", 400_000)),
-                           tau=int(data.get("tau", 100)),
-                           N=int(data.get("N", 8)),
-                           bin_width=float(data.get("bin_width", 0.05)),
-                           seed=int(data.get("seed", 2024)),
-                           workers=int(data.get("workers", 1)))
+                           T=data.get("T", 400_000),
+                           tau=data.get("tau", 100),
+                           N=data.get("N", 8),
+                           bin_width=data.get("bin_width", 0.05),
+                           seed=data.get("seed", 2024),
+                           workers=data.get("workers", 1))
         stats = simulate(config)
         curve = build_curve(stats, config)
-        res = slope_and_A(curve, p_max=float(data.get("p_max", 2.0)))
+        res = slope_and_A(curve, p_max=data.get("p_max", 2.0))
         observed_max = max(s.max_abs_p for s in stats)
         p_star = max(p_star or 0.0, observed_max)
         A_pred = sum(v * eps ** k for k, v in A_series.items())
@@ -361,12 +388,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0,) else 0
     try:
-        data = load_config(args.config)
-        for key, val in (("seed", args.seed), ("workers", args.workers),
-                         ("order", args.order),
-                         ("boundary_terms", args.boundary_terms)):
-            if val is not None:
-                data[key] = val
+        data = load_config(args.config, {
+            "seed": args.seed, "workers": args.workers, "order": args.order,
+            "boundary_terms": args.boundary_terms})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -26,7 +26,8 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .torus import HarmonicForce
 from .trig import (DEFAULT_TRUNCATION, LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly,
-                   Truncation, V_MINUS, V_PLUS, accumulate, geometric_sum)
+                   Truncation, V_MINUS, V_PLUS, accumulate, geometric_sum,
+                   product_average)
 
 ORDER_CAP = 8  # beyond this the term count explodes; 4 covers every paper value
 
@@ -92,6 +93,26 @@ def _alpha_tuples(s: int) -> Iterator[Tuple[int, ...]]:
         yield rest + (-1,)
 
 
+def _chain_terms(g: TrigPoly, h_plus: Sequence[TrigPoly],
+                 h_minus: Sequence[TrigPoly], n: int
+                 ) -> Iterator[Tuple[float, TrigPoly, List[TrigPoly]]]:
+    """Faa di Bruno terms (1/s!, prod_j d_{alpha_j} g, [h_{alpha_j}^{(k_j)}])
+    of (g o H)^(n), n >= 1, skipping terms whose derivative vanishes."""
+    for s in range(1, n + 1):
+        weight = 1.0 / math.factorial(s)
+        for ks in _compositions(n, s):
+            for alphas in _alpha_tuples(s):
+                deriv = g
+                for a in alphas:
+                    deriv = deriv.deriv_alpha(a)
+                    if not deriv:
+                        break
+                if not deriv:
+                    continue
+                yield weight, deriv, [h_plus[k] if a > 0 else h_minus[k]
+                                      for a, k in zip(alphas, ks)]
+
+
 def chain_order(g: TrigPoly, h_plus: Sequence[TrigPoly],
                 h_minus: Sequence[TrigPoly], n: int,
                 trunc: Truncation = DEFAULT_TRUNCATION) -> TrigPoly:
@@ -104,25 +125,31 @@ def chain_order(g: TrigPoly, h_plus: Sequence[TrigPoly],
     if n == 0:
         return g
     acc: dict = {}
-    for s in range(1, n + 1):
-        weight = 1.0 / math.factorial(s)
-        for ks in _compositions(n, s):
-            for alphas in _alpha_tuples(s):
-                deriv = g
-                for a in alphas:
-                    deriv = deriv.deriv_alpha(a)
-                    if not deriv:
-                        break
-                if not deriv:
-                    continue
-                term = deriv
-                for a, k in zip(alphas, ks):
-                    term = term * (h_plus[k] if a > 0 else h_minus[k])
-                    if not term:
-                        break
-                if term:
-                    accumulate(acc, term, weight)
+    for weight, deriv, factors in _chain_terms(g, h_plus, h_minus, n):
+        term = deriv
+        for h in factors:
+            term = term * h
+            if not term:
+                break
+        if term:
+            accumulate(acc, term, weight)
     return TrigPoly(acc, tol=trunc.coeff_tol)
+
+
+def chain_average(g: TrigPoly, h_plus: Sequence[TrigPoly],
+                  h_minus: Sequence[TrigPoly], n: int) -> float:
+    """Torus average of (g o H)^(n), contracted term by term.
+
+    Each Faa di Bruno term of chain_order goes to product_average, which
+    convolves the small factors and dot-products them against the largest,
+    so the order-n polynomial is never built.  Equal to
+    chain_order(...).average() up to summation order and the coefficient
+    pruning chain_order applies.
+    """
+    if n == 0:
+        return g.average()
+    return sum(weight * product_average([deriv] + factors)
+               for weight, deriv, factors in _chain_terms(g, h_plus, h_minus, n))
 
 
 class ConjugationSeries:

@@ -16,6 +16,13 @@ with sigma~ = sigma o H.  Connectedness makes every shift sum finite for
 trigonometric-polynomial data: a tuple contributes only when pushed
 frequencies cancel, and |S0^k nu| grows like lambda_+^{|k|}.
 
+Average-only terms are contracted, not built: the zero-insertion term of a
+mean reads (obs o H)^(m) only at nu = 0, so it sums product_average over
+the chain-rule terms (conjugation.chain_average) instead of multiplying out
+the composed polynomial, which at the top order would be the largest the
+engine holds.  Every factor of a moment with a partner is still built and
+registered.
+
 All shift windows carry an automatic sufficiency re-check (enlarging the
 window must change nothing beyond 1e-14).
 """
@@ -28,7 +35,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .conjugation import (ConjugationSeries, ExpansionRateSeries, chain_order)
+from .conjugation import (ConjugationSeries, ExpansionRateSeries,
+                          chain_average, chain_order)
 from .torus import HarmonicForce
 from .trig import (DEFAULT_TRUNCATION, LAMBDA_PLUS, TrigPoly, Truncation,
                    V_MINUS, V_PLUS, product_average, s0_power)
@@ -245,6 +253,17 @@ def _mixed_splits(obs_mins: Sequence[int], n_ins: int, total: int
                 yield obs, ins
 
 
+@dataclass(frozen=True)
+class _Resolved:
+    """One family of observables at one order, resolved for srb sums."""
+
+    m: int
+    oids: Tuple[int, ...]           # observable numbers, for cache keys
+    ids: List[List[int]]            # composed base ids per observable
+    min_orders: Tuple[int, ...]
+    average: Optional[float]        # lone observable: composed_average at m
+
+
 class CorrelationEngine:
     """SRB means, cumulants, and joint cumulants for one force."""
 
@@ -265,7 +284,11 @@ class CorrelationEngine:
                                              trunc=trunc, order_cap=order_cap + 2)
         self.engine = MomentEngine(trunc)
         self._insertion_ids: Dict[int, int] = {}
-        self._composed_cache: Dict[tuple, List[int]] = {}
+        # observables are numbered by their canonical key; the composed base
+        # ids and contracted averages are cached per observable number
+        self._obs_ids: Dict[tuple, int] = {}
+        self._composed_cache: Dict[int, List[int]] = {}
+        self._average_cache: Dict[Tuple[int, int], float] = {}
         self._cum_cache: Dict[tuple, float] = {}
 
     def _insertion_id(self, q: int) -> int:
@@ -286,15 +309,20 @@ class CorrelationEngine:
     # ------------------------------------------------------------------
     # observables composed with the conjugation
     # ------------------------------------------------------------------
+    def _obs_id(self, obs: ObservableSeries) -> int:
+        key = tuple(o.key() for o in obs.orders)
+        return self._obs_ids.setdefault(key, len(self._obs_ids))
+
     def composed_ids(self, obs: ObservableSeries, up_to: int) -> List[int]:
         """Base ids of (obs o H)^(n) for n = 0..up_to, computed lazily.
 
         Laziness matters: an observable with a nonzero order-0 part pushes
         chain orders (and hence conjugation orders) as deep as the requested
-        eps order, which is expensive and usually unnecessary.
+        eps order, which is expensive and usually unnecessary.  Only factors
+        of moments need these polynomials: an average-only term is
+        contracted by composed_average, never built.
         """
-        cache_key = tuple(o.key() for o in obs.orders)
-        ids = self._composed_cache.setdefault(cache_key, [])
+        ids = self._composed_cache.setdefault(self._obs_id(obs), [])
         for n in range(len(ids), up_to + 1):
             total = TrigPoly.zero()
             for j in range(0, n + 1):
@@ -305,36 +333,78 @@ class CorrelationEngine:
             ids.append(self.engine.register(total.prune(self.trunc.coeff_tol)))
         return ids
 
+    def composed_average(self, obs: ObservableSeries, n: int) -> float:
+        """Torus average of (obs o H)^(n), contracted and cached.
+
+        Summed over the observable's orders j as in composed_ids, with
+        chain_average in place of chain_order: the order-n polynomial, the
+        largest the engine would otherwise build, is never multiplied out.
+        """
+        key = (self._obs_id(obs), n)
+        val = self._average_cache.get(key)
+        if val is None:
+            val = 0.0
+            for j in range(0, min(n, obs.max_order) + 1):
+                if obs.orders[j]:
+                    self.conj.extend_to(max(1, n - j))
+                    val += chain_average(obs.orders[j], self.conj.h_plus,
+                                         self.conj.h_minus, n - j)
+            self._average_cache[key] = val
+        return val
+
     # ------------------------------------------------------------------
     # core connected expectation
     # ------------------------------------------------------------------
     def srb_cumulant(self, observables: Sequence[ObservableSeries],
                      shifts: Sequence[int], m: int,
                      shift_window: Optional[int] = None) -> float:
-        """Joint SRB cumulant of observables at given time shifts, order m."""
+        """Joint SRB cumulant of observables at given time shifts, order m.
+
+        A lone observable's zero-insertion term is the torus average of
+        (obs o H)^(m); it is contracted (composed_average), not built, so
+        the composed bases of a mean stop at order m - 1.
+        """
         window = self.shift_window if shift_window is None else shift_window
-        n = len(observables)
-        if n == 0 or len(shifts) != n:
+        if not observables or len(shifts) != len(observables):
             raise ValueError("need one shift per observable")
+        return self._cumulant_at(self._resolve(observables, m), shifts, window)
+
+    def _resolve(self, observables: Sequence[ObservableSeries], m: int
+                 ) -> _Resolved:
+        """Observable numbers, composed base ids and minimum orders of one
+        family at order m, looked up once for a whole shift sum."""
         if m > self.max_order:
             raise ValueError(f"order {m} not available (max {self.max_order})")
+        min_orders = tuple(obs.min_order for obs in observables)
+        oids = tuple(self._obs_id(obs) for obs in observables)
+        if len(observables) == 1:
+            obs = observables[0]
+            return _Resolved(m, oids, [self.composed_ids(obs, m - 1)],
+                             min_orders, self.composed_average(obs, m))
         # one observable can absorb at most m minus the partners' minimum
         # orders; computing chains deeper than that is wasted work
-        min_orders = [obs.min_order for obs in observables]
         total_min = sum(min_orders)
         ids = [self.composed_ids(obs, max(0, m - (total_min - mo)))
                for obs, mo in zip(observables, min_orders)]
-        key = (tuple(sorted((tuple(i), sh) for i, sh in zip(ids, shifts))), m, window)
+        return _Resolved(m, oids, ids, min_orders, None)
+
+    def _cumulant_at(self, fam: _Resolved, shifts: Sequence[int],
+                     window: int) -> float:
+        m = fam.m
+        key = (tuple(sorted(zip(fam.oids, shifts))), m, window)
         cached = self._cum_cache.get(key)
         if cached is not None:
             return cached
+        ids = fam.ids
         lo = min(shifts) - window
         hi = max(shifts) + window
-        total = 0.0
-        for s in range(0, m - total_min + 1):
+        # the zero-insertion term of a lone observable is its average
+        total, s_first = (0.0, 0) if fam.average is None else (fam.average, 1)
+        for s in range(s_first, m - sum(fam.min_orders) + 1):
             weight = 1.0 / math.factorial(s)
-            for obs_orders, ins_orders in _mixed_splits(min_orders, s, m):
-                base_refs = [(ids[i][obs_orders[i]], shifts[i]) for i in range(n)]
+            for obs_orders, ins_orders in _mixed_splits(fam.min_orders, s, m):
+                base_refs = [(ids[i][obs_orders[i]], shifts[i])
+                             for i in range(len(ids))]
                 if any(not self.engine.bases[r[0]] for r in base_refs):
                     continue
                 ins_ids = [self._insertion_id(q) for q in ins_orders]
@@ -373,10 +443,10 @@ class CorrelationEngine:
         if m < n:
             return 0.0
         obs = obs if obs is not None else self.sigma_observable()
-        val = self._shift_summed([obs] * n, m, self.shift_window)
+        fam = self._resolve([obs] * n, m)
+        val = self._shift_summed(fam, self.shift_window)
         if check_sufficiency:
-            wide = self._shift_summed([obs] * n, m,
-                                      self.shift_window + SUFFICIENCY_EXTRA)
+            wide = self._shift_summed(fam, self.shift_window + SUFFICIENCY_EXTRA)
             if abs(wide - val) > SUFFICIENCY_TOL * max(1.0, abs(val)):
                 raise RuntimeError(
                     f"shift window {self.shift_window} insufficient for "
@@ -396,22 +466,19 @@ class CorrelationEngine:
         if len(series) == 1:
             return self.srb_mean_order(m, obs=series[0],
                                        check_sufficiency=check_sufficiency)
-        val = self._shift_summed(series, m, self.shift_window)
+        fam = self._resolve(series, m)
+        val = self._shift_summed(fam, self.shift_window)
         if check_sufficiency:
-            wide = self._shift_summed(series, m,
-                                      self.shift_window + SUFFICIENCY_EXTRA)
+            wide = self._shift_summed(fam, self.shift_window + SUFFICIENCY_EXTRA)
             if abs(wide - val) > SUFFICIENCY_TOL * max(1.0, abs(val)):
                 raise RuntimeError("shift window insufficient for joint cumulant")
             val = wide
         return val
 
-    def _shift_summed(self, observables: Sequence[ObservableSeries], m: int,
-                      window: int) -> float:
-        n = len(observables)
+    def _shift_summed(self, fam: _Resolved, window: int) -> float:
         total = 0.0
-        for shifts in _shift_tuples(n - 1, -window, window):
-            total += self.srb_cumulant(observables, list(shifts) + [0], m,
-                                       shift_window=window)
+        for shifts in _shift_tuples(len(fam.oids) - 1, -window, window):
+            total += self._cumulant_at(fam, list(shifts) + [0], window)
         return total
 
 

@@ -27,6 +27,31 @@ class TestConfigHandling:
         assert main(["cumulants", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("order", "two"), ("tau", 2.5), ("T", 0), ("N", True), ("seed", -1),
+        ("workers", 0), ("shift_window", None)])
+    def test_bad_integer_key_exits_3(self, tmp_path, capsys, key, value):
+        # checked in load_config: the order-4 table is never started
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["cumulants", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 3
+        assert f"'{key}' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("bin_width", 0), ("bin_width", "wide"), ("p_max", -1.0),
+        ("p_max", float("nan"))])
+    def test_bad_float_key_exits_3(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, T=10 ** 9, **{key: value})
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 3
+        assert f"'{key}' must be a positive number" in capsys.readouterr().err
+
+    def test_override_is_checked(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["cumulants", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--order", "0"]) == 3
+        assert "'order' must be an integer >= 1" in capsys.readouterr().err
+
     def test_missing_force_exits_3(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"eps": [0.1]}))

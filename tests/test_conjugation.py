@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from catflux.conjugation import (ConjugationSeries, OrderCapError,
+                                 chain_average, chain_order,
                                  conjugacy_residual, conjugation_order1,
                                  conjugation_order_k, expansion_rate_series,
                                  radius_estimate, rates_order1, rates_order_k)
+from catflux.cumulants import sigma_series
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
 from catflux.trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS,
                           V_PLUS, s0_power)
@@ -70,6 +72,24 @@ class TestConjugationHigherOrders:
     def test_residual_zero_at_eps0(self):
         res = conjugacy_residual(FORCE, 1, [0.0], grid_n=4)
         assert res["residual"][0] < 1e-12
+
+
+class TestChainAverage:
+    # contracting term by term sums in another order and skips the 1e-14
+    # coefficient pruning of chain_order: measured, the two agree exactly
+    # except where chain_order pruned a ~1e-18 average to zero
+    @pytest.mark.parametrize("force", [HarmonicForce.single_harmonic(),
+                                       HarmonicForce.two_harmonics()],
+                             ids=["single", "two"])
+    def test_matches_built_polynomial(self, force):
+        conj = ConjugationSeries(force, 2)
+        sigma = sigma_series(force, 3)
+        for j in (1, 2, 3):
+            g = sigma.orders[j]
+            for n in (0, 1, 2):
+                built = chain_order(g, conj.h_plus, conj.h_minus, n).average()
+                got = chain_average(g, conj.h_plus, conj.h_minus, n)
+                assert got == pytest.approx(built, rel=1e-15, abs=1e-15), (j, n)
 
 
 class TestRates:

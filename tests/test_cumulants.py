@@ -115,6 +115,29 @@ class TestJointCumulants:
         assert abs(first) < 10.0  # finite, genuinely nonequilibrium
 
 
+class TestContractedMean:
+    # the top-order mean reads (sigma o H)^(m) only at nu = 0, so it is
+    # contracted instead of registered: criterion 6's replay no longer sees
+    # it as a recorded moment, and these tests carry it instead
+
+    def test_matches_built_base(self, two_force):
+        # (sigma o H)^(3) of two harmonics is the 88,075-term base the
+        # order-3 mean used to register; measured agreement is exact, the
+        # tolerance allows for summation order
+        eng = CorrelationEngine(two_force, max_order=3)
+        sigma = eng.sigma_observable()
+        for n in range(4):
+            built = eng.engine.bases[eng.composed_ids(sigma, n)[n]].average()
+            assert eng.composed_average(sigma, n) == pytest.approx(
+                built, rel=1e-15, abs=1e-15), n
+        assert len(eng.engine.bases[eng.composed_ids(sigma, 3)[3]].coeffs) > 80_000
+
+    def test_table_builds_no_large_base(self, single_engine, single_table):
+        # the order-4 table registered a 260,033-term (sigma o H)^(4) when
+        # the top-order mean was a moment of it; no moment needs one
+        assert max(len(p.coeffs) for p in single_engine.engine.bases) <= 20_000
+
+
 class TestTransport:
     def test_single_family(self):
         tm = transport_matrix([HarmonicForce.single_harmonic()])
