@@ -40,14 +40,18 @@ _CONFIG_KEYS = {"force", "eps", "order", "tau", "T", "N", "bin_width",
 _INT_KEYS = {"order": 1, "tau": 1, "T": 1, "N": 1, "seed": 0, "workers": 1,
              "shift_window": 1}
 _POSITIVE_KEYS = ("bin_width", "p_max")
+_CHOICE_KEYS = {"sigma_mode": ("per_run", "pooled"),
+                "boundary_terms": ("on", "off")}
 
 
 def load_config(path: str, overrides: Optional[Dict] = None) -> Dict:
     """Read a config, apply the non-None overrides and check every key.
 
-    Numeric keys are checked here, before any work, so a subcommand never
+    Every key is checked here, before any work, so a subcommand never
     meets a value of the wrong type or range; an integral float such as
-    1e6 is accepted for an integer key and stored as an int.
+    1e6 is accepted for an integer key and stored as an int.  'force' is
+    optional here (`symbolic` reads none); the subcommands that need it
+    refuse a config without it.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -61,6 +65,8 @@ def load_config(path: str, overrides: Optional[Dict] = None) -> Dict:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "eps" in data:
         eps_list_from_config(data)
+    if "force" in data:
+        force_from_config(data)
     for key, least in _INT_KEYS.items():
         val = data.get(key)
         if isinstance(val, float) and val.is_integer():
@@ -74,6 +80,10 @@ def load_config(path: str, overrides: Optional[Dict] = None) -> Dict:
         if key in data and not (_is_number(val) and 0 < val < math.inf):
             raise ConfigError(f"config key {key!r} must be a positive "
                               f"number, got {val!r}")
+    for key, choices in _CHOICE_KEYS.items():
+        if key in data and data[key] not in choices:
+            raise ConfigError(f"config key {key!r} must be one of "
+                              f"{list(choices)}, got {data[key]!r}")
     return data
 
 
@@ -88,11 +98,16 @@ def force_from_config(data: Dict) -> HarmonicForce:
                           "{nu: [int,int], amp: float}")
     pairs = []
     for item in spec:
-        if (not isinstance(item, dict) or "nu" not in item or "amp" not in item
-                or len(item["nu"]) != 2):
-            raise ConfigError(f"malformed harmonic {item}")
-        pairs.append(((int(item["nu"][0]), int(item["nu"][1])),
-                      float(item["amp"])))
+        nu = item.get("nu") if isinstance(item, dict) else None
+        amp = item.get("amp") if isinstance(item, dict) else None
+        if not (isinstance(nu, list) and len(nu) == 2 and all(
+                    (isinstance(v, float) and v.is_integer())
+                    or (isinstance(v, int) and not isinstance(v, bool))
+                    for v in nu)
+                and _is_number(amp) and abs(amp) <= sys.float_info.max):
+            raise ConfigError(f"config key 'force': harmonic {item!r} needs "
+                              "nu: two integers and amp: a finite number")
+        pairs.append(((int(nu[0]), int(nu[1])), float(amp)))
     return HarmonicForce.from_pairs(pairs)
 
 

@@ -74,13 +74,16 @@ class OrderSeries:
         return total
 
 
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    """Ordered compositions of `total` into `parts` strictly positive parts."""
-    if parts == 1:
-        yield (total,)
+def compositions(total: int, mins: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Tuples of len(mins) integers, each >= its minimum, summing to total,
+    in lexicographic order."""
+    if not mins:
+        if total == 0:
+            yield ()
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
+    rest_min = sum(mins[1:])
+    for first in range(mins[0], total - rest_min + 1):
+        for rest in compositions(total - first, mins[1:]):
             yield (first,) + rest
 
 
@@ -100,7 +103,7 @@ def _chain_terms(g: TrigPoly, h_plus: Sequence[TrigPoly],
     of (g o H)^(n), n >= 1, skipping terms whose derivative vanishes."""
     for s in range(1, n + 1):
         weight = 1.0 / math.factorial(s)
-        for ks in _compositions(n, s):
+        for ks in compositions(n, (1,) * s):
             for alphas in _alpha_tuples(s):
                 deriv = g
                 for a in alphas:

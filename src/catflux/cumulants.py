@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .conjugation import (ConjugationSeries, ExpansionRateSeries,
-                          chain_average, chain_order)
+                          chain_average, chain_order, compositions)
 from .torus import HarmonicForce
 from .trig import (DEFAULT_TRUNCATION, LAMBDA_PLUS, TrigPoly, Truncation,
                    V_MINUS, V_PLUS, product_average, s0_power)
@@ -216,40 +216,13 @@ class MomentEngine:
         return total
 
 
-def _order_splits(slots: int, total: int, minimum: int = 1) -> Iterator[Tuple[int, ...]]:
-    """Tuples of `slots` integers >= minimum summing to `total`."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total - minimum * (slots - 1) + 1):
-        for rest in _order_splits(slots - 1, total - first, minimum):
-            yield (first,) + rest
-
-
-def _splits_with_mins(mins: Sequence[int], total: int) -> Iterator[Tuple[int, ...]]:
-    """Tuples with per-slot minimums summing to total."""
-    if not mins:
-        if total == 0:
-            yield ()
-        return
-    rest_min = sum(mins[1:])
-    for first in range(mins[0], total - rest_min + 1):
-        for rest in _splits_with_mins(mins[1:], total - first):
-            yield (first,) + rest
-
-
 def _mixed_splits(obs_mins: Sequence[int], n_ins: int, total: int
                   ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Observable orders >= their minimums, insertion orders >= 1."""
     obs_floor = sum(obs_mins)
     for ins_total in (range(n_ins, total - obs_floor + 1) if n_ins else [0]):
-        for ins in _order_splits(n_ins, ins_total, minimum=1):
-            for obs in _splits_with_mins(obs_mins, total - ins_total):
+        for ins in compositions(ins_total, (1,) * n_ins):
+            for obs in compositions(total - ins_total, obs_mins):
                 yield obs, ins
 
 
@@ -421,16 +394,9 @@ class CorrelationEngine:
                        check_sufficiency: bool = True) -> float:
         """<obs>_+ at eps-order m (obs defaults to sigma)."""
         obs = obs if obs is not None else self.sigma_observable()
-        val = self.srb_cumulant([obs], [0], m)
-        if check_sufficiency:
-            wide = self.srb_cumulant([obs], [0], m,
-                                     shift_window=self.shift_window + SUFFICIENCY_EXTRA)
-            if abs(wide - val) > SUFFICIENCY_TOL * max(1.0, abs(val)):
-                raise RuntimeError(
-                    f"shift window {self.shift_window} insufficient for mean "
-                    f"order {m}: delta {wide - val:.3e}")
-            val = wide
-        return val
+        return self._window_checked(
+            lambda w: self.srb_cumulant([obs], [0], m, shift_window=w),
+            check_sufficiency, f"mean order {m}")
 
     def sigma_observable(self) -> ObservableSeries:
         return sigma_series(self.force, self.max_order)
@@ -444,15 +410,8 @@ class CorrelationEngine:
             return 0.0
         obs = obs if obs is not None else self.sigma_observable()
         fam = self._resolve([obs] * n, m)
-        val = self._shift_summed(fam, self.shift_window)
-        if check_sufficiency:
-            wide = self._shift_summed(fam, self.shift_window + SUFFICIENCY_EXTRA)
-            if abs(wide - val) > SUFFICIENCY_TOL * max(1.0, abs(val)):
-                raise RuntimeError(
-                    f"shift window {self.shift_window} insufficient for "
-                    f"C_{n}^({m}): delta {wide - val:.3e}")
-            val = wide
-        return val
+        return self._window_checked(lambda w: self._shift_summed(fam, w),
+                                    check_sufficiency, f"C_{n}^({m})")
 
     def joint_cumulant(self, multi_index: Sequence[int], m: int,
                        obs: ObservableSeries,
@@ -467,13 +426,21 @@ class CorrelationEngine:
             return self.srb_mean_order(m, obs=series[0],
                                        check_sufficiency=check_sufficiency)
         fam = self._resolve(series, m)
-        val = self._shift_summed(fam, self.shift_window)
-        if check_sufficiency:
-            wide = self._shift_summed(fam, self.shift_window + SUFFICIENCY_EXTRA)
-            if abs(wide - val) > SUFFICIENCY_TOL * max(1.0, abs(val)):
-                raise RuntimeError("shift window insufficient for joint cumulant")
-            val = wide
-        return val
+        return self._window_checked(lambda w: self._shift_summed(fam, w),
+                                    check_sufficiency, "joint cumulant")
+
+    def _window_checked(self, at: Callable[[int], float], check: bool,
+                        what: str) -> float:
+        """at(shift_window); when check is set, the value at a window
+        SUFFICIENCY_EXTRA wider, which must agree to SUFFICIENCY_TOL."""
+        val = at(self.shift_window)
+        if not check:
+            return val
+        wide = at(self.shift_window + SUFFICIENCY_EXTRA)
+        if abs(wide - val) > SUFFICIENCY_TOL * max(1.0, abs(val)):
+            raise RuntimeError(f"shift window {self.shift_window} insufficient "
+                               f"for {what}: delta {wide - val:.3e}")
+        return wide
 
     def _shift_summed(self, fam: _Resolved, window: int) -> float:
         total = 0.0

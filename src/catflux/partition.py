@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,13 @@ TWO_PI = 2.0 * math.pi
 _EU_LEN = math.sqrt(1.0 + float(MU_Q) ** 2)
 _ES_LEN = math.sqrt(1.0 + float(NU_Q) ** 2)
 
+MAX_REFINEMENTS = 8    # single-strip refinement rounds of the build
+LATTICE_WINDOW = 30    # translates with |m|, |n| <= this carry crossings
+MAX_ROUNDS = 64        # endpoint-closure rounds per refinement
+MIXING_CAP = 20        # largest mixing time transition_matrix searches
+BOUNDARY_TOL = 1e-12   # eigen-coordinate distance that counts as boundary
+BLOCK = 16             # orbit steps per S^j block in birkhoff_frequencies
+
 
 class PartitionError(RuntimeError):
     pass
@@ -48,8 +55,7 @@ class Rectangle:
     """An S-rectangle: an axis-aligned box in eigen-coordinates.
 
     anchor_a/anchor_b locate the min-corner in the plane; extents are the
-    box sides in eigen-units.  anchor_xy gives the same corner on the torus
-    in lattice units (exact).
+    box sides in eigen-units.
     """
 
     rid: int
@@ -62,10 +68,6 @@ class Rectangle:
         if self.extent_a.sign() <= 0 or self.extent_b.sign() <= 0:
             raise ValueError("rectangle extents must be positive")
 
-    @property
-    def anchor_xy(self) -> Tuple[Q5, Q5]:
-        return from_eigen(self.anchor_a, self.anchor_b)
-
     def area(self) -> Q5:
         """Torus area in lattice units: da * db * sqrt5."""
         return self.extent_a * self.extent_b * Q5(0, 1)
@@ -77,23 +79,37 @@ class Rectangle:
     def s_extent_angle(self) -> float:
         return float(self.extent_b) * _ES_LEN * TWO_PI
 
-    def corners_xy(self) -> List[Tuple[float, float]]:
-        pts = []
-        for da, db in ((Q5(0), Q5(0)), (self.extent_a, Q5(0)),
-                       (self.extent_a, self.extent_b), (Q5(0), self.extent_b)):
-            x, y = from_eigen(self.anchor_a + da, self.anchor_b + db)
-            pts.append((float(x), float(y)))
-        return pts
+    def bounds(self) -> Tuple[Q5, Q5, Q5, Q5]:
+        """(a0, a1, b0, b1): the box is [a0, a1] x [b0, b1]."""
+        return (self.anchor_a, self.anchor_a + self.extent_a,
+                self.anchor_b, self.anchor_b + self.extent_b)
 
 
 @dataclass
 class MarkovPartition:
+    """Rectangles indexed by id (rid == position); not to be changed once
+    strips() has been read, since the strips are memoised."""
+
     rectangles: List[Rectangle]
     provenance: str = "constructed"
-    u_plus: Optional[Q5] = None
-    u_minus: Optional[Q5] = None
-    s_plus: Optional[Q5] = None
-    s_minus: Optional[Q5] = None
+    _strips: Dict[Tuple[int, int], List[Tuple[Q5, Q5]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def strips(self, s1: int, s2: int) -> List[Tuple[Q5, Q5]]:
+        """Translates (A, B) with int Q_s1 meeting S^{-1} int Q_s2 + (A, B).
+
+        One entry per connected strip of the intersection; computed once per
+        pair.  S^{-1} scales the a-extent by lambda_- and the b-extent by
+        lambda_+.
+        """
+        key = (s1, s2)
+        if key not in self._strips:
+            a0, a1, b0, b1 = self.rectangles[s2].bounds()
+            self._strips[key] = _lattice_overlaps(
+                *self.rectangles[s1].bounds(),
+                LAMBDA_MINUS_Q * a0, LAMBDA_MINUS_Q * a1,
+                LAMBDA_PLUS_Q * b0, LAMBDA_PLUS_Q * b1)
+        return self._strips[key]
 
     def total_area(self) -> Q5:
         total = Q5(0)
@@ -108,109 +124,51 @@ class MarkovPartition:
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
-def _crossings(window: int) -> List[Tuple[Q5, Q5, int, int]]:
-    """All torus crossings of the two master lines with |m|, |n| <= window.
-
-    Returns (t, s, m, n): the unstable-line parameter t = A(m,n) and the
-    stable-line parameter s = -B(m,n).
-    """
-    out = []
-    for m in range(-window, window + 1):
-        for n in range(-window, window + 1):
-            if m == 0 and n == 0:
-                continue
-            A, B = lattice_coords(m, n)
-            out.append((A, -1 * B, m, n))
-    return out
+def _first_crossing(cross: List[Tuple[Q5, Q5]], end: Q5, sign: int,
+                    axis: int, lo: Q5, hi: Q5) -> Q5:
+    """Least sign * p[axis] >= end over the crossings p = (t, s) whose other
+    parameter lies in [lo, hi]; end itself when end is such a crossing."""
+    best = None
+    for p in cross:
+        if lo <= p[1 - axis] <= hi:
+            v = p[axis] if sign > 0 else -p[axis]
+            if v >= end and (best is None or v < best):
+                best = v
+    if best is None:
+        side = ("an unstable", "a stable")[axis]
+        raise PartitionError(
+            f"no crossing available to close {side} endpoint; the opposite "
+            f"segment spans ({float(lo):.3f},{float(hi):.3f})")
+    return best
 
 
 def _close_endpoints(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
-                     cross, max_rounds: int = 64) -> Tuple[Q5, Q5, Q5, Q5]:
+                     cross: List[Tuple[Q5, Q5]]) -> Tuple[Q5, Q5, Q5, Q5]:
     """Monotone endpoint closure: each segment end is pushed out to the
     first crossing whose partner parameter lies inside the current opposite
     segment.  Extending a segment never invalidates a closed endpoint, so
-    the loop terminates or hits max_rounds.
+    the loop terminates or hits MAX_ROUNDS.
     """
-
-    def valid_u(t_end: Q5, sign: int) -> bool:
-        for t, s, _, _ in cross:
-            if t == t_end * sign and -1 * s_minus <= s <= s_plus:
-                return True
-        return False
-
-    def valid_s(s_end: Q5, sign: int) -> bool:
-        for t, s, _, _ in cross:
-            if s == s_end * sign and -1 * u_minus <= t <= u_plus:
-                return True
-        return False
-
-    def next_u(t_end: Q5, sign: int) -> Q5:
-        best = None
-        for t, s, _, _ in cross:
-            tv = t * sign
-            if tv >= t_end and -1 * s_minus <= s <= s_plus:
-                if best is None or tv < best:
-                    best = tv
-        if best is None:
-            raise PartitionError(
-                "no crossing available to close an unstable endpoint; "
-                f"extents u=({float(u_minus):.3f},{float(u_plus):.3f}) "
-                f"s=({float(s_minus):.3f},{float(s_plus):.3f})")
-        return best
-
-    def next_s(s_end: Q5, sign: int) -> Q5:
-        best = None
-        for t, s, _, _ in cross:
-            sv = s * sign
-            if sv >= s_end and -1 * u_minus <= t <= u_plus:
-                if best is None or sv < best:
-                    best = sv
-        if best is None:
-            raise PartitionError("no crossing available to close a stable endpoint")
-        return best
-
-    for _ in range(max_rounds):
+    ends = [u_minus, u_plus, s_minus, s_plus]
+    for _ in range(MAX_ROUNDS):
         changed = False
-        if not valid_u(u_plus, +1):
-            u_plus = next_u(u_plus, +1)
-            changed = True
-        if not valid_u(u_minus, -1):
-            u_minus = next_u(u_minus, -1)
-            changed = True
-        if not valid_s(s_plus, +1):
-            s_plus = next_s(s_plus, +1)
-            changed = True
-        if not valid_s(s_minus, -1):
-            s_minus = next_s(s_minus, -1)
-            changed = True
+        # u+, u-, s+, s- in turn; axis 0 (t) closes on the stable segment,
+        # axis 1 (s) on the unstable one
+        for k, sign in ((1, 1), (0, -1), (3, 1), (2, -1)):
+            axis = k // 2
+            lo, hi = ends[2 - 2 * axis], ends[3 - 2 * axis]
+            end = _first_crossing(cross, ends[k], sign, axis, -1 * lo, hi)
+            changed = changed or end != ends[k]
+            ends[k] = end
         if not changed:
-            return u_minus, u_plus, s_minus, s_plus
+            return tuple(ends)
     raise PartitionError(
-        f"endpoint closure did not converge in {max_rounds} rounds: "
-        f"u=({float(u_minus):.4f},{float(u_plus):.4f}) "
-        f"s=({float(s_minus):.4f},{float(s_plus):.4f})")
+        f"endpoint closure did not converge in {MAX_ROUNDS} rounds: "
+        f"u=({float(ends[0]):.4f},{float(ends[1]):.4f}) "
+        f"s=({float(ends[2]):.4f},{float(ends[3]):.4f})")
 
 
-def _strip_multiplicity(r1: Rectangle, r2: Rectangle) -> Tuple[int, bool, bool]:
-    """Number of lattice translates with int r1 meeting int S^{-1} r2.
-
-    Also reports whether distinct translates differ in the a- or the
-    b-direction (which decides the refinement direction).
-    """
-    pa0 = LAMBDA_MINUS_Q * r2.anchor_a
-    pa1 = LAMBDA_MINUS_Q * (r2.anchor_a + r2.extent_a)
-    pb0 = LAMBDA_PLUS_Q * r2.anchor_b
-    pb1 = LAMBDA_PLUS_Q * (r2.anchor_b + r2.extent_b)
-    hits = _lattice_overlaps(r1.anchor_a, r1.anchor_a + r1.extent_a,
-                             r1.anchor_b, r1.anchor_b + r1.extent_b,
-                             pa0, pa1, pb0, pb1)
-    a_dup = len({h[0] for h in hits}) > 1
-    b_dup = len({h[1] for h in hits}) > 1
-    return len(hits), a_dup, b_dup
-
-
-def build_cat_partition(max_refinements: int = 8,
-                        lattice_window: int = 30) -> MarkovPartition:
+def build_cat_partition() -> MarkovPartition:
     """Stable/unstable segments through the fixed point, refined to Markov.
 
     Stage 1 closes the four segment endpoints on first crossings with the
@@ -224,17 +182,19 @@ def build_cat_partition(max_refinements: int = 8,
     words would name several cells and the coding would not separate points
     (the subshift entropy comes out below log lambda_+).
     """
-    cross = _crossings(lattice_window)
+    w = LATTICE_WINDOW
+    coords = [lattice_coords(m, n) for m in range(-w, w + 1)
+              for n in range(-w, w + 1)]
+    # crossings (t, s) = (A, -B) of the master lines; the origin is not one
+    cross = [(A, -1 * B) for A, B in coords if not (A == 0 and B == 0)]
     eps0 = Q5(Fraction(1, 10))
     u_minus = u_plus = s_minus = s_plus = eps0
 
-    for _ in range(max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         u_minus, u_plus, s_minus, s_plus = _close_endpoints(
             u_minus, u_plus, s_minus, s_plus, cross)
-        rects = _extract_rectangles(u_minus, u_plus, s_minus, s_plus,
-                                    lattice_window)
-        part = MarkovPartition(rects, "constructed", u_plus, u_minus,
-                               s_plus, s_minus)
+        rects = _extract_rectangles(u_minus, u_plus, s_minus, s_plus, coords)
+        part = MarkovPartition(rects)
         total = part.total_area()
         if not total == Q5(1):
             raise PartitionError(
@@ -243,13 +203,15 @@ def build_cat_partition(max_refinements: int = 8,
                     f"R{r.rid}: a0={float(r.anchor_a):.6f} "
                     f"b0={float(r.anchor_b):.6f} da={float(r.extent_a):.6f} "
                     f"db={float(r.extent_b):.6f}" for r in rects))
+        # distinct strips of one pair differ in a or in b, which decides
+        # the refinement direction
         need_a = need_b = False
-        for r1 in rects:
-            for r2 in rects:
-                count, a_dup, b_dup = _strip_multiplicity(r1, r2)
-                if count > 1:
-                    need_a = need_a or a_dup
-                    need_b = need_b or b_dup
+        for s1 in range(len(rects)):
+            for s2 in range(len(rects)):
+                hits = part.strips(s1, s2)
+                if len(hits) > 1:
+                    need_a = need_a or len({A for A, _ in hits}) > 1
+                    need_b = need_b or len({B for _, B in hits}) > 1
         if not (need_a or need_b):
             return part
         if need_a:
@@ -259,28 +221,11 @@ def build_cat_partition(max_refinements: int = 8,
             u_minus = LAMBDA_PLUS_Q * u_minus
             u_plus = LAMBDA_PLUS_Q * u_plus
     raise PartitionError(
-        f"single-strip refinement did not settle in {max_refinements} rounds")
-
-
-def _segment_tables(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
-                    window: int):
-    """Boundary segments of all lattice translates near the origin.
-
-    Horizontal (unstable) pieces: b = B(m,n), a in [A - u-, A + u+];
-    vertical (stable) pieces: a = A(m,n), b in [B - s-, B + s+].
-    """
-    horiz = []
-    vert = []
-    for m in range(-window, window + 1):
-        for n in range(-window, window + 1):
-            A, B = lattice_coords(m, n)
-            horiz.append((B, A - u_minus, A + u_plus))
-            vert.append((A, B - s_minus, B + s_plus))
-    return horiz, vert
+        f"single-strip refinement did not settle in {MAX_REFINEMENTS} rounds")
 
 
 def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
-                        window: int) -> List[Rectangle]:
+                        coords: List[Tuple[Q5, Q5]]) -> List[Rectangle]:
     """Probe next to every boundary crossing; snap walls exactly.
 
     The boundary pieces near the fundamental domain form an axis-aligned
@@ -289,9 +234,13 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
     quadrants around each crossing finds every component.  The probe only
     chooses which walls to read off; the box coordinates themselves are
     snapped to the exact Q5 wall values, deduplicated by the canonical
-    (center reduced into [0,1)^2) representative.
+    (center reduced into [0,1)^2) representative.  coords holds the
+    eigen-coordinates (A, B) of the lattice translates near the origin;
+    each carries a horizontal (unstable) piece b = B, a in [A - u-, A + u+]
+    and a vertical (stable) piece a = A, b in [B - s-, B + s+].
     """
-    horiz, vert = _segment_tables(u_minus, u_plus, s_minus, s_plus, window)
+    horiz = [(B, A - u_minus, A + u_plus) for A, B in coords]
+    vert = [(A, B - s_minus, B + s_plus) for A, B in coords]
     # generous piece region: canonical neighborhood padded by segment spans
     amax = 2.0 + 1.5 * float(u_minus + u_plus)
     bmax = 2.0 + 1.5 * float(s_minus + s_plus)
@@ -345,8 +294,7 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
     # produce a spurious larger box, which then strictly contains faces;
     # greedy minimal-area selection with exact pairwise disjointness drops
     # exactly those.
-    cands = sorted(boxes.values(),
-                   key=lambda bx: (float(bx[2] * bx[3]), float(bx[0]), float(bx[1])))
+    cands = sorted(boxes.values(), key=lambda bx: (bx[2] * bx[3], bx[0], bx[1]))
     accepted: List[Tuple[Q5, Q5, Q5, Q5]] = []
     for bx in cands:
         a0, b0, da, db = bx
@@ -358,7 +306,7 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
                 break
         if ok:
             accepted.append(bx)
-    ordered = sorted(accepted, key=lambda bx: (float(bx[0]), float(bx[1])))
+    ordered = sorted(accepted, key=lambda bx: (bx[0], bx[1]))
     return [Rectangle(i, *bx) for i, bx in enumerate(ordered)]
 
 
@@ -418,82 +366,60 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
         msgs.append(f"areas sum to {float(partition.total_area()):.12f}, not 1")
 
     disjoint_ok = True
-    for i in range(len(rects)):
+    for i, r1 in enumerate(rects):
         for j in range(i, len(rects)):
-            r1, r2 = rects[i], rects[j]
-            for m, n in _overlap_candidates(r1, r2):
-                if i == j and m == 0 and n == 0:
+            r2 = rects[j]
+            for A, _ in _lattice_overlaps(*r1.bounds(), *r2.bounds()):
+                mn = lattice_from_eigen_shift(A)
+                if i == j and mn == (0, 0):
                     continue
-                A, B = lattice_coords(m, n)
-                alo = max(r1.anchor_a, r2.anchor_a + A)
-                ahi = min(r1.anchor_a + r1.extent_a, r2.anchor_a + r2.extent_a + A)
-                blo = max(r1.anchor_b, r2.anchor_b + B)
-                bhi = min(r1.anchor_b + r1.extent_b, r2.anchor_b + r2.extent_b + B)
-                if ahi > alo and bhi > blo:
-                    disjoint_ok = False
-                    msgs.append(f"interiors of R{r1.rid} and R{r2.rid} overlap "
-                                f"(translate {(m, n)})")
+                disjoint_ok = False
+                msgs.append(f"interiors of R{r1.rid} and R{r2.rid} overlap "
+                            f"(translate {mn})")
 
-    # stable sides: vertical segments (a = const, b-interval)
+    # stable sides are vertical segments (a = const, b-interval), unstable
+    # ones horizontal (b = const, a-interval)
     stable_sides = []
     unstable_sides = []
     for r in rects:
-        for a_side in (r.anchor_a, r.anchor_a + r.extent_a):
-            stable_sides.append((a_side, r.anchor_b, r.anchor_b + r.extent_b, r.rid))
-        for b_side in (r.anchor_b, r.anchor_b + r.extent_b):
-            unstable_sides.append((b_side, r.anchor_a, r.anchor_a + r.extent_a, r.rid))
-
-    stable_ok = True
-    for a_side, blo, bhi, rid in stable_sides:
-        # S: a -> lambda_+ a, b -> lambda_- b
-        ia = LAMBDA_PLUS_Q * a_side
-        ilo = LAMBDA_MINUS_Q * blo
-        ihi = LAMBDA_MINUS_Q * bhi
-        pieces = []
-        for a2, lo2, hi2, _ in stable_sides:
-            mn = lattice_from_eigen_shift(ia - a2)
-            if mn is not None:
-                _, B = lattice_coords(*mn)
-                pieces.append((lo2 + B, hi2 + B))
-        if not _interval_cover(ilo, ihi, pieces):
-            stable_ok = False
-            msgs.append(f"S(stable side a={float(a_side):.6f} of R{rid}) "
-                        "not contained in stable boundary")
-
-    unstable_ok = True
-    for b_side, alo, ahi, rid in unstable_sides:
-        # S^{-1}: a -> lambda_- a, b -> lambda_+ b
-        ib = LAMBDA_PLUS_Q * b_side
-        ilo = LAMBDA_MINUS_Q * alo
-        ihi = LAMBDA_MINUS_Q * ahi
-        pieces = []
-        for b2, lo2, hi2, _ in unstable_sides:
-            # translate must satisfy B(m,n) = ib - b2
-            mn = lattice_from_b_shift(ib - b2)
-            if mn is not None:
-                A, _ = lattice_coords(*mn)
-                pieces.append((lo2 + A, hi2 + A))
-        if not _interval_cover(ilo, ihi, pieces):
-            unstable_ok = False
-            msgs.append(f"S^-1(unstable side b={float(b_side):.6f} of R{rid}) "
-                        "not contained in unstable boundary")
+        a0, a1, b0, b1 = r.bounds()
+        stable_sides += [(a0, b0, b1, r.rid), (a1, b0, b1, r.rid)]
+        unstable_sides += [(b0, a0, a1, r.rid), (b1, a0, a1, r.rid)]
+    # S maps a -> lambda_+ a, b -> lambda_- b; S^{-1} the other way round,
+    # so each side's image has constant lambda_+ c and span lambda_- [lo, hi]
+    stable_bad = _uncovered_sides(stable_sides, lattice_from_eigen_shift, 1)
+    unstable_bad = _uncovered_sides(unstable_sides, lattice_from_b_shift, 0)
+    msgs += [f"S(stable side a={float(c):.6f} of R{rid}) "
+             "not contained in stable boundary" for c, rid in stable_bad]
+    msgs += [f"S^-1(unstable side b={float(c):.6f} of R{rid}) "
+             "not contained in unstable boundary" for c, rid in unstable_bad]
+    stable_ok, unstable_ok = not stable_bad, not unstable_bad
 
     ok = area_ok and disjoint_ok and stable_ok and unstable_ok
     return MarkovReport(ok, area_ok, disjoint_ok, stable_ok, unstable_ok, msgs)
 
 
-def _overlap_candidates(r1: Rectangle, r2: Rectangle) -> Iterator[Tuple[int, int]]:
-    """Lattice translates that could make two bounded boxes overlap."""
-    # difference of centers in (x, y), window by box diameters
-    c1 = from_eigen(r1.anchor_a + r1.extent_a / Q5(2),
-                    r1.anchor_b + r1.extent_b / Q5(2))
-    c2 = from_eigen(r2.anchor_a + r2.extent_a / Q5(2),
-                    r2.anchor_b + r2.extent_b / Q5(2))
-    dx = float(c1[0]) - float(c2[0])
-    dy = float(c1[1]) - float(c2[1])
-    for m in range(math.floor(dx) - 2, math.ceil(dx) + 3):
-        for n in range(math.floor(dy) - 2, math.ceil(dy) + 3):
-            yield m, n
+def _uncovered_sides(sides: List[Tuple[Q5, Q5, Q5, int]],
+                     lattice_from_shift: Callable[[Q5], Optional[Tuple[int, int]]],
+                     along: int) -> List[Tuple[Q5, int]]:
+    """(c, rid) of the sides (c, lo, hi, rid) whose image, at constant
+    lambda_+ c over lambda_- [lo, hi], is not covered by lattice translates
+    of the sides.  A translate (m, n) carries side c2 onto the image line
+    when lattice_from_shift(lambda_+ c - c2) finds it; the side then shifts
+    along the line by coordinate `along` of lattice_coords(m, n).
+    """
+    bad = []
+    for c, lo, hi, rid in sides:
+        ic = LAMBDA_PLUS_Q * c
+        pieces = []
+        for c2, lo2, hi2, _ in sides:
+            mn = lattice_from_shift(ic - c2)
+            if mn is not None:
+                t = lattice_coords(*mn)[along]
+                pieces.append((lo2 + t, hi2 + t))
+        if not _interval_cover(LAMBDA_MINUS_Q * lo, LAMBDA_MINUS_Q * hi, pieces):
+            bad.append((c, rid))
+    return bad
 
 
 # ----------------------------------------------------------------------
@@ -504,26 +430,14 @@ class TransitionMatrix:
     T: np.ndarray
     mixing_time: int
 
-    def is_compatible(self, s1: int, s2: int) -> bool:
-        return bool(self.T[s1, s2])
 
-
-def transition_matrix(partition: MarkovPartition,
-                      mixing_cap: int = 20) -> TransitionMatrix:
+def transition_matrix(partition: MarkovPartition) -> TransitionMatrix:
     """T[s, s'] = 1 iff int Q_s meets S^{-1} int Q_{s'} (exact box overlap)."""
-    rects = partition.rectangles
-    q = len(rects)
+    q = len(partition)
     T = np.zeros((q, q), dtype=int)
-    for s2, r2 in enumerate(rects):
-        # S^{-1} Q_{s'}: a-extent scaled by lambda_-, b by lambda_+
-        pa0 = LAMBDA_MINUS_Q * r2.anchor_a
-        pa1 = LAMBDA_MINUS_Q * (r2.anchor_a + r2.extent_a)
-        pb0 = LAMBDA_PLUS_Q * r2.anchor_b
-        pb1 = LAMBDA_PLUS_Q * (r2.anchor_b + r2.extent_b)
-        for s1, r1 in enumerate(rects):
-            if _boxes_meet_mod_lattice(r1.anchor_a, r1.anchor_a + r1.extent_a,
-                                       r1.anchor_b, r1.anchor_b + r1.extent_b,
-                                       pa0, pa1, pb0, pb1):
+    for s1 in range(q):
+        for s2 in range(q):
+            if partition.strips(s1, s2):
                 T[s1, s2] = 1
     if not (T.sum(axis=0).all() and T.sum(axis=1).all()):
         raise PartitionError("transition matrix has an empty row or column")
@@ -532,8 +446,8 @@ def transition_matrix(partition: MarkovPartition,
     while not (power > 0).all():
         power = (power @ T > 0).astype(int)
         a += 1
-        if a > mixing_cap:
-            raise PartitionError(f"mixing time exceeds cap {mixing_cap}")
+        if a > MIXING_CAP:
+            raise PartitionError(f"mixing time exceeds cap {MIXING_CAP}")
     return TransitionMatrix(T, a)
 
 
@@ -556,10 +470,6 @@ def _lattice_overlaps(a0, a1, b0, b1, c0, c1, d0, d1) -> List[Tuple[Q5, Q5]]:
     return hits
 
 
-def _boxes_meet_mod_lattice(a0, a1, b0, b1, c0, c1, d0, d1) -> bool:
-    return bool(_lattice_overlaps(a0, a1, b0, b1, c0, c1, d0, d1))
-
-
 @dataclass
 class SymbolWindow:
     symbols: List[int]
@@ -574,45 +484,38 @@ class CatCoder:
     """Encode/decode points against a verified partition."""
 
     def __init__(self, partition: MarkovPartition,
-                 matrix: Optional[TransitionMatrix] = None,
-                 boundary_tol: float = 1e-12):
+                 matrix: Optional[TransitionMatrix] = None):
         self.partition = partition
         self.matrix = matrix or transition_matrix(partition)
-        self.boundary_tol = boundary_tol
         self._float_boxes = [(float(r.anchor_a), float(r.anchor_b),
                               float(r.extent_a), float(r.extent_b))
                              for r in partition.rectangles]
         # unique lattice translate per allowed transition (single-strip)
         self._pair_translate: Dict[Tuple[int, int], Tuple[Q5, Q5]] = {}
-        for r1 in partition.rectangles:
-            for r2 in partition.rectangles:
-                if not self.matrix.T[r1.rid, r2.rid]:
+        q = len(partition)
+        for s1 in range(q):
+            for s2 in range(q):
+                if not self.matrix.T[s1, s2]:
                     continue
-                hits = _lattice_overlaps(
-                    r1.anchor_a, r1.anchor_a + r1.extent_a,
-                    r1.anchor_b, r1.anchor_b + r1.extent_b,
-                    LAMBDA_MINUS_Q * r2.anchor_a,
-                    LAMBDA_MINUS_Q * (r2.anchor_a + r2.extent_a),
-                    LAMBDA_PLUS_Q * r2.anchor_b,
-                    LAMBDA_PLUS_Q * (r2.anchor_b + r2.extent_b))
+                hits = partition.strips(s1, s2)
                 if len(hits) != 1:
                     raise PartitionError(
-                        f"transition {r1.rid}->{r2.rid} has {len(hits)} strips; "
+                        f"transition {s1}->{s2} has {len(hits)} strips; "
                         "partition is not single-strip")
-                self._pair_translate[(r1.rid, r2.rid)] = hits[0]
+                self._pair_translate[(s1, s2)] = hits[0]
 
     # -- point membership ------------------------------------------------
     def locate(self, x: float, y: float) -> Tuple[int, bool]:
         """Rectangle id of the lattice-unit point (x, y); flags boundary hits.
 
-        Points within boundary_tol (eigen-coordinate distance) of the
+        Points within BOUNDARY_TOL (eigen-coordinate distance) of the
         boundary are assigned the lowest-id incident rectangle.
         """
         mu, nu = float(MU_Q), float(NU_Q)
         rt5 = math.sqrt(5.0)
         hits: List[int] = []
         boundary = False
-        tol = self.boundary_tol
+        tol = BOUNDARY_TOL
         for rid, (a0, b0, da, db) in enumerate(self._float_boxes):
             ax = a0 + b0
             ay = a0 * mu + b0 * nu
@@ -639,9 +542,6 @@ class CatCoder:
         if not hits:
             raise PartitionError(f"point ({x}, {y}) not located in any rectangle")
         return min(hits), boundary
-
-    def locate_angles(self, p: TorusPoint) -> Tuple[int, bool]:
-        return self.locate(p.psi1 / TWO_PI, p.psi2 / TWO_PI)
 
     # -- encoding ----------------------------------------------------------
     def encode(self, p: TorusPoint, n: int) -> SymbolWindow:
@@ -713,21 +613,22 @@ class CatCoder:
 # ----------------------------------------------------------------------
 # Birkhoff frequencies
 # ----------------------------------------------------------------------
-def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint, n_steps: int,
-                         block: int = 16) -> Dict[int, float]:
+def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
+                         n_steps: int) -> Dict[int, float]:
     """Visit frequencies of each rectangle along the orbit of x0.
 
     The orbit is generated in blocks (entries of S^j stay float-exact for
-    j <= block) and membership is evaluated with vectorized box tests over
-    candidate lattice translates.
+    j < BLOCK) and membership is evaluated with vectorized box tests over
+    candidate lattice translates.  An orbit point that no rectangle holds
+    raises PartitionError: the frequencies would not sum over the torus.
     """
-    mats = [s0_power(j) for j in range(block)]
+    mats = [s0_power(j) for j in range(BLOCK)]
     x = np.empty(n_steps)
     y = np.empty(n_steps)
     cx, cy = x0.psi1 / TWO_PI, x0.psi2 / TWO_PI
     pos = 0
     while pos < n_steps:
-        take = min(block, n_steps - pos)
+        take = min(BLOCK, n_steps - pos)
         for j in range(take):
             aj, bj, cj, dj = mats[j]
             x[pos + j] = (aj * cx + bj * cy) % 1.0
@@ -737,7 +638,13 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint, n_steps: int,
         cy = (x[pos + take - 1] + 2 * y[pos + take - 1]) % 1.0
         pos += take
     assign = assign_rectangles(coder, x, y)
-    counts = np.bincount(assign[assign >= 0], minlength=len(coder.partition))
+    missed = np.flatnonzero(assign < 0)
+    if missed.size:
+        i = missed[0]
+        raise PartitionError(
+            f"{missed.size} of {n_steps} orbit points not located in any "
+            f"rectangle; first at step {i}: ({x[i]}, {y[i]})")
+    counts = np.bincount(assign, minlength=len(coder.partition))
     freqs = counts / counts.sum()
     return {rid: float(freqs[rid]) for rid in range(len(coder.partition))}
 

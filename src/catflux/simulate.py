@@ -13,6 +13,10 @@ models f1(eps) = a1 eps^2 + b1/(tau eps), f2 = a2 eps + b2 eps^2 + c2/(tau eps).
 Reproducibility: every run r is a pure function of (config, r); the RNG is
 the counter-based Philox generator keyed by seed XOR r, so results are
 bit-identical for a fixed seed regardless of worker count or scheduling.
+Known defect of that keying: seeds that differ only in their low bits share
+streams.  For any seed in 0..15 at N = 16, {seed ^ r : r < 16} = {0..15}, so
+those sixteen seeds run the same sixteen orbits in a different order
+(ROADMAP, Monte Carlo item); pick seeds that differ above bit log2(N).
 """
 
 from __future__ import annotations

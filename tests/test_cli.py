@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from catflux.cli import main
+from catflux.cli import force_from_config, load_config, main
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -45,6 +45,35 @@ class TestConfigHandling:
         assert main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 3
         assert f"'{key}' must be a positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("force", [{"nu": [1.5, 0], "amp": 1.0}]),
+        ("force", [{"nu": ["a", 0], "amp": 1.0}]),
+        ("force", [{"nu": [True, 0], "amp": 1.0}]),
+        ("force", [{"nu": [1], "amp": 1.0}]),
+        ("force", [{"nu": [1, 0], "amp": "big"}]),
+        ("force", [{"nu": [1, 0], "amp": float("nan")}]),
+        ("force", [{"nu": [1, 0]}]),
+        ("force", []),
+        ("sigma_mode", "bogus"),
+        ("boundary_terms", "yes"),
+        ("boundary_terms", True)])
+    def test_bad_force_or_mode_key_exits_3(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 3
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_good_choice_keys_load(self, tmp_path):
+        cfg = write_config(tmp_path, force=[{"nu": [2.0, -1], "amp": 3}],
+                           sigma_mode="pooled", boundary_terms="on")
+        data = load_config(str(cfg))
+        assert force_from_config(data).harmonics[0].nu == (2, -1)
+
+    def test_symbolic_config_needs_no_force(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"T": 1000}))
+        assert load_config(str(path)) == {"T": 1000}
 
     def test_override_is_checked(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,9 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
 
+import catflux.partition as partition_module
 from catflux.partition import (CatCoder, MarkovPartition, PartitionError,
                                Rectangle, birkhoff_frequencies,
                                build_cat_partition, partition_from_json,
@@ -87,6 +89,7 @@ class TestVerifyRejectsBadPartitions:
         broken = MarkovPartition([shifted] + rects[1:], "constructed")
         report = verify_markov(broken)
         assert not report.ok
+        assert report.disjoint_ok is False
         assert report.messages
 
     def test_single_rectangle_fails(self):
@@ -108,6 +111,40 @@ class TestTransitionMatrix:
         if a > 1:
             smaller = np.linalg.matrix_power(cat_matrix.T, a)
             assert not (smaller > 0).all()
+
+
+class TestStrips:
+    @pytest.fixture
+    def overlap_calls(self, monkeypatch):
+        calls = []
+        inner = partition_module._lattice_overlaps
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(partition_module, "_lattice_overlaps", counted)
+        return calls
+
+    def test_built_partition_holds_every_strip(self, cat_partition,
+                                               overlap_calls):
+        # the build's last single-strip round computed all q^2 strips, so the
+        # transition matrix and the coder read them without recomputing
+        tm = transition_matrix(cat_partition)
+        coder = CatCoder(cat_partition, tm)
+        assert overlap_calls == []
+        assert len(coder._pair_translate) == tm.T.sum()
+
+    def test_loaded_coder_computes_allowed_pairs_only(self, cat_partition,
+                                                      cat_matrix,
+                                                      overlap_calls):
+        loaded = partition_from_json(partition_to_json(cat_partition))
+        coder = CatCoder(loaded, cat_matrix)
+        allowed = {(int(i), int(j)) for i, j in zip(*np.nonzero(cat_matrix.T))}
+        assert len(overlap_calls) == len(allowed)
+        assert set(loaded._strips) == allowed
+        assert coder._pair_translate == {
+            pair: cat_partition.strips(*pair)[0] for pair in allowed}
 
 
 class TestCoding:
@@ -176,6 +213,14 @@ class TestBirkhoff:
     def test_frequencies_sum_to_one(self, cat_coder):
         freqs = birkhoff_frequencies(cat_coder, TorusPoint(0.7, 1.9), 20_000)
         assert sum(freqs.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unlocated_point_raises(self, cat_coder):
+        # without one rectangle the orbit leaves the covered set; the
+        # frequencies of the rest must not be renormalised silently
+        holed = copy.copy(cat_coder)
+        holed._float_boxes = cat_coder._float_boxes[:-1]
+        with pytest.raises(PartitionError, match="not located in any rectangle"):
+            birkhoff_frequencies(holed, TorusPoint(0.7, 1.9), 2_000)
 
     def test_frequencies_match_areas(self, cat_coder, cat_partition):
         freqs = birkhoff_frequencies(cat_coder, TorusPoint(2.7, 0.9), 200_000)
