@@ -264,8 +264,10 @@ def cmd_fit(data: Dict, out: Path) -> None:
         res = measure_asymmetry(force, eps, T=data.get("T", 400_000),
                                 tau=tau, N=data.get("N", 12),
                                 seed=data.get("seed", 2024),
+                                bin_width=data.get("bin_width", 0.05),
                                 workers=data.get("workers", 1),
-                                p_max=data.get("p_max", 2.0))
+                                p_max=data.get("p_max", 2.0),
+                                sigma_mode=data.get("sigma_mode", "per_run"))
         points.append((eps, res.A, res.stderr))
     f1, f2 = fit_models(points, tau)
     payload = {
@@ -320,7 +322,8 @@ def cmd_report(data: Dict, out: Path) -> None:
                            N=data.get("N", 8),
                            bin_width=data.get("bin_width", 0.05),
                            seed=data.get("seed", 2024),
-                           workers=data.get("workers", 1))
+                           workers=data.get("workers", 1),
+                           sigma_mode=data.get("sigma_mode", "per_run"))
         stats = simulate(config)
         curve = build_curve(stats, config)
         res = slope_and_A(curve, p_max=data.get("p_max", 2.0))

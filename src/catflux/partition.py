@@ -35,8 +35,10 @@ from .trig import s0_power
 TWO_PI = 2.0 * math.pi
 
 # physical edge lengths per unit of eigen-coordinate (lattice units)
-_EU_LEN = math.sqrt(1.0 + float(MU_Q) ** 2)
-_ES_LEN = math.sqrt(1.0 + float(NU_Q) ** 2)
+_MU, _NU = float(MU_Q), float(NU_Q)
+_RT5 = math.sqrt(5.0)
+_EU_LEN = math.sqrt(1.0 + _MU ** 2)
+_ES_LEN = math.sqrt(1.0 + _NU ** 2)
 
 MAX_REFINEMENTS = 8    # single-strip refinement rounds of the build
 LATTICE_WINDOW = 30    # translates with |m|, |n| <= this carry crossings
@@ -44,6 +46,9 @@ MAX_ROUNDS = 64        # endpoint-closure rounds per refinement
 MIXING_CAP = 20        # largest mixing time transition_matrix searches
 BOUNDARY_TOL = 1e-12   # eigen-coordinate distance that counts as boundary
 BLOCK = 16             # orbit steps per S^j block in birkhoff_frequencies
+GRID = 64              # CellTable cells per side of [0,1)^2
+CELL_MARGIN = 1e-9     # slack of CellTable's footprint tests
+CHUNK = 1 << 16        # points per pass of CellTable.assign
 
 
 class PartitionError(RuntimeError):
@@ -456,10 +461,10 @@ def _lattice_overlaps(a0, a1, b0, b1, c0, c1, d0, d1) -> List[Tuple[Q5, Q5]]:
     [c0,c1]x[d0,d1] + (A, B)."""
     x_lo = float(a0 + b0) - float(c1 + d1) - 1
     x_hi = float(a1 + b1) - float(c0 + d0) + 1
-    y_lo = (float(a0) * float(MU_Q) + float(b1) * float(NU_Q)
-            - float(c1) * float(MU_Q) - float(d0) * float(NU_Q)) - 2
-    y_hi = (float(a1) * float(MU_Q) + float(b0) * float(NU_Q)
-            - float(c0) * float(MU_Q) - float(d1) * float(NU_Q)) + 2
+    y_lo = (float(a0) * _MU + float(b1) * _NU
+            - float(c1) * _MU - float(d0) * _NU) - 2
+    y_hi = (float(a1) * _MU + float(b0) * _NU
+            - float(c0) * _MU - float(d1) * _NU) + 2
     hits = []
     for m in range(math.floor(x_lo), math.ceil(x_hi) + 1):
         for n in range(math.floor(y_lo), math.ceil(y_hi) + 1):
@@ -480,6 +485,106 @@ class SymbolWindow:
         return self.symbols[j + self.n]
 
 
+class CellTable:
+    """Float point location against a list of rectangle boxes.
+
+    [0,1)^2 is cut into GRID x GRID cells; each cell lists, sorted by id, the
+    box translates (rid, m, n) whose float footprint comes within
+    CELL_MARGIN of it, in (x, y) and in eigen-coordinates alike (a
+    separating-axis test of two parallelograms).  A point (x, y) is tested
+    only against the list of the cell of its fractional part, with the
+    translate shifted by its integer part; the margin, far above
+    BOUNDARY_TOL and float rounding, keeps every translate that could hold
+    the point in that list.
+    """
+
+    def __init__(self, boxes: List[Tuple[float, float, float, float]]):
+        self.boxes = boxes
+        mu, nu, rt5 = _MU, _NU, _RT5
+        edges = np.arange(GRID + 1) / GRID
+        x0, y0 = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
+        x1, y1 = x0 + 1.0 / GRID, y0 + 1.0 / GRID
+        # the cells' eigen-coordinate ranges (mu > 0 > nu)
+        ca0, ca1 = (y0 - nu * x0) / rt5, (y1 - nu * x1) / rt5
+        cb0, cb1 = (mu * x0 - y1) / rt5, (mu * x1 - y0) / rt5
+        eps = CELL_MARGIN
+        cells: List[List[Tuple[int, int, int]]] = [[] for _ in range(GRID ** 2)]
+        for rid, (a0, b0, da, db) in enumerate(boxes):
+            # (x, y) footprint [bx0, bx1] x [by0, by1] of the untranslated box
+            bx0, bx1 = a0 + b0, a0 + da + b0 + db
+            by0, by1 = a0 * mu + (b0 + db) * nu, (a0 + da) * mu + b0 * nu
+            for m in range(math.floor(-bx1) - 1, math.ceil(1.0 - bx0) + 2):
+                for n in range(math.floor(-by1) - 1, math.ceil(1.0 - by0) + 2):
+                    A, B = (n - nu * m) / rt5, (mu * m - n) / rt5
+                    meets = ((x0 <= bx1 + m + eps) & (bx0 + m <= x1 + eps)
+                             & (y0 <= by1 + n + eps) & (by0 + n <= y1 + eps)
+                             & (ca0 <= a0 + da + A + eps) & (a0 + A <= ca1 + eps)
+                             & (cb0 <= b0 + db + B + eps) & (b0 + B <= cb1 + eps))
+                    for c in np.flatnonzero(meets.ravel()):
+                        cells[c].append((rid, m, n))
+        self.cells = cells
+        # the same lists as arrays padded to the longest, for assign()
+        width = max(map(len, cells))
+        self.count = np.array([len(c) for c in cells])
+        self.cand = np.zeros((GRID ** 2, width, 3), dtype=int)
+        for i, c in enumerate(cells):
+            if c:
+                self.cand[i, :len(c)] = c
+
+    def locate(self, x: float, y: float) -> Tuple[int, bool]:
+        """See CatCoder.locate."""
+        mu, nu, rt5 = _MU, _NU, _RT5
+        tol = BOUNDARY_TOL
+        kx, ky = math.floor(x), math.floor(y)
+        ix = min(int((x - kx) * GRID), GRID - 1)
+        iy = min(int((y - ky) * GRID), GRID - 1)
+        hits: List[int] = []
+        boundary = False
+        for rid, m, n in self.cells[ix * GRID + iy]:
+            a0, b0, da, db = self.boxes[rid]
+            px = x - (m + kx)
+            py = y - (n + ky)
+            a = (py - nu * px) / rt5
+            b = (mu * px - py) / rt5
+            ra = a - a0
+            rb = b - b0
+            if -tol <= ra <= da + tol and -tol <= rb <= db + tol:
+                inside = (tol < ra < da - tol and tol < rb < db - tol)
+                if not inside:
+                    boundary = True
+                hits.append(rid)
+        if not hits:
+            raise PartitionError(f"point ({x}, {y}) not located in any rectangle")
+        return min(hits), boundary
+
+    def assign(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """See assign_rectangles; CHUNK points at a time."""
+        mu, nu, rt5 = _MU, _NU, _RT5
+        box = np.array(self.boxes).reshape(-1, 4)
+        shape, x, y = x.shape, x.ravel(), y.ravel()
+        out = np.full(x.shape, -1, dtype=int)
+        for lo in range(0, x.size, CHUNK):
+            xs, ys = x[lo:lo + CHUNK], y[lo:lo + CHUNK]
+            kx, ky = np.floor(xs), np.floor(ys)
+            ix = np.minimum(((xs - kx) * GRID).astype(int), GRID - 1)
+            iy = np.minimum(((ys - ky) * GRID).astype(int), GRID - 1)
+            cell = ix * GRID + iy
+            count = self.count[cell]
+            got = out[lo:lo + CHUNK]
+            # slots are sorted by id, so the first hit is the least id
+            for k in range(self.cand.shape[1]):
+                rid, m, n = self.cand[cell, k].T
+                a0, b0, da, db = box[rid].T
+                px = xs - (m + kx)
+                py = ys - (n + ky)
+                a = (py - nu * px) / rt5
+                b = (mu * px - py) / rt5
+                hit = ((k < count) & (got < 0) & (a >= a0) & (a <= a0 + da)
+                       & (b >= b0) & (b <= b0 + db))
+                got[hit] = rid[hit]
+        return out.reshape(shape)
+
+
 class CatCoder:
     """Encode/decode points against a verified partition."""
 
@@ -487,9 +592,9 @@ class CatCoder:
                  matrix: Optional[TransitionMatrix] = None):
         self.partition = partition
         self.matrix = matrix or transition_matrix(partition)
-        self._float_boxes = [(float(r.anchor_a), float(r.anchor_b),
-                              float(r.extent_a), float(r.extent_b))
-                             for r in partition.rectangles]
+        self._cells = CellTable([(float(r.anchor_a), float(r.anchor_b),
+                                  float(r.extent_a), float(r.extent_b))
+                                 for r in partition.rectangles])
         # unique lattice translate per allowed transition (single-strip)
         self._pair_translate: Dict[Tuple[int, int], Tuple[Q5, Q5]] = {}
         q = len(partition)
@@ -511,41 +616,13 @@ class CatCoder:
         Points within BOUNDARY_TOL (eigen-coordinate distance) of the
         boundary are assigned the lowest-id incident rectangle.
         """
-        mu, nu = float(MU_Q), float(NU_Q)
-        rt5 = math.sqrt(5.0)
-        hits: List[int] = []
-        boundary = False
-        tol = BOUNDARY_TOL
-        for rid, (a0, b0, da, db) in enumerate(self._float_boxes):
-            ax = a0 + b0
-            ay = a0 * mu + b0 * nu
-            wx = da + db                   # (x, y) footprint of the box
-            wy = da * mu - db * nu
-            m_lo = math.floor(x - ax - wx)
-            m_hi = math.floor(x - ax) + 1
-            n_lo = math.floor(y - ay - da * mu)
-            n_hi = math.floor(y - ay - db * nu) + 1
-            for m in range(m_lo, m_hi + 1):
-                for n in range(n_lo, n_hi + 1):
-                    px = x - m
-                    py = y - n
-                    a = (py - nu * px) / rt5
-                    b = (mu * px - py) / rt5
-                    ra = a - a0
-                    rb = b - b0
-                    if -tol <= ra <= da + tol and -tol <= rb <= db + tol:
-                        inside = (tol < ra < da - tol and tol < rb < db - tol)
-                        if not inside:
-                            boundary = True
-                        if rid not in hits:
-                            hits.append(rid)
-        if not hits:
-            raise PartitionError(f"point ({x}, {y}) not located in any rectangle")
-        return min(hits), boundary
+        return self._cells.locate(x, y)
 
     # -- encoding ----------------------------------------------------------
     def encode(self, p: TorusPoint, n: int) -> SymbolWindow:
         """Symbols of S^j p for |j| <= n."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         x = p.psi1 / TWO_PI
         y = p.psi2 / TWO_PI
         # backward orbit start: S^{-n}
@@ -618,25 +695,28 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
     """Visit frequencies of each rectangle along the orbit of x0.
 
     The orbit is generated in blocks (entries of S^j stay float-exact for
-    j < BLOCK) and membership is evaluated with vectorized box tests over
-    candidate lattice translates.  An orbit point that no rectangle holds
-    raises PartitionError: the frequencies would not sum over the torus.
+    j < BLOCK): one scalar pass chains the block starts, and one broadcast
+    fills the blocks.  Membership is evaluated by CellTable.assign.  An
+    orbit point that no rectangle holds raises PartitionError: the
+    frequencies would not sum over the torus.
     """
-    mats = [s0_power(j) for j in range(BLOCK)]
-    x = np.empty(n_steps)
-    y = np.empty(n_steps)
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    mats = np.array([s0_power(j) for j in range(BLOCK)], dtype=float)
+    blocks = -(-n_steps // BLOCK)
+    # block starts: each is S applied to the last point of the block before
+    sx = np.empty(blocks)
+    sy = np.empty(blocks)
     cx, cy = x0.psi1 / TWO_PI, x0.psi2 / TWO_PI
-    pos = 0
-    while pos < n_steps:
-        take = min(BLOCK, n_steps - pos)
-        for j in range(take):
-            aj, bj, cj, dj = mats[j]
-            x[pos + j] = (aj * cx + bj * cy) % 1.0
-            y[pos + j] = (cj * cx + dj * cy) % 1.0
-        # the next block starts at S applied to the last point of this one
-        cx = (x[pos + take - 1] + y[pos + take - 1]) % 1.0
-        cy = (x[pos + take - 1] + 2 * y[pos + take - 1]) % 1.0
-        pos += take
+    al, bl, cl, dl = s0_power(BLOCK - 1)
+    for k in range(blocks):
+        sx[k], sy[k] = cx, cy
+        xl = (al * cx + bl * cy) % 1.0
+        yl = (cl * cx + dl * cy) % 1.0
+        cx, cy = (xl + yl) % 1.0, (xl + 2 * yl) % 1.0
+    a, b, c, d = (col[None, :] for col in mats.T)
+    x = ((a * sx[:, None] + b * sy[:, None]) % 1.0).ravel()[:n_steps]
+    y = ((c * sx[:, None] + d * sy[:, None]) % 1.0).ravel()[:n_steps]
     assign = assign_rectangles(coder, x, y)
     missed = np.flatnonzero(assign < 0)
     if missed.size:
@@ -651,35 +731,9 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
 
 def assign_rectangles(coder: CatCoder, x: np.ndarray, y: np.ndarray
                       ) -> np.ndarray:
-    """Vectorized rectangle assignment for lattice-unit points."""
-    mu, nu = float(MU_Q), float(NU_Q)
-    rt5 = math.sqrt(5.0)
-    out = np.full(x.shape, -1, dtype=int)
-    for rid, (a0, b0, da, db) in enumerate(coder._float_boxes):
-        ax = a0 + b0
-        ay = a0 * mu + b0 * nu
-        unset = out < 0
-        if not unset.any():
-            break
-        xs = x[unset]
-        ys = y[unset]
-        hit = np.zeros(xs.shape, dtype=bool)
-        wx = da + db
-        m_base = np.floor(xs - ax - wx)
-        n_base = np.floor(ys - ay - da * mu)
-        n_steps = int(math.ceil(da * mu - db * nu)) + 2
-        for dm in range(int(math.ceil(wx)) + 2):
-            for dn in range(n_steps):
-                m = m_base + dm
-                n = n_base + dn
-                px = xs - m
-                py = ys - n
-                a = (py - nu * px) / rt5
-                b = (mu * px - py) / rt5
-                hit |= ((a >= a0) & (a <= a0 + da) & (b >= b0) & (b <= b0 + db))
-        idx = np.where(unset)[0][hit]
-        out[idx] = rid
-    return out
+    """Vectorized rectangle assignment for lattice-unit points: the least
+    id of the closed boxes holding each point, -1 where none does."""
+    return coder._cells.assign(x, y)
 
 
 # ----------------------------------------------------------------------

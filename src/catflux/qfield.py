@@ -3,9 +3,9 @@
 The cat map's eigendata lives in Q(sqrt5): lambda_pm = (3 +- sqrt5)/2 and the
 eigendirections have slopes (1 +- sqrt5)/2.  Segment-incidence tests in the
 Markov-partition geometry are degenerate in floating point, so all boundary
-geometry is done on numbers a + b sqrt5 with rational a, b.  The
-eigen-coordinates of lattice vectors, in closed form, and their inverses
-live here too.
+geometry is done on numbers a + b sqrt5 with rational a, b, held as one
+integer triple (p + q sqrt5)/d in lowest terms.  The eigen-coordinates of
+lattice vectors, in closed form, and their inverses live here too.
 """
 
 from __future__ import annotations
@@ -20,109 +20,129 @@ _SQRT5 = math.sqrt(5.0)
 
 
 class Q5:
-    """a + b*sqrt5 with exact rational a, b."""
+    """(p + q sqrt5)/d with integers p, q, d, d > 0 and gcd(p, q, d) = 1.
 
-    __slots__ = ("a", "b")
+    The lowest-terms triple is unique, so equality compares triples.  The
+    rational parts a = p/d and b = q/d are read-only Fraction properties.
+    """
+
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a: Rat = 0, b: Rat = 0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        self._p = a.numerator * (d // a.denominator)
+        self._q = b.numerator * (d // b.denominator)
+        self._d = d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._d)
 
     # ------------------------------------------------------------------
     def __add__(self, other):
-        o = _coerce(other)
-        return Q5(self.a + o.a, self.b + o.b)
+        p, q, d = _parts(other)
+        sd = self._d
+        if d == sd:
+            return _q5(self._p + p, self._q + q, d)
+        return _q5(self._p * d + p * sd, self._q * d + q * sd, sd * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
-        return Q5(self.a - o.a, self.b - o.b)
+        p, q, d = _parts(other)
+        sd = self._d
+        if d == sd:
+            return _q5(self._p - p, self._q - q, d)
+        return _q5(self._p * d - p * sd, self._q * d - q * sd, sd * d)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + other
 
     def __neg__(self):
-        return Q5(-self.a, -self.b)
+        return _q5(-self._p, -self._q, self._d)
 
     def __mul__(self, other):
-        o = _coerce(other)
-        return Q5(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p, q, d = _parts(other)
+        sp, sq = self._p, self._q
+        return _q5(sp * p + 5 * sq * q, sp * q + sq * p, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
-        den = o.a * o.a - 5 * o.b * o.b
-        if den == 0:
+        p, q, d = _parts(other)
+        # multiply through by the conjugate p - q sqrt5 of the divisor
+        norm = p * p - 5 * q * q
+        if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt5)")
-        return Q5((self.a * o.a - 5 * self.b * o.b) / den,
-                  (self.b * o.a - self.a * o.b) / den)
+        if norm < 0:
+            norm, d = -norm, -d
+        sp, sq = self._p, self._q
+        return _q5((sp * p - 5 * sq * q) * d, (sq * p - sp * q) * d,
+                   self._d * norm)
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return _q5(*_parts(other)) / self
 
     # ------------------------------------------------------------------
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare a^2 against 5 b^2
-        if a > 0:  # b < 0: positive iff a^2 > 5 b^2
-            return 1 if a * a > 5 * b * b else -1
-        return 1 if 5 * b * b > a * a else -1
+        return _sign(self._p, self._q)
+
+    def _cmp(self, other) -> int:
+        """Sign of self - other, without reducing the difference."""
+        p, q, d = _parts(other)
+        sd = self._d
+        if d == sd:
+            return _sign(self._p - p, self._q - q)
+        return _sign(self._p * d - p * sd, self._q * d - q * sd)
 
     def __eq__(self, other) -> bool:
-        o = _coerce(other)
-        return self.a == o.a and self.b == o.b
+        p, q, d = _parts(other)
+        return self._p == p and self._q == q and self._d == d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational value equals, and so hashes like, its int or Fraction
+        return hash(self.a) if self._q == 0 else hash((self.a, self.b))
 
     def __lt__(self, other):
-        return (self - _coerce(other)).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - _coerce(other)).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - _coerce(other)).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - _coerce(other)).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     # ------------------------------------------------------------------
     def __float__(self) -> float:
-        a, b = self.a, self.b
-        if not (a > 0 > b or b > 0 > a):
-            return float(a) + float(b) * _SQRT5
-        # With mixed signs, float(a) + float(b) sqrt5 cancels.  Write the
-        # value as (p + q sqrt5)/d in integers, carry q sqrt5 to k fractional
-        # bits by isqrt, and let int / int round once; k keeps 64 bits of
-        # the result, using |p + q sqrt5| = |p^2 - 5 q^2| / |p - q sqrt5|.
-        d = math.lcm(a.denominator, b.denominator)
-        p = a.numerator * (d // a.denominator)
-        q = b.numerator * (d // b.denominator)
+        p, q, d = self._p, self._q, self._d
+        if not (p > 0 > q or q > 0 > p):
+            # float(a) + float(b) sqrt5: int / int rounds as Fraction does
+            return p / d + q / d * _SQRT5
+        # With mixed signs, p/d + (q/d) sqrt5 cancels.  Carry q sqrt5 to k
+        # fractional bits by isqrt and let int / int round once; k keeps
+        # 64 bits of the result, using
+        # |p + q sqrt5| = |p^2 - 5 q^2| / |p - q sqrt5|.
         k = max(0, 66 + max(abs(p), 3 * abs(q)).bit_length()
                 - abs(p * p - 5 * q * q).bit_length())
         root = math.isqrt(5 * q * q << 2 * k)
         return ((p << k) + (root if q > 0 else -root)) / (d << k)
 
     def floor(self) -> int:
-        """Exact floor; the float estimate is verified and corrected."""
-        n = math.floor(float(self))
-        while (self - n).sign() < 0:
-            n -= 1
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        """Exact floor, (p + floor(q sqrt5)) // d in integers."""
+        p, q, d = self._p, self._q, self._d
+        r = math.isqrt(5 * q * q)      # q sqrt5 is irrational unless q = 0
+        return (p + (r if q >= 0 else -r - 1)) // d
 
     def mod1(self) -> "Q5":
         return self - self.floor()
@@ -142,12 +162,37 @@ class Q5:
         return Q5(Fraction(parts[0]), Fraction(parts[1]))
 
 
-def _coerce(x) -> Q5:
+def _q5(p: int, q: int, d: int) -> Q5:
+    """(p + q sqrt5)/d for d > 0, reduced to lowest terms."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    r = object.__new__(Q5)
+    r._p, r._q, r._d = p, q, d
+    return r
+
+
+def _parts(x) -> Tuple[int, int, int]:
+    """The lowest-terms triple (p, q, d) of a Q5, int or Fraction."""
     if isinstance(x, Q5):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Q5(x)
+        return x._p, x._q, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
     raise TypeError(f"cannot coerce {type(x)} into Q(sqrt5)")
+
+
+def _sign(p: int, q: int) -> int:
+    """Sign of p + q sqrt5."""
+    if p >= 0 and q >= 0:
+        return 1 if p or q else 0
+    if p <= 0 and q <= 0:
+        return -1
+    # mixed signs: compare p^2 against 5 q^2
+    if p > 0:
+        return 1 if p * p > 5 * q * q else -1
+    return 1 if 5 * q * q > p * p else -1
 
 
 SQRT5_Q = Q5(0, 1)
@@ -167,8 +212,7 @@ def eigen_coords(x: Q5, y: Q5) -> Tuple[Q5, Q5]:
 def lattice_coords(m: int, n: int) -> Tuple[Q5, Q5]:
     """Eigen-coordinates (A, B) of the lattice vector (m, n), in closed form:
     A = m/2 + (2n - m) sqrt5/10 and B = m/2 + (m - 2n) sqrt5/10."""
-    half = Fraction(m, 2)
-    return Q5(half, Fraction(2 * n - m, 10)), Q5(half, Fraction(m - 2 * n, 10))
+    return _q5(5 * m, 2 * n - m, 10), _q5(5 * m, m - 2 * n, 10)
 
 
 def from_eigen(a: Q5, b: Q5) -> Tuple[Q5, Q5]:

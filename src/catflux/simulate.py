@@ -268,7 +268,8 @@ def build_curve(stats: Sequence[RunStats], config: SimConfig,
 
 def measure_asymmetry(force: HarmonicForce, eps: float, T: int, tau: int,
                       N: int, seed: int, bin_width: float = 0.05,
-                      workers: int = 1, p_max: float = 2.0) -> SlopeResult:
+                      workers: int = 1, p_max: float = 2.0,
+                      sigma_mode: str = "per_run") -> SlopeResult:
     """One experimental A(eps) point: simulate, build the curve, fit the slope.
 
     Pooled binomial errors weight the slope fit; they stay honest in the
@@ -276,7 +277,7 @@ def measure_asymmetry(force: HarmonicForce, eps: float, T: int, tau: int,
     """
     config = SimConfig(system=CatSystem(epsilon=eps, force=force), T=T,
                        tau=tau, N=N, bin_width=bin_width, seed=seed,
-                       workers=workers)
+                       workers=workers, sigma_mode=sigma_mode)
     stats = simulate(config)
     curve = build_curve(stats, config, errors="binomial")
     return slope_and_A(curve, p_max=p_max)

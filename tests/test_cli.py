@@ -145,3 +145,42 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out2),
                      "--workers", "2"]) == 0
         assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
+
+
+class TestSigmaModeAndBinWidth:
+    def run_json(self, tmp_path, command, name, filename, **keys):
+        cfg = write_config(tmp_path, **keys)
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        return json.loads((out / filename).read_text())
+
+    def test_report_honours_sigma_mode(self, tmp_path):
+        keys = dict(order=2, T=30_000, tau=100, N=3, seed=5)
+        measured = {}
+        for mode in ("per_run", "pooled"):
+            report = self.run_json(tmp_path, "report", f"r_{mode}",
+                                   "report.json", sigma_mode=mode, **keys)
+            summary = self.run_json(tmp_path, "simulate", f"s_{mode}",
+                                    "summary.json", sigma_mode=mode, **keys)
+            measured[mode] = report["monte_carlo"][0]["A_measured"]
+            assert measured[mode] == summary["runs"][0]["A"]
+        assert measured["per_run"] != measured["pooled"]
+
+    def test_fit_passes_sigma_mode_and_bin_width(self, tmp_path, monkeypatch):
+        import catflux.cli as cli
+        from catflux.simulate import FitResult, SlopeResult
+
+        calls = []
+
+        def measure(force, eps, **kwargs):
+            calls.append(kwargs)
+            return SlopeResult(1.0, 0.0, 0.1, 5)
+
+        fit = FitResult("f", (0.0,), (0.0,), 0.0)
+        monkeypatch.setattr(cli, "measure_asymmetry", measure)
+        monkeypatch.setattr(cli, "fit_models", lambda points, tau: (fit, fit))
+        self.run_json(tmp_path, "fit", "fit", "fit.json", eps=[0.05, 0.1, 0.15],
+                      sigma_mode="pooled", bin_width=0.1)
+        assert len(calls) == 3
+        assert all(c["sigma_mode"] == "pooled" and c["bin_width"] == 0.1
+                   for c in calls)

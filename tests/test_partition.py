@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import catflux.partition as partition_module
-from catflux.partition import (CatCoder, MarkovPartition, PartitionError,
-                               Rectangle, birkhoff_frequencies,
-                               build_cat_partition, partition_from_json,
-                               partition_to_json, transition_matrix,
-                               verify_markov)
-from catflux.qfield import (LAMBDA_MINUS_Q, Q5, eigen_coords, lattice_coords,
-                            lattice_from_b_shift, lattice_from_eigen_shift)
+from catflux.partition import (CatCoder, CellTable, MarkovPartition,
+                               PartitionError, Rectangle, assign_rectangles,
+                               birkhoff_frequencies, build_cat_partition,
+                               partition_from_json, partition_to_json,
+                               transition_matrix, verify_markov)
+from catflux.qfield import (LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, eigen_coords,
+                            from_eigen, lattice_coords, lattice_from_b_shift,
+                            lattice_from_eigen_shift)
 from catflux.torus import CatSystem, TorusPoint, step
 from fractions import Fraction
 
@@ -200,6 +201,10 @@ class TestCoding:
         with pytest.raises(PartitionError, match="incompatible"):
             cat_coder.decode(SymbolWindow([s0, s0, bad], 1))
 
+    def test_negative_depth_rejected(self, cat_coder):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            cat_coder.encode(TorusPoint(0.3, 0.4), -1)
+
     def test_shift_covariance(self, cat_coder):
         rng = np.random.default_rng(31)
         for _ in range(100):
@@ -209,16 +214,130 @@ class TestCoding:
             assert w1.symbols[2:] == w2.symbols
 
 
+MU, NU, RT5 = float(MU_Q), float(NU_Q), math.sqrt(5.0)
+
+
+def window_locate(boxes, x, y, tol=partition_module.BOUNDARY_TOL):
+    """Brute-force oracle for CatCoder.locate, vectorised over points: every
+    box translate in the window that the box's (x, y) footprint allows is
+    tested with locate's expressions.  Returns (ids, flags), id -1 where no
+    box holds the point."""
+    ids = np.full(x.shape, -1)
+    flags = np.zeros(x.shape, dtype=bool)
+    for rid, (a0, b0, da, db) in enumerate(boxes):
+        ax, ay = a0 + b0, a0 * MU + b0 * NU
+        m_lo, m_hi = np.floor(x - ax - (da + db)), np.floor(x - ax) + 1
+        n_lo, n_hi = np.floor(y - ay - da * MU), np.floor(y - ay - db * NU) + 1
+        for dm in range(int((m_hi - m_lo).max()) + 1):
+            for dn in range(int((n_hi - n_lo).max()) + 1):
+                m, n = m_lo + dm, n_lo + dn
+                px, py = x - m, y - n
+                ra = (py - NU * px) / RT5 - a0
+                rb = (MU * px - py) / RT5 - b0
+                hit = ((m <= m_hi) & (n <= n_hi) & (-tol <= ra) & (ra <= da + tol)
+                       & (-tol <= rb) & (rb <= db + tol))
+                inside = (tol < ra) & (ra < da - tol) & (tol < rb) & (rb < db - tol)
+                flags |= hit & ~inside
+                ids[hit & (ids < 0)] = rid
+    return ids, flags
+
+
+def window_assign(boxes, x, y):
+    """Brute-force oracle for assign_rectangles: the least id whose closed
+    box holds the point, over the translate window of each box."""
+    out = np.full(x.shape, -1)
+    for rid, (a0, b0, da, db) in enumerate(boxes):
+        ax, ay = a0 + b0, a0 * MU + b0 * NU
+        m_base = np.floor(x - ax - (da + db))
+        n_base = np.floor(y - ay - da * MU)
+        for dm in range(int(math.ceil(da + db)) + 2):
+            for dn in range(int(math.ceil(da * MU - db * NU)) + 2):
+                px, py = x - (m_base + dm), y - (n_base + dn)
+                a = (py - NU * px) / RT5
+                b = (MU * px - py) / RT5
+                hit = (a >= a0) & (a <= a0 + da) & (b >= b0) & (b <= b0 + db)
+                out[hit & (out < 0)] = rid
+    return out
+
+
+def boundary_points(partition):
+    """Rectangle corners and edge points, exact in Q(sqrt5) and converted
+    once: as built, reduced into [0,1)^2 and moved by the lattice vector
+    (2, -3); corners also pushed off by +-0.5 and +-2 BOUNDARY_TOL along
+    both eigendirections, on each side of the tolerance."""
+    tol = Fraction(partition_module.BOUNDARY_TOL)
+    offsets = [Q5(k * tol) for k in (Fraction(-2), Fraction(-1, 2),
+                                      Fraction(1, 2), Fraction(2))]
+    eigen = []
+    for r in partition.rectangles:
+        a0, a1, b0, b1 = r.bounds()
+        corners = [(a, b) for a in (a0, a1) for b in (b0, b1)]
+        eigen += corners
+        for t in (Q5(Fraction(1, 3)), Q5(Fraction(1, 2))):
+            eigen += [(a0 + t * r.extent_a, b0), (a0 + t * r.extent_a, b1),
+                      (a0, b0 + t * r.extent_b), (a1, b0 + t * r.extent_b)]
+        eigen += [(a + da, b + db) for a, b in corners
+                  for da in offsets for db in offsets]
+    pts = []
+    for a, b in eigen:
+        x, y = from_eigen(a, b)
+        for px, py in ((x, y), (x.mod1(), y.mod1()), (x + 2, y - 3)):
+            pts.append((float(px), float(py)))
+    return np.array(pts).T
+
+
+class TestCellTable:
+    @pytest.fixture(scope="class")
+    def points(self, cat_partition):
+        rng = np.random.default_rng(7)
+        unit = rng.uniform(0.0, 1.0, (2, 100_000))
+        wide = rng.uniform(-5.0, 5.0, (2, 2_000))
+        # fractional parts that round to 1.0, and integers
+        odd = np.array([[-1e-17, 0.5], [0.5, -1e-17], [-1e-17, -1e-17],
+                        [1.0, 1.0], [0.0, 0.0], [-3.0, 7.0], [1e6 + 0.25, -0.6]]).T
+        return np.hstack([unit, wide, boundary_points(cat_partition), odd])
+
+    def test_locate_matches_window_scan(self, cat_coder, points):
+        x, y = points
+        ids, flags = window_locate(cat_coder._cells.boxes, x, y)
+        assert (ids >= 0).all()
+        got = [cat_coder.locate(float(px), float(py)) for px, py in zip(x, y)]
+        assert [g[0] for g in got] == ids.tolist()
+        assert [g[1] for g in got] == flags.tolist()
+        assert flags.sum() > 1000  # the boundary points do reach the flag
+
+    def test_assign_matches_window_scan(self, cat_coder, points):
+        x, y = points
+        expected = window_assign(cat_coder._cells.boxes, x, y)
+        assert (expected >= 0).all()
+        assert np.array_equal(assign_rectangles(cat_coder, x, y), expected)
+
+    def test_holed_table_matches_window_scan(self, cat_coder, points):
+        boxes = cat_coder._cells.boxes[:-1]
+        x, y = points[:, :20_000]
+        expected = window_assign(boxes, x, y)
+        assert (expected < 0).any()
+        assert np.array_equal(CellTable(boxes).assign(x, y), expected)
+
+    def test_every_cell_has_a_candidate(self, cat_coder):
+        # the rectangles tile the torus, so no cell of [0,1)^2 is empty
+        assert cat_coder._cells.count.min() >= 1
+
+
 class TestBirkhoff:
     def test_frequencies_sum_to_one(self, cat_coder):
         freqs = birkhoff_frequencies(cat_coder, TorusPoint(0.7, 1.9), 20_000)
         assert sum(freqs.values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_no_steps_rejected(self, cat_coder):
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            birkhoff_frequencies(cat_coder, TorusPoint(0.7, 1.9), 0)
+
     def test_unlocated_point_raises(self, cat_coder):
         # without one rectangle the orbit leaves the covered set; the
         # frequencies of the rest must not be renormalised silently
         holed = copy.copy(cat_coder)
-        holed._float_boxes = cat_coder._float_boxes[:-1]
+        holed._cells = CellTable(cat_coder._cells.boxes[:-1])
         with pytest.raises(PartitionError, match="not located in any rectangle"):
             birkhoff_frequencies(holed, TorusPoint(0.7, 1.9), 2_000)
 
