@@ -16,6 +16,14 @@ with sigma~ = sigma o H.  Connectedness makes every shift sum finite for
 trigonometric-polynomial data: a tuple contributes only when pushed
 frequencies cancel, and |S0^k nu| grows like lambda_+^{|k|}.
 
+The insertion shifts are enumerated connected, not walked: S0 is symmetric,
+so composing with S0^l scales the projections nu.v_+- by lambda_+-^l, and
+a joint cumulant vanishes once one centred factor's smallest projection, in
+either eigendirection, exceeds the sum of its partners' largest.
+MomentEngine.connected_shifts evaluates that test as one numpy mask over
+the window's grid and yields only the survivors, in the walk's order, so
+the remaining terms are summed exactly as before.
+
 Average-only terms are contracted, not built: the zero-insertion term of a
 mean reads (obs o H)^(m) only at nu = 0, so it sums product_average over
 the chain-rule terms (conjugation.chain_average) instead of multiplying out
@@ -23,8 +31,8 @@ the composed polynomial, which at the top order would be the largest the
 engine holds.  Every factor of a moment with a partner is still built and
 registered.
 
-All shift windows carry an automatic sufficiency re-check (enlarging the
-window must change nothing beyond 1e-14).
+All shift windows carry an automatic sufficiency re-check: enlarging the
+window by SUFFICIENCY_EXTRA must change nothing beyond SUFFICIENCY_TOL.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ import numpy as np
 from .conjugation import (ConjugationSeries, ExpansionRateSeries,
                           chain_average, chain_order, compositions)
 from .torus import HarmonicForce
-from .trig import (DEFAULT_TRUNCATION, LAMBDA_PLUS, TrigPoly, Truncation,
-                   V_MINUS, V_PLUS, product_average, s0_power)
+from .trig import (DEFAULT_TRUNCATION, LAMBDA_PLUS, SQRT5, TrigPoly,
+                   Truncation, V_MINUS, V_PLUS, product_average, s0_power)
 
 DEFAULT_SHIFT_WINDOW = 12
 SUFFICIENCY_EXTRA = 3
@@ -112,6 +120,63 @@ _PARTITION_COEF = {b: (-1.0) ** (b - 1) * math.factorial(b - 1) for b in range(1
 FactorRef = Tuple[int, int]  # (base poly id, shift)
 
 
+# relative widening of projection bounds: they carry a few ulp of rounding
+PROJECTION_SLACK = 1e-12
+
+
+def _projections(poly: TrigPoly) -> Tuple[float, float, float, float, bool]:
+    """(amin, amax, bmin, bmax, has_const): |nu.v_+| and |nu.v_-| bounds
+    over the nonzero support frequencies, widened by PROJECTION_SLACK.
+
+    Computed in floats, the smaller of the two projections cancels once
+    |nu| nears 1e13.  It is taken instead from the exact integer norm,
+    (nu.v_+)(nu.v_-) = (nu1^2 + nu1 nu2 - nu2^2) / sqrt5, divided by the
+    larger projection, which does not cancel.  A polynomial without nonzero
+    frequencies has amin = bmin = inf.
+    """
+    amin = bmin = math.inf
+    amax = bmax = 0.0
+    for n1, n2 in poly.coeffs:
+        if not (n1 or n2):
+            continue
+        a = n1 * V_PLUS[0] + n2 * V_PLUS[1]
+        b = n1 * V_MINUS[0] + n2 * V_MINUS[1]
+        norm = (n1 * n1 + n1 * n2 - n2 * n2) / SQRT5
+        if abs(a) >= abs(b):
+            b = norm / a
+        else:
+            a = norm / b
+        a, b = abs(a), abs(b)
+        amin = min(amin, a)
+        amax = max(amax, a)
+        bmin = min(bmin, b)
+        bmax = max(bmax, b)
+    low, high = 1.0 - PROJECTION_SLACK, 1.0 + PROJECTION_SLACK
+    return (amin * low, amax * high, bmin * low, bmax * high,
+            (0, 0) in poly.coeffs)
+
+
+def _cut(bounds):
+    """Whether some factor's smallest projection exceeds the sum of its
+    partners' largest, in either eigendirection.
+
+    bounds holds (amin, amax, bmin, bmax) per factor, as floats or as numpy
+    arrays that broadcast together; the result is a bool or a mask.  A cut
+    factor has no zero-sum frequency selection with any subset of its
+    partners.  Each partner sum is summed directly: "total minus own term"
+    would cancel when one term dominates.
+    """
+    cut = False
+    for low, high in ((0, 1), (2, 3)):
+        for j, own in enumerate(bounds):
+            partners = 0.0
+            for k, other in enumerate(bounds):
+                if k != j:
+                    partners = partners + other[high]
+            cut = cut | (own[low] > partners)
+    return cut
+
+
 def _eigen_stats(poly: TrigPoly) -> Tuple[float, float, float, float]:
     """(amin, amax, bmin, bmax) of |nu.v_+|, |nu.v_-| over the support."""
     if not poly.coeffs:
@@ -145,6 +210,7 @@ class MomentEngine:
         self.bases: List[TrigPoly] = []
         self._base_ids: Dict[tuple, int] = {}
         self._base_stats: List[Tuple[float, float, float, float]] = []
+        self._projections: List[Tuple[float, float, float, float, bool]] = []
         self._shifted: Dict[FactorRef, TrigPoly] = {}
         self.moments: Dict[Tuple[FactorRef, ...], float] = {}
         self._ursells: Dict[Tuple[FactorRef, ...], float] = {}
@@ -157,6 +223,7 @@ class MomentEngine:
             self.bases.append(poly)
             self._base_ids[key] = bid
             self._base_stats.append(_eigen_stats(poly))
+            self._projections.append(_projections(poly))
         return bid
 
     def shifted(self, ref: FactorRef) -> TrigPoly:
@@ -165,6 +232,46 @@ class MomentEngine:
             poly = self.bases[ref[0]].compose_power(ref[1], self.trunc)
             self._shifted[ref] = poly
         return poly
+
+    def _bounds(self, bid: int, lp, centred: bool):
+        """(amin, amax, bmin, bmax) of base bid composed with S0^l, given
+        lp = lambda_+^l (a float or an array).  S0 is symmetric, so
+        (S0^l nu).v_+- = lambda_+-^l (nu.v_+-).  Uncentred, a constant term
+        is a zero frequency and the minima drop to 0."""
+        amin, amax, bmin, bmax, const = self._projections[bid]
+        if const and not centred:
+            amin = bmin = 0.0
+        return lp * amin, lp * amax, bmin / lp, bmax / lp
+
+    def connected_shifts(self, fixed: Sequence[FactorRef], free: Sequence[int],
+                         lo: int, hi: int) -> Iterator[Tuple[int, ...]]:
+        """Shift tuples l in [lo, hi]^len(free), in _shift_tuples order, at
+        which the joint cumulant of fixed + zip(free, l) can be nonzero.
+
+        A joint cumulant of two or more factors ignores constant terms, so
+        each factor is taken centred.  If one factor is cut (see _cut), no
+        block containing it has a zero-sum frequency selection, and every
+        partition term of the cumulant vanishes.  The test is one numpy
+        mask over the whole grid.
+        """
+        s = len(free)
+        if len(fixed) + s < 2:
+            yield from _shift_tuples(s, lo, hi)
+            return
+        bounds = [self._bounds(bid, LAMBDA_PLUS ** sh, True) for bid, sh in fixed]
+        powers = LAMBDA_PLUS ** np.arange(lo, hi + 1, dtype=float)
+        for axis, bid in enumerate(free):
+            shape = [1] * s
+            shape[axis] = -1
+            bounds.append(self._bounds(bid, powers.reshape(shape), True))
+        cut = _cut(bounds)
+        if s == 0:
+            if not cut:
+                yield ()
+            return
+        keep = ~np.broadcast_to(cut, (len(powers),) * s)
+        for idx in (np.argwhere(keep) + lo).tolist():
+            yield tuple(idx)
 
     def _bound2(self, ref: FactorRef) -> Tuple[float, float]:
         """(lower, upper) on the 2-norm of shifted support frequencies."""
@@ -381,7 +488,8 @@ class CorrelationEngine:
                 if any(not self.engine.bases[r[0]] for r in base_refs):
                     continue
                 ins_ids = [self._insertion_id(q) for q in ins_orders]
-                for lvec in _shift_tuples(s, lo, hi):
+                for lvec in self.engine.connected_shifts(base_refs, ins_ids,
+                                                         lo, hi):
                     refs = base_refs + list(zip(ins_ids, lvec))
                     total += weight * self.engine.ursell(refs)
         self._cum_cache[key] = total

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from catflux.cumulants import (CorrelationEngine, ObservableSeries,
+from catflux.cumulants import (CorrelationEngine, MomentEngine,
+                               ObservableSeries, build_table,
                                replay_moments_on_grid, sigma_series,
                                transport_matrix)
 from catflux.torus import HarmonicForce
@@ -163,11 +165,88 @@ class TestWindowsAndOracle:
         assert c_small == pytest.approx(c_big, abs=1e-14)
 
     def test_moment_replay_subset(self, single_engine, single_table):
-        # full replay is the acceptance criterion; here a fast slice
-        count, worst = replay_moments_on_grid(single_engine.engine, 256,
-                                              limit=1500)
-        assert count == 1500
-        assert worst < 1e-8
+        # full replay is the acceptance criterion; here a fast slice.  The
+        # slice holds far-shift factors with super-Nyquist frequencies, so,
+        # as in the criterion, those averages are re-checked on a prime grid
+        report = replay_moments_on_grid(single_engine.engine, 256,
+                                        limit=1500, escalate_n=509)
+        assert report.count == 1500
+        assert report.worst < 1e-8
+        assert report.worst_escalated < 1e-8
+
+
+class FullWindowMoments(MomentEngine):
+    """Brute-force oracle: every insertion-shift tuple of the window, as
+    the shift sums walked them before connected_shifts pruned them."""
+
+    def connected_shifts(self, fixed, free, lo, hi):
+        return itertools.product(range(lo, hi + 1), repeat=len(free))
+
+
+def full_window_table(force, order):
+    eng = CorrelationEngine(force, max_order=order)
+    eng.engine = FullWindowMoments(eng.trunc)
+    return build_table(force, order, engine=eng)
+
+
+def table_entries(table):
+    entries = {("mean", m): v for m, v in table.mean.items()}
+    entries.update({(n, m): v for n, row in table.C.items()
+                    for m, v in row.items()})
+    return entries
+
+
+def random_real_poly(rng, with_const):
+    """A few cosines with small frequencies and dyadic amplitudes, so that
+    every moment and cumulant of them is computed without rounding."""
+    poly = TrigPoly.const(float(rng.integers(1, 4)) / 2) if with_const \
+        else TrigPoly.zero()
+    for _ in range(rng.integers(1, 4)):
+        nu = tuple(int(v) for v in rng.integers(-3, 4, 2))
+        if nu != (0, 0):
+            poly = poly + TrigPoly.cosine(nu, float(rng.integers(-4, 5)) / 2)
+    return poly
+
+
+class TestConnectedShifts:
+    def test_pruned_tables_equal_full_window_walk(self, single_force,
+                                                  single_table, two_force,
+                                                  two_table):
+        # every dropped tuple contributes exactly 0.0, so the surviving
+        # terms are summed in the same order and the tables are identical
+        for force, order, table in ((single_force, 4, single_table),
+                                    (two_force, 3, two_table)):
+            want = table_entries(full_window_table(force, order))
+            got = table_entries(table)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key] == want[key], (order, key)
+
+    @pytest.mark.parametrize("window", [4, 5, 6])
+    def test_dropped_tuples_have_zero_ursell(self, window):
+        rng = np.random.default_rng(1000 + window)
+        dropped = kept = 0
+        for _ in range(12):
+            eng = MomentEngine()
+            fixed = [(eng.register(random_real_poly(rng, rng.random() < 0.5)),
+                      int(rng.integers(-2, 3)))
+                     for _ in range(rng.integers(1, 3))]
+            free = [eng.register(random_real_poly(rng, False))
+                    for _ in range(rng.integers(0, 3))]
+            shifts = [sh for _, sh in fixed]
+            lo, hi = min(shifts) - window, max(shifts) + window
+            survivors = list(eng.connected_shifts(fixed, free, lo, hi))
+            grid = list(itertools.product(range(lo, hi + 1),
+                                          repeat=len(free)))
+            assert survivors == [l for l in grid if l in set(survivors)]
+            for lvec in grid:
+                if lvec in survivors:
+                    kept += 1
+                    continue
+                dropped += 1
+                value = eng.ursell(fixed + list(zip(free, lvec)))
+                assert value == 0.0, (fixed, free, lvec, value)
+        assert dropped > 0 and kept > 0
 
 
 # ----------------------------------------------------------------------
