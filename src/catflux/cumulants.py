@@ -177,39 +177,22 @@ def _cut(bounds):
     return cut
 
 
-def _eigen_stats(poly: TrigPoly) -> Tuple[float, float, float, float]:
-    """(amin, amax, bmin, bmax) of |nu.v_+|, |nu.v_-| over the support."""
-    if not poly.coeffs:
-        return (0.0, 0.0, 0.0, 0.0)
-    amin = bmin = math.inf
-    amax = bmax = 0.0
-    for nu in poly.coeffs:
-        a = abs(nu[0] * V_PLUS[0] + nu[1] * V_PLUS[1])
-        b = abs(nu[0] * V_MINUS[0] + nu[1] * V_MINUS[1])
-        amin = min(amin, a)
-        amax = max(amax, a)
-        bmin = min(bmin, b)
-        bmax = max(bmax, b)
-    return (amin, amax, bmin, bmax)
-
-
 class MomentEngine:
     """Cached Lebesgue moments of products of shifted base polynomials.
 
     Base polynomials are registered once; factors are (base_id, shift) pairs
     and moments are canonicalized by translation invariance (subtract the
-    minimum shift) before caching.  A per-factor frequency bound in the
-    eigenbasis (|S0^l nu|_2 between lambda_+^l a and lambda_+^l a + lambda_-^l b)
-    rules out most far-shift tuples without ever materializing the composed
-    polynomial.  Every distinct computed moment is kept, which doubles as
-    the record the quadrature oracle replays.
+    minimum shift) before caching.  Per-base bounds on the eigen-projections
+    of the support (_projections) rule out moments and whole cumulants
+    (_cut) without ever materializing the composed polynomial.  Every
+    distinct computed moment is kept, which doubles as the record the
+    quadrature oracle replays.
     """
 
     def __init__(self, trunc: Truncation = DEFAULT_TRUNCATION):
         self.trunc = trunc
         self.bases: List[TrigPoly] = []
         self._base_ids: Dict[tuple, int] = {}
-        self._base_stats: List[Tuple[float, float, float, float]] = []
         self._projections: List[Tuple[float, float, float, float, bool]] = []
         self._shifted: Dict[FactorRef, TrigPoly] = {}
         self.moments: Dict[Tuple[FactorRef, ...], float] = {}
@@ -222,7 +205,6 @@ class MomentEngine:
             bid = len(self.bases)
             self.bases.append(poly)
             self._base_ids[key] = bid
-            self._base_stats.append(_eigen_stats(poly))
             self._projections.append(_projections(poly))
         return bid
 
@@ -273,15 +255,6 @@ class MomentEngine:
         for idx in (np.argwhere(keep) + lo).tolist():
             yield tuple(idx)
 
-    def _bound2(self, ref: FactorRef) -> Tuple[float, float]:
-        """(lower, upper) on the 2-norm of shifted support frequencies."""
-        amin, amax, bmin, bmax = self._base_stats[ref[0]]
-        lp = LAMBDA_PLUS ** ref[1]   # lambda_+^l, l may be negative
-        lm = 1.0 / lp                # lambda_-^l
-        lo = max(lp * amin, lm * bmin)
-        hi = math.hypot(lp * amax, lm * bmax)
-        return lo, hi
-
     def moment(self, refs: Sequence[FactorRef]) -> float:
         if not refs:
             return 1.0
@@ -290,12 +263,11 @@ class MomentEngine:
         val = self.moments.get(key)
         if val is not None:
             return val
-        # Feasibility: every factor's smallest frequency must be coverable
-        # by the partners' largest; otherwise no zero-sum selection exists.
-        bounds = [self._bound2(r) for r in key]
-        total_hi = sum(b[1] for b in bounds)
+        # a cut factor has no zero-sum frequency selection with its
+        # partners; constants count here, so the factors stay uncentred
         val = 0.0
-        if all(b[0] <= total_hi - b[1] + 1e-9 for b in bounds):
+        if not _cut([self._bounds(bid, LAMBDA_PLUS ** sh, False)
+                     for bid, sh in key]):
             val = product_average([self.shifted(r) for r in key])
         self.moments[key] = val
         return val

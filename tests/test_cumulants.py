@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from catflux.cumulants import (CorrelationEngine, MomentEngine,
-                               ObservableSeries, build_table,
+                               ObservableSeries, _cut, build_table,
                                replay_moments_on_grid, sigma_series,
                                transport_matrix)
 from catflux.torus import HarmonicForce
-from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly
+from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, product_average
 
 LAM_R = LAMBDA_MINUS / (LAMBDA_PLUS + 1)
 
@@ -44,6 +44,25 @@ class TestMeans:
         # no closed form in the source; pinned against the quadrature replay
         # and the observed exact value 3/2
         assert single_table.mean[4] == pytest.approx(1.5, abs=5e-9)
+
+    def test_fourth_order_mean_and_c2_exact(self, single_table):
+        # the periodic-orbit oracle gives 3/2 and 9/2; a moment rule-out
+        # that subtracted near-equal bounds once zeroed nonzero moments
+        # and moved these by 4e-10 and 1.4e-8
+        assert single_table.mean[4] == pytest.approx(1.5, rel=1e-12)
+        assert single_table.C[2][4] == pytest.approx(4.5, rel=1e-12)
+
+    def test_ruled_out_moments_vanish_exactly(self, single_engine,
+                                              single_table):
+        eng = single_engine.engine
+        ruled_out = 0
+        for key, value in eng.moments.items():
+            if _cut([eng._bounds(bid, LAMBDA_PLUS ** sh, False)
+                     for bid, sh in key]):
+                ruled_out += 1
+                assert value == 0.0
+                assert product_average([eng.shifted(r) for r in key]) == 0.0
+        assert ruled_out > 100
 
     def test_two_harmonic_green_kubo(self, two_engine):
         assert two_engine.srb_mean_order(2) == pytest.approx(5.0, abs=1e-11)
