@@ -284,13 +284,11 @@ class MomentEngine:
             return cached
         total = 0.0
         for part in _PARTITIONS[n]:
-            coef = _PARTITION_COEF[len(part)]
-            prod = 1.0
-            for block in part:
-                prod *= self.moment([key[i] for i in block])
-                if prod == 0.0:
-                    break
-            total += coef * prod
+            # every block is evaluated, so the recorded moments do not
+            # depend on the order of the base ids
+            prod = math.prod([self.moment([key[i] for i in block])
+                              for block in part])
+            total += _PARTITION_COEF[len(part)] * prod
         self._ursells[key] = total
         return total
 
