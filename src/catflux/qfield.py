@@ -101,7 +101,12 @@ class Q5:
         return _sign(self._p * d - p * sd, self._q * d - q * sd)
 
     def __eq__(self, other) -> bool:
-        p, q, d = _parts(other)
+        try:
+            p, q, d = _parts(other)
+        except TypeError:
+            # a value of another type: let Python try its side, then answer
+            # False, so membership tests and None checks work
+            return NotImplemented
         return self._p == p and self._q == q and self._d == d
 
     def __hash__(self):

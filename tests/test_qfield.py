@@ -192,6 +192,18 @@ class TestIdentity:
         assert Q5.from_string(text) == qx
         assert repr(qx) == f"Q5({x[0]}, {x[1]})"
 
+    def test_foreign_types_compare_unequal(self):
+        assert (Q5(1) == None) is False  # noqa: E711
+        assert (Q5(1) == 1.0) is False
+        assert Q5(1) != "x"
+        assert Q5(1) not in [None, "x"]
+        assert Q5(1) in [None, "x", 1]
+        # only equality answers; order and arithmetic still refuse
+        with pytest.raises(TypeError):
+            Q5(1) < 1.0
+        with pytest.raises(TypeError):
+            Q5(1) * None
+
     def test_malformed_string_refused(self):
         with pytest.raises(ValueError, match="malformed"):
             Q5.from_string("1;2;3")
