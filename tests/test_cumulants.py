@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -241,6 +242,22 @@ class TestConnectedShifts:
             for key in want:
                 assert got[key] == want[key], (order, key)
 
+    def test_recorded_moments_independent_of_base_order(self, single_force,
+                                                         single_engine,
+                                                         single_table):
+        # priming registers the composed sigma bases first, so every base
+        # id differs from the unprimed engine's
+        primed = CorrelationEngine(single_force, max_order=4)
+        primed.composed_ids(primed.sigma_observable(), 4)
+        build_table(single_force, 4, engine=primed)
+
+        def recorded(eng):
+            return {frozenset(Counter((eng.bases[bid].key(), sh)
+                                      for bid, sh in key).items())
+                    for key in eng.moments}
+
+        assert recorded(primed.engine) == recorded(single_engine.engine)
+
     @pytest.mark.parametrize("window", [4, 5, 6])
     def test_dropped_tuples_have_zero_ursell(self, window):
         rng = np.random.default_rng(1000 + window)
@@ -402,3 +419,18 @@ class TestPeriodicOrbitOracle:
         two = eps_coefficient(orbit_tables["two", 10][0], 2, 3, -1)
         assert abs(single) <= 1e-6
         assert abs(two + 12.0) <= 1e-6
+
+    def test_two_harmonic_fourth_order_table(self, orbit_tables, two_force):
+        # the eps^4 two-harmonic table against the orbits (49.5, 170.5, 261
+        # and 186).  It takes ~30 s and ~1 GB, so the engine is built here
+        # and freed with the test, not kept as a session fixture
+        values = orbit_tables["two", 10][0]
+        want = {"mean4": eps_coefficient(values, 0, 2, 1, power=1),
+                "C2_4": eps_coefficient(values, 1, 2, 1, power=1),
+                "C3_4": eps_coefficient(values, 2, 4, 1),
+                "C4_4": eps_coefficient(values, 3, 4, 1)}
+        table = build_table(two_force, 4)
+        got = {"mean4": table.mean[4], "C2_4": table.C[2][4],
+               "C3_4": table.C[3][4], "C4_4": table.C[4][4]}
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-6), key
