@@ -242,11 +242,12 @@ class TestConnectedShifts:
             for key in want:
                 assert got[key] == want[key], (order, key)
 
-    def test_recorded_moments_independent_of_base_order(self, single_force,
-                                                         single_engine,
-                                                         single_table):
+    def test_recorded_moments_independent_of_base_order(self, single_force):
         # priming registers the composed sigma bases first, so every base
-        # id differs from the unprimed engine's
+        # id differs from the unprimed engine's.  Both engines are fresh:
+        # the session engine also records other tests' moments
+        plain = CorrelationEngine(single_force, max_order=4)
+        build_table(single_force, 4, engine=plain)
         primed = CorrelationEngine(single_force, max_order=4)
         primed.composed_ids(primed.sigma_observable(), 4)
         build_table(single_force, 4, engine=primed)
@@ -256,7 +257,7 @@ class TestConnectedShifts:
                                       for bid, sh in key).items())
                     for key in eng.moments}
 
-        assert recorded(primed.engine) == recorded(single_engine.engine)
+        assert recorded(primed.engine) == recorded(plain.engine)
 
     @pytest.mark.parametrize("window", [4, 5, 6])
     def test_dropped_tuples_have_zero_ursell(self, window):
