@@ -275,9 +275,10 @@ class TestConnectedShifts:
             survivors = list(eng.connected_shifts(fixed, free, lo, hi))
             grid = list(itertools.product(range(lo, hi + 1),
                                           repeat=len(free)))
-            assert survivors == [l for l in grid if l in set(survivors)]
+            alive = set(survivors)
+            assert survivors == [l for l in grid if l in alive]
             for lvec in grid:
-                if lvec in survivors:
+                if lvec in alive:
                     kept += 1
                     continue
                 dropped += 1
