@@ -24,10 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from .torus import HarmonicForce
 from .trig import (DEFAULT_TRUNCATION, LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly,
-                   Truncation, V_MINUS, V_PLUS, accumulate, geometric_sum,
-                   product_average)
+                   Truncation, V_MINUS, V_PLUS, geometric_sum, product_average,
+                   weighted_sum)
 
 ORDER_CAP = 8  # beyond this the term count explodes; 4 covers every paper value
 
@@ -123,20 +125,20 @@ def chain_order(g: TrigPoly, h_plus: Sequence[TrigPoly],
 
     (g o H)^(n) = sum_{s>=1} 1/s! sum_{k_1+..+k_s=n} sum_{alpha_j}
                   (prod_j d_{alpha_j}) g * prod_j h_{alpha_j}^{(k_j)},
-    with the n = 0 term equal to g itself.
+    with the n = 0 term equal to g itself.  The terms are collected and
+    merged once.
     """
     if n == 0:
         return g
-    acc: dict = {}
+    terms = []
     for weight, deriv, factors in _chain_terms(g, h_plus, h_minus, n):
         term = deriv
         for h in factors:
             term = term * h
             if not term:
                 break
-        if term:
-            accumulate(acc, term, weight)
-    return TrigPoly(acc, tol=trunc.coeff_tol)
+        terms.append((weight, term))
+    return weighted_sum(terms, trunc.coeff_tol)
 
 
 def chain_average(g: TrigPoly, h_plus: Sequence[TrigPoly],
@@ -469,8 +471,8 @@ def radius_estimate(force: HarmonicForce, r0: float = 1.0) -> RadiusEstimate:
         raise ValueError("r0 must be positive")
 
     def strip_bound(f: TrigPoly) -> float:
-        return sum(abs(c) * math.exp(r0 * (abs(nu[0]) + abs(nu[1])))
-                   for nu, c in f.coeffs.items())
+        return float((np.abs(f.c) * np.exp(r0 * (np.abs(f.n1) + np.abs(f.n2))))
+                     .sum())
 
     G = max(strip_bound(force.f_alpha(+1)), strip_bound(force.f_alpha(-1)))
     eps0 = (1.0 - _LAMBDA) * r0 / (8.0 * G)
@@ -489,8 +491,6 @@ def conjugacy_residual(force: HarmonicForce, max_order: int,
     on the grid once (vectorized); only the eps-weighted recombination runs
     per epsilon.
     """
-    import numpy as np
-
     if series is None:
         series = ConjugationSeries(force, max_order, trunc)
     else:

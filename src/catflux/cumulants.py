@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -124,36 +125,59 @@ FactorRef = Tuple[int, int]  # (base poly id, shift)
 PROJECTION_SLACK = 1e-12
 
 
-def _projections(poly: TrigPoly) -> Tuple[float, float, float, float, bool]:
-    """(amin, amax, bmin, bmax, has_const): |nu.v_+| and |nu.v_-| bounds
-    over the nonzero support frequencies, widened by PROJECTION_SLACK.
+def _norm_form(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """The integer norm n1^2 + n1 n2 - n2^2, as floats, without cancellation.
+
+    Where a float64 shadow of the form, plus its rounding bound, stays
+    below 2^62, the true value fits in int64 and the wrapping int64 form is
+    exact; elsewhere the shadow is used when its rounding bound is below
+    1e-15 of its value, and Python ints where it is not.
+    """
+    f1, f2 = n1.astype(float), n2.astype(float)
+    shadow = f1 * f1 + f1 * f2 - f2 * f2
+    err = 8 * 2.0 ** -53 * (f1 * f1 + np.abs(f1 * f2) + f2 * f2)
+    exact = np.abs(shadow) + err < 2.0 ** 62
+    out = np.where(exact, (n1 * n1 + n1 * n2 - n2 * n2).astype(float), shadow)
+    for i in np.flatnonzero(~exact & (err > 1e-15 * np.abs(shadow))).tolist():
+        x, y = int(n1[i]), int(n2[i])
+        out[i] = float(x * x + x * y - y * y)
+    return out
+
+
+def _term_projections(poly: TrigPoly) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-term |nu.v_+| and |nu.v_-|, both 0 at nu = 0.
 
     Computed in floats, the smaller of the two projections cancels once
     |nu| nears 1e13.  It is taken instead from the exact integer norm,
     (nu.v_+)(nu.v_-) = (nu1^2 + nu1 nu2 - nu2^2) / sqrt5, divided by the
-    larger projection, which does not cancel.  A polynomial without nonzero
-    frequencies has amin = bmin = inf.
+    larger projection, which does not cancel.
     """
-    amin = bmin = math.inf
-    amax = bmax = 0.0
-    for n1, n2 in poly.coeffs:
-        if not (n1 or n2):
-            continue
-        a = n1 * V_PLUS[0] + n2 * V_PLUS[1]
-        b = n1 * V_MINUS[0] + n2 * V_MINUS[1]
-        norm = (n1 * n1 + n1 * n2 - n2 * n2) / SQRT5
-        if abs(a) >= abs(b):
-            b = norm / a
-        else:
-            a = norm / b
-        a, b = abs(a), abs(b)
-        amin = min(amin, a)
-        amax = max(amax, a)
-        bmin = min(bmin, b)
-        bmax = max(bmax, b)
+    n1, n2 = poly.n1, poly.n2
+    a = n1 * V_PLUS[0] + n2 * V_PLUS[1]
+    b = n1 * V_MINUS[0] + n2 * V_MINUS[1]
+    norm = _norm_form(n1, n2) / SQRT5
+    unstable = np.abs(a) >= np.abs(b)
+    nonzero = (n1 != 0) | (n2 != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = (np.where(unstable, a, norm / b),
+                np.where(unstable, norm / a, b))
+    return (np.where(nonzero, np.abs(a), 0.0),
+            np.where(nonzero, np.abs(b), 0.0))
+
+
+def _projections(poly: TrigPoly, terms: Tuple[np.ndarray, np.ndarray]
+                 ) -> Tuple[float, float, float, float, bool]:
+    """(amin, amax, bmin, bmax, has_const): the per-term projections
+    summarised over the nonzero support frequencies, widened by
+    PROJECTION_SLACK.  A polynomial without nonzero frequencies has
+    amin = bmin = inf."""
+    nonzero = (poly.n1 != 0) | (poly.n2 != 0)
+    a, b = terms[0][nonzero], terms[1][nonzero]
     low, high = 1.0 - PROJECTION_SLACK, 1.0 + PROJECTION_SLACK
-    return (amin * low, amax * high, bmin * low, bmax * high,
-            (0, 0) in poly.coeffs)
+    if not a.size:
+        return math.inf, 0.0, math.inf, 0.0, not nonzero.all()
+    return (float(a.min()) * low, float(a.max()) * high,
+            float(b.min()) * low, float(b.max()) * high, not nonzero.all())
 
 
 def _cut(bounds):
@@ -182,19 +206,21 @@ class MomentEngine:
 
     Base polynomials are registered once; factors are (base_id, shift) pairs
     and moments are canonicalized by translation invariance (subtract the
-    minimum shift) before caching.  Per-base bounds on the eigen-projections
-    of the support (_projections) rule out moments and whole cumulants
-    (_cut) without ever materializing the composed polynomial.  Every
-    distinct computed moment is kept, which doubles as the record the
-    quadrature oracle replays.
+    minimum shift) before caching.  Each base keeps its per-term
+    eigen-projections (_term_projections) and their summary bounds
+    (_projections), which rule out moments and whole cumulants (_cut)
+    without ever materializing the composed polynomial, and cut each
+    factor of a moment down to the terms that can cancel before it is
+    composed.  Every distinct computed moment is kept, which doubles as the
+    record the quadrature oracle replays.
     """
 
     def __init__(self, trunc: Truncation = DEFAULT_TRUNCATION):
         self.trunc = trunc
         self.bases: List[TrigPoly] = []
-        self._base_ids: Dict[tuple, int] = {}
+        self._base_ids: Dict[bytes, int] = {}
+        self._terms: List[Tuple[np.ndarray, np.ndarray]] = []
         self._projections: List[Tuple[float, float, float, float, bool]] = []
-        self._shifted: Dict[FactorRef, TrigPoly] = {}
         self.moments: Dict[Tuple[FactorRef, ...], float] = {}
         self._ursells: Dict[Tuple[FactorRef, ...], float] = {}
 
@@ -205,15 +231,14 @@ class MomentEngine:
             bid = len(self.bases)
             self.bases.append(poly)
             self._base_ids[key] = bid
-            self._projections.append(_projections(poly))
+            terms = _term_projections(poly)
+            self._terms.append(terms)
+            self._projections.append(_projections(poly, terms))
         return bid
 
     def shifted(self, ref: FactorRef) -> TrigPoly:
-        poly = self._shifted.get(ref)
-        if poly is None:
-            poly = self.bases[ref[0]].compose_power(ref[1], self.trunc)
-            self._shifted[ref] = poly
-        return poly
+        """Base ref[0] composed with S0^ref[1], every term (not cached)."""
+        return self.bases[ref[0]].compose_power(ref[1], self.trunc)
 
     def _bounds(self, bid: int, lp, centred: bool):
         """(amin, amax, bmin, bmax) of base bid composed with S0^l, given
@@ -255,6 +280,26 @@ class MomentEngine:
         for idx in (np.argwhere(keep) + lo).tolist():
             yield tuple(idx)
 
+    def connected_grid(self, ids: Sequence[int], lo: int, hi: int
+                       ) -> np.ndarray:
+        """Mask over [lo, hi]^(len(ids) - 1): the shift tuples l at which the
+        joint cumulant of zip(ids, l + (0,)) can be nonzero.
+
+        Every factor is centred, and each bound is computed as
+        connected_shifts computes it for a fixed factor (lambda_+^l by
+        Python's power), so the mask agrees bit for bit with that scalar
+        test at each tuple.
+        """
+        s = len(ids) - 1
+        powers = np.array([LAMBDA_PLUS ** sh for sh in range(lo, hi + 1)])
+        bounds = []
+        for axis, bid in enumerate(ids[:-1]):
+            shape = [1] * s
+            shape[axis] = -1
+            bounds.append(self._bounds(bid, powers.reshape(shape), True))
+        bounds.append(self._bounds(ids[-1], LAMBDA_PLUS ** 0, True))
+        return ~np.broadcast_to(_cut(bounds), (len(powers),) * s)
+
     def moment(self, refs: Sequence[FactorRef]) -> float:
         if not refs:
             return 1.0
@@ -266,11 +311,40 @@ class MomentEngine:
         # a cut factor has no zero-sum frequency selection with its
         # partners; constants count here, so the factors stay uncentred
         val = 0.0
-        if not _cut([self._bounds(bid, LAMBDA_PLUS ** sh, False)
-                     for bid, sh in key]):
-            val = product_average([self.shifted(r) for r in key])
+        bounds = [self._bounds(bid, LAMBDA_PLUS ** sh, False)
+                  for bid, sh in key]
+        if not _cut(bounds):
+            val = product_average(self._cancelling(key, bounds))
         self.moments[key] = val
         return val
+
+    def _cancelling(self, key: Sequence[FactorRef], bounds) -> List[TrigPoly]:
+        """The factors of a moment, each cut down to the terms that can
+        cancel and then composed with its shift.
+
+        A term of a zero-sum selection is minus the sum of one term from
+        each partner, so its scaled projection is at most the sum of the
+        partners' largest, in both eigendirections.  A term above that has
+        no zero-sum selection and adds nothing to the average; dropping it
+        is exact.  Only the survivors are composed, which keeps the
+        composed frequencies far below the int64 limit.
+        """
+        low = 1.0 - PROJECTION_SLACK
+        out = []
+        for j, (bid, sh) in enumerate(key):
+            pa = pb = 0.0
+            for k, other in enumerate(bounds):
+                if k != j:
+                    pa += other[1]
+                    pb += other[3]
+            lp = LAMBDA_PLUS ** sh
+            a, b = self._terms[bid]
+            keep = (a * (lp * low) <= pa) & (b * (low / lp) <= pb)
+            poly = self.bases[bid]
+            if not keep.all():
+                poly = poly.take(keep)
+            out.append(poly.compose_power(sh, self.trunc))
+        return out
 
     def ursell(self, refs: Sequence[FactorRef]) -> float:
         """Joint connected correlation (cumulant) of the factors."""
@@ -351,7 +425,7 @@ class CorrelationEngine:
         if bid is None:
             self.expansion.extend_to(q)
             poly = -1.0 * self.expansion.order(q)
-            poly = TrigPoly({nu: c for nu, c in poly.coeffs.items() if nu != (0, 0)})
+            poly = poly.take((poly.n1 != 0) | (poly.n2 != 0))
             bid = self.engine.register(poly)
             self._insertion_ids[q] = bid
         return bid
@@ -522,9 +596,29 @@ class CorrelationEngine:
 
     def _shift_summed(self, fam: _Resolved, window: int) -> float:
         total = 0.0
-        for shifts in _shift_tuples(len(fam.oids) - 1, -window, window):
+        for shifts in self._observable_shifts(fam, window):
             total += self._cumulant_at(fam, list(shifts) + [0], window)
         return total
+
+    def _observable_shifts(self, fam: _Resolved, window: int
+                           ) -> Iterable[Tuple[int, ...]]:
+        """The observable-shift tuples to sum, in _shift_tuples order.
+
+        When the family's orders leave no room for an insertion (m is the
+        sum of the minimum orders), each split is one fixed set of factors,
+        and a tuple cut for every split has a joint cumulant of exactly 0:
+        only the union of the connected survivors over the splits is
+        visited.  Other families walk the whole window.
+        """
+        s = len(fam.oids) - 1
+        if fam.m != sum(fam.min_orders):
+            return _shift_tuples(s, -window, window)
+        alive = np.zeros((2 * window + 1,) * s, dtype=bool)
+        for obs_orders, _ in _mixed_splits(fam.min_orders, 0, fam.m):
+            ids = [fam.ids[i][o] for i, o in enumerate(obs_orders)]
+            if all(self.engine.bases[bid] for bid in ids):
+                alive |= self.engine.connected_grid(ids, -window, window)
+        return [tuple(idx) for idx in (np.argwhere(alive) - window).tolist()]
 
 
 def _shift_tuples(s: int, lo: int, hi: int) -> Iterator[Tuple[int, ...]]:
@@ -647,8 +741,8 @@ def replay_moments_on_grid(engine: MomentEngine, n: int = 256,
             # on the uniform grid the sample values are exactly the inverse
             # DFT of the alias-folded coefficient array
             folded = np.zeros((n, n), dtype=complex)
-            for (n1, n2), c in engine.bases[bid].coeffs.items():
-                folded[n1 % n, n2 % n] += c
+            poly = engine.bases[bid]
+            np.add.at(folded, (poly.n1 % n, poly.n2 % n), poly.c)
             g = np.real(np.fft.ifft2(folded)) * n * n
             base_grids[bid] = g
         return g

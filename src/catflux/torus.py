@@ -104,13 +104,13 @@ class HarmonicForce:
         g = self.jacobian_poly()
         theta = 2.0 * math.pi * np.arange(n) / n
         grid = np.zeros((n, n), dtype=complex)
-        for (n1, n2), c in g.coeffs.items():
+        for n1, n2, c in zip(g.n1.tolist(), g.n2.tolist(), g.c.tolist()):
             # exp(i(n1 t1 + n2 t2)) factorises over the two grid axes
             grid += np.multiply.outer(c * np.exp(1j * n1 * theta),
                                       np.exp(1j * n2 * theta))
         values = grid.real
-        hessian = sum(abs(c) * (nu[0] ** 2 + nu[1] ** 2)
-                      for nu, c in g.coeffs.items())
+        hessian = sum(abs(c) * (n1 ** 2 + n2 ** 2) for n1, n2, c in
+                      zip(g.n1.tolist(), g.n2.tolist(), g.c.tolist()))
         margin = hessian * (2.0 * math.pi / n) ** 2 / 4.0 + 1e-12 * g.l1_norm()
         lo, hi = float(values.min()), float(values.max())
         return (lo - margin, lo), (hi, hi + margin)

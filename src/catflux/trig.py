@@ -1,22 +1,35 @@
 """Exact sparse algebra of trigonometric polynomials on the 2-torus.
 
 A trigonometric polynomial f(psi) = sum_nu c_nu exp(i nu.psi), nu in Z^2, is
-stored as a sparse map from integer frequency pairs to complex coefficients.
-Composition with integer powers of the cat matrix, directional derivatives
-along the eigendirections, torus averages and geometric sums over composed
-iterates are all diagonal or near-diagonal in this representation, so every
-selection-rule integral reduces to exact frequency bookkeeping.
+stored as three numpy columns, lexsorted by (n1, n2) and unique: int64
+frequencies n1 and n2 and complex128 coefficients c.  Composition with
+integer powers of the cat matrix, directional derivatives along the
+eigendirections, torus averages and geometric sums over composed iterates
+are all diagonal or near-diagonal in this representation, so every
+selection-rule integral reduces to exact frequency bookkeeping.  Every
+operation that can create equal frequencies (construction, sums, products,
+geometric sums) goes through one merge: lexsort, add.reduceat over equal
+keys, prune |c| > tol.
 
-Frequencies are Python ints (arbitrary precision); compositions with S^p push
-a frequency to (S^T)^p nu, which grows like lambda_+^{|p|}.
+Frequencies are exact int64 integers below FREQ_LIMIT = 2^62 in absolute
+value.  Compositions with S^p push a frequency to (S^T)^p nu, which grows
+like lambda_+^{|p|}.  int64 arithmetic that wraps is still exact modulo
+2^64, so a composed frequency is computed with wrapping integer arithmetic
+and is exact whenever its true value fits.  That is certified either by an
+integer bound (entries times the largest frequency) or, when the bound
+reaches 2^62, by a float64 shadow of the same map: the shadow plus its
+rounding bound must stay below 2^62.  A frequency the shadow cannot certify
+is recomputed in Python ints, and a true value of 2^62 or more raises
+FrequencyCapError; nothing wraps silently.  A sum of two frequencies below
+2^62 cannot wrap and is checked exactly.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -37,8 +50,25 @@ S0 = (1, 1, 1, 2)
 S0_INV = (2, -1, -1, 1)
 
 
+# Frequencies are int64 with |n| < FREQ_LIMIT: a sum of two of them cannot
+# wrap, and the composition shadow has room for its rounding bound.
+FREQ_LIMIT = 2 ** 62
+# products form their frequency pairs in chunks of about this many pairs,
+# so that the peak memory of one product stays bounded
+PAIR_CHUNK = 1 << 20
+# relative rounding bound of the float64 composition shadow: a11 n1 + a12 n2
+# rounds each entry, each frequency, both products and the sum (5 roundings
+# of 2^-53 each), with room to spare
+_SHADOW_REL = 8 * 2.0 ** -53
+
+_NO_FREQ = np.empty(0, dtype=np.int64)
+_NO_COEFF = np.empty(0, dtype=np.complex128)
+_PAIR = np.dtype([("n1", np.int64), ("n2", np.int64)])
+
+
 class FrequencyCapError(ValueError):
-    """A frequency exceeded the configured |nu|_inf safety cap."""
+    """A frequency exceeded the configured |nu|_inf safety cap or the int64
+    limit FREQ_LIMIT."""
 
     def __init__(self, nu: Freq, cap: int):
         super().__init__(f"frequency {nu} exceeds cap |nu|_inf <= {cap}")
@@ -51,20 +81,26 @@ class Truncation:
     """Truncation policy shared by all series machinery.
 
     max_p is the cap on geometric-sum indices; coeff_tol prunes coefficients;
-    max_freq_norm is a pure safety cap on |nu|_inf against runaway
-    compositions (frequencies are exact Python ints, so there is no overflow
-    to guard).  Tolerance-limited geometric sums stop near p ~ 35 where
-    frequencies reach ~lambda_+^35 ~ 5e14; shifted copies inside correlation
-    sums push a further lambda_+^{~15}, hence the generous default.
+    max_freq_norm is a safety cap on |nu|_inf against runaway compositions.
+    Frequencies are int64 columns, exact below 2^62 (FREQ_LIMIT): every
+    composed frequency is certified by an integer bound or a float64 shadow
+    (see the module docstring), and one that reaches 2^62 raises
+    FrequencyCapError instead of wrapping, so the cap cannot exceed 2^62.  Tolerance-limited geometric sums stop near p ~ 35,
+    where frequencies reach ~lambda_+^35 ~ 5e14.
     """
 
-    max_freq_norm: int = 10**30
+    max_freq_norm: int = FREQ_LIMIT
     coeff_tol: float = 1e-14
     max_p: int = 60
 
     def __post_init__(self):
         if self.max_freq_norm <= 0 or self.coeff_tol < 0 or self.max_p <= 0:
             raise ValueError("Truncation fields must be positive")
+        if self.max_freq_norm > FREQ_LIMIT:
+            raise ValueError(
+                f"max_freq_norm {self.max_freq_norm} exceeds the int64 "
+                f"frequency limit 2**62 = {FREQ_LIMIT}: frequencies are "
+                "stored as int64, so choose a cap of at most 2**62")
 
 
 DEFAULT_TRUNCATION = Truncation()
@@ -92,32 +128,183 @@ def s0_power(k: int) -> Tuple[int, int, int, int]:
     return (a, b, c, d)
 
 
+# ----------------------------------------------------------------------
+# column kernels
+# ----------------------------------------------------------------------
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _abs_max(x: np.ndarray) -> int:
+    return max(int(x.max()), -int(x.min())) if x.size else 0
+
+
+def _merge(n1: np.ndarray, n2: np.ndarray, c: np.ndarray,
+           tol: float | None) -> Columns:
+    """The one merge: lexsort by (n1, n2), add.reduceat over equal keys,
+    then keep |c| > tol (no pruning when tol is None).
+
+    The sort is stable, so equal keys are summed in input order.
+    """
+    if not n1.size:
+        return _NO_FREQ, _NO_FREQ, _NO_COEFF
+    order = np.lexsort((n2, n1))
+    n1, n2, c = n1[order], n2[order], c[order]
+    new = np.empty(n1.size, dtype=bool)
+    new[0] = True
+    np.not_equal(n1[1:], n1[:-1], out=new[1:])
+    new[1:] |= n2[1:] != n2[:-1]
+    if not new.all():
+        starts = np.flatnonzero(new)
+        c = np.add.reduceat(c, starts)
+        n1, n2 = n1[starts], n2[starts]
+    if tol is not None:
+        keep = np.abs(c) > tol
+        if not keep.all():
+            n1, n2, c = n1[keep], n2[keep], c[keep]
+    return n1, n2, c
+
+
+def _merge_parts(parts: Iterable[Columns], tol: float | None) -> Columns:
+    """_merge of the concatenated columns of several parts."""
+    return _merge(*(np.concatenate(col) for col in zip(*parts)), tol)
+
+
+def _check_limit(n1: np.ndarray, n2: np.ndarray) -> None:
+    """Raise FrequencyCapError unless every exact frequency is < 2^62."""
+    if max(_abs_max(n1), _abs_max(n2)) >= FREQ_LIMIT:
+        i = int(np.flatnonzero((np.abs(n1) >= FREQ_LIMIT)
+                               | (np.abs(n2) >= FREQ_LIMIT))[0])
+        raise FrequencyCapError((int(n1[i]), int(n2[i])), FREQ_LIMIT)
+
+
+def _int64(x: int) -> int:
+    """x reduced to the int64 range modulo 2^64."""
+    return (x + 2 ** 63) % 2 ** 64 - 2 ** 63
+
+
+def _compose(n1: np.ndarray, n2: np.ndarray, p: int, cap: int
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """S0^p applied to the frequency columns, exactly.
+
+    S0 is symmetric, so (S0^T)^p = S0^p.  The integer map runs in wrapping
+    int64 arithmetic (entries reduced mod 2^64), which is exact mod 2^64.
+    When the entries times the largest frequency could reach 2^62, a float64
+    shadow of the same map, plus its rounding bound, certifies that every
+    true result lies below 2^62 and therefore equals the wrapped one;
+    frequencies it cannot certify are recomputed in Python ints.  Raises
+    FrequencyCapError for a frequency >= 2^62 or above cap.
+    """
+    a, b, c, d = s0_power(p)
+    m1 = _int64(a) * n1 + _int64(c) * n2
+    m2 = _int64(b) * n1 + _int64(d) * n2
+    bound = 2 * max(map(abs, (a, b, c, d))) * max(_abs_max(n1), _abs_max(n2))
+    if bound >= FREQ_LIMIT:
+        f1, f2 = n1.astype(np.float64), n2.astype(np.float64)
+        s1 = float(a) * f1 + float(c) * f2
+        s2 = float(b) * f1 + float(d) * f2
+        err = _SHADOW_REL * float(bound)
+        if max(float(np.abs(s1).max()), float(np.abs(s2).max())) + err \
+                >= FREQ_LIMIT:
+            for x, y in zip(n1.tolist(), n2.tolist()):
+                nu = (a * x + c * y, b * x + d * y)
+                if max(abs(nu[0]), abs(nu[1])) >= FREQ_LIMIT:
+                    raise FrequencyCapError(nu, FREQ_LIMIT)
+    if cap < FREQ_LIMIT and max(_abs_max(m1), _abs_max(m2)) > cap:
+        i = int(np.flatnonzero((np.abs(m1) > cap) | (np.abs(m2) > cap))[0])
+        raise FrequencyCapError((int(m1[i]), int(m2[i])), cap)
+    return m1, m2
+
+
+def _convolve(a: Columns, b: Columns, tol: float | None) -> Columns:
+    """Columns of the product of two merged polynomials.
+
+    The frequency pairs are formed as outer sums, about PAIR_CHUNK at a
+    time (the smaller factor's terms index the outer loop), each chunk
+    merged on its own and the partial results merged once more.
+    """
+    if len(a[2]) > len(b[2]):
+        a, b = b, a
+    a1, a2, ac = a
+    b1, b2, bc = b
+    if not ac.size:
+        return _NO_FREQ, _NO_FREQ, _NO_COEFF
+    rows = max(1, PAIR_CHUNK // bc.size)
+    single = rows >= ac.size
+    parts = []
+    for i in range(0, ac.size, rows):
+        s = slice(i, i + rows)
+        n1 = np.add.outer(a1[s], b1).ravel()
+        n2 = np.add.outer(a2[s], b2).ravel()
+        _check_limit(n1, n2)
+        parts.append(_merge(n1, n2, np.multiply.outer(ac[s], bc).ravel(),
+                            tol if single else None))
+    if single:
+        return parts[0]
+    return _merge_parts(parts, tol)
+
+
+def _find(n1: np.ndarray, n2: np.ndarray, q1: np.ndarray, q2: np.ndarray
+          ) -> Tuple[np.ndarray, np.ndarray]:
+    """(index, found): where each query pair (q1, q2) sits in the sorted
+    unique columns (n1, n2), and whether it is there."""
+    if not n1.size:
+        return np.zeros(q1.size, dtype=np.intp), np.zeros(q1.size, dtype=bool)
+    keys = np.empty(n1.size, dtype=_PAIR)
+    keys["n1"], keys["n2"] = n1, n2
+    query = np.empty(q1.size, dtype=_PAIR)
+    query["n1"], query["n2"] = q1, q2
+    idx = np.minimum(np.searchsorted(keys, query), n1.size - 1)
+    return idx, (n1[idx] == q1) & (n2[idx] == q2)
+
+
 class TrigPoly:
     """Sparse trigonometric polynomial on T^2 with complex coefficients.
 
     Real-valued polynomials satisfy c(-nu) = conj(c(nu)); the constructors
     used for real data enforce this by building both terms together.
     Instances are immutable by convention: all operations return new objects.
+    The columns n1, n2 (int64) and c (complex128) are lexsorted and unique;
+    coeffs is a read-only dict view built on demand, for inspection only.
     """
 
-    __slots__ = ("coeffs", "_key")
+    __slots__ = ("n1", "n2", "c", "_key")
+    # numpy scalars on the left defer to __rmul__ instead of broadcasting
+    __array_ufunc__ = None
 
-    def __init__(self, coeffs: Dict[Freq, complex] | None = None,
+    def __init__(self, coeffs: Mapping[Freq, complex] | None = None,
                  tol: float = DEFAULT_TRUNCATION.coeff_tol):
-        d: Dict[Freq, complex] = {}
-        if coeffs:
-            for nu, c in coeffs.items():
-                if abs(c) > tol:
-                    d[(int(nu[0]), int(nu[1]))] = complex(c)
-        self.coeffs = d
+        keys = [(int(nu[0]), int(nu[1])) for nu in coeffs] if coeffs else []
+        for nu in keys:
+            if max(abs(nu[0]), abs(nu[1])) >= FREQ_LIMIT:
+                raise FrequencyCapError(nu, FREQ_LIMIT)
+        n1 = np.array([k[0] for k in keys], dtype=np.int64)
+        n2 = np.array([k[1] for k in keys], dtype=np.int64)
+        c = np.array(list(coeffs.values()) if coeffs else [],
+                     dtype=np.complex128)
+        self.n1, self.n2, self.c = _merge(n1, n2, c, tol)
         self._key = None
+
+    @classmethod
+    def _of(cls, n1: np.ndarray, n2: np.ndarray, c: np.ndarray) -> "TrigPoly":
+        """Wrap columns that are already lexsorted and unique."""
+        poly = object.__new__(cls)
+        poly.n1, poly.n2, poly.c = n1, n2, c
+        poly._key = None
+        return poly
+
+    @property
+    def coeffs(self) -> Mapping[Freq, complex]:
+        """Read-only {(n1, n2): c} view, built on each access."""
+        return MappingProxyType(dict(zip(zip(self.n1.tolist(),
+                                             self.n2.tolist()),
+                                         self.c.tolist())))
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @staticmethod
     def zero() -> "TrigPoly":
-        return TrigPoly({})
+        return TrigPoly._of(_NO_FREQ, _NO_FREQ, _NO_COEFF)
 
     @staticmethod
     def const(value: float | complex) -> "TrigPoly":
@@ -146,111 +333,107 @@ class TrigPoly:
     # ------------------------------------------------------------------
     # ring operations
     # ------------------------------------------------------------------
+    def _columns(self) -> Columns:
+        return self.n1, self.n2, self.c
+
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        d = dict(self.coeffs)
-        for nu, c in other.coeffs.items():
-            d[nu] = d.get(nu, 0) + c
-        return TrigPoly(d)
+        return weighted_sum([(1.0, self), (1.0, other)])
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        d = dict(self.coeffs)
-        for nu, c in other.coeffs.items():
-            d[nu] = d.get(nu, 0) - c
-        return TrigPoly(d)
+        return weighted_sum([(1.0, self), (-1.0, other)])
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly({nu: -c for nu, c in self.coeffs.items()}, tol=0.0)
+        return TrigPoly._of(self.n1, self.n2, -self.c)
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
-            if len(self.coeffs) > len(other.coeffs):
-                a, b = other, self
-            else:
-                a, b = self, other
-            d: Dict[Freq, complex] = {}
-            for nu1, c1 in a.coeffs.items():
-                for nu2, c2 in b.coeffs.items():
-                    nu = (nu1[0] + nu2[0], nu1[1] + nu2[1])
-                    d[nu] = d.get(nu, 0) + c1 * c2
-            return TrigPoly(d)
-        return TrigPoly({nu: c * other for nu, c in self.coeffs.items()})
+            return TrigPoly._of(*_convolve(self._columns(), other._columns(),
+                                           DEFAULT_TRUNCATION.coeff_tol))
+        return TrigPoly._of(self.n1, self.n2,
+                            self.c * other).prune(DEFAULT_TRUNCATION.coeff_tol)
 
     __rmul__ = __mul__
 
+    def __len__(self) -> int:
+        return self.c.size
+
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.c.size)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TrigPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, TrigPoly)
+                and np.array_equal(self.n1, other.n1)
+                and np.array_equal(self.n2, other.n2)
+                and np.array_equal(self.c, other.c))
 
     def __hash__(self):
         return hash(self.key())
 
-    def key(self):
-        """Hashable canonical form, used as a cache key."""
+    def key(self) -> bytes:
+        """Hashable canonical form, used as a cache key: the bytes of the
+        three columns."""
         if self._key is None:
-            self._key = tuple(sorted((nu, c) for nu, c in self.coeffs.items()))
+            self._key = self.n1.tobytes() + self.n2.tobytes() + self.c.tobytes()
         return self._key
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"{nu}: {c:.3g}" for nu, c in sorted(self.coeffs.items()))
+        terms = ", ".join(f"({a}, {b}): {c:.3g}" for a, b, c in
+                          zip(self.n1.tolist(), self.n2.tolist(),
+                              self.c.tolist()))
         return f"TrigPoly({{{terms}}})"
 
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
+    def take(self, mask: np.ndarray) -> "TrigPoly":
+        """The terms selected by a boolean mask over the columns."""
+        return TrigPoly._of(self.n1[mask], self.n2[mask], self.c[mask])
+
     def prune(self, tol: float) -> "TrigPoly":
-        return TrigPoly(self.coeffs, tol=tol)
+        keep = np.abs(self.c) > tol
+        return self if keep.all() else self.take(keep)
 
     def l1_norm(self) -> float:
-        return sum(abs(c) for c in self.coeffs.values())
+        return float(np.abs(self.c).sum())
 
     def max_freq_norm(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(max(abs(nu[0]), abs(nu[1])) for nu in self.coeffs)
+        return max(_abs_max(self.n1), _abs_max(self.n2))
 
     def is_real(self, tol: float = 1e-12) -> bool:
-        for nu, c in self.coeffs.items():
-            m = (-nu[0], -nu[1])
-            if abs(c - self.coeffs.get(m, 0).conjugate()) > tol:
-                return False
-        return True
-
-    def check_cap(self, trunc: Truncation) -> "TrigPoly":
-        for nu in self.coeffs:
-            if max(abs(nu[0]), abs(nu[1])) > trunc.max_freq_norm:
-                raise FrequencyCapError(nu, trunc.max_freq_norm)
-        return self
+        idx, found = _find(self.n1, self.n2, -self.n1, -self.n2)
+        mirror = np.where(found, self.c[idx].conj(), 0.0)
+        return bool(np.all(np.abs(self.c - mirror) <= tol))
 
     # ------------------------------------------------------------------
     # analysis operations
     # ------------------------------------------------------------------
     def average(self) -> float:
         """Torus average: the real part of the coefficient at nu = 0."""
-        return self.coeffs.get((0, 0), 0j).real
+        zero = np.zeros(1, dtype=np.int64)
+        idx, found = _find(self.n1, self.n2, zero, zero)
+        return float(self.c[idx[0]].real) if found[0] else 0.0
 
     def compose_power(self, p: int, trunc: Truncation = DEFAULT_TRUNCATION) -> "TrigPoly":
-        """f(S0^p psi): moves the coefficient at nu to (S0^T)^p nu."""
-        if p == 0 or not self.coeffs:
+        """f(S0^p psi): moves the coefficient at nu to (S0^T)^p nu.
+
+        S0^p is a bijection of Z^2, so the columns are only re-sorted."""
+        if p == 0 or not self:
             return self
-        a, b, c, d = s0_power(p)
-        # S0 is symmetric, so (S0^T)^p = S0^p; written out for clarity.
-        out: Dict[Freq, complex] = {}
-        for (n1, n2), coef in self.coeffs.items():
-            nu = (a * n1 + c * n2, b * n1 + d * n2)
-            out[nu] = out.get(nu, 0) + coef
-        return TrigPoly(out, tol=0.0).check_cap(trunc)
+        m1, m2 = _compose(self.n1, self.n2, p, trunc.max_freq_norm)
+        order = np.lexsort((m2, m1))
+        return TrigPoly._of(m1[order], m2[order], self.c[order])
 
     def derivative(self, direction: Tuple[float, float]) -> "TrigPoly":
         """Directional derivative (v . d/dpsi) f: multiplies c(nu) by i(nu.v)."""
         v1, v2 = direction
-        return TrigPoly({nu: c * complex(0.0, nu[0] * v1 + nu[1] * v2)
-                         for nu, c in self.coeffs.items()})
+        factor = np.zeros(self.c.size, dtype=np.complex128)
+        factor.imag = self.n1 * v1 + self.n2 * v2
+        return TrigPoly._of(self.n1, self.n2,
+                            self.c * factor).prune(DEFAULT_TRUNCATION.coeff_tol)
 
     def deriv_plus(self) -> "TrigPoly":
         return self.derivative(V_PLUS)
@@ -268,25 +451,33 @@ class TrigPoly:
 
     def evaluate(self, psi1: float, psi2: float) -> float:
         """Pointwise value (real part; inputs are real polynomials)."""
-        total = 0j
-        for (n1, n2), c in self.coeffs.items():
-            total += c * cmath.exp(1j * (n1 * psi1 + n2 * psi2))
-        return total.real
+        phase = self.n1 * psi1 + self.n2 * psi2
+        return float((self.c * np.exp(1j * phase)).sum().real)
 
     def evaluate_grid(self, grid1: np.ndarray, grid2: np.ndarray) -> np.ndarray:
         """Vectorized real evaluation on arrays of angles (same shape)."""
         total = np.zeros(np.broadcast(grid1, grid2).shape, dtype=complex)
-        for (n1, n2), c in self.coeffs.items():
+        for n1, n2, c in zip(self.n1.tolist(), self.n2.tolist(),
+                             self.c.tolist()):
             total += c * np.exp(1j * (n1 * grid1 + n2 * grid2))
         return total.real
 
     def dump_csv(self) -> str:
         """Debug dump: lines of "nu1,nu2,re,im" sorted by frequency."""
         lines = ["nu1,nu2,re,im"]
-        for nu in sorted(self.coeffs):
-            c = self.coeffs[nu]
-            lines.append(f"{nu[0]},{nu[1]},{c.real:.17g},{c.imag:.17g}")
+        for n1, n2, c in zip(self.n1.tolist(), self.n2.tolist(),
+                             self.c.tolist()):
+            lines.append(f"{n1},{n2},{c.real:.17g},{c.imag:.17g}")
         return "\n".join(lines)
+
+
+def weighted_sum(terms: Iterable[Tuple[complex, TrigPoly]],
+                 tol: float = DEFAULT_TRUNCATION.coeff_tol) -> TrigPoly:
+    """sum_j w_j p_j, concatenated and merged once (pruned at tol)."""
+    parts = [(p.n1, p.n2, p.c if w == 1.0 else w * p.c) for w, p in terms if p]
+    if not parts:
+        return TrigPoly.zero()
+    return TrigPoly._of(*_merge_parts(parts, tol))
 
 
 @dataclass(frozen=True)
@@ -305,32 +496,34 @@ def geometric_sum(f: TrigPoly, ratio: float, direction: int,
     The sum stops at max_p or as soon as |ratio|^p ||f||_1 falls below
     coeff_tol (the terms would be pruned immediately anyway); the geometric
     tail bound |ratio|^{p+1}/(1-|ratio|) ||f||_1 for the stopping index is
-    recorded.
+    recorded.  Only terms whose weighted coefficient survives pruning are
+    composed, which keeps frequency growth tied to actual content; the
+    composed terms of every p are concatenated and merged once.
     """
     if abs(ratio) >= 1.0:
         raise ValueError(f"geometric sum requires |ratio| < 1, got {ratio}")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    if not f.coeffs:
+    if not f:
         return GeometricSum(TrigPoly.zero(), 0.0, 0)
     norm = f.l1_norm()
-    acc: Dict[Freq, complex] = {}
+    size = np.abs(f.c)
+    parts = []
     weight = 1.0
     p = 0
     while p <= trunc.max_p and abs(weight) * norm > trunc.coeff_tol:
-        # only terms whose weighted coefficient survives pruning are
-        # composed; this keeps frequency growth tied to actual content
-        live = TrigPoly({nu: c for nu, c in f.coeffs.items()
-                         if abs(c) * abs(weight) > trunc.coeff_tol}, tol=0.0)
-        if not live:
+        live = size * abs(weight) > trunc.coeff_tol
+        if not live.any():
             break
-        term = live.compose_power(direction * p, trunc)
-        for nu, c in term.coeffs.items():
-            acc[nu] = acc.get(nu, 0) + weight * c
+        n1, n2 = f.n1[live], f.n2[live]
+        if p:
+            n1, n2 = _compose(n1, n2, direction * p, trunc.max_freq_norm)
+        parts.append((n1, n2, weight * f.c[live]))
         weight *= ratio
         p += 1
     tail = abs(weight) / (1.0 - abs(ratio)) * norm
-    return GeometricSum(TrigPoly(acc, tol=trunc.coeff_tol), tail, p)
+    poly = TrigPoly._of(*_merge_parts(parts, trunc.coeff_tol))
+    return GeometricSum(poly, tail, p)
 
 
 def quadrature_average(f: TrigPoly, n: int = 256) -> float:
@@ -344,51 +537,30 @@ def quadrature_average(f: TrigPoly, n: int = 256) -> float:
     return float(f.evaluate_grid(g1, g2).mean())
 
 
-def accumulate(acc: Dict[Freq, complex], poly: TrigPoly,
-               scale: complex = 1.0) -> None:
-    """acc += scale * poly, as a raw dict update (hot-path helper)."""
-    if scale == 1.0:
-        for nu, c in poly.coeffs.items():
-            acc[nu] = acc.get(nu, 0) + c
-    else:
-        for nu, c in poly.coeffs.items():
-            acc[nu] = acc.get(nu, 0) + scale * c
-
-
 def product_average(factors: Iterable[TrigPoly]) -> float:
     """Exact torus average of a product of polynomials.
 
-    The smaller factors are convolved and the result is contracted against
-    the largest factor as a sparse dot product <prod> = sum_nu acc_nu big_{-nu},
-    with an empty-product early abort.  This is the workhorse behind every
+    The smaller factors are convolved and the result is joined against the
+    largest factor's sorted keys, <prod> = sum_nu acc_nu big_{-nu}, with an
+    empty-product early abort.  This is the workhorse behind every
     selection-rule integral.
     """
-    polys = sorted(factors, key=lambda p: len(p.coeffs))
+    polys = sorted(factors, key=len)
     if not polys:
         return 1.0
     big = polys[-1]
     rest = polys[:-1]
-    if not big.coeffs:
+    if not big:
         return 0.0
     if not rest:
-        return big.coeffs.get((0, 0), 0j).real
-    acc: Dict[Freq, complex] | None = None
-    for f in rest:
-        if acc is None:
-            acc = dict(f.coeffs)
-        else:
-            nxt: Dict[Freq, complex] = {}
-            for nu1, c1 in acc.items():
-                for nu2, c2 in f.coeffs.items():
-                    nu = (nu1[0] + nu2[0], nu1[1] + nu2[1])
-                    nxt[nu] = nxt.get(nu, 0) + c1 * c2
-            acc = nxt
-        if not acc:
+        return big.average()
+    acc = rest[0]._columns()
+    for f in rest[1:]:
+        if not acc[2].size:
             return 0.0
-    bc = big.coeffs
-    total = 0j
-    for nu, c in acc.items():
-        partner = bc.get((-nu[0], -nu[1]))
-        if partner is not None:
-            total += c * partner
-    return total.real
+        acc = _convolve(acc, f._columns(), 0.0)
+    n1, n2, c = acc
+    if not c.size:
+        return 0.0
+    idx, found = _find(big.n1, big.n2, -n1, -n2)
+    return float((c[found] * big.c[idx[found]]).sum().real)

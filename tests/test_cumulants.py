@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catflux.cumulants import (CorrelationEngine, MomentEngine,
-                               ObservableSeries, _cut, build_table,
+                               ObservableSeries, _cut, _norm_form, build_table,
                                replay_moments_on_grid, sigma_series,
                                transport_matrix)
 from catflux.torus import HarmonicForce
@@ -64,6 +64,17 @@ class TestMeans:
                 assert value == 0.0
                 assert product_average([eng.shifted(r) for r in key]) == 0.0
         assert ruled_out > 100
+
+    def test_cancelling_terms_give_every_moment(self, single_engine,
+                                                single_table, two_engine,
+                                                two_table):
+        # a moment composes only the terms of each factor that can cancel;
+        # the full shifted factors give the same averages
+        for eng in (single_engine.engine, two_engine.engine):
+            assert len(eng.moments) >= 50
+            for key, value in eng.moments.items():
+                full = product_average([eng.shifted(r) for r in key])
+                assert abs(full - value) <= 1e-15, (key, full, value)
 
     def test_two_harmonic_green_kubo(self, two_engine):
         assert two_engine.srb_mean_order(2) == pytest.approx(5.0, abs=1e-11)
@@ -226,6 +237,29 @@ def random_real_poly(rng, with_const):
         if nu != (0, 0):
             poly = poly + TrigPoly.cosine(nu, float(rng.integers(-4, 5)) / 2)
     return poly
+
+
+class TestNormForm:
+    def test_matches_python_ints(self):
+        # Fibonacci pairs lie next to the unstable eigenline, where
+        # n1^2 + n1 n2 - n2^2 = +-1 cancels completely in floats: at 1e12
+        # the wrapping int64 form is exact, at 1e18 only Python ints are;
+        # far from the eigenlines the float form is accurate
+        fib = [0, 1]
+        while len(fib) < 92:
+            fib.append(fib[-1] + fib[-2])
+        rng = np.random.default_rng(5)
+        pairs = [(fib[k], fib[k + 1]) for k in (10, 58, 88, 89)]
+        pairs += [(-fib[k + 1], fib[k]) for k in (30, 87)]
+        pairs += [(2 ** 61, 3), (-(2 ** 61) + 1, 2 ** 60), (0, 0)]
+        pairs += [tuple(int(v) for v in rng.integers(-2 ** 61, 2 ** 61, 2))
+                  for _ in range(20)]
+        n1 = np.array([p[0] for p in pairs], dtype=np.int64)
+        n2 = np.array([p[1] for p in pairs], dtype=np.int64)
+        got = _norm_form(n1, n2)
+        for (x, y), value in zip(pairs, got):
+            want = x * x + x * y - y * y
+            assert value == pytest.approx(float(want), rel=1e-15), (x, y)
 
 
 class TestConnectedShifts:
@@ -424,8 +458,9 @@ class TestPeriodicOrbitOracle:
 
     def test_two_harmonic_fourth_order_table(self, orbit_tables, two_force):
         # the eps^4 two-harmonic table against the orbits (49.5, 170.5, 261
-        # and 186).  It takes ~30 s and ~1 GB, so the engine is built here
-        # and freed with the test, not kept as a session fixture
+        # and 186).  It takes ~3 s and ~170 MB on one core, more than the
+        # session fixtures, so the engine is built here and freed with the
+        # test
         values = orbit_tables["two", 10][0]
         want = {"mean4": eps_coefficient(values, 0, 2, 1, power=1),
                 "C2_4": eps_coefficient(values, 1, 2, 1, power=1),

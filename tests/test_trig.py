@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catflux.trig import (DEFAULT_TRUNCATION, FrequencyCapError, LAMBDA_MINUS,
-                          LAMBDA_PLUS, TrigPoly, Truncation, V_PLUS,
-                          geometric_sum, product_average, quadrature_average)
+from catflux.trig import (DEFAULT_TRUNCATION, FREQ_LIMIT, FrequencyCapError,
+                          LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, Truncation,
+                          V_PLUS, geometric_sum, product_average,
+                          quadrature_average, s0_power)
 
 
 def close_polys(p, q, tol=1e-12):
@@ -152,3 +155,189 @@ class TestGeometricSum:
         h = -LAMBDA_MINUS * geometric_sum(f, LAMBDA_MINUS, +1).poly
         resid = LAMBDA_PLUS * h - h.compose_power(1) + f
         assert resid.l1_norm() < 1e-12
+
+
+class TestInt64Frequencies:
+    def test_wrapping_composition_is_exact(self):
+        # nu = S0^-30 (1, 0) has entries near 1e12, and so has S0^30: the
+        # products a * n1 wrap int64, the composed frequency (1, 0) does not
+        a, b, c, d = s0_power(-30)
+        nu = (a, c)
+        assert abs(s0_power(30)[0] * nu[0]) >= 2 ** 63
+        got = TrigPoly({nu: 1.0}).compose_power(30)
+        assert got.coeffs == {(1, 0): 1.0}
+        assert got.n1.dtype == np.int64
+
+    def test_large_entries_compose_exactly(self):
+        # S0^50 has entries above 2^63; the map runs mod 2^64 and the shadow
+        # certifies the result, S0^30 (1, 0)
+        a, b, c, d = s0_power(-20)
+        assert max(map(abs, s0_power(50))) >= 2 ** 63
+        got = TrigPoly({(a, c): 2.0}).compose_power(50)
+        a, b, c, d = s0_power(30)
+        assert got.coeffs == {(a, c): 2.0}
+
+    def test_composed_frequency_at_limit_raises(self):
+        # S0^46 (1, 0) = (F(91), F(92)), both above 2^62
+        with pytest.raises(FrequencyCapError) as err:
+            TrigPoly.cosine((1, 0)).compose_power(46)
+        assert err.value.cap == FREQ_LIMIT
+        assert max(map(abs, err.value.nu)) >= FREQ_LIMIT
+
+    def test_summed_frequency_at_limit_raises(self):
+        half = TrigPoly({(2 ** 61, 0): 1.0})
+        with pytest.raises(FrequencyCapError):
+            half * half
+
+    def test_constructor_rejects_frequency_beyond_int64(self):
+        with pytest.raises(FrequencyCapError):
+            TrigPoly({(2 ** 70, 0): 1})
+
+    def test_geometric_sum_beyond_limit_raises(self):
+        # tolerance never stops a sum of ratio 0.99; max_p = 60 composes
+        # with S0^60, whose frequencies pass 2^62
+        with pytest.raises(FrequencyCapError):
+            geometric_sum(TrigPoly.cosine((1, 0)), 0.99, +1)
+
+    def test_cap_above_int64_limit_rejected(self):
+        with pytest.raises(ValueError, match="int64"):
+            Truncation(max_freq_norm=2 ** 62 + 1)
+        with pytest.raises(ValueError, match="int64"):
+            Truncation(max_freq_norm=10 ** 30)
+        assert Truncation(max_freq_norm=2 ** 62).max_freq_norm == FREQ_LIMIT
+
+
+# ----------------------------------------------------------------------
+# reference model: the dict-of-tuples kernels the array kernels replaced
+# ----------------------------------------------------------------------
+TOL = DEFAULT_TRUNCATION.coeff_tol
+
+
+def ref_prune(d, tol):
+    return {nu: c for nu, c in d.items() if abs(c) > tol}
+
+
+def ref_add(a, b, tol=TOL):
+    d = dict(a)
+    for nu, c in b.items():
+        d[nu] = d.get(nu, 0) + c
+    return ref_prune(d, tol)
+
+
+def ref_mul(a, b, tol=TOL):
+    if len(a) > len(b):
+        a, b = b, a
+    d = {}
+    for nu1, c1 in a.items():
+        for nu2, c2 in b.items():
+            nu = (nu1[0] + nu2[0], nu1[1] + nu2[1])
+            d[nu] = d.get(nu, 0) + c1 * c2
+    return ref_prune(d, tol)
+
+
+def ref_compose(a, p):
+    a11, a12, a21, a22 = s0_power(p)
+    out = {}
+    for (n1, n2), coef in a.items():
+        nu = (a11 * n1 + a21 * n2, a12 * n1 + a22 * n2)
+        out[nu] = out.get(nu, 0) + coef
+    return out
+
+
+def ref_geometric_sum(f, ratio, direction, trunc, tol=None):
+    norm = sum(abs(c) for c in f.values())
+    acc = {}
+    weight = 1.0
+    p = 0
+    while p <= trunc.max_p and abs(weight) * norm > trunc.coeff_tol:
+        live = {nu: c for nu, c in f.items()
+                if abs(c) * abs(weight) > trunc.coeff_tol}
+        if not live:
+            break
+        for nu, c in ref_compose(live, direction * p).items():
+            acc[nu] = acc.get(nu, 0) + weight * c
+        weight *= ratio
+        p += 1
+    return ref_prune(acc, trunc.coeff_tol if tol is None else tol)
+
+
+def ref_product_average(factors):
+    polys = sorted(factors, key=len)
+    if not polys:
+        return 1.0
+    big, rest = polys[-1], polys[:-1]
+    if not big:
+        return 0.0
+    if not rest:
+        return big.get((0, 0), 0j).real
+    acc = None
+    for f in rest:
+        acc = dict(f) if acc is None else ref_mul(acc, f, tol=-1.0)
+        if not acc:
+            return 0.0
+    return sum(c * big[(-nu[0], -nu[1])] for nu, c in acc.items()
+               if (-nu[0], -nu[1]) in big).real
+
+
+def magnitudes(d):
+    return {nu: abs(c) for nu, c in d.items()}
+
+
+def assert_matches(poly, want, scale):
+    """Equal key sets; each coefficient within 1e-15 of the sum of the
+    magnitudes of the terms that add up to it."""
+    got = dict(poly.coeffs)
+    assert got.keys() == want.keys()
+    for nu, c in want.items():
+        assert abs(got[nu] - c) <= 1e-15 * scale[nu], (nu, got[nu], c)
+
+
+examples = settings(deadline=None, max_examples=150)
+frequencies = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+coefficients = st.builds(
+    complex,
+    st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+    st.floats(0.5, 2.0) | st.floats(-2.0, -0.5))
+polys = st.dictionaries(frequencies, coefficients, max_size=12)
+
+
+class TestArrayKernelsAgainstDictModel:
+    @examples
+    @given(polys, polys)
+    def test_add_and_sub(self, a, b):
+        assert_matches(TrigPoly(a) + TrigPoly(b), ref_add(a, b),
+                       ref_add(magnitudes(a), magnitudes(b), tol=-1.0))
+        neg_b = {nu: -c for nu, c in b.items()}
+        assert_matches(TrigPoly(a) - TrigPoly(b), ref_add(a, neg_b),
+                       ref_add(magnitudes(a), magnitudes(b), tol=-1.0))
+
+    @examples
+    @given(polys, polys)
+    def test_mul(self, a, b):
+        assert_matches(TrigPoly(a) * TrigPoly(b), ref_mul(a, b),
+                       ref_mul(magnitudes(a), magnitudes(b), tol=-1.0))
+
+    @examples
+    @given(polys, st.integers(-12, 12))
+    def test_compose_power(self, a, p):
+        got = TrigPoly(a).compose_power(p)
+        assert got.coeffs == ref_compose(a, p)
+
+    @examples
+    @given(polys, st.floats(-0.9, 0.9), st.sampled_from([1, -1]),
+           st.integers(1, 30))
+    def test_geometric_sum(self, f, ratio, direction, max_p):
+        trunc = Truncation(max_p=max_p)
+        got = geometric_sum(TrigPoly(f), ratio, direction, trunc).poly
+        scale = ref_geometric_sum(magnitudes(f), abs(ratio), direction,
+                                  trunc, tol=-1.0)
+        assert_matches(got, ref_geometric_sum(f, ratio, direction, trunc),
+                       scale)
+
+    @examples
+    @given(st.lists(polys, max_size=4))
+    def test_product_average(self, factors):
+        got = product_average([TrigPoly(f) for f in factors])
+        want = ref_product_average(factors)
+        scale = ref_product_average([magnitudes(f) for f in factors])
+        assert abs(got - want) <= 1e-15 * scale
