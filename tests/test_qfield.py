@@ -77,10 +77,12 @@ pairs = st.tuples(rationals, rationals)
 
 @st.composite
 def cancelling(draw):
-    """(a, b) with a + b sqrt5 within a few units of 0 over a common d."""
+    """(a, b) of opposite signs with a + b sqrt5 within a few units of 0
+    over a common d."""
     q = draw(st.integers(1, 2 ** 90)) * draw(st.sampled_from((1, -1)))
     root = math.isqrt(5 * q * q)
-    p = -(root + draw(st.integers(-3, 3))) * (1 if q > 0 else -1)
+    # |p| >= 1 keeps the signs mixed even for |q| = 1, where root = 2
+    p = -(root + draw(st.integers(max(-3, 1 - root), 3))) * (1 if q > 0 else -1)
     d = draw(st.integers(1, 10 ** 12))
     return Fraction(p, d), Fraction(q, d)
 
