@@ -11,11 +11,10 @@ unperturbed map.
 from .torus import (CatSystem, HarmonicForce, Harmonic, TorusPoint, sigma,
                     step, time_reversal)
 from .trig import TrigPoly, Truncation, geometric_sum, quadrature_average
-from .conjugation import (ConjugationSeries, ExpansionRateSeries, OrderSeries,
+from .conjugation import (ConjugationSeries, ExpansionRateSeries,
                           RadiusEstimate, RateSeries, conjugacy_residual,
-                          conjugation_order1, conjugation_order_k,
-                          expansion_rate_series, radius_estimate, rates_order1,
-                          rates_order_k)
+                          conjugation_order_k, expansion_rate_series,
+                          radius_estimate)
 from .cumulants import (CorrelationEngine, CumulantTable, ObservableSeries,
                         TransportMatrix, build_table, sigma_series,
                         transport_matrix)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .conjugation import conjugation_order_k, expansion_rate_series
-from .cumulants import CorrelationEngine, build_table
+from .cumulants import DEFAULT_SHIFT_WINDOW, CorrelationEngine, build_table
 from .fluctuation import (asymmetry_coefficients, ft_report, zeta,
                           zeta_closed_form, zeta_ft_imposed)
 from .partition import (CatCoder, birkhoff_frequencies, build_cat_partition,
@@ -154,7 +154,7 @@ def cmd_coeffs(data: Dict, out: Path) -> None:
 def cmd_cumulants(data: Dict, out: Path) -> None:
     force = force_from_config(data)
     order = data.get("order", 4)
-    window = data.get("shift_window", 12)
+    window = data.get("shift_window", DEFAULT_SHIFT_WINDOW)
     eng = CorrelationEngine(force, order, shift_window=window)
     table = build_table(force, order, shift_window=window, engine=eng)
     eps_list = eps_list_from_config(data)
@@ -175,8 +175,8 @@ def cmd_cumulants(data: Dict, out: Path) -> None:
 def cmd_zeta(data: Dict, out: Path) -> None:
     force = force_from_config(data)
     order = data.get("order", 4)
-    table = build_table(force, order,
-                        shift_window=data.get("shift_window", 12))
+    window = data.get("shift_window", DEFAULT_SHIFT_WINDOW)
+    table = build_table(force, order, shift_window=window)
     zs = zeta(table, order)
     closed = zeta_closed_form(table, order)
     imposed = zeta_ft_imposed(table, order)
@@ -200,8 +200,8 @@ def cmd_zeta(data: Dict, out: Path) -> None:
 def cmd_ftcheck(data: Dict, out: Path) -> None:
     force = force_from_config(data)
     order = data.get("order", 4)
-    table = build_table(force, order,
-                        shift_window=data.get("shift_window", 12))
+    window = data.get("shift_window", DEFAULT_SHIFT_WINDOW)
+    table = build_table(force, order, shift_window=window)
     report = ft_report(table, order)
     A, B = asymmetry_coefficients(table, order)
     payload = {
@@ -308,8 +308,8 @@ def cmd_report(data: Dict, out: Path) -> None:
     """
     force = force_from_config(data)
     order = data.get("order", 4)
-    table = build_table(force, order,
-                        shift_window=data.get("shift_window", 12))
+    window = data.get("shift_window", DEFAULT_SHIFT_WINDOW)
+    table = build_table(force, order, shift_window=window)
     ft = ft_report(table, order)
     A_series, B_series = asymmetry_coefficients(table, order)
     eps_list = eps_list_from_config(data)

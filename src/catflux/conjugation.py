@@ -27,9 +27,8 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .torus import HarmonicForce
-from .trig import (DEFAULT_TRUNCATION, LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly,
-                   Truncation, V_MINUS, V_PLUS, geometric_sum, product_average,
-                   weighted_sum)
+from .trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS, V_PLUS,
+                   geometric_sum, product_average, weighted_sum)
 
 ORDER_CAP = 8  # beyond this the term count explodes; 4 covers every paper value
 
@@ -40,40 +39,11 @@ class OrderCapError(ValueError):
     pass
 
 
-def _check_order(k: int, cap: int = ORDER_CAP):
+def _check_order(k: int):
     if k < 1:
         raise ValueError("series order must be >= 1")
-    if k > cap:
-        raise OrderCapError(
-            f"order {k} beyond cap {cap}; raise the cap explicitly if you "
-            "accept the cost")
-
-
-@dataclass
-class OrderSeries:
-    """A function-valued power series: order k -> TrigPoly, with tail bounds."""
-
-    orders: List[TrigPoly]          # orders[k] is the eps^k coefficient; orders[0] may be zero/const
-    tail_bounds: List[float]
-
-    @property
-    def max_order(self) -> int:
-        return len(self.orders) - 1
-
-    def order(self, k: int) -> TrigPoly:
-        if k < 0:
-            return TrigPoly.zero()
-        if k > self.max_order:
-            raise IndexError(f"order {k} not computed (max {self.max_order})")
-        return self.orders[k]
-
-    def evaluate(self, psi1: float, psi2: float, eps: float) -> float:
-        total = 0.0
-        w = 1.0
-        for poly in self.orders:
-            total += w * poly.evaluate(psi1, psi2)
-            w *= eps
-        return total
+    if k > ORDER_CAP:
+        raise OrderCapError(f"order {k} beyond cap {ORDER_CAP}")
 
 
 def compositions(total: int, mins: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -119,8 +89,7 @@ def _chain_terms(g: TrigPoly, h_plus: Sequence[TrigPoly],
 
 
 def chain_order(g: TrigPoly, h_plus: Sequence[TrigPoly],
-                h_minus: Sequence[TrigPoly], n: int,
-                trunc: Truncation = DEFAULT_TRUNCATION) -> TrigPoly:
+                h_minus: Sequence[TrigPoly], n: int) -> TrigPoly:
     """Order-n coefficient of g(H(psi)) for a fixed polynomial g.
 
     (g o H)^(n) = sum_{s>=1} 1/s! sum_{k_1+..+k_s=n} sum_{alpha_j}
@@ -138,7 +107,7 @@ def chain_order(g: TrigPoly, h_plus: Sequence[TrigPoly],
             if not term:
                 break
         terms.append((weight, term))
-    return weighted_sum(terms, trunc.coeff_tol)
+    return weighted_sum(terms)
 
 
 def chain_average(g: TrigPoly, h_plus: Sequence[TrigPoly],
@@ -160,12 +129,9 @@ def chain_average(g: TrigPoly, h_plus: Sequence[TrigPoly],
 class ConjugationSeries:
     """Orders h_{+,-}^{(k)} of the conjugation for a given force."""
 
-    def __init__(self, force: HarmonicForce, max_order: int,
-                 trunc: Truncation = DEFAULT_TRUNCATION, order_cap: int = ORDER_CAP):
-        _check_order(max_order, order_cap)
+    def __init__(self, force: HarmonicForce, max_order: int):
+        _check_order(max_order)
         self.force = force
-        self.trunc = trunc
-        self.order_cap = order_cap
         self.f_plus = force.f_alpha(+1)
         self.f_minus = force.f_alpha(-1)
         self.h_plus: List[TrigPoly] = [TrigPoly.zero()]
@@ -175,7 +141,7 @@ class ConjugationSeries:
 
     def extend_to(self, order: int):
         """Grow the series in place; lower orders are never recomputed."""
-        _check_order(order, self.order_cap)
+        _check_order(order)
         for k in range(self.max_order + 1, order + 1):
             self._extend(k)
 
@@ -186,15 +152,15 @@ class ConjugationSeries:
         alpha=-1: h = +sum_{p<=-1} lambda_-^{-p-1} rhs(S0^p psi)
         """
         if alpha > 0:
-            gs = geometric_sum(rhs, _LAMBDA, +1, self.trunc)
+            gs = geometric_sum(rhs, _LAMBDA, +1)
             return -_LAMBDA * gs.poly, _LAMBDA * gs.tail_bound
-        gs = geometric_sum(rhs.compose_power(-1, self.trunc), _LAMBDA, -1, self.trunc)
+        gs = geometric_sum(rhs.compose_power(-1), _LAMBDA, -1)
         return gs.poly, gs.tail_bound
 
     def _rhs(self, alpha: int, k: int) -> TrigPoly:
         """F_alpha^(k): the order-k part of f_alpha(psi + h(psi))."""
         f = self.f_plus if alpha > 0 else self.f_minus
-        return chain_order(f, self.h_plus, self.h_minus, k - 1, self.trunc)
+        return chain_order(f, self.h_plus, self.h_minus, k - 1)
 
     def _extend(self, k: int):
         hp, tp = self._solve(+1, self._rhs(+1, k))
@@ -206,10 +172,6 @@ class ConjugationSeries:
     @property
     def max_order(self) -> int:
         return len(self.h_plus) - 1
-
-    def compose(self, g: TrigPoly, n: int) -> TrigPoly:
-        """Order-n coefficient of g o H."""
-        return chain_order(g, self.h_plus, self.h_minus, n, self.trunc)
 
     def displacement(self, psi1: float, psi2: float, eps: float,
                      max_order: int | None = None) -> Tuple[float, float]:
@@ -226,17 +188,8 @@ class ConjugationSeries:
         return d1, d2
 
 
-def conjugation_order1(force: HarmonicForce,
-                       trunc: Truncation = DEFAULT_TRUNCATION) -> Tuple[TrigPoly, TrigPoly]:
-    """(h_+^(1), h_-^(1)); the first order of the full recursion."""
-    series = ConjugationSeries(force, 1, trunc)
-    return series.h_plus[1], series.h_minus[1]
-
-
-def conjugation_order_k(force: HarmonicForce, max_order: int,
-                        trunc: Truncation = DEFAULT_TRUNCATION,
-                        order_cap: int = ORDER_CAP) -> ConjugationSeries:
-    return ConjugationSeries(force, max_order, trunc, order_cap)
+def conjugation_order_k(force: HarmonicForce, max_order: int) -> ConjugationSeries:
+    return ConjugationSeries(force, max_order)
 
 
 class RateSeries:
@@ -257,16 +210,11 @@ class RateSeries:
     first-order sums (k_+^(1) = -sum_n lambda_+^{-(2n+1)} d_-f_+ o S0^n, ...).
     """
 
-    def __init__(self, force: HarmonicForce, max_order: int,
-                 trunc: Truncation = DEFAULT_TRUNCATION, order_cap: int = ORDER_CAP,
-                 conj: "ConjugationSeries | None" = None):
-        _check_order(max_order, order_cap)
+    def __init__(self, force: HarmonicForce, max_order: int):
+        _check_order(max_order)
         self.force = force
-        self.trunc = trunc
-        self.order_cap = order_cap
         # rate order k only needs conjugation chains through order k-1
-        self.conj = conj if conj is not None else ConjugationSeries(
-            force, max(1, max_order - 1), trunc, order_cap)
+        self.conj = ConjugationSeries(force, max(1, max_order - 1))
         fp, fm = self.conj.f_plus, self.conj.f_minus
         # d_beta f_alpha, indexed [beta][alpha] with +1 -> 0, -1 -> 1.
         self._df = {(+1, +1): fp.deriv_plus(), (-1, +1): fp.deriv_minus(),
@@ -280,7 +228,7 @@ class RateSeries:
         self.extend_to(max_order)
 
     def extend_to(self, order: int):
-        _check_order(order, self.order_cap)
+        _check_order(order)
         if order > 1:
             self.conj.extend_to(order - 1)
         for k in range(self.max_order + 1, order + 1):
@@ -288,19 +236,19 @@ class RateSeries:
 
     def _df_chain(self, beta: int, alpha: int, n: int) -> TrigPoly:
         """Order-n coefficient of (d_beta f_alpha) o H."""
-        return self.conj.compose(self._df[(beta, alpha)], n)
+        return chain_order(self._df[(beta, alpha)], self.conj.h_plus,
+                           self.conj.h_minus, n)
 
     def _extend(self, k: int):
         lam = _LAMBDA
-        tol = self.trunc.coeff_tol
         # gamma at order k uses k_{-,+} only at orders <= k-1.
         gp = self._df_chain(+1, +1, k - 1)
         gm = self._df_chain(-1, -1, k - 1)
         for m in range(1, k):
             gp = gp + self.k_minus[m] * self._df_chain(-1, +1, k - 1 - m)
             gm = gm + self.k_plus[m] * self._df_chain(+1, -1, k - 1 - m)
-        gp = gp.prune(tol)
-        gm = gm.prune(tol)
+        gp = gp.prune()
+        gm = gm.prune()
 
         rp = self._df_chain(-1, +1, k - 1)
         rm = self._df_chain(+1, -1, k - 1)
@@ -309,15 +257,14 @@ class RateSeries:
             rm = rm + self.k_minus[m] * self._df_chain(-1, -1, k - 1 - m)
         for m in range(1, k):
             # gamma^{(m)} * (k o S0)^{(k-m)}; both strictly lower order.
-            rp = rp - self.gamma_minus[m] * self.k_plus[k - m].compose_power(1, self.trunc)
-            rm = rm - self.gamma_plus[m] * self.k_minus[k - m].compose_power(1, self.trunc)
+            rp = rp - self.gamma_minus[m] * self.k_plus[k - m].compose_power(1)
+            rm = rm - self.gamma_plus[m] * self.k_minus[k - m].compose_power(1)
         rp = (-lam) * rp
         rm = (-lam) * rm
 
-        gs_p = geometric_sum(rp.prune(tol), lam * lam, +1, self.trunc)
+        gs_p = geometric_sum(rp.prune(), lam * lam, +1)
         kp = gs_p.poly
-        gs_m = geometric_sum(rm.compose_power(-1, self.trunc).prune(tol),
-                             lam * lam, -1, self.trunc)
+        gs_m = geometric_sum(rm.compose_power(-1).prune(), lam * lam, -1)
         km = -1.0 * gs_m.poly
 
         self.gamma_plus.append(gp)
@@ -331,22 +278,7 @@ class RateSeries:
         return len(self.gamma_plus) - 1
 
 
-def rates_order1(force: HarmonicForce,
-                 trunc: Truncation = DEFAULT_TRUNCATION
-                 ) -> Tuple[TrigPoly, TrigPoly, TrigPoly, TrigPoly]:
-    """(gamma_+^(1), gamma_-^(1), k_+^(1), k_-^(1))."""
-    r = RateSeries(force, 1, trunc)
-    return r.gamma_plus[1], r.gamma_minus[1], r.k_plus[1], r.k_minus[1]
-
-
-def rates_order_k(force: HarmonicForce, max_order: int,
-                  trunc: Truncation = DEFAULT_TRUNCATION,
-                  order_cap: int = ORDER_CAP) -> RateSeries:
-    return RateSeries(force, max_order, trunc, order_cap)
-
-
-def _log1p_series(u_orders: List[TrigPoly], max_order: int,
-                  tol: float) -> List[TrigPoly]:
+def _log1p_series(u_orders: List[TrigPoly], max_order: int) -> List[TrigPoly]:
     """Orders of log(1 + u) for u = sum_{k>=1} u^(k); index 0 is zero."""
     z = TrigPoly.zero()
     u = list(u_orders[:max_order + 1])
@@ -365,7 +297,7 @@ def _log1p_series(u_orders: List[TrigPoly], max_order: int,
                 for j in range(m, k):
                     if prev[j] and u[k - j]:
                         acc = acc + prev[j] * u[k - j]
-                nxt[k] = acc.prune(tol)
+                nxt[k] = acc.prune()
             prev = nxt
         sign = -sign
     return out
@@ -382,33 +314,29 @@ class ExpansionRateSeries:
     """
 
     def __init__(self, force: HarmonicForce, max_order: int,
-                 boundary: bool = False,
-                 trunc: Truncation = DEFAULT_TRUNCATION, order_cap: int = ORDER_CAP):
-        _check_order(max_order, order_cap)
+                 boundary: bool = False):
+        _check_order(max_order)
         self.force = force
-        self.trunc = trunc
         self.boundary = boundary
-        self.order_cap = order_cap
-        self.rates = RateSeries(force, max_order, trunc, order_cap)
+        self.rates = RateSeries(force, max_order)
         self._orders: List[TrigPoly] = []
         self._rebuild(max_order)
 
     def _rebuild(self, max_order: int):
-        tol = self.trunc.coeff_tol
         u = [g * (1.0 / LAMBDA_PLUS) for g in self.rates.gamma_plus]
-        log_orders = _log1p_series(u, max_order, tol)
+        log_orders = _log1p_series(u, max_order)
         orders = [TrigPoly.const(math.log(LAMBDA_PLUS))]
         for k in range(1, max_order + 1):
             term = log_orders[k]
             if self.boundary:
                 term = term + self._boundary_order(k)
-            orders.append(term.prune(tol))
+            orders.append(term.prune())
         self._orders = orders
 
     def extend_to(self, order: int):
         if order <= self.max_order:
             return
-        _check_order(order, self.order_cap)
+        _check_order(order)
         self.rates.extend_to(order)
         self._rebuild(order)
 
@@ -420,9 +348,8 @@ class ExpansionRateSeries:
             for m in range(1, n):
                 acc = acc + km[m] * km[n - m]
             q[n] = acc
-        half_log = _log1p_series(q, k, self.trunc.coeff_tol)
-        b = half_log[k]
-        return 0.5 * (b.compose_power(1, self.trunc) - b)
+        b = _log1p_series(q, k)[k]
+        return 0.5 * (b.compose_power(1) - b)
 
     def order(self, k: int) -> TrigPoly:
         if k > self.max_order:
@@ -433,16 +360,10 @@ class ExpansionRateSeries:
     def max_order(self) -> int:
         return len(self._orders) - 1
 
-    @property
-    def series(self) -> OrderSeries:
-        return OrderSeries(list(self._orders), list(self.rates.tail_bounds))
-
 
 def expansion_rate_series(force: HarmonicForce, max_order: int,
-                          boundary: bool = False,
-                          trunc: Truncation = DEFAULT_TRUNCATION,
-                          order_cap: int = ORDER_CAP) -> ExpansionRateSeries:
-    return ExpansionRateSeries(force, max_order, boundary, trunc, order_cap)
+                          boundary: bool = False) -> ExpansionRateSeries:
+    return ExpansionRateSeries(force, max_order, boundary)
 
 
 @dataclass(frozen=True)
@@ -481,7 +402,6 @@ def radius_estimate(force: HarmonicForce, r0: float = 1.0) -> RadiusEstimate:
 
 def conjugacy_residual(force: HarmonicForce, max_order: int,
                        eps_list: Sequence[float], grid_n: int = 24,
-                       trunc: Truncation = DEFAULT_TRUNCATION,
                        series: "ConjugationSeries | None" = None
                        ) -> Dict[str, object]:
     """Sup-grid residual |H_K(S0 psi) - S_eps(H_K(psi))| per eps.
@@ -492,7 +412,7 @@ def conjugacy_residual(force: HarmonicForce, max_order: int,
     per epsilon.
     """
     if series is None:
-        series = ConjugationSeries(force, max_order, trunc)
+        series = ConjugationSeries(force, max_order)
     else:
         series.extend_to(max_order)
     two_pi = 2.0 * math.pi

@@ -44,11 +44,11 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
-from .conjugation import (ConjugationSeries, ExpansionRateSeries,
-                          chain_average, chain_order, compositions)
+from .conjugation import (ExpansionRateSeries, chain_average, chain_order,
+                          compositions)
 from .torus import HarmonicForce
-from .trig import (DEFAULT_TRUNCATION, LAMBDA_PLUS, SQRT5, TrigPoly,
-                   Truncation, V_MINUS, V_PLUS, product_average, s0_power)
+from .trig import (LAMBDA_PLUS, SQRT5, TrigPoly, V_MINUS, V_PLUS,
+                   product_average, s0_power)
 
 DEFAULT_SHIFT_WINDOW = 12
 SUFFICIENCY_EXTRA = 3
@@ -201,6 +201,14 @@ def _cut(bounds):
     return cut
 
 
+def _canonical(refs: Sequence[FactorRef]) -> Tuple[FactorRef, ...]:
+    """The cache key of a moment or a cumulant of the factors: both are
+    translation invariant, so the least shift is moved to 0 and the
+    factors are sorted."""
+    shift0 = min(r[1] for r in refs)
+    return tuple(sorted((bid, sh - shift0) for bid, sh in refs))
+
+
 class MomentEngine:
     """Cached Lebesgue moments of products of shifted base polynomials.
 
@@ -215,8 +223,7 @@ class MomentEngine:
     record the quadrature oracle replays.
     """
 
-    def __init__(self, trunc: Truncation = DEFAULT_TRUNCATION):
-        self.trunc = trunc
+    def __init__(self):
         self.bases: List[TrigPoly] = []
         self._base_ids: Dict[bytes, int] = {}
         self._terms: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -238,7 +245,7 @@ class MomentEngine:
 
     def shifted(self, ref: FactorRef) -> TrigPoly:
         """Base ref[0] composed with S0^ref[1], every term (not cached)."""
-        return self.bases[ref[0]].compose_power(ref[1], self.trunc)
+        return self.bases[ref[0]].compose_power(ref[1])
 
     def _bounds(self, bid: int, lp, centred: bool):
         """(amin, amax, bmin, bmax) of base bid composed with S0^l, given
@@ -250,61 +257,49 @@ class MomentEngine:
             amin = bmin = 0.0
         return lp * amin, lp * amax, bmin / lp, bmax / lp
 
-    def connected_shifts(self, fixed: Sequence[FactorRef], free: Sequence[int],
-                         lo: int, hi: int) -> Iterator[Tuple[int, ...]]:
-        """Shift tuples l in [lo, hi]^len(free), in _shift_tuples order, at
-        which the joint cumulant of fixed + zip(free, l) can be nonzero.
+    def connected_grid(self, fixed: Sequence[FactorRef], free: Sequence[int],
+                       lo: int, hi: int):
+        """Mask over [lo, hi]^len(free): the shift tuples l at which the
+        joint cumulant of fixed + zip(free, l) can be nonzero; a bool when
+        free is empty.
 
         A joint cumulant of two or more factors ignores constant terms, so
         each factor is taken centred.  If one factor is cut (see _cut), no
         block containing it has a zero-sum frequency selection, and every
-        partition term of the cumulant vanishes.  The test is one numpy
-        mask over the whole grid.
+        partition term of the cumulant vanishes.  Each bound scales by
+        lambda_+^l from Python's power, the scalar test's own, so the mask
+        agrees bit for bit with that test at each tuple.
         """
         s = len(free)
-        if len(fixed) + s < 2:
-            yield from _shift_tuples(s, lo, hi)
-            return
         bounds = [self._bounds(bid, LAMBDA_PLUS ** sh, True) for bid, sh in fixed]
-        powers = LAMBDA_PLUS ** np.arange(lo, hi + 1, dtype=float)
+        if s == 0:
+            return not _cut(bounds)
+        powers = np.array([LAMBDA_PLUS ** sh for sh in range(lo, hi + 1)])
         for axis, bid in enumerate(free):
             shape = [1] * s
             shape[axis] = -1
             bounds.append(self._bounds(bid, powers.reshape(shape), True))
-        cut = _cut(bounds)
-        if s == 0:
-            if not cut:
+        return ~np.broadcast_to(_cut(bounds), (len(powers),) * s)
+
+    def connected_shifts(self, fixed: Sequence[FactorRef], free: Sequence[int],
+                         lo: int, hi: int) -> Iterator[Tuple[int, ...]]:
+        """The tuples of connected_grid, in _shift_tuples order; every
+        tuple when fewer than two factors take part."""
+        if len(fixed) + len(free) < 2:
+            yield from _shift_tuples(len(free), lo, hi)
+            return
+        keep = self.connected_grid(fixed, free, lo, hi)
+        if not free:
+            if keep:
                 yield ()
             return
-        keep = ~np.broadcast_to(cut, (len(powers),) * s)
         for idx in (np.argwhere(keep) + lo).tolist():
             yield tuple(idx)
-
-    def connected_grid(self, ids: Sequence[int], lo: int, hi: int
-                       ) -> np.ndarray:
-        """Mask over [lo, hi]^(len(ids) - 1): the shift tuples l at which the
-        joint cumulant of zip(ids, l + (0,)) can be nonzero.
-
-        Every factor is centred, and each bound is computed as
-        connected_shifts computes it for a fixed factor (lambda_+^l by
-        Python's power), so the mask agrees bit for bit with that scalar
-        test at each tuple.
-        """
-        s = len(ids) - 1
-        powers = np.array([LAMBDA_PLUS ** sh for sh in range(lo, hi + 1)])
-        bounds = []
-        for axis, bid in enumerate(ids[:-1]):
-            shape = [1] * s
-            shape[axis] = -1
-            bounds.append(self._bounds(bid, powers.reshape(shape), True))
-        bounds.append(self._bounds(ids[-1], LAMBDA_PLUS ** 0, True))
-        return ~np.broadcast_to(_cut(bounds), (len(powers),) * s)
 
     def moment(self, refs: Sequence[FactorRef]) -> float:
         if not refs:
             return 1.0
-        shift0 = min(r[1] for r in refs)
-        key = tuple(sorted((bid, sh - shift0) for bid, sh in refs))
+        key = _canonical(refs)
         val = self.moments.get(key)
         if val is not None:
             return val
@@ -343,7 +338,7 @@ class MomentEngine:
             poly = self.bases[bid]
             if not keep.all():
                 poly = poly.take(keep)
-            out.append(poly.compose_power(sh, self.trunc))
+            out.append(poly.compose_power(sh))
         return out
 
     def ursell(self, refs: Sequence[FactorRef]) -> float:
@@ -351,8 +346,7 @@ class MomentEngine:
         n = len(refs)
         if n == 1:
             return self.moment(refs)
-        shift0 = min(r[1] for r in refs)
-        key = tuple(sorted((bid, sh - shift0) for bid, sh in refs))
+        key = _canonical(refs)
         cached = self._ursells.get(key)
         if cached is not None:
             return cached
@@ -392,21 +386,18 @@ class CorrelationEngine:
     """SRB means, cumulants, and joint cumulants for one force."""
 
     def __init__(self, force: HarmonicForce, max_order: int = 4,
-                 trunc: Truncation = DEFAULT_TRUNCATION,
-                 shift_window: int = DEFAULT_SHIFT_WINDOW,
-                 order_cap: int = ORDER_CAP):
-        if max_order > order_cap:
-            raise ValueError(f"order {max_order} beyond cap {order_cap}")
+                 shift_window: int = DEFAULT_SHIFT_WINDOW):
+        if max_order > ORDER_CAP:
+            raise ValueError(f"order {max_order} beyond cap {ORDER_CAP}")
         self.force = force
         self.max_order = max_order
-        self.trunc = trunc
         self.shift_window = shift_window
-        # both series extend lazily to whatever depth the requested orders
-        # actually need (deep chain orders are the expensive part)
-        self.conj = ConjugationSeries(force, 1, trunc, order_cap=order_cap + 2)
-        self.expansion = ExpansionRateSeries(force, 1, boundary=False,
-                                             trunc=trunc, order_cap=order_cap + 2)
-        self.engine = MomentEngine(trunc)
+        # the series extend lazily to whatever depth the requested orders
+        # actually need (deep chain orders are the expensive part); the
+        # observables and the rate series share one conjugation series
+        self.expansion = ExpansionRateSeries(force, 1, boundary=False)
+        self.conj = self.expansion.rates.conj
+        self.engine = MomentEngine()
         self._insertion_ids: Dict[int, int] = {}
         # observables are numbered by their canonical key; the composed base
         # ids and contracted averages are cached per observable number
@@ -453,8 +444,8 @@ class CorrelationEngine:
                 if j <= obs.max_order and obs.orders[j]:
                     self.conj.extend_to(max(1, n - j))
                     total = total + chain_order(obs.orders[j], self.conj.h_plus,
-                                                self.conj.h_minus, n - j, self.trunc)
-            ids.append(self.engine.register(total.prune(self.trunc.coeff_tol)))
+                                                self.conj.h_minus, n - j)
+            ids.append(self.engine.register(total.prune()))
         return ids
 
     def composed_average(self, obs: ObservableSeries, n: int) -> float:
@@ -617,7 +608,8 @@ class CorrelationEngine:
         for obs_orders, _ in _mixed_splits(fam.min_orders, 0, fam.m):
             ids = [fam.ids[i][o] for i, o in enumerate(obs_orders)]
             if all(self.engine.bases[bid] for bid in ids):
-                alive |= self.engine.connected_grid(ids, -window, window)
+                alive |= self.engine.connected_grid([(ids[-1], 0)], ids[:-1],
+                                                    -window, window)
         return [tuple(idx) for idx in (np.argwhere(alive) - window).tolist()]
 
 
@@ -653,11 +645,10 @@ class CumulantTable:
 
 
 def build_table(force: HarmonicForce, max_order: int = 4,
-                trunc: Truncation = DEFAULT_TRUNCATION,
                 shift_window: int = DEFAULT_SHIFT_WINDOW,
                 engine: Optional[CorrelationEngine] = None) -> CumulantTable:
     """Fill means and cumulants C_2..C_max through total eps-order max_order."""
-    eng = engine or CorrelationEngine(force, max_order, trunc, shift_window)
+    eng = engine or CorrelationEngine(force, max_order, shift_window)
     table = CumulantTable(max_order, shift_window=shift_window)
 
     def snap(v: float) -> float:
@@ -685,7 +676,6 @@ class TransportMatrix:
 
 
 def transport_matrix(force_family: Sequence[HarmonicForce],
-                     trunc: Truncation = DEFAULT_TRUNCATION,
                      shift_window: int = DEFAULT_SHIFT_WINDOW) -> TransportMatrix:
     """L_ij = 1/2 sum_k <J_i o S0^k ; J_j>_0 with J_i = d sigma / d G_i |_0.
 
@@ -702,7 +692,7 @@ def transport_matrix(force_family: Sequence[HarmonicForce],
         for j in range(s):
             total = 0.0
             for k in range(-shift_window, shift_window + 1):
-                shifted = currents[i].compose_power(k, trunc)
+                shifted = currents[i].compose_power(k)
                 total += (product_average([shifted, currents[j]])
                           - currents[i].average() * currents[j].average())
             L[i][j] = 0.5 * total
@@ -782,7 +772,7 @@ def replay_moments_on_grid(engine: MomentEngine, n: int = 256,
     worst_escalated = 0.0
     if deviating and escalate_n is not None:
         # re-check only the deviating moments on the finer coprime grid
-        view = MomentEngine(engine.trunc)
+        view = MomentEngine()
         view.bases = engine.bases
         view.moments = dict(deviating)
         fine = replay_moments_on_grid(view, escalate_n, cache_budget=cache_budget)
@@ -797,7 +787,3 @@ class ReplayReport:
     worst: float
     aliased: int = 0
     worst_escalated: float = 0.0
-
-    def __iter__(self):
-        # unpacking compatibility: count, worst
-        return iter((self.count, self.worst))

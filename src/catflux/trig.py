@@ -78,7 +78,10 @@ class FrequencyCapError(ValueError):
 
 @dataclass(frozen=True)
 class Truncation:
-    """Truncation policy shared by all series machinery.
+    """Truncation policy of the kernels compose_power and geometric_sum.
+
+    The exact engine (conjugation, cumulants) always runs on
+    DEFAULT_TRUNCATION; other values serve kernel-level work and tests.
 
     max_p is the cap on geometric-sum indices; coeff_tol prunes coefficients;
     max_freq_norm is a safety cap on |nu|_inf against runaway compositions.
@@ -393,7 +396,7 @@ class TrigPoly:
         """The terms selected by a boolean mask over the columns."""
         return TrigPoly._of(self.n1[mask], self.n2[mask], self.c[mask])
 
-    def prune(self, tol: float) -> "TrigPoly":
+    def prune(self, tol: float = DEFAULT_TRUNCATION.coeff_tol) -> "TrigPoly":
         keep = np.abs(self.c) > tol
         return self if keep.all() else self.take(keep)
 

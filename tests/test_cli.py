@@ -1,9 +1,13 @@
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+import catflux.cli as cli
 from catflux.cli import force_from_config, load_config, main
+
+BENCH_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -89,6 +93,20 @@ class TestConfigHandling:
 
     def test_usage_error(self, tmp_path):
         assert main(["nonsense", "--config", "x"]) == 1
+
+
+class TestBenchSpans:
+    def test_cli_spans_name_cli_attributes(self):
+        # the traced bench wraps these names on catflux.cli by getattr; a
+        # name the CLI no longer imports would break every traced run
+        tree = ast.parse(BENCH_LAYERS.read_text())
+        spans = next(node.value for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == "CLI_SPANS"
+                             for t in node.targets))
+        names = [ast.literal_eval(key) for key in spans.keys]
+        assert "conjugation_order_k" in names
+        assert [n for n in names if not hasattr(cli, n)] == []
 
 
 class TestCumulantsCommand:

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from catflux.conjugation import (ConjugationSeries, OrderCapError,
+from catflux.conjugation import (ConjugationSeries, OrderCapError, RateSeries,
                                  chain_average, chain_order,
-                                 conjugacy_residual, conjugation_order1,
-                                 conjugation_order_k, expansion_rate_series,
-                                 radius_estimate, rates_order1, rates_order_k)
+                                 conjugacy_residual, conjugation_order_k,
+                                 expansion_rate_series, radius_estimate)
 from catflux.cumulants import sigma_series
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
 from catflux.trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS,
@@ -20,7 +19,7 @@ NP = math.sqrt(LAMBDA_PLUS + 1)
 class TestConjugationFirstOrder:
     def test_leading_coefficients(self):
         # h_+^(1) = -sum_p lambda_+^{-(p+1)} (lambda_++1)^{-1/2} sin(S^p psi . e1)
-        hp, hm = conjugation_order1(FORCE)
+        hp = ConjugationSeries(FORCE, 1).h_plus[1]
         for p in range(0, 6):
             a, b, c, d = s0_power(p)
             nu = (a, b)  # (S0^T)^p e1
@@ -28,13 +27,15 @@ class TestConjugationFirstOrder:
             assert hp.coeffs[nu] == pytest.approx(want, rel=1e-12)
 
     def test_fixed_point_value(self):
-        hp, hm = conjugation_order1(FORCE)
+        series = ConjugationSeries(FORCE, 1)
+        hp, hm = series.h_plus[1], series.h_minus[1]
         assert abs(hp.evaluate(0.0, 0.0)) < 1e-13
         assert abs(hm.evaluate(0.0, 0.0)) < 1e-13
 
     def test_cohomology_identity(self):
         # lambda_+ h_+^(1)(psi) - h_+^(1)(S0 psi) + f_+(psi) = 0
-        hp, hm = conjugation_order1(FORCE)
+        series = ConjugationSeries(FORCE, 1)
+        hp, hm = series.h_plus[1], series.h_minus[1]
         f_plus = FORCE.f_alpha(+1)
         resid = LAMBDA_PLUS * hp - hp.compose_power(1) + f_plus
         assert resid.l1_norm() < 1e-12
@@ -43,10 +44,10 @@ class TestConjugationFirstOrder:
         assert resid_m.l1_norm() < 1e-12
 
     def test_order1_matches_series(self):
-        hp, hm = conjugation_order1(FORCE)
-        series = conjugation_order_k(FORCE, 1)
-        assert series.h_plus[1] == hp
-        assert series.h_minus[1] == hm
+        first = ConjugationSeries(FORCE, 1)
+        series = conjugation_order_k(FORCE, 3)
+        assert series.h_plus[1] == first.h_plus[1]
+        assert series.h_minus[1] == first.h_minus[1]
 
 
 class TestConjugationHigherOrders:
@@ -57,8 +58,8 @@ class TestConjugationHigherOrders:
             assert abs(series.h_minus[k].evaluate(0.0, 0.0)) < 1e-11
 
     def test_order_cap(self):
-        with pytest.raises(OrderCapError):
-            conjugation_order_k(FORCE, 9)
+        with pytest.raises(OrderCapError, match="beyond cap 8"):
+            ConjugationSeries(FORCE, 9)
 
     def test_residual_at_fixed_point(self):
         res = conjugacy_residual(FORCE, 2, [1e-3, 3e-3], grid_n=2)
@@ -94,14 +95,16 @@ class TestChainAverage:
 
 class TestRates:
     def test_gamma_first_order(self):
-        gp, gm, kp, km = rates_order1(FORCE)
+        r = RateSeries(FORCE, 1)
+        gp, gm = r.gamma_plus[1], r.gamma_minus[1]
         want = TrigPoly.cosine((1, 0), 1.0 / (LAMBDA_PLUS + 1))
         assert (gp - want).l1_norm() < 1e-12
         assert gp.evaluate(0.0, 0.0) == pytest.approx(1.0 / (LAMBDA_PLUS + 1), abs=1e-12)
         assert gm.evaluate(0.0, 0.0) == pytest.approx(1.0 / (LAMBDA_MINUS + 1), abs=1e-12)
 
     def test_k_first_order_formulas(self):
-        gp, gm, kp, km = rates_order1(FORCE)
+        r = RateSeries(FORCE, 1)
+        kp, km = r.k_plus[1], r.k_minus[1]
         # k_+^(1) = -sum_n lambda_+^{-(2n+1)} d_- f_+ o S0^n
         f_plus = FORCE.f_alpha(+1)
         f_minus = FORCE.f_alpha(-1)
@@ -115,7 +118,7 @@ class TestRates:
         assert (km - want_m).l1_norm() < 1e-10
 
     def test_k_plus_fixed_point_numeric(self):
-        _, _, kp, _ = rates_order1(FORCE)
+        kp = RateSeries(FORCE, 1).k_plus[1]
         # evaluate the truncated sum at the fixed point: every term carries
         # cos(0) so the value is the plain geometric sum of the weights
         want = sum(-(LAMBDA_PLUS ** -(2 * n + 1)) * V_MINUS[0] / NP
@@ -125,7 +128,7 @@ class TestRates:
     def test_defining_relation_residual(self):
         # DS_eps(H(psi)) w_pm(psi) = lambda_pm(psi) w_pm(S0 psi), order K=2
         K = 2
-        rates = rates_order_k(FORCE, K)
+        rates = RateSeries(FORCE, K)
         conj = rates.conj
         eps = 2e-3
         sys1 = CatSystem(epsilon=eps, force=FORCE)
@@ -155,7 +158,7 @@ class TestRates:
         assert worst < 50 * eps ** (K + 1)
 
     def test_neumann_tail_recorded(self):
-        rates = rates_order_k(FORCE, 2)
+        rates = RateSeries(FORCE, 2)
         assert all(t >= 0.0 for t in rates.tail_bounds)
         assert rates.tail_bounds[1] < 1e-12
 

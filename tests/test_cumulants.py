@@ -148,6 +148,16 @@ class TestJointCumulants:
         assert abs(first) < 10.0  # finite, genuinely nonequilibrium
 
 
+class TestEngineSeries:
+    def test_one_conjugation_series(self, single_engine, single_table):
+        # the composed observables and the rate series read one H
+        assert single_engine.conj is single_engine.expansion.rates.conj
+
+    def test_order_cap(self, single_force):
+        with pytest.raises(ValueError, match="beyond cap 6"):
+            CorrelationEngine(single_force, 7)
+
+
 class TestContractedMean:
     # the top-order mean reads (sigma o H)^(m) only at nu = 0, so it is
     # contracted instead of registered: criterion 6's replay no longer sees
@@ -216,7 +226,7 @@ class FullWindowMoments(MomentEngine):
 
 def full_window_table(force, order):
     eng = CorrelationEngine(force, max_order=order)
-    eng.engine = FullWindowMoments(eng.trunc)
+    eng.engine = FullWindowMoments()
     return build_table(force, order, engine=eng)
 
 
