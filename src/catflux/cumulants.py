@@ -243,10 +243,6 @@ class MomentEngine:
             self._projections.append(_projections(poly, terms))
         return bid
 
-    def shifted(self, ref: FactorRef) -> TrigPoly:
-        """Base ref[0] composed with S0^ref[1], every term (not cached)."""
-        return self.bases[ref[0]].compose_power(ref[1])
-
     def _bounds(self, bid: int, lp, centred: bool):
         """(amin, amax, bmin, bmax) of base bid composed with S0^l, given
         lp = lambda_+^l (a float or an array).  S0 is symmetric, so

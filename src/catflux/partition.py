@@ -47,12 +47,22 @@ MIXING_CAP = 20        # largest mixing time transition_matrix searches
 BOUNDARY_TOL = 1e-12   # eigen-coordinate distance that counts as boundary
 BLOCK = 16             # orbit steps per S^j block in birkhoff_frequencies
 GRID = 64              # CellTable cells per side of [0,1)^2
-CELL_MARGIN = 1e-9     # slack of CellTable's footprint tests
+CELL_MARGIN = 1e-9     # slack of CellTable's tests and of the float shadows
 CHUNK = 1 << 16        # points per pass of CellTable.assign
 
 
 class PartitionError(RuntimeError):
     pass
+
+
+def _lattice_shadow(m, n):
+    """Float shadow (A, B) of lattice_coords(m, n), for ints or arrays.
+
+    Off by a few ulp of max(|m|, |n|): under 1e-13 for |m|, |n| < 10^2,
+    like float(Q5) of a value below 10^2.  Geometry tests that widen their
+    bounds by CELL_MARGIN therefore never drop what the exact test keeps.
+    """
+    return (n - _NU * m) / _RT5, (_MU * m - n) / _RT5
 
 
 @dataclass(frozen=True)
@@ -129,16 +139,31 @@ class MarkovPartition:
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
-def _first_crossing(cross: List[Tuple[Q5, Q5]], end: Q5, sign: int,
-                    axis: int, lo: Q5, hi: Q5) -> Q5:
+def _first_crossing(cross: List[Tuple[Q5, Q5]], fcross: np.ndarray, end: Q5,
+                    sign: int, axis: int, lo: Q5, hi: Q5) -> Q5:
     """Least sign * p[axis] >= end over the crossings p = (t, s) whose other
-    parameter lies in [lo, hi]; end itself when end is such a crossing."""
-    best = None
-    for p in cross:
+    parameter lies in [lo, hi]; end itself when end is such a crossing.
+
+    fcross holds the float shadows of cross.  Only the crossings whose
+    shadows pass the window widened by CELL_MARGIN are tested exactly, in
+    ascending shadow order, up to the first shadow that clears the best
+    exact value by the margin; the shadows are off by far less (see
+    _lattice_shadow).
+    """
+    eps = CELL_MARGIN
+    fv = sign * fcross[:, axis]
+    other = fcross[:, 1 - axis]
+    near = np.flatnonzero((other >= float(lo) - eps) & (other <= float(hi) + eps)
+                          & (fv >= float(end) - eps))
+    best = cut = None
+    for i in near[np.argsort(fv[near], kind="stable")]:
+        if best is not None and fv[i] > cut:
+            break
+        p = cross[i]
         if lo <= p[1 - axis] <= hi:
             v = p[axis] if sign > 0 else -p[axis]
             if v >= end and (best is None or v < best):
-                best = v
+                best, cut = v, fv[i] + eps
     if best is None:
         side = ("an unstable", "a stable")[axis]
         raise PartitionError(
@@ -148,7 +173,8 @@ def _first_crossing(cross: List[Tuple[Q5, Q5]], end: Q5, sign: int,
 
 
 def _close_endpoints(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
-                     cross: List[Tuple[Q5, Q5]]) -> Tuple[Q5, Q5, Q5, Q5]:
+                     cross: List[Tuple[Q5, Q5]], fcross: np.ndarray
+                     ) -> Tuple[Q5, Q5, Q5, Q5]:
     """Monotone endpoint closure: each segment end is pushed out to the
     first crossing whose partner parameter lies inside the current opposite
     segment.  Extending a segment never invalidates a closed endpoint, so
@@ -162,7 +188,8 @@ def _close_endpoints(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
         for k, sign in ((1, 1), (0, -1), (3, 1), (2, -1)):
             axis = k // 2
             lo, hi = ends[2 - 2 * axis], ends[3 - 2 * axis]
-            end = _first_crossing(cross, ends[k], sign, axis, -1 * lo, hi)
+            end = _first_crossing(cross, fcross, ends[k], sign, axis,
+                                  -1 * lo, hi)
             changed = changed or end != ends[k]
             ends[k] = end
         if not changed:
@@ -190,15 +217,21 @@ def build_cat_partition() -> MarkovPartition:
     w = LATTICE_WINDOW
     coords = [lattice_coords(m, n) for m in range(-w, w + 1)
               for n in range(-w, w + 1)]
+    span = np.arange(-w, w + 1)
+    fcoords = np.stack(_lattice_shadow(np.repeat(span, 2 * w + 1),
+                                       np.tile(span, 2 * w + 1)), axis=1)
     # crossings (t, s) = (A, -B) of the master lines; the origin is not one
-    cross = [(A, -1 * B) for A, B in coords if not (A == 0 and B == 0)]
+    off = [i for i, (A, B) in enumerate(coords) if not (A == 0 and B == 0)]
+    cross = [(coords[i][0], -1 * coords[i][1]) for i in off]
+    fcross = fcoords[off] * (1.0, -1.0)
     eps0 = Q5(Fraction(1, 10))
     u_minus = u_plus = s_minus = s_plus = eps0
 
     for _ in range(MAX_REFINEMENTS):
         u_minus, u_plus, s_minus, s_plus = _close_endpoints(
-            u_minus, u_plus, s_minus, s_plus, cross)
-        rects = _extract_rectangles(u_minus, u_plus, s_minus, s_plus, coords)
+            u_minus, u_plus, s_minus, s_plus, cross, fcross)
+        rects = _extract_rectangles(u_minus, u_plus, s_minus, s_plus, coords,
+                                    fcoords)
         part = MarkovPartition(rects)
         total = part.total_area()
         if not total == Q5(1):
@@ -230,7 +263,8 @@ def build_cat_partition() -> MarkovPartition:
 
 
 def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
-                        coords: List[Tuple[Q5, Q5]]) -> List[Rectangle]:
+                        coords: List[Tuple[Q5, Q5]], fcoords: np.ndarray
+                        ) -> List[Rectangle]:
     """Probe next to every boundary crossing; snap walls exactly.
 
     The boundary pieces near the fundamental domain form an axis-aligned
@@ -242,23 +276,20 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
     (center reduced into [0,1)^2) representative.  coords holds the
     eigen-coordinates (A, B) of the lattice translates near the origin;
     each carries a horizontal (unstable) piece b = B, a in [A - u-, A + u+]
-    and a vertical (stable) piece a = A, b in [B - s-, B + s+].
+    and a vertical (stable) piece a = A, b in [B - s-, B + s+].  The pieces
+    are located in floats, from fcoords (the float shadows of coords).
     """
-    horiz = [(B, A - u_minus, A + u_plus) for A, B in coords]
-    vert = [(A, B - s_minus, B + s_plus) for A, B in coords]
+    um, up, sm, sp = map(float, (u_minus, u_plus, s_minus, s_plus))
+    fa, fb = fcoords.T
     # generous piece region: canonical neighborhood padded by segment spans
-    amax = 2.0 + 1.5 * float(u_minus + u_plus)
-    bmax = 2.0 + 1.5 * float(s_minus + s_plus)
-    vert_n = [(a, lo, hi) for a, lo, hi in vert
-              if abs(float(a)) <= amax and float(hi) >= -bmax and float(lo) <= bmax]
-    horiz_n = [(b, lo, hi) for b, lo, hi in horiz
-               if abs(float(b)) <= bmax and float(hi) >= -amax and float(lo) <= amax]
-    va = np.array([float(a) for a, _, _ in vert_n])
-    vlo = np.array([float(lo) for _, lo, _ in vert_n])
-    vhi = np.array([float(hi) for _, _, hi in vert_n])
-    hb = np.array([float(b) for b, _, _ in horiz_n])
-    hlo = np.array([float(lo) for _, lo, _ in horiz_n])
-    hhi = np.array([float(hi) for _, _, hi in horiz_n])
+    amax = 2.0 + 1.5 * (um + up)
+    bmax = 2.0 + 1.5 * (sm + sp)
+    vert_n = np.flatnonzero((np.abs(fa) <= amax) & (fb + sp >= -bmax)
+                            & (fb - sm <= bmax))
+    horiz_n = np.flatnonzero((np.abs(fb) <= bmax) & (fa + up >= -amax)
+                             & (fa - um <= amax))
+    va, vlo, vhi = fa[vert_n], fb[vert_n] - sm, fb[vert_n] + sp
+    hb, hlo, hhi = fb[horiz_n], fa[horiz_n] - um, fa[horiz_n] + up
 
     # probes: four quadrants around every crossing near the canonical region
     probes: List[Tuple[float, float]] = []
@@ -273,6 +304,7 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
 
     guard = 1e-10
     boxes: Dict[tuple, Tuple[Q5, Q5, Q5, Q5]] = {}
+    read = set()    # wall index tuples already read off
     for a, b in probes:
         vcover = (vlo - guard <= b) & (b <= vhi + guard)
         left = np.where(vcover & (va < a - guard))[0]
@@ -282,12 +314,15 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
         up = np.where(hcover & (hb > b + guard))[0]
         if not (len(left) and len(right) and len(down) and len(up)):
             continue
-        li = left[np.argmax(va[left])]
-        ri = right[np.argmin(va[right])]
-        di = down[np.argmax(hb[down])]
-        ui = up[np.argmin(hb[up])]
-        a0, a1 = vert_n[li][0], vert_n[ri][0]
-        b0, b1 = horiz_n[di][0], horiz_n[ui][0]
+        walls = (vert_n[left[np.argmax(va[left])]],
+                 vert_n[right[np.argmin(va[right])]],
+                 horiz_n[down[np.argmax(hb[down])]],
+                 horiz_n[up[np.argmin(hb[up])]])
+        if walls in read:
+            continue
+        read.add(walls)
+        a0, a1 = coords[walls[0]][0], coords[walls[1]][0]
+        b0, b1 = coords[walls[2]][1], coords[walls[3]][1]
         box = _canonical_box(a0, b0, a1 - a0, b1 - b0)
         key = (box[0].to_string(), box[1].to_string(),
                box[2].to_string(), box[3].to_string())
@@ -458,16 +493,29 @@ def transition_matrix(partition: MarkovPartition) -> TransitionMatrix:
 
 def _lattice_overlaps(a0, a1, b0, b1, c0, c1, d0, d1) -> List[Tuple[Q5, Q5]]:
     """Translates (A, B) giving open overlap of [a0,a1]x[b0,b1] with
-    [c0,c1]x[d0,d1] + (A, B)."""
-    x_lo = float(a0 + b0) - float(c1 + d1) - 1
-    x_hi = float(a1 + b1) - float(c0 + d0) + 1
-    y_lo = (float(a0) * _MU + float(b1) * _NU
-            - float(c1) * _MU - float(d0) * _NU) - 2
-    y_hi = (float(a1) * _MU + float(b0) * _NU
-            - float(c0) * _MU - float(d1) * _NU) + 2
+    [c0,c1]x[d0,d1] + (A, B), in (m, n) order.
+
+    An overlap needs A in (a0 - c1, a1 - c0) and B in (b0 - d1, b1 - d0).
+    Each (m, n) is tested first by its float shadow against those bounds
+    widened by CELL_MARGIN, and only the candidates that pass are tested
+    exactly.  A bound is a difference of two float(Q5) values, and it is
+    compared with a shadow: the three are off by less than 1e-12 in all
+    (see _lattice_shadow), so the filter never drops a translate the exact
+    test keeps.
+    """
+    fa0, fa1, fb0, fb1, fc0, fc1, fd0, fd1 = map(
+        float, (a0, a1, b0, b1, c0, c1, d0, d1))
+    eps = CELL_MARGIN
+    a_lo, a_hi = fa0 - fc1 - eps, fa1 - fc0 + eps
+    b_lo, b_hi = fb0 - fd1 - eps, fb1 - fd0 + eps
     hits = []
-    for m in range(math.floor(x_lo), math.ceil(x_hi) + 1):
-        for n in range(math.floor(y_lo), math.ceil(y_hi) + 1):
+    # m = A + B and n = mu A + nu B, with mu > 0 > nu
+    for m in range(math.floor(a_lo + b_lo), math.ceil(a_hi + b_hi) + 1):
+        for n in range(math.floor(_MU * a_lo + _NU * b_hi),
+                       math.ceil(_MU * a_hi + _NU * b_lo) + 1):
+            fa, fb = _lattice_shadow(m, n)
+            if not (a_lo < fa < a_hi and b_lo < fb < b_hi):
+                continue
             A, B = lattice_coords(m, n)
             if (min(a1, c1 + A) > max(a0, c0 + A)
                     and min(b1, d1 + B) > max(b0, d0 + B)):
@@ -496,6 +544,11 @@ class CellTable:
     translate shifted by its integer part; the margin, far above
     BOUNDARY_TOL and float rounding, keeps every translate that could hold
     the point in that list.
+
+    A cell is settled when its list holds one translate and the cell's
+    eigen-coordinate bounding box lies CELL_MARGIN inside it: every point
+    of the cell is then inside that box, farther than BOUNDARY_TOL from its
+    sides, and gets its id without a test (settled[cell], -1 elsewhere).
     """
 
     def __init__(self, boxes: List[Tuple[float, float, float, float]]):
@@ -509,19 +562,22 @@ class CellTable:
         cb0, cb1 = (mu * x0 - y1) / rt5, (mu * x1 - y0) / rt5
         eps = CELL_MARGIN
         cells: List[List[Tuple[int, int, int]]] = [[] for _ in range(GRID ** 2)]
+        holds = np.zeros(x0.shape, dtype=bool)
         for rid, (a0, b0, da, db) in enumerate(boxes):
             # (x, y) footprint [bx0, bx1] x [by0, by1] of the untranslated box
             bx0, bx1 = a0 + b0, a0 + da + b0 + db
             by0, by1 = a0 * mu + (b0 + db) * nu, (a0 + da) * mu + b0 * nu
             for m in range(math.floor(-bx1) - 1, math.ceil(1.0 - bx0) + 2):
                 for n in range(math.floor(-by1) - 1, math.ceil(1.0 - by0) + 2):
-                    A, B = (n - nu * m) / rt5, (mu * m - n) / rt5
+                    A, B = _lattice_shadow(m, n)
                     meets = ((x0 <= bx1 + m + eps) & (bx0 + m <= x1 + eps)
                              & (y0 <= by1 + n + eps) & (by0 + n <= y1 + eps)
                              & (ca0 <= a0 + da + A + eps) & (a0 + A <= ca1 + eps)
                              & (cb0 <= b0 + db + B + eps) & (b0 + B <= cb1 + eps))
                     for c in np.flatnonzero(meets.ravel()):
                         cells[c].append((rid, m, n))
+                    holds |= ((a0 + A + eps <= ca0) & (ca1 <= a0 + da + A - eps)
+                              & (b0 + B + eps <= cb0) & (cb1 <= b0 + db + B - eps))
         self.cells = cells
         # the same lists as arrays padded to the longest, for assign()
         width = max(map(len, cells))
@@ -530,6 +586,8 @@ class CellTable:
         for i, c in enumerate(cells):
             if c:
                 self.cand[i, :len(c)] = c
+        self.settled = np.where(holds.ravel() & (self.count == 1),
+                                self.cand[:, 0, 0], -1)
 
     def locate(self, x: float, y: float) -> Tuple[int, bool]:
         """See CatCoder.locate."""
@@ -538,9 +596,13 @@ class CellTable:
         kx, ky = math.floor(x), math.floor(y)
         ix = min(int((x - kx) * GRID), GRID - 1)
         iy = min(int((y - ky) * GRID), GRID - 1)
+        cell = ix * GRID + iy
+        settled = self.settled[cell]
+        if settled >= 0:
+            return int(settled), False
         hits: List[int] = []
         boundary = False
-        for rid, m, n in self.cells[ix * GRID + iy]:
+        for rid, m, n in self.cells[cell]:
             a0, b0, da, db = self.boxes[rid]
             px = x - (m + kx)
             py = y - (n + ky)
@@ -558,30 +620,36 @@ class CellTable:
         return min(hits), boundary
 
     def assign(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """See assign_rectangles; CHUNK points at a time."""
+        """See assign_rectangles; CHUNK points at a time.  Points of settled
+        cells take the cell's id; the others are tested slot by slot, each
+        until it hits."""
         mu, nu, rt5 = _MU, _NU, _RT5
         box = np.array(self.boxes).reshape(-1, 4)
         shape, x, y = x.shape, x.ravel(), y.ravel()
-        out = np.full(x.shape, -1, dtype=int)
+        out = np.empty(x.shape, dtype=int)
         for lo in range(0, x.size, CHUNK):
             xs, ys = x[lo:lo + CHUNK], y[lo:lo + CHUNK]
             kx, ky = np.floor(xs), np.floor(ys)
             ix = np.minimum(((xs - kx) * GRID).astype(int), GRID - 1)
             iy = np.minimum(((ys - ky) * GRID).astype(int), GRID - 1)
             cell = ix * GRID + iy
-            count = self.count[cell]
-            got = out[lo:lo + CHUNK]
+            got = self.settled[cell]
+            todo = np.flatnonzero(got < 0)
             # slots are sorted by id, so the first hit is the least id
             for k in range(self.cand.shape[1]):
-                rid, m, n = self.cand[cell, k].T
+                todo = todo[k < self.count[cell[todo]]]
+                if not todo.size:
+                    break
+                rid, m, n = self.cand[cell[todo], k].T
                 a0, b0, da, db = box[rid].T
-                px = xs - (m + kx)
-                py = ys - (n + ky)
+                px = xs[todo] - (m + kx[todo])
+                py = ys[todo] - (n + ky[todo])
                 a = (py - nu * px) / rt5
                 b = (mu * px - py) / rt5
-                hit = ((k < count) & (got < 0) & (a >= a0) & (a <= a0 + da)
-                       & (b >= b0) & (b <= b0 + db))
-                got[hit] = rid[hit]
+                hit = (a >= a0) & (a <= a0 + da) & (b >= b0) & (b <= b0 + db)
+                got[todo[hit]] = rid[hit]
+                todo = todo[~hit]
+            out[lo:lo + CHUNK] = got
         return out.reshape(shape)
 
 
@@ -705,15 +773,15 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
     mats = np.array([s0_power(j) for j in range(BLOCK)], dtype=float)
     blocks = -(-n_steps // BLOCK)
     # block starts: each is S applied to the last point of the block before
-    sx = np.empty(blocks)
-    sy = np.empty(blocks)
+    starts = []
     cx, cy = x0.psi1 / TWO_PI, x0.psi2 / TWO_PI
     al, bl, cl, dl = s0_power(BLOCK - 1)
-    for k in range(blocks):
-        sx[k], sy[k] = cx, cy
+    for _ in range(blocks):
+        starts.append((cx, cy))
         xl = (al * cx + bl * cy) % 1.0
         yl = (cl * cx + dl * cy) % 1.0
         cx, cy = (xl + yl) % 1.0, (xl + 2 * yl) % 1.0
+    sx, sy = np.array(starts).T
     a, b, c, d = (col[None, :] for col in mats.T)
     x = ((a * sx[:, None] + b * sy[:, None]) % 1.0).ravel()[:n_steps]
     y = ((c * sx[:, None] + d * sy[:, None]) % 1.0).ravel()[:n_steps]

@@ -228,24 +228,22 @@ def from_eigen(a: Q5, b: Q5) -> Tuple[Q5, Q5]:
 def lattice_from_eigen_shift(delta: Q5) -> Tuple[int, int] | None:
     """The unique (m, n) with A(m,n) == delta, if it is integral.
 
-    A(m,n) = m/2 + (2n - m) sqrt5/10, so m = 2 a-part and
-    n = 5 b-part + a-part must both be integers.
+    A(m,n) = m/2 + (2n - m) sqrt5/10, so with delta = (p + q sqrt5)/d,
+    m = 2p/d and n = (p + 5q)/d must both be integers.
     """
-    m = 2 * delta.a
-    n = 5 * delta.b + delta.a
-    if m.denominator != 1 or n.denominator != 1:
+    p, q, d = delta._p, delta._q, delta._d
+    if (2 * p) % d or (p + 5 * q) % d:
         return None
-    return int(m), int(n)
+    return 2 * p // d, (p + 5 * q) // d
 
 
 def lattice_from_b_shift(delta: Q5) -> Tuple[int, int] | None:
     """The unique (m, n) with B(m,n) == delta, if it is integral.
 
-    B(m,n) = m/2 + (m - 2n) sqrt5/10, so m = 2 a-part and
-    n = a-part - 5 b-part must both be integers.
+    B(m,n) = m/2 + (m - 2n) sqrt5/10, so with delta = (p + q sqrt5)/d,
+    m = 2p/d and n = (p - 5q)/d must both be integers.
     """
-    m = 2 * delta.a
-    n = delta.a - 5 * delta.b
-    if m.denominator != 1 or n.denominator != 1:
+    p, q, d = delta._p, delta._q, delta._d
+    if (2 * p) % d or (p - 5 * q) % d:
         return None
-    return int(m), int(n)
+    return 2 * p // d, (p - 5 * q) // d

@@ -1,16 +1,21 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catflux.partition as partition_module
-from catflux.partition import (CatCoder, CellTable, MarkovPartition,
-                               PartitionError, Rectangle, assign_rectangles,
-                               birkhoff_frequencies, build_cat_partition,
-                               partition_from_json, partition_to_json,
-                               transition_matrix, verify_markov)
+from catflux.partition import (GRID, CatCoder, CellTable, MarkovPartition,
+                               PartitionError, Rectangle, _first_crossing,
+                               _lattice_overlaps, _lattice_shadow,
+                               assign_rectangles, birkhoff_frequencies,
+                               build_cat_partition, partition_from_json,
+                               partition_to_json, transition_matrix,
+                               verify_markov)
 from catflux.qfield import (LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, eigen_coords,
                             from_eigen, lattice_coords, lattice_from_b_shift,
                             lattice_from_eigen_shift)
@@ -19,6 +24,8 @@ from fractions import Fraction
 
 LAMBDA_PLUS = (3 + math.sqrt(5)) / 2
 TWO_PI = 2 * math.pi
+REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+             / "cat_partition.json")
 
 
 class TestLatticeCoords:
@@ -79,6 +86,19 @@ class TestConstruction:
     def test_spectral_radius_is_lambda_plus(self, cat_matrix):
         rho = max(abs(np.linalg.eigvals(cat_matrix.T.astype(float))))
         assert rho == pytest.approx(LAMBDA_PLUS, abs=1e-9)
+
+
+class TestGolden:
+    def test_build_equals_reference(self, cat_partition, cat_matrix):
+        # the committed reference partition pins the build bit for bit
+        ref = json.loads(REFERENCE.read_text())
+        built = json.loads(partition_to_json(cat_partition))
+        assert built["provenance"] == ref["partition"]["provenance"]
+        assert len(built["rectangles"]) == len(ref["partition"]["rectangles"])
+        for got, want in zip(built["rectangles"], ref["partition"]["rectangles"]):
+            assert got == want
+        assert cat_matrix.T.tolist() == ref["transition_matrix"]
+        assert cat_matrix.mixing_time == ref["mixing_time"]
 
 
 class TestVerifyRejectsBadPartitions:
@@ -146,6 +166,125 @@ class TestStrips:
         assert set(loaded._strips) == allowed
         assert coder._pair_translate == {
             pair: cat_partition.strips(*pair)[0] for pair in allowed}
+
+
+def scan_overlaps(a0, a1, b0, b1, c0, c1, d0, d1):
+    """Reference for _lattice_overlaps: every (m, n) of the float bounding
+    range of the two boxes, tested exactly."""
+    x_lo = float(a0 + b0) - float(c1 + d1) - 1
+    x_hi = float(a1 + b1) - float(c0 + d0) + 1
+    y_lo = float(a0) * MU + float(b1) * NU - float(c1) * MU - float(d0) * NU - 2
+    y_hi = float(a1) * MU + float(b0) * NU - float(c0) * MU - float(d1) * NU + 2
+    hits = []
+    for m in range(math.floor(x_lo), math.ceil(x_hi) + 1):
+        for n in range(math.floor(y_lo), math.ceil(y_hi) + 1):
+            A, B = lattice_coords(m, n)
+            if (min(a1, c1 + A) > max(a0, c0 + A)
+                    and min(b1, d1 + B) > max(b0, d0 + B)):
+                hits.append((A, B))
+    return hits
+
+
+q5s = st.builds(lambda a, b: Q5(Fraction(a, 20), Fraction(b, 40)),
+                st.integers(-60, 60), st.integers(-40, 40))
+extents = q5s.map(abs).filter(lambda v: v.sign() > 0)
+# offsets from an exact contact: none, and either sign below 1e-9, rational
+# and irrational (lambda_-^22 ~ 6e-10)
+SLIVER = math.prod([LAMBDA_MINUS_Q] * 22, start=Q5(1))
+TINY = [Q5(0), Q5(Fraction(1, 10 ** 10)), Q5(Fraction(-1, 10 ** 10)),
+        SLIVER, -1 * SLIVER]
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes, the second free or put on a side or corner of the first
+    after the translate (m, n), give or take a tiny offset."""
+    a0, b0, da, db = draw(q5s), draw(q5s), draw(extents), draw(extents)
+    c0, d0, dc, dd = draw(q5s), draw(q5s), draw(extents), draw(extents)
+    A, B = lattice_coords(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    tiny = draw(st.sampled_from(TINY))
+    side_a = draw(st.sampled_from((None, "lo", "hi")))
+    side_b = draw(st.sampled_from((None, "lo", "hi")))
+    if side_a == "hi":      # c0 + A on a1
+        c0 = a0 + da - A + tiny
+    elif side_a == "lo":    # c1 + A on a0
+        c0 = a0 - dc - A - tiny
+    if side_b == "hi":
+        d0 = b0 + db - B + tiny
+    elif side_b == "lo":
+        d0 = b0 - dd - B - tiny
+    return a0, a0 + da, b0, b0 + db, c0, c0 + dc, d0, d0 + dd
+
+
+class TestLatticeOverlaps:
+    @settings(deadline=None, max_examples=400)
+    @given(box_pairs())
+    def test_filter_matches_exact_scan(self, boxes):
+        assert _lattice_overlaps(*boxes) == scan_overlaps(*boxes)
+
+    def test_contacts_and_slivers(self):
+        # unit boxes side by side after the translate (1, 2): touching
+        # counts for nothing, an overlap of 1e-10 counts
+        A, B = lattice_coords(1, 2)
+        one = Q5(1)
+        for tiny, hit in ((Q5(0), False), (Q5(Fraction(1, 10 ** 10)), False),
+                          (Q5(Fraction(-1, 10 ** 10)), True)):
+            c0 = one - A + tiny
+            got = _lattice_overlaps(Q5(0), one, Q5(0), one,
+                                    c0, c0 + one, -1 * B, one - B)
+            assert ((A, B) in got) == hit
+            assert got == scan_overlaps(Q5(0), one, Q5(0), one,
+                                        c0, c0 + one, -1 * B, one - B)
+
+    def test_partition_boxes_match_exact_scan(self, cat_partition):
+        rects = cat_partition.rectangles
+        for i, r1 in enumerate(rects):
+            for r2 in rects[i:]:
+                assert (_lattice_overlaps(*r1.bounds(), *r2.bounds())
+                        == scan_overlaps(*r1.bounds(), *r2.bounds()))
+
+
+def small_crossings(w):
+    """Crossings (A, -B) of the translates |m|, |n| <= w but the origin, and
+    their float shadows, as build_cat_partition makes them."""
+    mn = [(m, n) for m in range(-w, w + 1) for n in range(-w, w + 1)
+          if (m, n) != (0, 0)]
+    cross = [(A, -1 * B) for A, B in (lattice_coords(m, n) for m, n in mn)]
+    fa, fb = _lattice_shadow(*np.array(mn).T)
+    return cross, np.stack([fa, -fb], axis=1)
+
+
+def scan_first_crossing(cross, end, sign, axis, lo, hi):
+    """Reference for _first_crossing: every crossing tested exactly."""
+    best = None
+    for p in cross:
+        if lo <= p[1 - axis] <= hi:
+            v = p[axis] if sign > 0 else -p[axis]
+            if v >= end and (best is None or v < best):
+                best = v
+    return best
+
+
+CROSS, FCROSS = small_crossings(6)
+
+
+class TestFirstCrossing:
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 1), st.sampled_from((1, -1)),
+           st.integers(0, len(CROSS) - 1), st.integers(0, len(CROSS) - 1),
+           st.integers(0, len(CROSS) - 1), st.sampled_from(TINY),
+           st.sampled_from(TINY), st.sampled_from(TINY))
+    def test_filter_matches_exact_scan(self, axis, sign, i, j, k, t_lo, t_hi,
+                                       t_end):
+        # window ends and start on crossing parameters, give or take a sliver
+        lo, hi = sorted((CROSS[i][1 - axis] + t_lo, CROSS[j][1 - axis] + t_hi))
+        end = sign * CROSS[k][axis] + t_end
+        want = scan_first_crossing(CROSS, end, sign, axis, lo, hi)
+        if want is None:
+            with pytest.raises(PartitionError, match="no crossing"):
+                _first_crossing(CROSS, FCROSS, end, sign, axis, lo, hi)
+        else:
+            assert _first_crossing(CROSS, FCROSS, end, sign, axis, lo, hi) == want
 
 
 class TestCoding:
@@ -286,6 +425,23 @@ def boundary_points(partition):
     return np.array(pts).T
 
 
+def locate_all(table, x, y):
+    """(id, flag) of table.locate at each point; (-1, False) where it
+    raises."""
+    out = []
+    for px, py in zip(x, y):
+        try:
+            out.append(table.locate(float(px), float(py)))
+        except PartitionError:
+            out.append((-1, False))
+    return out
+
+
+def window_pairs(boxes, x, y):
+    ids, flags = window_locate(boxes, x, y)
+    return list(zip(ids.tolist(), flags.tolist()))
+
+
 class TestCellTable:
     @pytest.fixture(scope="class")
     def points(self, cat_partition):
@@ -317,7 +473,38 @@ class TestCellTable:
         x, y = points[:, :20_000]
         expected = window_assign(boxes, x, y)
         assert (expected < 0).any()
-        assert np.array_equal(CellTable(boxes).assign(x, y), expected)
+        table = CellTable(boxes)
+        assert np.array_equal(table.assign(x, y), expected)
+        assert locate_all(table, x, y) == window_pairs(boxes, x, y)
+
+    def test_lower_id_duplicate_matches_window_scan(self, cat_coder, points):
+        # id 0 is the middle quarter of the largest box, which now has a
+        # higher id: the least-id rule decides the points they share
+        boxes = list(cat_coder._cells.boxes)
+        k = max(range(len(boxes)), key=lambda i: boxes[i][2] * boxes[i][3])
+        a0, b0, da, db = boxes[k]
+        boxes = [(a0 + da / 4, b0 + db / 4, da / 2, db / 2)] + boxes
+        table = CellTable(boxes)
+        assert (table.settled >= 0).sum() > 0
+        assert (table.settled != 0).all()
+        x, y = points[:, :20_000]
+        expected = window_assign(boxes, x, y)
+        assert (expected == 0).sum() > 100
+        assert np.array_equal(table.assign(x, y), expected)
+        assert locate_all(table, x, y) == window_pairs(boxes, x, y)
+
+    def test_settled_cells_match_window_scan(self, cat_coder):
+        table = cat_coder._cells
+        cells = np.flatnonzero(table.settled >= 0)
+        assert cells.size > 0
+        ix, iy = np.divmod(cells, GRID)
+        for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1), (0.5, 0.5)):
+            x, y = (ix + dx) / GRID, (iy + dy) / GRID
+            ids, flags = window_locate(table.boxes, x, y)
+            assert np.array_equal(ids, table.settled[cells])
+            assert not flags.any()
+            assert np.array_equal(window_assign(table.boxes, x, y),
+                                  table.settled[cells])
 
     def test_every_cell_has_a_candidate(self, cat_coder):
         # the rectangles tile the torus, so no cell of [0,1)^2 is empty

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catflux.qfield import Q5
+from catflux.qfield import Q5, lattice_from_b_shift, lattice_from_eigen_shift
 
 examples = settings(deadline=None, max_examples=150)
 
@@ -230,3 +230,28 @@ class TestFloat:
     @given(pairs.filter(lambda x: not (x[0] > 0 > x[1] or x[1] > 0 > x[0])))
     def test_same_sign_is_the_two_part_sum(self, x):
         assert float(Q5(*x)) == float(x[0]) + float(x[1]) * math.sqrt(5.0)
+
+
+# ----------------------------------------------------------------------
+def ref_shift(a, b, sign):
+    """(m, n) = (2a, a + sign 5b) as Fractions, if both are integers: the
+    inverse of A (sign +1) or B (sign -1) of lattice_coords."""
+    m, n = 2 * a, a + sign * 5 * b
+    if m.denominator != 1 or n.denominator != 1:
+        return None
+    return int(m), int(n)
+
+
+# parts over the denominators of lattice coordinates and their neighbours,
+# so that integral shifts are drawn often
+lattice_parts = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                          st.sampled_from((1, 2, 5, 10, 20, 3)))
+
+
+class TestLatticeShift:
+    @settings(deadline=None, max_examples=2000)
+    @given(st.one_of(st.tuples(lattice_parts, lattice_parts), values))
+    def test_integer_divisibility_matches_fractions(self, x):
+        delta = Q5(*x)
+        assert lattice_from_eigen_shift(delta) == ref_shift(*x, 1)
+        assert lattice_from_b_shift(delta) == ref_shift(*x, -1)
