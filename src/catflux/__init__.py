@@ -8,9 +8,9 @@ Monte Carlo experiments, and Markov-partition symbolic coding for the
 unperturbed map.
 """
 
-from .torus import (CatSystem, HarmonicForce, Harmonic, TorusPoint, sigma,
-                    step, time_reversal)
-from .trig import TrigPoly, Truncation, geometric_sum, quadrature_average
+from .torus import (CatSystem, HarmonicForce, Harmonic, TorusPoint,
+                    time_reversal)
+from .trig import TrigPoly, geometric_sum, quadrature_average
 from .conjugation import (ConjugationSeries, ExpansionRateSeries,
                           RadiusEstimate, RateSeries, conjugacy_residual,
                           conjugation_order_k, expansion_rate_series,

@@ -29,6 +29,10 @@ from .simulate import (SimConfig, build_curve, fit_models, measure_asymmetry,
 from .torus import CatSystem, HarmonicForce, TorusPoint
 
 
+# pixel size of the curve_eps*.svg plots
+SVG_WIDTH, SVG_HEIGHT = 640, 420
+
+
 class ConfigError(ValueError):
     pass
 
@@ -346,9 +350,9 @@ def cmd_report(data: Dict, out: Path) -> None:
     _write(out, "report.json", json.dumps(payload, indent=2))
 
 
-def curve_svg(curve, width: int = 640, height: int = 420) -> str:
+def curve_svg(curve) -> str:
     """Scatter of y(p) with error bars and the FT line y = 1."""
-    pad = 50
+    width, height, pad = SVG_WIDTH, SVG_HEIGHT, 50
     pmin, pmax = float(np.min(curve.p)), float(np.max(curve.p))
     ymin = min(float(np.min(curve.y - curve.err)), 0.0)
     ymax = max(float(np.max(curve.y + curve.err)), 2.0)

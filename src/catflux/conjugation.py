@@ -247,8 +247,6 @@ class RateSeries:
         for m in range(1, k):
             gp = gp + self.k_minus[m] * self._df_chain(-1, +1, k - 1 - m)
             gm = gm + self.k_plus[m] * self._df_chain(+1, -1, k - 1 - m)
-        gp = gp.prune()
-        gm = gm.prune()
 
         rp = self._df_chain(-1, +1, k - 1)
         rm = self._df_chain(+1, -1, k - 1)
@@ -262,9 +260,9 @@ class RateSeries:
         rp = (-lam) * rp
         rm = (-lam) * rm
 
-        gs_p = geometric_sum(rp.prune(), lam * lam, +1)
+        gs_p = geometric_sum(rp, lam * lam, +1)
         kp = gs_p.poly
-        gs_m = geometric_sum(rm.compose_power(-1).prune(), lam * lam, -1)
+        gs_m = geometric_sum(rm.compose_power(-1), lam * lam, -1)
         km = -1.0 * gs_m.poly
 
         self.gamma_plus.append(gp)
@@ -297,7 +295,7 @@ def _log1p_series(u_orders: List[TrigPoly], max_order: int) -> List[TrigPoly]:
                 for j in range(m, k):
                     if prev[j] and u[k - j]:
                         acc = acc + prev[j] * u[k - j]
-                nxt[k] = acc.prune()
+                nxt[k] = acc
             prev = nxt
         sign = -sign
     return out
@@ -330,7 +328,7 @@ class ExpansionRateSeries:
             term = log_orders[k]
             if self.boundary:
                 term = term + self._boundary_order(k)
-            orders.append(term.prune())
+            orders.append(term)
         self._orders = orders
 
     def extend_to(self, order: int):

@@ -57,6 +57,8 @@ SUFFICIENCY_EXTRA = 3
 # automatic guard asserts at 1e-11 while tests probe tighter on small windows
 SUFFICIENCY_TOL = 1e-11
 ORDER_CAP = 6
+# shifted factor grids replay_moments_on_grid keeps at once
+REPLAY_CACHE = 600
 
 
 @dataclass
@@ -441,7 +443,7 @@ class CorrelationEngine:
                     self.conj.extend_to(max(1, n - j))
                     total = total + chain_order(obs.orders[j], self.conj.h_plus,
                                                 self.conj.h_minus, n - j)
-            ids.append(self.engine.register(total.prune()))
+            ids.append(self.engine.register(total))
         return ids
 
     def composed_average(self, obs: ObservableSeries, n: int) -> float:
@@ -633,12 +635,6 @@ class CumulantTable:
     def cumulant_total(self, n: int, eps: float) -> float:
         return sum(v * eps ** m for m, v in self.C.get(n, {}).items())
 
-    def require(self, n: int, m: int) -> float:
-        try:
-            return self.C[n][m]
-        except KeyError:
-            raise KeyError(f"cumulant C_{n} at eps-order {m} missing from table")
-
 
 def build_table(force: HarmonicForce, max_order: int = 4,
                 shift_window: int = DEFAULT_SHIFT_WINDOW,
@@ -701,7 +697,6 @@ def transport_matrix(force_family: Sequence[HarmonicForce],
 # ----------------------------------------------------------------------
 def replay_moments_on_grid(engine: MomentEngine, n: int = 256,
                            limit: Optional[int] = None,
-                           cache_budget: int = 600,
                            escalate_n: Optional[int] = None
                            ) -> "ReplayReport":
     """Re-evaluate recorded moments by the n x n uniform-grid quadrature.
@@ -743,7 +738,7 @@ def replay_moments_on_grid(engine: MomentEngine, n: int = 256,
             I2 = ((a % n) * I + (b % n) * J) % n
             J2 = ((c % n) * I + (d % n) * J) % n
             cached = base_grid(bid)[I2, J2]
-            if len(shifted_cache) >= cache_budget:
+            if len(shifted_cache) >= REPLAY_CACHE:
                 shifted_cache.pop(next(iter(shifted_cache)))
             shifted_cache[ref] = cached
         return cached
@@ -771,7 +766,7 @@ def replay_moments_on_grid(engine: MomentEngine, n: int = 256,
         view = MomentEngine()
         view.bases = engine.bases
         view.moments = dict(deviating)
-        fine = replay_moments_on_grid(view, escalate_n, cache_budget=cache_budget)
+        fine = replay_moments_on_grid(view, escalate_n)
         aliased = len(deviating)
         worst_escalated = fine.worst
     return ReplayReport(len(items), worst, aliased, worst_escalated)

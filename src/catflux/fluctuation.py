@@ -21,6 +21,12 @@ import numpy as np
 from .cumulants import CumulantTable
 
 
+# the beta grid of legendre_oracle: [-LEGENDRE_HALFWIDTH, LEGENDRE_HALFWIDTH]
+# in LEGENDRE_POINTS points
+LEGENDRE_HALFWIDTH = 8.0
+LEGENDRE_POINTS = 400001
+
+
 class MissingCumulantError(KeyError):
     pass
 
@@ -55,10 +61,6 @@ def _series_ratio(num: Dict[int, float], den: Dict[int, float],
             acc -= b[j] * q[i - j]
         q[i] = acc / d0
     return lead_n - lead_d, q
-
-
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +196,7 @@ def _graded_poly_pow(base: Dict[int, np.ndarray], k: int,
                 m = m1 + m2
                 if m > max_rel:
                     continue
-                prod = _poly_mul(p1, p2)
+                prod = np.convolve(p1, p2)
                 nxt[m] = _acc_poly(nxt.get(m, np.zeros(1)), prod)
         out = nxt
     return out
@@ -302,14 +304,14 @@ def zeta_ft_imposed(table: CumulantTable, max_order: int = 4) -> ZetaSeries:
     return ZetaSeries(orders, {}, max_order)
 
 
-def legendre_oracle(table: CumulantTable, eps: float, p: float,
-                    beta_halfwidth: float = 8.0, n_beta: int = 400001) -> float:
+def legendre_oracle(table: CumulantTable, eps: float, p: float) -> float:
     """Numerical max_beta [beta <sigma> (p-1) - lambda(beta)] on a fine grid.
 
     Independent of the coefficient pipeline; used to validate zeta(p).
     """
     s = table.mean_total(eps)
-    betas = np.linspace(-beta_halfwidth, beta_halfwidth, n_beta)
+    betas = np.linspace(-LEGENDRE_HALFWIDTH, LEGENDRE_HALFWIDTH,
+                        LEGENDRE_POINTS)
     lam_vals = np.zeros_like(betas)
     for n_c in table.C:
         cn = table.cumulant_total(n_c, eps)

@@ -16,8 +16,6 @@ from typing import Tuple, Union
 
 Rat = Union[int, Fraction]
 
-_SQRT5 = math.sqrt(5.0)
-
 
 class Q5:
     """(p + q sqrt5)/d with integers p, q, d, d > 0 and gcd(p, q, d) = 1.
@@ -130,14 +128,11 @@ class Q5:
 
     # ------------------------------------------------------------------
     def __float__(self) -> float:
-        p, q, d = self._p, self._q, self._d
-        if not (p > 0 > q or q > 0 > p):
-            # float(a) + float(b) sqrt5: int / int rounds as Fraction does
-            return p / d + q / d * _SQRT5
-        # With mixed signs, p/d + (q/d) sqrt5 cancels.  Carry q sqrt5 to k
-        # fractional bits by isqrt and let int / int round once; k keeps
-        # 64 bits of the result, using
+        # Carry q sqrt5 to k fractional bits by isqrt and let int / int round
+        # once, so the result is within 1 ulp.  With mixed signs p and
+        # q sqrt5 cancel; k keeps 64 bits of the result even then, using
         # |p + q sqrt5| = |p^2 - 5 q^2| / |p - q sqrt5|.
+        p, q, d = self._p, self._q, self._d
         k = max(0, 66 + max(abs(p), 3 * abs(q)).bit_length()
                 - abs(p * p - 5 * q * q).bit_length())
         root = math.isqrt(5 * q * q << 2 * k)

@@ -32,9 +32,6 @@ class TorusPoint:
         object.__setattr__(self, "psi1", self.psi1 % TWO_PI)
         object.__setattr__(self, "psi2", self.psi2 % TWO_PI)
 
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.psi1, self.psi2)
-
 
 @dataclass(frozen=True)
 class Harmonic:
@@ -171,14 +168,6 @@ class CatSystem:
         if det <= 0.0:
             raise ValueError(f"map not locally invertible: det DS_eps = {det} at {x}")
         return -math.log(det)
-
-
-def step(x: TorusPoint, sys: CatSystem) -> TorusPoint:
-    return sys.step(x)
-
-
-def sigma(x: TorusPoint, sys: CatSystem) -> float:
-    return sys.sigma(x)
 
 
 def time_reversal(x: TorusPoint) -> TorusPoint:

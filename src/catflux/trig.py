@@ -9,7 +9,12 @@ are all diagonal or near-diagonal in this representation, so every
 selection-rule integral reduces to exact frequency bookkeeping.  Every
 operation that can create equal frequencies (construction, sums, products,
 geometric sums) goes through one merge: lexsort, add.reduceat over equal
-keys, prune |c| > tol.
+keys, prune |c| > COEFF_TOL.
+
+One truncation rule serves every caller: coefficients of magnitude at most
+COEFF_TOL are dropped (by the merge, by scalar products and by derivatives),
+geometric sums stop after index MAX_P, and FREQ_LIMIT is the only frequency
+cap.
 
 Frequencies are exact int64 integers below FREQ_LIMIT = 2^62 in absolute
 value.  Compositions with S^p push a frequency to (S^T)^p nu, which grows
@@ -53,6 +58,11 @@ S0_INV = (2, -1, -1, 1)
 # Frequencies are int64 with |n| < FREQ_LIMIT: a sum of two of them cannot
 # wrap, and the composition shadow has room for its rounding bound.
 FREQ_LIMIT = 2 ** 62
+# coefficients with |c| <= COEFF_TOL are dropped
+COEFF_TOL = 1e-14
+# largest geometric-sum index; sums of ratio lambda_-^2 stop on COEFF_TOL
+# near p ~ 35 first, where frequencies reach ~lambda_+^35 ~ 5e14
+MAX_P = 60
 # products form their frequency pairs in chunks of about this many pairs,
 # so that the peak memory of one product stays bounded
 PAIR_CHUNK = 1 << 20
@@ -67,53 +77,19 @@ _PAIR = np.dtype([("n1", np.int64), ("n2", np.int64)])
 
 
 class FrequencyCapError(ValueError):
-    """A frequency exceeded the configured |nu|_inf safety cap or the int64
-    limit FREQ_LIMIT."""
+    """A frequency reached the int64 limit FREQ_LIMIT = 2^62."""
 
-    def __init__(self, nu: Freq, cap: int):
-        super().__init__(f"frequency {nu} exceeds cap |nu|_inf <= {cap}")
+    def __init__(self, nu: Freq):
+        super().__init__(f"frequency {nu} exceeds the int64 limit "
+                         f"|nu|_inf < 2**62 = {FREQ_LIMIT}")
         self.nu = nu
-        self.cap = cap
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Truncation policy of the kernels compose_power and geometric_sum.
-
-    The exact engine (conjugation, cumulants) always runs on
-    DEFAULT_TRUNCATION; other values serve kernel-level work and tests.
-
-    max_p is the cap on geometric-sum indices; coeff_tol prunes coefficients;
-    max_freq_norm is a safety cap on |nu|_inf against runaway compositions.
-    Frequencies are int64 columns, exact below 2^62 (FREQ_LIMIT): every
-    composed frequency is certified by an integer bound or a float64 shadow
-    (see the module docstring), and one that reaches 2^62 raises
-    FrequencyCapError instead of wrapping, so the cap cannot exceed 2^62.  Tolerance-limited geometric sums stop near p ~ 35,
-    where frequencies reach ~lambda_+^35 ~ 5e14.
-    """
-
-    max_freq_norm: int = FREQ_LIMIT
-    coeff_tol: float = 1e-14
-    max_p: int = 60
-
-    def __post_init__(self):
-        if self.max_freq_norm <= 0 or self.coeff_tol < 0 or self.max_p <= 0:
-            raise ValueError("Truncation fields must be positive")
-        if self.max_freq_norm > FREQ_LIMIT:
-            raise ValueError(
-                f"max_freq_norm {self.max_freq_norm} exceeds the int64 "
-                f"frequency limit 2**62 = {FREQ_LIMIT}: frequencies are "
-                "stored as int64, so choose a cap of at most 2**62")
-
-
-DEFAULT_TRUNCATION = Truncation()
 
 
 def s0_power(k: int) -> Tuple[int, int, int, int]:
     """Exact integer entries (a11, a12, a21, a22) of S0^k, any sign of k.
 
-    Entries are Python ints and grow like lambda_+^{|k|}; frequency growth
-    is bounded by Truncation.max_freq_norm, not here.
+    Entries are Python ints and grow like lambda_+^{|k|}; composed
+    frequencies are held below FREQ_LIMIT by _compose, not here.
     """
     if k == 0:
         return (1, 0, 0, 1)
@@ -177,7 +153,7 @@ def _check_limit(n1: np.ndarray, n2: np.ndarray) -> None:
     if max(_abs_max(n1), _abs_max(n2)) >= FREQ_LIMIT:
         i = int(np.flatnonzero((np.abs(n1) >= FREQ_LIMIT)
                                | (np.abs(n2) >= FREQ_LIMIT))[0])
-        raise FrequencyCapError((int(n1[i]), int(n2[i])), FREQ_LIMIT)
+        raise FrequencyCapError((int(n1[i]), int(n2[i])))
 
 
 def _int64(x: int) -> int:
@@ -185,7 +161,7 @@ def _int64(x: int) -> int:
     return (x + 2 ** 63) % 2 ** 64 - 2 ** 63
 
 
-def _compose(n1: np.ndarray, n2: np.ndarray, p: int, cap: int
+def _compose(n1: np.ndarray, n2: np.ndarray, p: int
              ) -> Tuple[np.ndarray, np.ndarray]:
     """S0^p applied to the frequency columns, exactly.
 
@@ -195,7 +171,7 @@ def _compose(n1: np.ndarray, n2: np.ndarray, p: int, cap: int
     shadow of the same map, plus its rounding bound, certifies that every
     true result lies below 2^62 and therefore equals the wrapped one;
     frequencies it cannot certify are recomputed in Python ints.  Raises
-    FrequencyCapError for a frequency >= 2^62 or above cap.
+    FrequencyCapError for a frequency >= 2^62.
     """
     a, b, c, d = s0_power(p)
     m1 = _int64(a) * n1 + _int64(c) * n2
@@ -211,10 +187,7 @@ def _compose(n1: np.ndarray, n2: np.ndarray, p: int, cap: int
             for x, y in zip(n1.tolist(), n2.tolist()):
                 nu = (a * x + c * y, b * x + d * y)
                 if max(abs(nu[0]), abs(nu[1])) >= FREQ_LIMIT:
-                    raise FrequencyCapError(nu, FREQ_LIMIT)
-    if cap < FREQ_LIMIT and max(_abs_max(m1), _abs_max(m2)) > cap:
-        i = int(np.flatnonzero((np.abs(m1) > cap) | (np.abs(m2) > cap))[0])
-        raise FrequencyCapError((int(m1[i]), int(m2[i])), cap)
+                    raise FrequencyCapError(nu)
     return m1, m2
 
 
@@ -274,17 +247,16 @@ class TrigPoly:
     # numpy scalars on the left defer to __rmul__ instead of broadcasting
     __array_ufunc__ = None
 
-    def __init__(self, coeffs: Mapping[Freq, complex] | None = None,
-                 tol: float = DEFAULT_TRUNCATION.coeff_tol):
+    def __init__(self, coeffs: Mapping[Freq, complex] | None = None):
         keys = [(int(nu[0]), int(nu[1])) for nu in coeffs] if coeffs else []
         for nu in keys:
             if max(abs(nu[0]), abs(nu[1])) >= FREQ_LIMIT:
-                raise FrequencyCapError(nu, FREQ_LIMIT)
+                raise FrequencyCapError(nu)
         n1 = np.array([k[0] for k in keys], dtype=np.int64)
         n2 = np.array([k[1] for k in keys], dtype=np.int64)
         c = np.array(list(coeffs.values()) if coeffs else [],
                      dtype=np.complex128)
-        self.n1, self.n2, self.c = _merge(n1, n2, c, tol)
+        self.n1, self.n2, self.c = _merge(n1, n2, c, COEFF_TOL)
         self._key = None
 
     @classmethod
@@ -355,9 +327,8 @@ class TrigPoly:
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
             return TrigPoly._of(*_convolve(self._columns(), other._columns(),
-                                           DEFAULT_TRUNCATION.coeff_tol))
-        return TrigPoly._of(self.n1, self.n2,
-                            self.c * other).prune(DEFAULT_TRUNCATION.coeff_tol)
+                                           COEFF_TOL))
+        return TrigPoly._of(self.n1, self.n2, self.c * other)._prune()
 
     __rmul__ = __mul__
 
@@ -396,8 +367,10 @@ class TrigPoly:
         """The terms selected by a boolean mask over the columns."""
         return TrigPoly._of(self.n1[mask], self.n2[mask], self.c[mask])
 
-    def prune(self, tol: float = DEFAULT_TRUNCATION.coeff_tol) -> "TrigPoly":
-        keep = np.abs(self.c) > tol
+    def _prune(self) -> "TrigPoly":
+        """Drop the terms with |c| <= COEFF_TOL; only scalar products and
+        derivatives shrink coefficients outside the merge."""
+        keep = np.abs(self.c) > COEFF_TOL
         return self if keep.all() else self.take(keep)
 
     def l1_norm(self) -> float:
@@ -420,13 +393,13 @@ class TrigPoly:
         idx, found = _find(self.n1, self.n2, zero, zero)
         return float(self.c[idx[0]].real) if found[0] else 0.0
 
-    def compose_power(self, p: int, trunc: Truncation = DEFAULT_TRUNCATION) -> "TrigPoly":
+    def compose_power(self, p: int) -> "TrigPoly":
         """f(S0^p psi): moves the coefficient at nu to (S0^T)^p nu.
 
         S0^p is a bijection of Z^2, so the columns are only re-sorted."""
         if p == 0 or not self:
             return self
-        m1, m2 = _compose(self.n1, self.n2, p, trunc.max_freq_norm)
+        m1, m2 = _compose(self.n1, self.n2, p)
         order = np.lexsort((m2, m1))
         return TrigPoly._of(m1[order], m2[order], self.c[order])
 
@@ -435,8 +408,7 @@ class TrigPoly:
         v1, v2 = direction
         factor = np.zeros(self.c.size, dtype=np.complex128)
         factor.imag = self.n1 * v1 + self.n2 * v2
-        return TrigPoly._of(self.n1, self.n2,
-                            self.c * factor).prune(DEFAULT_TRUNCATION.coeff_tol)
+        return TrigPoly._of(self.n1, self.n2, self.c * factor)._prune()
 
     def deriv_plus(self) -> "TrigPoly":
         return self.derivative(V_PLUS)
@@ -447,10 +419,6 @@ class TrigPoly:
     def deriv_alpha(self, alpha: int) -> "TrigPoly":
         """alpha = +1 or -1 selects the unstable/stable eigendirection."""
         return self.deriv_plus() if alpha > 0 else self.deriv_minus()
-
-    def partial(self, axis: int) -> "TrigPoly":
-        """d/dpsi_axis, axis in {0, 1}."""
-        return self.derivative((1.0, 0.0) if axis == 0 else (0.0, 1.0))
 
     def evaluate(self, psi1: float, psi2: float) -> float:
         """Pointwise value (real part; inputs are real polynomials)."""
@@ -474,13 +442,12 @@ class TrigPoly:
         return "\n".join(lines)
 
 
-def weighted_sum(terms: Iterable[Tuple[complex, TrigPoly]],
-                 tol: float = DEFAULT_TRUNCATION.coeff_tol) -> TrigPoly:
-    """sum_j w_j p_j, concatenated and merged once (pruned at tol)."""
+def weighted_sum(terms: Iterable[Tuple[complex, TrigPoly]]) -> TrigPoly:
+    """sum_j w_j p_j, concatenated and merged once (pruned at COEFF_TOL)."""
     parts = [(p.n1, p.n2, p.c if w == 1.0 else w * p.c) for w, p in terms if p]
     if not parts:
         return TrigPoly.zero()
-    return TrigPoly._of(*_merge_parts(parts, tol))
+    return TrigPoly._of(*_merge_parts(parts, COEFF_TOL))
 
 
 @dataclass(frozen=True)
@@ -492,12 +459,11 @@ class GeometricSum:
     terms_used: int
 
 
-def geometric_sum(f: TrigPoly, ratio: float, direction: int,
-                  trunc: Truncation = DEFAULT_TRUNCATION) -> GeometricSum:
+def geometric_sum(f: TrigPoly, ratio: float, direction: int) -> GeometricSum:
     """sum_{p>=0} ratio^p f(S0^{direction*p} psi), truncated.
 
-    The sum stops at max_p or as soon as |ratio|^p ||f||_1 falls below
-    coeff_tol (the terms would be pruned immediately anyway); the geometric
+    The sum stops after p = MAX_P or as soon as |ratio|^p ||f||_1 falls below
+    COEFF_TOL (the terms would be pruned immediately anyway); the geometric
     tail bound |ratio|^{p+1}/(1-|ratio|) ||f||_1 for the stopping index is
     recorded.  Only terms whose weighted coefficient survives pruning are
     composed, which keeps frequency growth tied to actual content; the
@@ -514,18 +480,18 @@ def geometric_sum(f: TrigPoly, ratio: float, direction: int,
     parts = []
     weight = 1.0
     p = 0
-    while p <= trunc.max_p and abs(weight) * norm > trunc.coeff_tol:
-        live = size * abs(weight) > trunc.coeff_tol
+    while p <= MAX_P and abs(weight) * norm > COEFF_TOL:
+        live = size * abs(weight) > COEFF_TOL
         if not live.any():
             break
         n1, n2 = f.n1[live], f.n2[live]
         if p:
-            n1, n2 = _compose(n1, n2, direction * p, trunc.max_freq_norm)
+            n1, n2 = _compose(n1, n2, direction * p)
         parts.append((n1, n2, weight * f.c[live]))
         weight *= ratio
         p += 1
     tail = abs(weight) / (1.0 - abs(ratio)) * norm
-    poly = TrigPoly._of(*_merge_parts(parts, trunc.coeff_tol))
+    poly = TrigPoly._of(*_merge_parts(parts, COEFF_TOL))
     return GeometricSum(poly, tail, p)
 
 

@@ -25,7 +25,7 @@ from catflux.fluctuation import (check_rel1, check_rel3, lambda_from_cumulants,
 from catflux.partition import birkhoff_frequencies, verify_markov
 from catflux.simulate import (SimConfig, build_curve, fit_models,
                               measure_asymmetry, simulate, slope_and_A)
-from catflux.torus import CatSystem, HarmonicForce, TorusPoint, step
+from catflux.torus import CatSystem, HarmonicForce, TorusPoint
 from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, quadrature_average
 
 LAM_R = LAMBDA_MINUS / (LAMBDA_PLUS + 1)
@@ -355,7 +355,7 @@ class TestCriterion9Symbolic:
         for _ in range(1000):
             q = TorusPoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
             w1 = cat_coder.encode(q, 3)
-            w2 = cat_coder.encode(step(q, CatSystem()), 2)
+            w2 = cat_coder.encode(CatSystem().step(q), 2)
             covariant &= w1.symbols[2:] == w2.symbols
         ok = rep.ok and worst_freq < 0.01 and rate_off <= 0.05 and covariant
         report(9, ok, f"verify {rep.ok}; {len(cat_partition)} rectangles; "

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 import catflux.cli as cli
 from catflux.cli import force_from_config, load_config, main
 
-BENCH_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_LAYERS = PERFBENCH / "layers.py"
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -107,6 +109,18 @@ class TestBenchSpans:
         names = [ast.literal_eval(key) for key in spans.keys]
         assert "conjugation_order_k" in names
         assert [n for n in names if not hasattr(cli, n)] == []
+
+    def test_perfbench_imports_exist(self):
+        # every name a bench script imports from catflux must still exist
+        imported = [(node.module, alias.name)
+                    for path in sorted(PERFBENCH.glob("*.py"))
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "catflux"
+                    for alias in node.names]
+        assert ("catflux", "CorrelationEngine") in imported
+        assert [(m, n) for m, n in imported
+                if not hasattr(importlib.import_module(m), n)] == []
 
 
 class TestCumulantsCommand:

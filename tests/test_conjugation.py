@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -205,6 +206,32 @@ class TestExpansionRate:
             diffs.append(tot_on - tot_off)
         assert max(abs(d) for d in diffs) < 1.0
         assert abs(diffs[-1] - diffs[-2]) < 0.05
+
+
+def key_digest(polys):
+    """SHA-256 of the concatenated column bytes (TrigPoly.key) of polys."""
+    return hashlib.sha256(b"".join(p.key() for p in polys)).hexdigest()
+
+
+class TestPinnedOrders:
+    # orders 1..3 for f = sin psi1, pinned bit for bit: a change to the
+    # truncation rule or to the summation order of a kernel moves them
+    def test_conjugation(self):
+        series = ConjugationSeries(FORCE, 3)
+        assert key_digest(series.h_plus[1:]) == (
+            "6db74686913d51535204956421d2873058b2a06b09992d9dc25b0b98b4793029")
+        assert key_digest(series.h_minus[1:]) == (
+            "4aa38be1697f1601bc63db02608cffd158d702ab9d4b9ce2ba2b6fcff740ac34")
+
+    @pytest.mark.parametrize("boundary, want", [
+        (False,
+         "01d349fb38cff3cafadcd24f870c51d8c080f69eba633a235333af9e385875e3"),
+        (True,
+         "62b383637de6527428c717ab3fe31daa71aa27ddf8096f19deb0896dda4c2b1c")],
+        ids=["boundary_off", "boundary_on"])
+    def test_expansion_rate(self, boundary, want):
+        au = expansion_rate_series(FORCE, 3, boundary)
+        assert key_digest([au.order(k) for k in (1, 2, 3)]) == want
 
 
 class TestRadius:

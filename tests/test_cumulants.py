@@ -14,6 +14,15 @@ from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, product_average
 
 LAM_R = LAMBDA_MINUS / (LAMBDA_PLUS + 1)
 
+# the eps^4 single-harmonic and eps^3 two-harmonic tables, recorded from the
+# exact engine; TestPinnedTables compares them with ==
+SINGLE_TABLE = {("mean", 1): 0.0, ("mean", 2): 1.0, ("mean", 3): 0.0,
+                ("mean", 4): 1.499999999999992, (2, 2): 2.0, (2, 3): 0.0,
+                (2, 4): 4.5, (3, 3): 0.0, (3, 4): 2.9999999999999996,
+                (4, 4): -6.0}
+TWO_TABLE = {("mean", 1): 0.0, ("mean", 2): 5.0, ("mean", 3): -4.0,
+             (2, 2): 10.0, (2, 3): -12.0, (3, 3): -12.0}
+
 
 class TestSigmaSeries:
     def test_single_harmonic_orders(self, single_force):
@@ -278,6 +287,14 @@ class TestNormForm:
             assert value == pytest.approx(float(want), rel=1e-15), (x, y)
 
 
+class TestPinnedTables:
+    def test_single_harmonic_fourth_order(self, single_table):
+        assert table_entries(single_table) == SINGLE_TABLE
+
+    def test_two_harmonic_third_order(self, two_table):
+        assert table_entries(two_table) == TWO_TABLE
+
+
 class TestConnectedShifts:
     def test_pruned_tables_equal_full_window_walk(self, single_force,
                                                   single_table, two_force,
@@ -487,3 +504,6 @@ class TestPeriodicOrbitOracle:
                "C3_4": table.C[3][4], "C4_4": table.C[4][4]}
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-6), key
+        # and bit for bit, against the values recorded from the engine
+        assert got == {"mean4": 49.50000000000015, "C2_4": 170.5,
+                       "C3_4": 261.0, "C4_4": 186.0}

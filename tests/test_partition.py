@@ -19,7 +19,7 @@ from catflux.partition import (GRID, CatCoder, CellTable, MarkovPartition,
 from catflux.qfield import (LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, eigen_coords,
                             from_eigen, lattice_coords, lattice_from_b_shift,
                             lattice_from_eigen_shift)
-from catflux.torus import CatSystem, TorusPoint, step
+from catflux.torus import CatSystem, TorusPoint
 from fractions import Fraction
 
 LAMBDA_PLUS = (3 + math.sqrt(5)) / 2
@@ -349,7 +349,7 @@ class TestCoding:
         for _ in range(100):
             p = TorusPoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
             w1 = cat_coder.encode(p, 4)
-            w2 = cat_coder.encode(step(p, CatSystem()), 3)
+            w2 = cat_coder.encode(CatSystem().step(p), 3)
             assert w1.symbols[2:] == w2.symbols
 
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catflux.torus import (CatSystem, HarmonicForce, TorusPoint, sigma, step,
-                           time_reversal)
+from catflux.torus import CatSystem, HarmonicForce, TorusPoint, time_reversal
 from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, V_MINUS, V_PLUS, s0_power
 
 SQRT5 = math.sqrt(5.0)
@@ -60,29 +59,29 @@ class TestMatrixPower:
 class TestStepAndSigma:
     def test_fixed_point(self):
         sys0 = CatSystem(epsilon=0.0)
-        p = step(TorusPoint(0.0, 0.0), sys0)
+        p = sys0.step(TorusPoint(0.0, 0.0))
         assert p.psi1 == 0.0 and p.psi2 == 0.0
 
     def test_linear_step(self):
         sys0 = CatSystem(epsilon=0.0)
-        p = step(TorusPoint(math.pi / 2, 0.0), sys0)
+        p = sys0.step(TorusPoint(math.pi / 2, 0.0))
         assert p.psi1 == pytest.approx(math.pi / 2)
         assert p.psi2 == pytest.approx(math.pi / 2)
 
     def test_perturbed_step(self):
         sys1 = CatSystem(epsilon=0.05, force=HarmonicForce.single_harmonic())
-        p = step(TorusPoint(math.pi / 2, 0.0), sys1)
+        p = sys1.step(TorusPoint(math.pi / 2, 0.0))
         assert p.psi1 == pytest.approx(math.pi / 2 + 0.05)
         assert p.psi2 == pytest.approx(math.pi / 2)
 
     def test_sigma_zero_cases(self):
         sys1 = CatSystem(epsilon=0.1, force=HarmonicForce.single_harmonic())
-        assert sigma(TorusPoint(math.pi / 2, 0.3), sys1) == pytest.approx(0.0, abs=1e-15)
+        assert sys1.sigma(TorusPoint(math.pi / 2, 0.3)) == pytest.approx(0.0, abs=1e-15)
         sys0 = CatSystem(epsilon=0.0, force=HarmonicForce.single_harmonic())
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = TorusPoint(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-            assert sigma(p, sys0) == 0.0
+            assert sys0.sigma(p) == 0.0
 
     def test_sigma_closed_forms(self):
         eps = 0.07
@@ -110,7 +109,7 @@ class TestStepAndSigma:
     def test_sigma_not_invertible(self):
         sys1 = CatSystem(epsilon=0.6, force=HarmonicForce.single_harmonic())
         with pytest.raises(ValueError, match="not locally invertible"):
-            sigma(TorusPoint(math.pi, 0.0), sys1)
+            sys1.sigma(TorusPoint(math.pi, 0.0))
 
     def test_jacobian_extremes_bracket_exact_values(self):
         # g = 2 cos psi1 + 4 cos 2 psi1 = 8c^2 + 2c - 4 with c = cos psi1:
