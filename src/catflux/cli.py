@@ -155,12 +155,18 @@ def cmd_coeffs(data: Dict, out: Path) -> None:
     _write(out, "coeffs_meta.json", json.dumps(_meta(data), indent=2))
 
 
+def _table(data: Dict):
+    """The config's correlation engine and its cumulant table through the
+    config's order."""
+    eng = CorrelationEngine(force_from_config(data), data.get("order", 4),
+                            data.get("shift_window", DEFAULT_SHIFT_WINDOW))
+    return eng, build_table(eng.force, eng.max_order, eng.shift_window,
+                            engine=eng)
+
+
 def cmd_cumulants(data: Dict, out: Path) -> None:
-    force = force_from_config(data)
-    order = data.get("order", 4)
-    window = data.get("shift_window", DEFAULT_SHIFT_WINDOW)
-    eng = CorrelationEngine(force, order, shift_window=window)
-    table = build_table(force, order, shift_window=window, engine=eng)
+    eng, table = _table(data)
+    window = eng.shift_window
     eps_list = eps_list_from_config(data)
     lines = ["n,m,value,shift_window,eps,value_at_eps"]
     for n in sorted(table.C):
@@ -177,10 +183,8 @@ def cmd_cumulants(data: Dict, out: Path) -> None:
 
 
 def cmd_zeta(data: Dict, out: Path) -> None:
-    force = force_from_config(data)
-    order = data.get("order", 4)
-    window = data.get("shift_window", DEFAULT_SHIFT_WINDOW)
-    table = build_table(force, order, shift_window=window)
+    _, table = _table(data)
+    order = table.max_order
     zs = zeta(table, order)
     closed = zeta_closed_form(table, order)
     imposed = zeta_ft_imposed(table, order)
@@ -202,10 +206,8 @@ def cmd_zeta(data: Dict, out: Path) -> None:
 
 
 def cmd_ftcheck(data: Dict, out: Path) -> None:
-    force = force_from_config(data)
-    order = data.get("order", 4)
-    window = data.get("shift_window", DEFAULT_SHIFT_WINDOW)
-    table = build_table(force, order, shift_window=window)
+    _, table = _table(data)
+    order = table.max_order
     report = ft_report(table, order)
     A, B = asymmetry_coefficients(table, order)
     payload = {
@@ -310,10 +312,8 @@ def cmd_report(data: Dict, out: Path) -> None:
     slope_and_A's A, which also carries (B/<sigma>) sum w p^4 / sum w p^2
     from the cubic term B p^3; the two agree only where B = 0.
     """
-    force = force_from_config(data)
-    order = data.get("order", 4)
-    window = data.get("shift_window", DEFAULT_SHIFT_WINDOW)
-    table = build_table(force, order, shift_window=window)
+    eng, table = _table(data)
+    force, order = eng.force, eng.max_order
     ft = ft_report(table, order)
     A_series, B_series = asymmetry_coefficients(table, order)
     eps_list = eps_list_from_config(data)

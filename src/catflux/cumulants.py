@@ -16,6 +16,10 @@ with sigma~ = sigma o H.  Connectedness makes every shift sum finite for
 trigonometric-polynomial data: a tuple contributes only when pushed
 frequencies cancel, and |S0^k nu| grows like lambda_+^{|k|}.
 
+Means, C_n, joint cumulants and the Green-Kubo transport matrix are all
+connected correlations of shifted trigonometric polynomials, and all of
+them are MomentEngine.ursell summed over MomentEngine.connected_shifts.
+
 The insertion shifts are enumerated connected, not walked: S0 is symmetric,
 so composing with S0^l scales the projections nu.v_+- by lambda_+-^l, and
 a joint cumulant vanishes once one centred factor's smallest projection, in
@@ -37,10 +41,10 @@ window by SUFFICIENCY_EXTRA must change nothing beyond SUFFICIENCY_TOL.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +71,6 @@ class ObservableSeries:
 
     orders: List[TrigPoly]            # orders[k] = eps^k coefficient
     parity: Optional[str] = None      # 'odd' | 'even' | None under I0 at eps=0
-    name: str = "obs"
 
     @property
     def max_order(self) -> int:
@@ -98,11 +101,11 @@ def sigma_series(force: HarmonicForce, max_order: int) -> ObservableSeries:
         power = power * g
         sign = -sign
         orders.append((sign / m) * power)
-    return ObservableSeries(orders, parity="odd", name="sigma")
+    return ObservableSeries(orders, parity="odd")
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
-    """All partitions of a small index set (Bell(4) = 15 at most here)."""
+    """All partitions of a small index set (Bell(ORDER_CAP) = 203 at most)."""
     if not items:
         yield []
         return
@@ -113,11 +116,12 @@ def _set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
         yield [[first]] + part
 
 
-# partitions of {0..n-1} for the small arities the engine uses, precomputed,
+# partitions of {0..n-1} for the arities the order cap allows, precomputed,
 # and the Moebius coefficient (-1)^{b-1} (b-1)! per block count
 _PARTITIONS = {n: [tuple(map(tuple, p)) for p in _set_partitions(list(range(n)))]
-               for n in range(2, 7)}
-_PARTITION_COEF = {b: (-1.0) ** (b - 1) * math.factorial(b - 1) for b in range(1, 7)}
+               for n in range(2, ORDER_CAP + 1)}
+_PARTITION_COEF = {b: (-1.0) ** (b - 1) * math.factorial(b - 1)
+                   for b in range(1, ORDER_CAP + 1)}
 
 
 FactorRef = Tuple[int, int]  # (base poly id, shift)
@@ -281,10 +285,10 @@ class MomentEngine:
 
     def connected_shifts(self, fixed: Sequence[FactorRef], free: Sequence[int],
                          lo: int, hi: int) -> Iterator[Tuple[int, ...]]:
-        """The tuples of connected_grid, in _shift_tuples order; every
+        """The tuples of connected_grid, in lexicographic order; every
         tuple when fewer than two factors take part."""
         if len(fixed) + len(free) < 2:
-            yield from _shift_tuples(len(free), lo, hi)
+            yield from itertools.product(range(lo, hi + 1), repeat=len(free))
             return
         keep = self.connected_grid(fixed, free, lo, hi)
         if not free:
@@ -468,24 +472,15 @@ class CorrelationEngine:
     # ------------------------------------------------------------------
     # core connected expectation
     # ------------------------------------------------------------------
-    def srb_cumulant(self, observables: Sequence[ObservableSeries],
-                     shifts: Sequence[int], m: int,
-                     shift_window: Optional[int] = None) -> float:
-        """Joint SRB cumulant of observables at given time shifts, order m.
+    def _resolve(self, observables: Sequence[ObservableSeries], m: int
+                 ) -> _Resolved:
+        """Observable numbers, composed base ids and minimum orders of one
+        family at order m, looked up once for a whole shift sum.
 
         A lone observable's zero-insertion term is the torus average of
         (obs o H)^(m); it is contracted (composed_average), not built, so
         the composed bases of a mean stop at order m - 1.
         """
-        window = self.shift_window if shift_window is None else shift_window
-        if not observables or len(shifts) != len(observables):
-            raise ValueError("need one shift per observable")
-        return self._cumulant_at(self._resolve(observables, m), shifts, window)
-
-    def _resolve(self, observables: Sequence[ObservableSeries], m: int
-                 ) -> _Resolved:
-        """Observable numbers, composed base ids and minimum orders of one
-        family at order m, looked up once for a whole shift sum."""
         if m > self.max_order:
             raise ValueError(f"order {m} not available (max {self.max_order})")
         min_orders = tuple(obs.min_order for obs in observables)
@@ -535,9 +530,8 @@ class CorrelationEngine:
                        check_sufficiency: bool = True) -> float:
         """<obs>_+ at eps-order m (obs defaults to sigma)."""
         obs = obs if obs is not None else self.sigma_observable()
-        return self._window_checked(
-            lambda w: self.srb_cumulant([obs], [0], m, shift_window=w),
-            check_sufficiency, f"mean order {m}")
+        return self._window_checked(self._resolve([obs], m), check_sufficiency,
+                                    f"mean order {m}")
 
     def sigma_observable(self) -> ObservableSeries:
         return sigma_series(self.force, self.max_order)
@@ -550,8 +544,7 @@ class CorrelationEngine:
         if m < n:
             return 0.0
         obs = obs if obs is not None else self.sigma_observable()
-        fam = self._resolve([obs] * n, m)
-        return self._window_checked(lambda w: self._shift_summed(fam, w),
+        return self._window_checked(self._resolve([obs] * n, m),
                                     check_sufficiency, f"C_{n}^({m})")
 
     def joint_cumulant(self, multi_index: Sequence[int], m: int,
@@ -563,21 +556,17 @@ class CorrelationEngine:
         if any(a not in (1, 2) for a in multi_index):
             raise ValueError("multi-index entries must be 1 or 2")
         series = [self.sigma_observable() if a == 1 else obs for a in multi_index]
-        if len(series) == 1:
-            return self.srb_mean_order(m, obs=series[0],
-                                       check_sufficiency=check_sufficiency)
-        fam = self._resolve(series, m)
-        return self._window_checked(lambda w: self._shift_summed(fam, w),
+        return self._window_checked(self._resolve(series, m),
                                     check_sufficiency, "joint cumulant")
 
-    def _window_checked(self, at: Callable[[int], float], check: bool,
-                        what: str) -> float:
-        """at(shift_window); when check is set, the value at a window
-        SUFFICIENCY_EXTRA wider, which must agree to SUFFICIENCY_TOL."""
-        val = at(self.shift_window)
+    def _window_checked(self, fam: _Resolved, check: bool, what: str) -> float:
+        """The family's shift sum at shift_window; when check is set, the
+        sum at a window SUFFICIENCY_EXTRA wider, which must agree to
+        SUFFICIENCY_TOL."""
+        val = self._shift_summed(fam, self.shift_window)
         if not check:
             return val
-        wide = at(self.shift_window + SUFFICIENCY_EXTRA)
+        wide = self._shift_summed(fam, self.shift_window + SUFFICIENCY_EXTRA)
         if abs(wide - val) > SUFFICIENCY_TOL * max(1.0, abs(val)):
             raise RuntimeError(f"shift window {self.shift_window} insufficient "
                                f"for {what}: delta {wide - val:.3e}")
@@ -591,7 +580,8 @@ class CorrelationEngine:
 
     def _observable_shifts(self, fam: _Resolved, window: int
                            ) -> Iterable[Tuple[int, ...]]:
-        """The observable-shift tuples to sum, in _shift_tuples order.
+        """The observable-shift tuples to sum, in lexicographic order; the
+        one empty tuple for a lone observable.
 
         When the family's orders leave no room for an insertion (m is the
         sum of the minimum orders), each split is one fixed set of factors,
@@ -600,8 +590,10 @@ class CorrelationEngine:
         visited.  Other families walk the whole window.
         """
         s = len(fam.oids) - 1
+        if s == 0:
+            return [()]
         if fam.m != sum(fam.min_orders):
-            return _shift_tuples(s, -window, window)
+            return itertools.product(range(-window, window + 1), repeat=s)
         alive = np.zeros((2 * window + 1,) * s, dtype=bool)
         for obs_orders, _ in _mixed_splits(fam.min_orders, 0, fam.m):
             ids = [fam.ids[i][o] for i, o in enumerate(obs_orders)]
@@ -611,15 +603,6 @@ class CorrelationEngine:
         return [tuple(idx) for idx in (np.argwhere(alive) - window).tolist()]
 
 
-def _shift_tuples(s: int, lo: int, hi: int) -> Iterator[Tuple[int, ...]]:
-    if s == 0:
-        yield ()
-        return
-    for first in range(lo, hi + 1):
-        for rest in _shift_tuples(s - 1, lo, hi):
-            yield (first,) + rest
-
-
 @dataclass
 class CumulantTable:
     """mean[m] = <sigma>_+ at eps-order m and C[n][m], n >= 2."""
@@ -627,7 +610,6 @@ class CumulantTable:
     max_order: int
     mean: Dict[int, float] = field(default_factory=dict)
     C: Dict[int, Dict[int, float]] = field(default_factory=dict)
-    shift_window: int = DEFAULT_SHIFT_WINDOW
 
     def mean_total(self, eps: float) -> float:
         return sum(v * eps ** m for m, v in self.mean.items())
@@ -639,9 +621,17 @@ class CumulantTable:
 def build_table(force: HarmonicForce, max_order: int = 4,
                 shift_window: int = DEFAULT_SHIFT_WINDOW,
                 engine: Optional[CorrelationEngine] = None) -> CumulantTable:
-    """Fill means and cumulants C_2..C_max through total eps-order max_order."""
+    """Fill means and cumulants C_2..C_max through total eps-order max_order.
+
+    A given engine must be one built for this force and shift window, to
+    at least max_order.
+    """
     eng = engine or CorrelationEngine(force, max_order, shift_window)
-    table = CumulantTable(max_order, shift_window=shift_window)
+    if ((eng.force, eng.shift_window) != (force, shift_window)
+            or eng.max_order < max_order):
+        raise ValueError("engine built for another force or shift window, or "
+                         f"below order {max_order}: pass a matching one or none")
+    table = CumulantTable(max_order)
 
     def snap(v: float) -> float:
         # selection-rule zeros are exact; snap float dust so the eps-grading
@@ -672,21 +662,20 @@ def transport_matrix(force_family: Sequence[HarmonicForce],
     """L_ij = 1/2 sum_k <J_i o S0^k ; J_j>_0 with J_i = d sigma / d G_i |_0.
 
     Each family member's amplitude is an independent coupling, so
-    J_i^(0) = -g_i with g_i the member's unit Jacobian polynomial.
+    J_i^(0) = -g_i with g_i the member's unit Jacobian polynomial.  The
+    connected correlation is the engine's Ursell function of the pair,
+    summed over the k that connected_shifts keeps.
     """
-    currents = []
-    for fam in force_family:
-        g = fam.jacobian_poly()
-        currents.append(-1.0 * g)
-    s = len(currents)
+    engine = MomentEngine()
+    ids = [engine.register(-1.0 * fam.jacobian_poly()) for fam in force_family]
+    s = len(ids)
     L = [[0.0] * s for _ in range(s)]
     for i in range(s):
         for j in range(s):
             total = 0.0
-            for k in range(-shift_window, shift_window + 1):
-                shifted = currents[i].compose_power(k)
-                total += (product_average([shifted, currents[j]])
-                          - currents[i].average() * currents[j].average())
+            for k, in engine.connected_shifts([(ids[j], 0)], [ids[i]],
+                                              -shift_window, shift_window):
+                total += engine.ursell([(ids[i], k), (ids[j], 0)])
             L[i][j] = 0.5 * total
     resid = max(abs(L[i][j] - L[j][i]) for i in range(s) for j in range(s))
     return TransportMatrix(tuple(tuple(row) for row in L), resid)

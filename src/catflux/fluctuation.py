@@ -25,6 +25,8 @@ from .cumulants import CumulantTable
 # in LEGENDRE_POINTS points
 LEGENDRE_HALFWIDTH = 8.0
 LEGENDRE_POINTS = 400001
+# a residual of ft_report above this is a violation of the fluctuation theorem
+FT_TOL = 1e-12
 
 
 class MissingCumulantError(KeyError):
@@ -130,8 +132,7 @@ def check_rel1(lam: LambdaSeries) -> Dict[int, np.ndarray]:
     return out
 
 
-def check_rel3(lam: LambdaSeries, n: int, max_order: Optional[int] = None
-               ) -> Dict[int, float]:
+def check_rel3(lam: LambdaSeries, n: int) -> Dict[int, float]:
     """Residual of C_n = sum_{k>=0} (-1)^{k+n} C_{k+n} / k!, per eps-order.
 
     The k = 0 term re-adds (-1)^n C_n, so the relation is solved for C_n
@@ -141,7 +142,7 @@ def check_rel3(lam: LambdaSeries, n: int, max_order: Optional[int] = None
     """
     if n < 2:
         raise ValueError("rel3 needs n >= 2")
-    K = lam.max_order if max_order is None else max_order
+    K = lam.max_order
     out: Dict[int, float] = {}
     for m in range(0, K + 1):
         tail = 0.0
@@ -367,8 +368,7 @@ class FTReport:
     leading_violation: Optional[float]
 
 
-def ft_report(table: CumulantTable, max_order: int = 4,
-              tol: float = 1e-12) -> FTReport:
+def ft_report(table: CumulantTable, max_order: int = 4) -> FTReport:
     lam = lambda_from_cumulants(table, max_order)
     r1 = {m: list(map(float, v)) for m, v in check_rel1(lam).items()}
     r3 = {n: check_rel3(lam, n) for n in range(2, max_order)}
@@ -378,7 +378,7 @@ def ft_report(table: CumulantTable, max_order: int = 4,
         worst = max(abs(x) for x in r1[m])
         for n in r3:
             worst = max(worst, abs(r3[n].get(m, 0.0)))
-        if worst > tol:
+        if worst > FT_TOL:
             first = m
             leading = worst
             break
@@ -390,8 +390,7 @@ def ft_report(table: CumulantTable, max_order: int = 4,
 # ----------------------------------------------------------------------
 def observable_mean_expansion(joint: Callable[[int, int, int], float],
                               direct_mean: Callable[[int], float],
-                              max_order: int,
-                              parity: str = "odd") -> Dict[str, Dict[int, float]]:
+                              max_order: int) -> Dict[str, Dict[int, float]]:
     """FT-implied expansion of <O>_+ for an observable odd under time reversal.
 
     joint(n1, n2, m) must return the mixed cumulant with n1 sigma-insertions
@@ -401,9 +400,6 @@ def observable_mean_expansion(joint: Callable[[int, int, int], float],
                                           ((2l+1)! (k-2l-1)!)
     (odd O-insertion counts only), the direct means, and the residuals.
     """
-    if parity != "odd":
-        raise ValueError("the mean expansion applies to observables odd "
-                         "under time reversal")
     implied: Dict[int, float] = {}
     for m in range(1, max_order + 1):
         total = 0.0

@@ -376,14 +376,6 @@ class TrigPoly:
     def l1_norm(self) -> float:
         return float(np.abs(self.c).sum())
 
-    def max_freq_norm(self) -> int:
-        return max(_abs_max(self.n1), _abs_max(self.n2))
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        idx, found = _find(self.n1, self.n2, -self.n1, -self.n2)
-        mirror = np.where(found, self.c[idx].conj(), 0.0)
-        return bool(np.all(np.abs(self.c - mirror) <= tol))
-
     # ------------------------------------------------------------------
     # analysis operations
     # ------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import catflux.cli as cli
 from catflux.cli import force_from_config, load_config, main
+from catflux.torus import HarmonicForce
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BENCH_LAYERS = PERFBENCH / "layers.py"
@@ -121,6 +122,23 @@ class TestBenchSpans:
         assert ("catflux", "CorrelationEngine") in imported
         assert [(m, n) for m, n in imported
                 if not hasattr(importlib.import_module(m), n)] == []
+
+    def test_traced_table_reads_engine_attributes(self, monkeypatch):
+        # a traced run primes an engine through conj, expansion and
+        # composed_ids, then counts engine.moments; an engine attribute the
+        # bench reads that goes missing would fail every traced run
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        spans, workloads, layers = (importlib.import_module(m) for m in
+                                    ("spans", "workloads", "layers"))
+        rec = spans.Recorder(tracing=True)
+        force = HarmonicForce.single_harmonic()
+        plain, primed = workloads.Result(), workloads.Result()
+        workloads.exact_table(rec, plain, "order-2", force, 2, None)
+        workloads.exact_table(rec, primed, "order-2", force, 2, plain.depths)
+        counts = layers.engine_counts([*plain.engines.values(),
+                                       *primed.engines.values()])
+        assert rec.failed == 0
+        assert counts["cumulants.moments"] > 0
 
 
 class TestCumulantsCommand:

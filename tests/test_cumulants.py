@@ -23,6 +23,20 @@ SINGLE_TABLE = {("mean", 1): 0.0, ("mean", 2): 1.0, ("mean", 3): 0.0,
 TWO_TABLE = {("mean", 1): 0.0, ("mean", 2): 5.0, ("mean", 3): -4.0,
              (2, 2): 10.0, (2, 3): -12.0, (3, 3): -12.0}
 
+# recorded from the exact engine and compared with ==: twelve joint
+# cumulants and four means of OBS, and the Green-Kubo matrices of three
+# families
+JOINTS = [2.0, 0.0, 4.500000000000001, 0.5, 0.125, 0.0, 0.0, 0.0, 0.0, 0.0,
+          0.6249999999999998, 0.12499999999999994]
+MEANS = [0.0, 3.469446951953614e-18, 0.0, -2.1780334155153958e-15]
+TRANSPORT = {
+    "mixed": ((1.5625, 1.09375), (1.09375, 0.765625)),
+    "linked": ((1.5625, 0.625), (0.625, 1.515625)),
+    "chain": ((15.5,),),
+}
+OBS = ObservableSeries([TrigPoly.zero(), TrigPoly.cosine((1, 0), -1.0)
+                        + TrigPoly.cosine((1, 1), 0.5)], parity="odd")
+
 
 class TestSigmaSeries:
     def test_single_harmonic_orders(self, single_force):
@@ -145,13 +159,13 @@ class TestJointCumulants:
 
     def test_parity_required(self, single_engine):
         orders = [TrigPoly.zero(), TrigPoly.cosine((1, 0))]
-        nameless = ObservableSeries(orders, parity=None, name="x")
+        nameless = ObservableSeries(orders, parity=None)
         with pytest.raises(ValueError, match="parity"):
             single_engine.joint_cumulant((1, 2), 2, obs=nameless)
 
     def test_fixed_odd_observable(self, single_engine):
         # O = sin(psi1) is odd under I0; equilibrium mean vanishes
-        obs = ObservableSeries([TrigPoly.sine((1, 0))], parity="odd", name="sin1")
+        obs = ObservableSeries([TrigPoly.sine((1, 0))], parity="odd")
         assert single_engine.srb_mean_order(0, obs=obs) == 0.0
         first = single_engine.srb_mean_order(1, obs=obs, check_sufficiency=False)
         assert abs(first) < 10.0  # finite, genuinely nonequilibrium
@@ -204,6 +218,23 @@ class TestTransport:
         assert tm.symmetry_residual == 0.0
         # only k = 0 survives: 1/2 <(-4 cos 2psi1)^2> = 4
         assert tm.L[1][1] == pytest.approx(4.0, abs=1e-12)
+
+    def test_pinned_families(self):
+        families = {
+            "mixed": [HarmonicForce.from_pairs([((1, 0), 1.25)]),
+                      HarmonicForce.from_pairs([((1, 0), 0.5),
+                                                ((1, 1), 0.75)])],
+            # S0^T (1, 0) = (2, 1) and S0^T (2, 1) = (5, 3): k != 0 survives
+            "linked": [HarmonicForce.from_pairs([((1, 0), 1.25)]),
+                       HarmonicForce.from_pairs([((1, 0), 0.5),
+                                                 ((2, 1), 0.75)])],
+            "chain": [HarmonicForce.from_pairs([((1, 0), 1.0), ((2, 1), 1.0),
+                                                ((5, 3), 1.0)])],
+        }
+        for name, family in families.items():
+            tm = transport_matrix(family)
+            assert tm.L == TRANSPORT[name], name
+            assert tm.symmetry_residual == 0.0, name
 
 
 class TestWindowsAndOracle:
@@ -295,6 +326,29 @@ class TestPinnedTables:
         assert table_entries(two_table) == TWO_TABLE
 
 
+class TestPinnedPaths:
+    def test_joint_cumulants_and_means(self, single_engine):
+        sig = single_engine.sigma_observable()
+        calls = [((1, 2), 2, sig), ((1, 1, 2), 3, sig), ((1, 2), 4, sig)] + [
+            (index, m, OBS) for index, m in (
+                ((1, 2), 2), ((2, 2), 2), ((1, 2), 3), ((2, 1), 3),
+                ((1, 1, 2), 3), ((1, 2, 2), 3), ((2, 2, 2), 3), ((1, 2), 4),
+                ((2, 2), 4))]
+        assert [single_engine.joint_cumulant(index, m, obs)
+                for index, m, obs in calls] == JOINTS
+        assert [single_engine.srb_mean_order(m, obs=OBS)
+                for m in range(1, 5)] == MEANS
+
+    def test_table_refuses_mismatched_engine(self, single_force, two_force,
+                                             single_engine):
+        for force, order, window, engine in (
+                (two_force, 3, 12, single_engine),
+                (single_force, 4, 6, single_engine),
+                (single_force, 4, 12, CorrelationEngine(single_force, 3))):
+            with pytest.raises(ValueError, match="engine built for"):
+                build_table(force, order, window, engine=engine)
+
+
 class TestConnectedShifts:
     def test_pruned_tables_equal_full_window_walk(self, single_force,
                                                   single_table, two_force,
@@ -325,6 +379,7 @@ class TestConnectedShifts:
                     for key in eng.moments}
 
         assert recorded(primed.engine) == recorded(plain.engine)
+        assert len(plain.engine.moments) == 2153
 
     @pytest.mark.parametrize("window", [4, 5, 6])
     def test_dropped_tuples_have_zero_ursell(self, window):
@@ -499,7 +554,9 @@ class TestPeriodicOrbitOracle:
                 "C2_4": eps_coefficient(values, 1, 2, 1, power=1),
                 "C3_4": eps_coefficient(values, 2, 4, 1),
                 "C4_4": eps_coefficient(values, 3, 4, 1)}
-        table = build_table(two_force, 4)
+        eng = CorrelationEngine(two_force, max_order=4)
+        table = build_table(two_force, 4, engine=eng)
+        assert len(eng.engine.moments) == 2655
         got = {"mean4": table.mean[4], "C2_4": table.C[2][4],
                "C3_4": table.C[3][4], "C4_4": table.C[4][4]}
         for key in want:

@@ -234,8 +234,3 @@ class TestObservableMean:
             single_engine.cumulant(2, 2) / 2.0, abs=1e-11)
         assert abs(out["residual"][2]) < 1e-11
         assert out["implied"][1] == 0.0 and out["direct"][1] == 0.0
-
-    def test_parity_guard(self):
-        with pytest.raises(ValueError):
-            observable_mean_expansion(lambda *a: 0.0, lambda m: 0.0, 2,
-                                      parity="even")

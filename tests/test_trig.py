@@ -18,6 +18,13 @@ def close_polys(p, q, tol=1e-12):
     return all(abs(p.coeffs.get(k, 0) - q.coeffs.get(k, 0)) <= tol for k in keys)
 
 
+def is_real(p, tol=1e-12):
+    """Hermitian symmetry c(-nu) = conj c(nu): p is a real function."""
+    d = p.coeffs
+    return all(abs(c - complex(d.get((-n1, -n2), 0)).conjugate()) <= tol
+               for (n1, n2), c in d.items())
+
+
 def random_poly(rng, terms=4, span=8):
     d = {}
     for _ in range(terms):
@@ -57,10 +64,10 @@ class TestRing:
         rng = np.random.default_rng(7)
         for _ in range(10):
             a, b = random_poly(rng), random_poly(rng)
-            assert (a * b).is_real()
-            assert (a + b).is_real()
-            assert a.compose_power(3).is_real()
-            assert a.deriv_plus().derivative(V_PLUS).is_real(tol=1e-10)
+            assert is_real(a * b)
+            assert is_real(a + b)
+            assert is_real(a.compose_power(3))
+            assert is_real(a.deriv_plus().derivative(V_PLUS), tol=1e-10)
 
 
 class TestComposeAndDerive:
@@ -82,7 +89,8 @@ class TestComposeAndDerive:
 
     def test_frequency_growth_rate(self):
         f = TrigPoly.cosine((1, 0))
-        norms = [f.compose_power(p).max_freq_norm() for p in range(4, 14)]
+        norms = [max(abs(n) for nu in f.compose_power(p).coeffs for n in nu)
+                 for p in range(4, 14)]
         ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 1)]
         assert all(abs(r - LAMBDA_PLUS) < 0.1 for r in ratios)
 
