@@ -18,14 +18,14 @@ from .conjugation import (ConjugationSeries, ExpansionRateSeries,
 from .cumulants import (CorrelationEngine, CumulantTable, ObservableSeries,
                         TransportMatrix, build_table, sigma_series,
                         transport_matrix)
-from .fluctuation import (FTReport, LambdaSeries, ZetaSeries,
-                          asymmetry_coefficients, beta_star, check_rel1,
-                          check_rel3, ft_report, lambda_from_cumulants,
-                          legendre_oracle, observable_mean_expansion, zeta,
-                          zeta_closed_form, zeta_ft_imposed)
+from .fluctuation import (FTReport, ZetaSeries, asymmetry_coefficients,
+                          beta_star, check_rel1, check_rel3, ft_report,
+                          lambda_from_cumulants, legendre_oracle,
+                          observable_mean_expansion, zeta, zeta_closed_form,
+                          zeta_ft_imposed)
 from .simulate import (FitResult, RatioCurve, RunStats, SimConfig,
                        SlopeResult, build_curve, fit_models,
-                       measure_asymmetry, ratio_curve, simulate, slope_and_A)
+                       measure_asymmetry, simulate, slope_and_A)
 from .partition import (CatCoder, MarkovPartition, MarkovReport, Rectangle,
                         SymbolWindow, TransitionMatrix, birkhoff_frequencies,
                         build_cat_partition, partition_from_json,

@@ -24,8 +24,8 @@ from .fluctuation import (asymmetry_coefficients, ft_report, zeta,
                           zeta_closed_form, zeta_ft_imposed)
 from .partition import (CatCoder, birkhoff_frequencies, build_cat_partition,
                         partition_to_json, transition_matrix, verify_markov)
-from .simulate import (SimConfig, build_curve, fit_models, measure_asymmetry,
-                       simulate, slope_and_A)
+from .simulate import (P_MAX, SimConfig, build_curve, fit_models,
+                       measure_asymmetry, simulate, slope_and_A)
 from .torus import CatSystem, HarmonicForce, TorusPoint
 
 
@@ -46,6 +46,10 @@ _INT_KEYS = {"order": 1, "tau": 1, "T": 1, "N": 1, "seed": 0, "workers": 1,
 _POSITIVE_KEYS = ("bin_width", "p_max")
 _CHOICE_KEYS = {"sigma_mode": ("per_run", "pooled"),
                 "boundary_terms": ("on", "off")}
+# (T, tau, N) per Monte Carlo subcommand; the other defaults are SimConfig's
+_MC_DEFAULTS = {"simulate": (10 ** 6, 100, 20), "fit": (400_000, 25, 12),
+                "report": (400_000, 100, 8)}
+_SIM_KEYS = ("bin_width", "seed", "workers", "sigma_mode")
 
 
 def load_config(path: str, overrides: Optional[Dict] = None) -> Dict:
@@ -119,9 +123,10 @@ def eps_list_from_config(data: Dict) -> List[float]:
     eps = data.get("eps")
     if isinstance(eps, (int, float)):
         eps = [eps]
-    if not isinstance(eps, list) or not eps or not all(map(_is_number, eps)):
-        raise ConfigError("config needs a nonempty 'eps' list of numbers, "
-                          f"got {eps!r}")
+    if not (isinstance(eps, list) and eps and all(
+            _is_number(e) and math.isfinite(e) for e in eps)):
+        raise ConfigError("config needs a nonempty 'eps' list of finite "
+                          f"numbers, got {eps!r}")
     return [float(e) for e in eps]
 
 
@@ -131,7 +136,27 @@ def config_hash(data: Dict) -> str:
 
 
 def _meta(data: Dict) -> Dict:
-    return {"config_hash": config_hash(data), "seed": data.get("seed", 2024)}
+    return {"config_hash": config_hash(data),
+            "seed": data.get("seed", SimConfig.seed)}
+
+
+def _sim_configs(data: Dict, command: str) -> List[SimConfig]:
+    """One SimConfig per eps of the config, all built before any work.
+
+    T, tau and N default per subcommand (_MC_DEFAULTS), every other key to
+    SimConfig's own default; a value SimConfig refuses (tau not dividing T,
+    eps = 0, an eps where S_eps is not invertible) is a ConfigError.
+    """
+    force = force_from_config(data)
+    eps_list = eps_list_from_config(data)
+    T, tau, N = (data.get(key, default) for key, default
+                 in zip(("T", "tau", "N"), _MC_DEFAULTS[command]))
+    keys = {key: data[key] for key in _SIM_KEYS if key in data}
+    try:
+        return [SimConfig(system=CatSystem(epsilon=eps, force=force),
+                          T=T, tau=tau, N=N, **keys) for eps in eps_list]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -224,22 +249,13 @@ def cmd_ftcheck(data: Dict, out: Path) -> None:
 
 
 def cmd_simulate(data: Dict, out: Path) -> None:
-    force = force_from_config(data)
-    eps_list = eps_list_from_config(data)
-    tau = data.get("tau", 100)
-    T = data.get("T", 10 ** 6)
-    N = data.get("N", 20)
-    seed = data.get("seed", 2024)
-    workers = data.get("workers", 1)
-    bin_width = data.get("bin_width", 0.05)
+    configs = _sim_configs(data, "simulate")
+    p_max = data.get("p_max", P_MAX)
     summary = {"meta": _meta(data), "runs": []}
     run_rows = ["eps,run,bin_p,count"]
     curve_rows = ["eps,p,y,err"]
-    for eps in eps_list:
-        config = SimConfig(system=CatSystem(epsilon=eps, force=force), T=T,
-                           tau=tau, N=N, bin_width=bin_width, seed=seed,
-                           workers=workers,
-                           sigma_mode=data.get("sigma_mode", "per_run"))
+    for config in configs:
+        eps, bin_width = config.system.epsilon, config.bin_width
         stats = simulate(config)
         for s in stats:
             for b in sorted(s.counts):
@@ -248,7 +264,7 @@ def cmd_simulate(data: Dict, out: Path) -> None:
         curve = build_curve(stats, config)
         for p, y, e in curve.rows():
             curve_rows.append(f"{eps},{p:.4f},{y:.8g},{e:.8g}")
-        res = slope_and_A(curve, p_max=data.get("p_max", 2.0))
+        res = slope_and_A(curve, p_max=p_max)
         summary["runs"].append({
             "eps": eps,
             "sigma_bar_runs": [s.sigma_bar for s in stats],
@@ -262,20 +278,13 @@ def cmd_simulate(data: Dict, out: Path) -> None:
 
 
 def cmd_fit(data: Dict, out: Path) -> None:
-    force = force_from_config(data)
-    eps_list = eps_list_from_config(data)
-    tau = data.get("tau", 25)
+    configs = _sim_configs(data, "fit")
+    p_max = data.get("p_max", P_MAX)
     points = []
-    for eps in eps_list:
-        res = measure_asymmetry(force, eps, T=data.get("T", 400_000),
-                                tau=tau, N=data.get("N", 12),
-                                seed=data.get("seed", 2024),
-                                bin_width=data.get("bin_width", 0.05),
-                                workers=data.get("workers", 1),
-                                p_max=data.get("p_max", 2.0),
-                                sigma_mode=data.get("sigma_mode", "per_run"))
-        points.append((eps, res.A, res.stderr))
-    f1, f2 = fit_models(points, tau)
+    for config in configs:
+        res = measure_asymmetry(config, p_max)
+        points.append((config.system.epsilon, res.A, res.stderr))
+    f1, f2 = fit_models(points, configs[0].tau)
     payload = {
         "meta": _meta(data),
         "points": [{"eps": e, "A": a, "stderr": s} for e, a, s in points],
@@ -312,25 +321,18 @@ def cmd_report(data: Dict, out: Path) -> None:
     slope_and_A's A, which also carries (B/<sigma>) sum w p^4 / sum w p^2
     from the cubic term B p^3; the two agree only where B = 0.
     """
-    eng, table = _table(data)
-    force, order = eng.force, eng.max_order
+    configs = _sim_configs(data, "report")
+    p_max = data.get("p_max", P_MAX)
+    _, table = _table(data)
+    order = table.max_order
     ft = ft_report(table, order)
     A_series, B_series = asymmetry_coefficients(table, order)
-    eps_list = eps_list_from_config(data)
     measurements = []
     p_star = None
-    for eps in eps_list:
-        config = SimConfig(system=CatSystem(epsilon=eps, force=force),
-                           T=data.get("T", 400_000),
-                           tau=data.get("tau", 100),
-                           N=data.get("N", 8),
-                           bin_width=data.get("bin_width", 0.05),
-                           seed=data.get("seed", 2024),
-                           workers=data.get("workers", 1),
-                           sigma_mode=data.get("sigma_mode", "per_run"))
+    for config in configs:
+        eps = config.system.epsilon
         stats = simulate(config)
-        curve = build_curve(stats, config)
-        res = slope_and_A(curve, p_max=data.get("p_max", 2.0))
+        res = slope_and_A(build_curve(stats, config), p_max=p_max)
         observed_max = max(s.max_abs_p for s in stats)
         p_star = max(p_star or 0.0, observed_max)
         A_pred = sum(v * eps ** k for k, v in A_series.items())

@@ -617,6 +617,17 @@ class CumulantTable:
     def cumulant_total(self, n: int, eps: float) -> float:
         return sum(v * eps ** m for m, v in self.C.get(n, {}).items())
 
+    def lambda_order(self, m: int) -> np.ndarray:
+        """beta-polynomial coefficients of lambda(beta) = sum_n C_n beta^n / n!
+        at eps-order m."""
+        out = np.zeros(max(self.C) + 1)
+        for n, per_order in self.C.items():
+            out[n] = per_order.get(m, 0.0) / math.factorial(n)
+        return out
+
+    def mean_order(self, m: int) -> float:
+        return self.mean.get(m, 0.0)
+
 
 def build_table(force: HarmonicForce, max_order: int = 4,
                 shift_window: int = DEFAULT_SHIFT_WINDOW,

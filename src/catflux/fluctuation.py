@@ -68,28 +68,13 @@ def _series_ratio(num: Dict[int, float], den: Dict[int, float],
 # ----------------------------------------------------------------------
 # lambda(beta)
 # ----------------------------------------------------------------------
-@dataclass
-class LambdaSeries:
-    """Cumulants and SRB mean through a fixed total eps order."""
+def lambda_from_cumulants(table: CumulantTable, max_order: int
+                          ) -> CumulantTable:
+    """The table as lambda(beta) data through eps-order max_order.
 
-    max_order: int
-    mean: Dict[int, float]              # <sigma>_+ at eps-order m
-    cumulants: Dict[int, Dict[int, float]]  # C[n][m]
-
-    def lambda_order(self, m: int) -> np.ndarray:
-        """beta-polynomial coefficients of lambda(beta) at eps-order m."""
-        top = max(self.cumulants)
-        out = np.zeros(top + 1)
-        for n, per_order in self.cumulants.items():
-            out[n] = per_order.get(m, 0.0) / math.factorial(n)
-        return out
-
-    def mean_order(self, m: int) -> float:
-        return self.mean.get(m, 0.0)
-
-
-def lambda_from_cumulants(table: CumulantTable, max_order: int) -> LambdaSeries:
-    """Assemble lambda(beta) data; errors list any missing entries."""
+    Errors list any missing entries; a table built to a higher order is
+    returned cut to max_order, one built to exactly max_order as itself.
+    """
     missing = []
     for n in range(2, max_order + 1):
         for m in range(n, max_order + 1):
@@ -100,22 +85,25 @@ def lambda_from_cumulants(table: CumulantTable, max_order: int) -> LambdaSeries:
             missing.append(f"<sigma>_+^({m})")
     if missing:
         raise MissingCumulantError("missing cumulant entries: " + ", ".join(missing))
-    mean = {m: table.mean[m] for m in table.mean if m <= max_order}
-    cums = {n: dict(table.C[n]) for n in table.C if n <= max_order}
-    return LambdaSeries(max_order, mean, cums)
+    if table.max_order == max_order:
+        return table
+    return CumulantTable(
+        max_order, {m: v for m, v in table.mean.items() if m <= max_order},
+        {n: {m: v for m, v in per_order.items() if m <= max_order}
+         for n, per_order in table.C.items() if n <= max_order})
 
 
-def check_rel1(lam: LambdaSeries) -> Dict[int, np.ndarray]:
+def check_rel1(lam: CumulantTable) -> Dict[int, np.ndarray]:
     """Residual lambda(beta) - lambda(-1-beta) + 2<s>beta + <s>, per eps-order.
 
     Returns {eps_order: beta-polynomial coefficients}; all zero through the
     order where the fluctuation theorem holds.
     """
     out: Dict[int, np.ndarray] = {}
-    top = max(lam.cumulants)
+    top = max(lam.C)
     for m in range(0, lam.max_order + 1):
         res = np.zeros(top + 1)
-        for n, per_order in lam.cumulants.items():
+        for n, per_order in lam.C.items():
             c = per_order.get(m, 0.0)
             if c == 0.0:
                 continue
@@ -132,7 +120,7 @@ def check_rel1(lam: LambdaSeries) -> Dict[int, np.ndarray]:
     return out
 
 
-def check_rel3(lam: LambdaSeries, n: int) -> Dict[int, float]:
+def check_rel3(lam: CumulantTable, n: int) -> Dict[int, float]:
     """Residual of C_n = sum_{k>=0} (-1)^{k+n} C_{k+n} / k!, per eps-order.
 
     The k = 0 term re-adds (-1)^n C_n, so the relation is solved for C_n
@@ -147,12 +135,12 @@ def check_rel3(lam: LambdaSeries, n: int) -> Dict[int, float]:
     for m in range(0, K + 1):
         tail = 0.0
         for k in range(1, K - n + 1):
-            c = lam.cumulants.get(n + k, {}).get(m, 0.0)
+            c = lam.C.get(n + k, {}).get(m, 0.0)
             tail += (-1.0) ** (k + n) * c / math.factorial(k)
         if n % 2 == 0:
             out[m] = -tail
         else:
-            out[m] = lam.cumulants.get(n, {}).get(m, 0.0) - 0.5 * tail
+            out[m] = lam.C.get(n, {}).get(m, 0.0) - 0.5 * tail
     return out
 
 
@@ -164,7 +152,6 @@ class ZetaSeries:
     """zeta(p) orders (absolute eps grading) as polynomials in x = p - 1."""
 
     orders: Dict[int, np.ndarray]       # eps-order n -> x-poly coefficients
-    beta_star: Dict[int, np.ndarray]    # relative order -> x-poly coefficients
     max_order: int
 
     def poly_at(self, eps: float) -> np.ndarray:
@@ -215,14 +202,13 @@ def beta_star(table: CumulantTable, max_order: int) -> Dict[int, np.ndarray]:
         raise NoLinearResponseError(
             "C_2 vanishes at leading order: no linear response")
     N = max_order - 2  # relative orders carried
-    mean = {m: v for m, v in lam.mean.items()}
-    c2 = dict(lam.cumulants[2])
-    off_r, r = _series_ratio(mean, c2, N)
+    c2 = lam.C[2]
+    off_r, r = _series_ratio(lam.mean, c2, N)
     if r and any(v != 0.0 for v in r):
         assert off_r == 0, "mean/C_2 should start at relative order 0"
     ratios: Dict[int, Tuple[int, List[float]]] = {}
     for k in range(3, max_order + 1):
-        ck = lam.cumulants.get(k, {})
+        ck = lam.C.get(k, {})
         ratios[k] = _series_ratio(ck, c2, N) if ck else (0, [0.0] * (N + 1))
 
     beta: Dict[int, np.ndarray] = {}
@@ -265,12 +251,12 @@ def zeta(table: CumulantTable, max_order: int) -> ZetaSeries:
         for k in range(2, max_order + 1):
             powers = _graded_poly_pow(bstar, k, N)
             for m, poly in powers.items():
-                ck = lam.cumulants.get(k, {}).get(n - m, 0.0)
+                ck = lam.C.get(k, {}).get(n - m, 0.0)
                 if ck == 0.0:
                     continue
                 acc = _acc_poly(acc, poly, -ck / math.factorial(k))
         orders[n] = acc
-    return ZetaSeries(orders, bstar, max_order)
+    return ZetaSeries(orders, max_order)
 
 
 def zeta_closed_form(table: CumulantTable, max_order: int = 4) -> ZetaSeries:
@@ -281,11 +267,11 @@ def zeta_closed_form(table: CumulantTable, max_order: int = 4) -> ZetaSeries:
     orders: Dict[int, np.ndarray] = {}
     for n in range(2, max_order + 1):
         acc = np.zeros(5)
-        acc[2] = 0.5 * (lam.mean_order(n) - lam.cumulants[2].get(n, 0.0) / 4.0)
-        acc[3] = -lam.cumulants.get(3, {}).get(n, 0.0) / 48.0
-        acc[4] = -lam.cumulants.get(4, {}).get(n, 0.0) / 384.0
+        acc[2] = 0.5 * (lam.mean_order(n) - lam.C[2].get(n, 0.0) / 4.0)
+        acc[3] = -lam.C.get(3, {}).get(n, 0.0) / 48.0
+        acc[4] = -lam.C.get(4, {}).get(n, 0.0) / 384.0
         orders[n] = acc
-    return ZetaSeries(orders, {}, max_order)
+    return ZetaSeries(orders, max_order)
 
 
 def zeta_ft_imposed(table: CumulantTable, max_order: int = 4) -> ZetaSeries:
@@ -296,13 +282,13 @@ def zeta_ft_imposed(table: CumulantTable, max_order: int = 4) -> ZetaSeries:
     orders: Dict[int, np.ndarray] = {}
     for n in range(2, max_order + 1):
         acc = np.zeros(5)
-        acc[2] = lam.cumulants[2].get(n, 0.0) / 8.0
-        c4 = lam.cumulants.get(4, {}).get(n, 0.0)
+        acc[2] = lam.C[2].get(n, 0.0) / 8.0
+        c4 = lam.C.get(4, {}).get(n, 0.0)
         acc[2] -= c4 / 48.0
         acc[3] -= c4 / 96.0
         acc[4] -= c4 / 384.0
         orders[n] = acc
-    return ZetaSeries(orders, {}, max_order)
+    return ZetaSeries(orders, max_order)
 
 
 def legendre_oracle(table: CumulantTable, eps: float, p: float) -> float:
@@ -335,10 +321,10 @@ def asymmetry_coefficients(table: CumulantTable, max_order: int = 4
     num: Dict[int, float] = {}
     for m in range(2, max_order + 1):
         num[m] = (lam.mean_order(m)
-                  - lam.cumulants[2].get(m, 0.0) / 2.0
-                  + lam.cumulants.get(3, {}).get(m, 0.0) / 8.0
-                  - lam.cumulants.get(4, {}).get(m, 0.0) / 48.0)
-    mean = dict(lam.mean)
+                  - lam.C[2].get(m, 0.0) / 2.0
+                  + lam.C.get(3, {}).get(m, 0.0) / 8.0
+                  - lam.C.get(4, {}).get(m, 0.0) / 48.0)
+    mean = lam.mean
     if all(v == 0.0 for v in mean.values()):
         raise NoLinearResponseError("<sigma>_+ vanishes at every computed order")
     lead_mean = min(m for m, v in mean.items() if v != 0.0)
@@ -352,8 +338,8 @@ def asymmetry_coefficients(table: CumulantTable, max_order: int = 4
         A = {0: 0.0}
     B: Dict[int, float] = {}
     for m in range(2, max_order + 1):
-        B[m] = (lam.cumulants.get(3, {}).get(m, 0.0)
-                - lam.cumulants.get(4, {}).get(m, 0.0) / 2.0) / 24.0
+        B[m] = (lam.C.get(3, {}).get(m, 0.0)
+                - lam.C.get(4, {}).get(m, 0.0) / 2.0) / 24.0
     return A, B
 
 

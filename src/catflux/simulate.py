@@ -16,7 +16,7 @@ bit-identical for a fixed seed regardless of worker count or scheduling.
 Known defect of that keying: seeds that differ only in their low bits share
 streams.  For any seed in 0..15 at N = 16, {seed ^ r : r < 16} = {0..15}, so
 those sixteen seeds run the same sixteen orbits in a different order
-(ROADMAP, Monte Carlo item); pick seeds that differ above bit log2(N).
+(ROADMAP item 7); pick seeds that differ above bit log2(N).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .torus import CatSystem, HarmonicForce
+from .torus import CatSystem
 
 
 @dataclass(frozen=True)
@@ -185,31 +185,31 @@ def simulate(config: SimConfig) -> List[RunStats]:
     return [_bin_windows(i, sb, ws, sb, config) for i, sb, ws in raw]
 
 
+# the default |p| cut of the slope fit
+P_MAX = 2.0
+
+
 @dataclass
 class RatioCurve:
-    """Symmetric-bin log-ratio curve with standard errors."""
+    """Symmetric-bin log-ratio curve y(p) with standard errors."""
 
     p: np.ndarray
     y: np.ndarray
     err: np.ndarray
-    sigma_bar: float
-    tau: int
-    n_runs: int
 
     def rows(self):
         return list(zip(self.p.tolist(), self.y.tolist(), self.err.tolist()))
 
 
-def ratio_curve(stats: Sequence[RunStats], tau: int,
+def build_curve(stats: Sequence[RunStats], config: SimConfig,
                 errors: str = "runs") -> RatioCurve:
-    """Log-ratio per symmetric bin pair, with run-to-run or binomial errors.
+    """y(p) = log[Freq(p)/Freq(-p)] / (tau sigma_bar p) per symmetric bin pair.
 
     errors="runs": the log-ratio is averaged over the runs where the pair is
     populated and the error is the standard deviation of that mean (the
     thesis' convention).  errors="binomial": pooled counts with 1/sqrt(F)
-    error propagation through the log.  The returned p column holds bin
-    indices; finalize_curve() converts to p-centers and divides by
-    tau sigma_bar p.
+    error propagation through the log.  p is the bin center and sigma_bar
+    the mean of the runs' sigma_bar.
     """
     if not stats:
         raise ValueError("no runs")
@@ -248,39 +248,20 @@ def ratio_curve(stats: Sequence[RunStats], tau: int,
             raise ValueError("errors must be 'runs' or 'binomial'")
     if not ps:
         raise ValueError("no bin pair populated in at least two runs")
-    return RatioCurve(np.array(ps, dtype=float), np.array(ys), np.array(errs),
-                      sigma_bar, tau, len(stats))
+    p = (np.array(ps, dtype=float) + 0.5) * config.bin_width
+    denom = config.tau * sigma_bar * p
+    return RatioCurve(p, np.array(ys) / denom, np.array(errs) / denom)
 
 
-def finalize_curve(curve: RatioCurve, bin_width: float) -> RatioCurve:
-    """Convert bin indices to p-centers and log-ratios to y = log/(tau s p)."""
-    p = (curve.p + 0.5) * bin_width
-    denom = curve.tau * curve.sigma_bar * p
-    return RatioCurve(p, curve.y / denom, curve.err / denom,
-                      curve.sigma_bar, curve.tau, curve.n_runs)
-
-
-def build_curve(stats: Sequence[RunStats], config: SimConfig,
-                errors: str = "runs") -> RatioCurve:
-    return finalize_curve(ratio_curve(stats, config.tau, errors=errors),
-                          config.bin_width)
-
-
-def measure_asymmetry(force: HarmonicForce, eps: float, T: int, tau: int,
-                      N: int, seed: int, bin_width: float = 0.05,
-                      workers: int = 1, p_max: float = 2.0,
-                      sigma_mode: str = "per_run") -> SlopeResult:
+def measure_asymmetry(config: SimConfig, p_max: float = P_MAX) -> SlopeResult:
     """One experimental A(eps) point: simulate, build the curve, fit the slope.
 
     Pooled binomial errors weight the slope fit; they stay honest in the
     low-count tail bins where per-run dispersion over few runs undershoots.
     """
-    config = SimConfig(system=CatSystem(epsilon=eps, force=force), T=T,
-                       tau=tau, N=N, bin_width=bin_width, seed=seed,
-                       workers=workers, sigma_mode=sigma_mode)
     stats = simulate(config)
-    curve = build_curve(stats, config, errors="binomial")
-    return slope_and_A(curve, p_max=p_max)
+    return slope_and_A(build_curve(stats, config, errors="binomial"),
+                       p_max=p_max)
 
 
 @dataclass(frozen=True)
@@ -288,10 +269,9 @@ class SlopeResult:
     slope: float
     A: float
     stderr: float
-    n_bins: int
 
 
-def slope_and_A(curve: RatioCurve, p_max: float = 2.0) -> SlopeResult:
+def slope_and_A(curve: RatioCurve, p_max: float = P_MAX) -> SlopeResult:
     """Weighted slope through the origin of z(p) = p y(p); A = slope - 1.
 
     The FT predicts z = p exactly; the leading deviation z = (1+A) p defines
@@ -316,7 +296,7 @@ def slope_and_A(curve: RatioCurve, p_max: float = 2.0) -> SlopeResult:
     denom = float(np.sum(w * p * p))
     slope = float(np.sum(w * p * z)) / denom
     stderr = math.sqrt(1.0 / denom) if np.all(ez > 0) else 0.0
-    return SlopeResult(slope, slope - 1.0, stderr, int(mask.sum()))
+    return SlopeResult(slope, slope - 1.0, stderr)
 
 
 @dataclass(frozen=True)

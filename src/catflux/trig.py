@@ -448,7 +448,6 @@ class GeometricSum:
 
     poly: TrigPoly
     tail_bound: float
-    terms_used: int
 
 
 def geometric_sum(f: TrigPoly, ratio: float, direction: int) -> GeometricSum:
@@ -466,7 +465,7 @@ def geometric_sum(f: TrigPoly, ratio: float, direction: int) -> GeometricSum:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     if not f:
-        return GeometricSum(TrigPoly.zero(), 0.0, 0)
+        return GeometricSum(TrigPoly.zero(), 0.0)
     norm = f.l1_norm()
     size = np.abs(f.c)
     parts = []
@@ -484,7 +483,7 @@ def geometric_sum(f: TrigPoly, ratio: float, direction: int) -> GeometricSum:
         p += 1
     tail = abs(weight) / (1.0 - abs(ratio)) * norm
     poly = TrigPoly._of(*_merge_parts(parts, COEFF_TOL))
-    return GeometricSum(poly, tail, p)
+    return GeometricSum(poly, tail)
 
 
 def quadrature_average(f: TrigPoly, n: int = 256) -> float:

@@ -272,8 +272,9 @@ class TestCriterion8AScaling:
         for name, force in forces.items():
             for eps in (0.1, 0.2, 0.3):
                 try:
-                    res = measure_asymmetry(force, eps, T=10_000, tau=25,
-                                            N=1, seed=1, workers=1)
+                    res = measure_asymmetry(SimConfig(
+                        system=CatSystem(epsilon=eps, force=force),
+                        T=10_000, tau=25, N=1, seed=1, workers=1))
                     measured[f"{name} {eps}"] = res.A
                 except ValueError as exc:
                     if (name, eps) != ("two", 0.3):
@@ -302,8 +303,9 @@ class TestCriterion8AScaling:
                             ("two", HarmonicForce.two_harmonics())):
             pts = []
             for eps in eps_list:
-                res = measure_asymmetry(force, eps, T=300_000, tau=tau, N=16,
-                                        seed=515, workers=1, p_max=2.0)
+                res = measure_asymmetry(SimConfig(
+                    system=CatSystem(epsilon=eps, force=force), T=300_000,
+                    tau=tau, N=16, seed=515, workers=1), p_max=2.0)
                 pts.append((eps, res.A, res.stderr))
             f1, f2 = fit_models(pts, tau)
             results[name] = {"points": pts, "f1": f1, "f2": f2}

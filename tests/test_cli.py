@@ -9,6 +9,9 @@ import catflux.cli as cli
 from catflux.cli import force_from_config, load_config, main
 from catflux.torus import HarmonicForce
 
+# the package re-exports simulate(), which shadows the module attribute
+SIMULATE_MODULE = importlib.import_module("catflux.simulate")
+TWO_HARMONICS = [{"nu": [1, 0], "amp": 1.0}, {"nu": [2, 0], "amp": 1.0}]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BENCH_LAYERS = PERFBENCH / "layers.py"
 
@@ -33,6 +36,18 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, eps=[])
         assert main(["cumulants", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["cumulants", "zeta", "simulate",
+                                         "fit", "report"])
+    @pytest.mark.parametrize("eps", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_eps_exits_3(self, tmp_path, capsys, command, eps):
+        # Python's json reads all four; 1e400 overflows to inf
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"force": [{"nu": [1, 0], "amp": 1.0}], '
+                       f'"eps": [0.1, {eps}]}}')
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 3
+        assert "'eps' list of finite numbers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("order", "two"), ("tau", 2.5), ("T", 0), ("N", True), ("seed", -1),
@@ -96,6 +111,32 @@ class TestConfigHandling:
 
     def test_usage_error(self, tmp_path):
         assert main(["nonsense", "--config", "x"]) == 1
+
+
+class TestMonteCarloConfigRefusal:
+    """Values SimConfig refuses exit 3 before any table build or stepping."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def work(*args):
+            raise AssertionError("work ran for a refused configuration")
+
+        monkeypatch.setattr(cli, "_table", work)
+        monkeypatch.setattr(SIMULATE_MODULE, "_simulate_run", work)
+
+    @pytest.mark.parametrize("command", ["report", "simulate", "fit"])
+    @pytest.mark.parametrize("keys, message", [
+        (dict(T=1001, tau=100), "T must be a multiple of tau"),
+        (dict(eps=[0.1, 0.0]), "zero mean contraction"),
+        (dict(force=TWO_HARMONICS, eps=[0.1, 0.3]), "not invertible")],
+        ids=["tau-not-dividing-T", "eps-zero", "two-harmonic-eps-0.3"])
+    def test_refused_before_work(self, tmp_path, capsys, command, keys,
+                                 message):
+        cfg = write_config(tmp_path, **keys)
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
 
 class TestBenchSpans:
@@ -220,17 +261,18 @@ class TestSigmaModeAndBinWidth:
         import catflux.cli as cli
         from catflux.simulate import FitResult, SlopeResult
 
-        calls = []
+        configs = []
 
-        def measure(force, eps, **kwargs):
-            calls.append(kwargs)
-            return SlopeResult(1.0, 0.0, 0.1, 5)
+        def measure(config, p_max):
+            configs.append(config)
+            return SlopeResult(1.0, 0.0, 0.1)
 
         fit = FitResult("f", (0.0,), (0.0,), 0.0)
         monkeypatch.setattr(cli, "measure_asymmetry", measure)
         monkeypatch.setattr(cli, "fit_models", lambda points, tau: (fit, fit))
         self.run_json(tmp_path, "fit", "fit", "fit.json", eps=[0.05, 0.1, 0.15],
                       sigma_mode="pooled", bin_width=0.1)
-        assert len(calls) == 3
-        assert all(c["sigma_mode"] == "pooled" and c["bin_width"] == 0.1
-                   for c in calls)
+        assert [c.system.epsilon for c in configs] == [0.05, 0.1, 0.15]
+        # fit's own T, tau and N defaults; the config's sigma_mode and bin_width
+        assert all((c.T, c.tau, c.N, c.sigma_mode, c.bin_width)
+                   == (400_000, 25, 12, "pooled", 0.1) for c in configs)

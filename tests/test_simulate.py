@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from catflux.simulate import (RatioCurve, RunStats, SimConfig, build_curve,
-                              fit_models, measure_asymmetry, ratio_curve,
-                              simulate, slope_and_A)
+                              fit_models, measure_asymmetry, simulate,
+                              slope_and_A)
 from catflux.torus import CatSystem, HarmonicForce
 
 # the package re-exports simulate(), which shadows the module attribute
@@ -69,7 +69,9 @@ class TestInvertibility:
 
         monkeypatch.setattr(SIMULATE_MODULE, "_simulate_run", no_stepping)
         with pytest.raises(ValueError) as info:
-            measure_asymmetry(TWO, 0.3, T=10_000, tau=25, N=1, seed=1)
+            measure_asymmetry(desk_config(
+                system=CatSystem(epsilon=0.3, force=TWO), T=10_000, tau=25,
+                N=1, seed=1))
         assert "-0.1667 < eps < 0.2424" in str(info.value)
 
 
@@ -128,30 +130,27 @@ def synthetic_stats(a=0.0, tau=100, sigma_bar=0.0025, w=0.05, nmax=40,
 class TestRatioCurve:
     def test_exact_ft_ratio(self):
         stats = synthetic_stats(a=0.0)
-        curve = ratio_curve(stats, tau=100)
+        curve = build_curve(stats, desk_config())
         # log(F+/F-) = tau sigma p exactly (up to rounding of counts)
-        from catflux.simulate import finalize_curve
-        fin = finalize_curve(curve, 0.05)
-        assert np.max(np.abs(fin.y - 1.0)) < 1e-3
+        assert np.max(np.abs(curve.y - 1.0)) < 1e-3
 
     def test_no_symmetric_bins_error(self):
         counts = {3: 10, 4: 20}
         stats = [RunStats(0, 0.002, counts, 0.2, 30),
                  RunStats(1, 0.002, counts, 0.2, 30)]
         with pytest.raises(ValueError, match="symmetric bin pair"):
-            ratio_curve(stats, tau=100)
+            build_curve(stats, desk_config())
 
     def test_binomial_errors(self):
         stats = synthetic_stats(a=0.0, runs=1)
-        curve = ratio_curve(stats, tau=100, errors="binomial")
+        curve = build_curve(stats, desk_config(), errors="binomial")
         assert np.all(curve.err > 0)
 
 
 class TestSlope:
     def test_exact_ft_gives_zero_A(self):
         stats = synthetic_stats(a=0.0, scale=10 ** 9)
-        from catflux.simulate import finalize_curve
-        curve = finalize_curve(ratio_curve(stats, tau=100), 0.05)
+        curve = build_curve(stats, desk_config())
         res = slope_and_A(curve, p_max=1.0)
         assert abs(res.A) < 1e-3
 
@@ -159,14 +158,12 @@ class TestSlope:
         # exact synthetic curve (bypassing count rounding)
         p = np.linspace(0.1, 2.0, 20)
         a = 0.125
-        curve = RatioCurve(p, (1 + a) * np.ones_like(p), np.zeros_like(p),
-                           0.0025, 100, 1)
+        curve = RatioCurve(p, (1 + a) * np.ones_like(p), np.zeros_like(p))
         res = slope_and_A(curve, p_max=2.0)
         assert res.A == pytest.approx(a, abs=1e-10)
 
     def test_insufficient_bins(self):
-        curve = RatioCurve(np.array([0.1, 0.2]), np.ones(2), np.ones(2),
-                           0.0025, 100, 1)
+        curve = RatioCurve(np.array([0.1, 0.2]), np.ones(2), np.ones(2))
         with pytest.raises(ValueError, match=">= 3"):
             slope_and_A(curve)
 
