@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .conjugation import conjugation_order_k, expansion_rate_series
-from .cumulants import DEFAULT_SHIFT_WINDOW, CorrelationEngine, build_table
+from .cumulants import SHIFT_WINDOW, CorrelationEngine, build_table
 from .fluctuation import (asymmetry_coefficients, ft_report, zeta,
                           zeta_closed_form, zeta_ft_imposed)
 from .partition import (CatCoder, birkhoff_frequencies, build_cat_partition,
@@ -38,11 +38,9 @@ class ConfigError(ValueError):
 
 
 _CONFIG_KEYS = {"force", "eps", "order", "tau", "T", "N", "bin_width",
-                "seed", "workers", "shift_window", "p_max",
-                "boundary_terms", "sigma_mode"}
+                "seed", "workers", "p_max", "boundary_terms", "sigma_mode"}
 # integer keys with their least allowed value; the float keys are positive
-_INT_KEYS = {"order": 1, "tau": 1, "T": 1, "N": 1, "seed": 0, "workers": 1,
-             "shift_window": 1}
+_INT_KEYS = {"order": 1, "tau": 1, "T": 1, "N": 1, "seed": 0, "workers": 1}
 _POSITIVE_KEYS = ("bin_width", "p_max")
 _CHOICE_KEYS = {"sigma_mode": ("per_run", "pooled"),
                 "boundary_terms": ("on", "off")}
@@ -181,34 +179,41 @@ def cmd_coeffs(data: Dict, out: Path) -> None:
 
 
 def _table(data: Dict):
-    """The config's correlation engine and its cumulant table through the
-    config's order."""
-    eng = CorrelationEngine(force_from_config(data), data.get("order", 4),
-                            data.get("shift_window", DEFAULT_SHIFT_WINDOW))
-    return eng, build_table(eng.force, eng.max_order, eng.shift_window,
-                            engine=eng)
+    """The cumulant table of the config's force through the config's order."""
+    eng = CorrelationEngine(force_from_config(data), data.get("order", 4))
+    return build_table(eng.force, eng.max_order, engine=eng)
+
+
+def _eps_powers(data: Dict) -> List[float]:
+    """The config's eps list, refused before any table build when the
+    largest |eps| to the power 'order' overflows."""
+    eps_list, order = eps_list_from_config(data), data.get("order", 4)
+    top = max(map(abs, eps_list))
+    try:
+        top ** order
+    except OverflowError:
+        raise ConfigError(f"config key 'eps': {top!r} ** order {order} "
+                          "overflows") from None
+    return eps_list
 
 
 def cmd_cumulants(data: Dict, out: Path) -> None:
-    eng, table = _table(data)
-    window = eng.shift_window
-    eps_list = eps_list_from_config(data)
-    lines = ["n,m,value,shift_window,eps,value_at_eps"]
-    for n in sorted(table.C):
-        for m in sorted(table.C[n]):
-            for eps in eps_list:
-                lines.append(f"{n},{m},{table.C[n][m]:.15g},{window},"
-                             f"{eps},{table.C[n][m] * eps ** m:.15g}")
-    for m in sorted(table.mean):
-        for eps in eps_list:
-            lines.append(f"1,{m},{table.mean[m]:.15g},{window},{eps},"
-                         f"{table.mean[m] * eps ** m:.15g}")
+    eps_list = _eps_powers(data)
+    table = _table(data)
+    # means follow the C_n rows as n = 1; every entry holds at SHIFT_WINDOW
+    rows = [(n, m, table.C[n][m]) for n in sorted(table.C)
+            for m in sorted(table.C[n])]
+    rows += [(1, m, table.mean[m]) for m in sorted(table.mean)]
+    lines = ["n,m,value,shift_window,eps,value_at_eps"] + [
+        f"{n},{m},{v:.15g},{SHIFT_WINDOW},{eps},{v * eps ** m:.15g}"
+        for n, m, v in rows for eps in eps_list]
     _write(out, "cumulants.csv", "\n".join(lines))
     _write(out, "cumulants_meta.json", json.dumps(_meta(data), indent=2))
 
 
 def cmd_zeta(data: Dict, out: Path) -> None:
-    _, table = _table(data)
+    eps_list = _eps_powers(data)
+    table = _table(data)
     order = table.max_order
     zs = zeta(table, order)
     closed = zeta_closed_form(table, order)
@@ -223,7 +228,7 @@ def cmd_zeta(data: Dict, out: Path) -> None:
     }
     _write(out, "zeta.json", json.dumps(payload, indent=2))
     rows = ["eps,p,zeta,asym"]
-    for eps in eps_list_from_config(data):
+    for eps in eps_list:
         for p in np.linspace(-2.0, 3.0, 101):
             rows.append(f"{eps},{p:.3f},{zs.value(p, eps):.12g},"
                         f"{-zs.value(p, eps) + zs.value(-p, eps):.12g}")
@@ -231,7 +236,7 @@ def cmd_zeta(data: Dict, out: Path) -> None:
 
 
 def cmd_ftcheck(data: Dict, out: Path) -> None:
-    _, table = _table(data)
+    table = _table(data)
     order = table.max_order
     report = ft_report(table, order)
     A, B = asymmetry_coefficients(table, order)
@@ -279,6 +284,8 @@ def cmd_simulate(data: Dict, out: Path) -> None:
 
 def cmd_fit(data: Dict, out: Path) -> None:
     configs = _sim_configs(data, "fit")
+    if len({config.system.epsilon for config in configs}) < 3:
+        raise ConfigError("need at least 3 distinct eps values")
     p_max = data.get("p_max", P_MAX)
     points = []
     for config in configs:
@@ -323,7 +330,7 @@ def cmd_report(data: Dict, out: Path) -> None:
     """
     configs = _sim_configs(data, "report")
     p_max = data.get("p_max", P_MAX)
-    _, table = _table(data)
+    table = _table(data)
     order = table.max_order
     ft = ft_report(table, order)
     A_series, B_series = asymmetry_coefficients(table, order)
@@ -415,10 +422,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         data = load_config(args.config, {
             "seed": args.seed, "workers": args.workers, "order": args.order,
             "boundary_terms": args.boundary_terms})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    try:
         _COMMANDS[args.command](data, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,8 +35,9 @@ the composed polynomial, which at the top order would be the largest the
 engine holds.  Every factor of a moment with a partner is still built and
 registered.
 
-All shift windows carry an automatic sufficiency re-check: enlarging the
-window by SUFFICIENCY_EXTRA must change nothing beyond SUFFICIENCY_TOL.
+Every connected sum, transport matrix included, is walked once, out to
+SUFFICIENCY_EXTRA beyond SHIFT_WINDOW; its rim, the terms outside
+SHIFT_WINDOW, must stay below SUFFICIENCY_TOL of the rest, or it raises.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ from .torus import HarmonicForce
 from .trig import (LAMBDA_PLUS, SQRT5, TrigPoly, V_MINUS, V_PLUS,
                    product_average, s0_power)
 
-DEFAULT_SHIFT_WINDOW = 12
+# every shift sum is certified for this window; read at call time
+SHIFT_WINDOW = 12
 SUFFICIENCY_EXTRA = 3
 # window sufficiency is an exact frequency-growth statement; numerically the
-# re-summation over ~3e4 extra tuples carries O(1e-13) float dust, so the
-# automatic guard asserts at 1e-11 while tests probe tighter on small windows
+# rim's terms carry O(1e-13) float dust, so the guard asserts at 1e-11
 SUFFICIENCY_TOL = 1e-11
 ORDER_CAP = 6
 # shifted factor grids replay_moments_on_grid keeps at once
@@ -363,6 +364,14 @@ class MomentEngine:
         return total
 
 
+def _certified(total: float, rim: float, what: str) -> float:
+    """total, once its rim (the part outside SHIFT_WINDOW) is negligible."""
+    if abs(rim) > SUFFICIENCY_TOL * max(1.0, abs(total - rim)):
+        raise RuntimeError(f"shift window {SHIFT_WINDOW} insufficient for "
+                           f"{what}: delta {rim:.3e}")
+    return total
+
+
 def _mixed_splits(obs_mins: Sequence[int], n_ins: int, total: int
                   ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Observable orders >= their minimums, insertion orders >= 1."""
@@ -387,13 +396,11 @@ class _Resolved:
 class CorrelationEngine:
     """SRB means, cumulants, and joint cumulants for one force."""
 
-    def __init__(self, force: HarmonicForce, max_order: int = 4,
-                 shift_window: int = DEFAULT_SHIFT_WINDOW):
+    def __init__(self, force: HarmonicForce, max_order: int = 4):
         if max_order > ORDER_CAP:
             raise ValueError(f"order {max_order} beyond cap {ORDER_CAP}")
         self.force = force
         self.max_order = max_order
-        self.shift_window = shift_window
         # the series extend lazily to whatever depth the requested orders
         # actually need (deep chain orders are the expensive part); the
         # observables and the rate series share one conjugation series
@@ -406,7 +413,7 @@ class CorrelationEngine:
         self._obs_ids: Dict[tuple, int] = {}
         self._composed_cache: Dict[int, List[int]] = {}
         self._average_cache: Dict[Tuple[int, int], float] = {}
-        self._cum_cache: Dict[tuple, float] = {}
+        self._cum_cache: Dict[tuple, Tuple[float, float]] = {}
 
     def _insertion_id(self, q: int) -> int:
         """Base id of -A_u^(q) with the constant part stripped.
@@ -496,18 +503,21 @@ class CorrelationEngine:
                for obs, mo in zip(observables, min_orders)]
         return _Resolved(m, oids, ids, min_orders, None)
 
-    def _cumulant_at(self, fam: _Resolved, shifts: Sequence[int],
-                     window: int) -> float:
+    def _cumulant_at(self, fam: _Resolved, shifts: Sequence[int]
+                     ) -> Tuple[float, float]:
+        """The family's joint SRB cumulant at these observable shifts, and
+        its rim: the part whose insertion shifts leave [lo, hi], the
+        observable shifts' span widened by SHIFT_WINDOW."""
         m = fam.m
-        key = (tuple(sorted(zip(fam.oids, shifts))), m, window)
+        key = (tuple(sorted(zip(fam.oids, shifts))), m)
         cached = self._cum_cache.get(key)
         if cached is not None:
             return cached
         ids = fam.ids
-        lo = min(shifts) - window
-        hi = max(shifts) + window
+        lo, hi = min(shifts) - SHIFT_WINDOW, max(shifts) + SHIFT_WINDOW
         # the zero-insertion term of a lone observable is its average
         total, s_first = (0.0, 0) if fam.average is None else (fam.average, 1)
+        rim = 0.0
         for s in range(s_first, m - sum(fam.min_orders) + 1):
             weight = 1.0 / math.factorial(s)
             for obs_orders, ins_orders in _mixed_splits(fam.min_orders, s, m):
@@ -516,70 +526,60 @@ class CorrelationEngine:
                 if any(not self.engine.bases[r[0]] for r in base_refs):
                     continue
                 ins_ids = [self._insertion_id(q) for q in ins_orders]
-                for lvec in self.engine.connected_shifts(base_refs, ins_ids,
-                                                         lo, hi):
+                for lvec in self.engine.connected_shifts(
+                        base_refs, ins_ids, lo - SUFFICIENCY_EXTRA,
+                        hi + SUFFICIENCY_EXTRA):
                     refs = base_refs + list(zip(ins_ids, lvec))
-                    total += weight * self.engine.ursell(refs)
-        self._cum_cache[key] = total
-        return total
+                    term = weight * self.engine.ursell(refs)
+                    total += term
+                    if term and any(l < lo or l > hi for l in lvec):
+                        rim += term
+        self._cum_cache[key] = total, rim
+        return total, rim
 
     # ------------------------------------------------------------------
     # public quantities
     # ------------------------------------------------------------------
-    def srb_mean_order(self, m: int, obs: Optional[ObservableSeries] = None,
-                       check_sufficiency: bool = True) -> float:
+    def srb_mean_order(self, m: int, obs: Optional[ObservableSeries] = None
+                       ) -> float:
         """<obs>_+ at eps-order m (obs defaults to sigma)."""
         obs = obs if obs is not None else self.sigma_observable()
-        return self._window_checked(self._resolve([obs], m), check_sufficiency,
-                                    f"mean order {m}")
+        return self._shift_summed(self._resolve([obs], m), f"mean order {m}")
 
     def sigma_observable(self) -> ObservableSeries:
         return sigma_series(self.force, self.max_order)
 
-    def cumulant(self, n: int, m: int, obs: Optional[ObservableSeries] = None,
-                 check_sufficiency: bool = True) -> float:
+    def cumulant(self, n: int, m: int, obs: Optional[ObservableSeries] = None
+                 ) -> float:
         """C_n at eps-order m: summed joint SRB cumulant over n-1 shifts."""
         if n < 2:
             raise ValueError("cumulant order n must be >= 2 (use srb_mean_order)")
         if m < n:
             return 0.0
         obs = obs if obs is not None else self.sigma_observable()
-        return self._window_checked(self._resolve([obs] * n, m),
-                                    check_sufficiency, f"C_{n}^({m})")
+        return self._shift_summed(self._resolve([obs] * n, m), f"C_{n}^({m})")
 
     def joint_cumulant(self, multi_index: Sequence[int], m: int,
-                       obs: ObservableSeries,
-                       check_sufficiency: bool = False) -> float:
+                       obs: ObservableSeries) -> float:
         """C_{alpha_1...alpha_k} at order m; index 1 -> sigma, 2 -> obs."""
         if obs.parity is None:
             raise ValueError("observable parity must be declared for joint cumulants")
         if any(a not in (1, 2) for a in multi_index):
             raise ValueError("multi-index entries must be 1 or 2")
         series = [self.sigma_observable() if a == 1 else obs for a in multi_index]
-        return self._window_checked(self._resolve(series, m),
-                                    check_sufficiency, "joint cumulant")
+        return self._shift_summed(self._resolve(series, m), "joint cumulant")
 
-    def _window_checked(self, fam: _Resolved, check: bool, what: str) -> float:
-        """The family's shift sum at shift_window; when check is set, the
-        sum at a window SUFFICIENCY_EXTRA wider, which must agree to
-        SUFFICIENCY_TOL."""
-        val = self._shift_summed(fam, self.shift_window)
-        if not check:
-            return val
-        wide = self._shift_summed(fam, self.shift_window + SUFFICIENCY_EXTRA)
-        if abs(wide - val) > SUFFICIENCY_TOL * max(1.0, abs(val)):
-            raise RuntimeError(f"shift window {self.shift_window} insufficient "
-                               f"for {what}: delta {wide - val:.3e}")
-        return wide
+    def _shift_summed(self, fam: _Resolved, what: str) -> float:
+        """The family's sum over its observable shifts, certified; a tuple
+        with an observable shift beyond SHIFT_WINDOW is rim as a whole."""
+        total = rim = 0.0
+        for shifts in self._observable_shifts(fam):
+            val, edge = self._cumulant_at(fam, list(shifts) + [0])
+            total += val
+            rim += val if any(abs(k) > SHIFT_WINDOW for k in shifts) else edge
+        return _certified(total, rim, what)
 
-    def _shift_summed(self, fam: _Resolved, window: int) -> float:
-        total = 0.0
-        for shifts in self._observable_shifts(fam, window):
-            total += self._cumulant_at(fam, list(shifts) + [0], window)
-        return total
-
-    def _observable_shifts(self, fam: _Resolved, window: int
-                           ) -> Iterable[Tuple[int, ...]]:
+    def _observable_shifts(self, fam: _Resolved) -> Iterable[Tuple[int, ...]]:
         """The observable-shift tuples to sum, in lexicographic order; the
         one empty tuple for a lone observable.
 
@@ -592,6 +592,7 @@ class CorrelationEngine:
         s = len(fam.oids) - 1
         if s == 0:
             return [()]
+        window = SHIFT_WINDOW + SUFFICIENCY_EXTRA
         if fam.m != sum(fam.min_orders):
             return itertools.product(range(-window, window + 1), repeat=s)
         alive = np.zeros((2 * window + 1,) * s, dtype=bool)
@@ -630,18 +631,13 @@ class CumulantTable:
 
 
 def build_table(force: HarmonicForce, max_order: int = 4,
-                shift_window: int = DEFAULT_SHIFT_WINDOW,
                 engine: Optional[CorrelationEngine] = None) -> CumulantTable:
-    """Fill means and cumulants C_2..C_max through total eps-order max_order.
-
-    A given engine must be one built for this force and shift window, to
-    at least max_order.
-    """
-    eng = engine or CorrelationEngine(force, max_order, shift_window)
-    if ((eng.force, eng.shift_window) != (force, shift_window)
-            or eng.max_order < max_order):
-        raise ValueError("engine built for another force or shift window, or "
-                         f"below order {max_order}: pass a matching one or none")
+    """Means and cumulants C_2..C_max through total eps-order max_order,
+    from a given engine built for this force to at least that order."""
+    eng = engine or CorrelationEngine(force, max_order)
+    if eng.force != force or eng.max_order < max_order:
+        raise ValueError("engine built for another force or a lower order "
+                         f"than {max_order}: pass a matching one or none")
     table = CumulantTable(max_order)
 
     def snap(v: float) -> float:
@@ -668,26 +664,29 @@ class TransportMatrix:
     symmetry_residual: float
 
 
-def transport_matrix(force_family: Sequence[HarmonicForce],
-                     shift_window: int = DEFAULT_SHIFT_WINDOW) -> TransportMatrix:
+def transport_matrix(force_family: Sequence[HarmonicForce]) -> TransportMatrix:
     """L_ij = 1/2 sum_k <J_i o S0^k ; J_j>_0 with J_i = d sigma / d G_i |_0.
 
     Each family member's amplitude is an independent coupling, so
     J_i^(0) = -g_i with g_i the member's unit Jacobian polynomial.  The
     connected correlation is the engine's Ursell function of the pair,
-    summed over the k that connected_shifts keeps.
+    summed over the k that connected_shifts keeps, and certified.
     """
     engine = MomentEngine()
     ids = [engine.register(-1.0 * fam.jacobian_poly()) for fam in force_family]
     s = len(ids)
+    wide = SHIFT_WINDOW + SUFFICIENCY_EXTRA
     L = [[0.0] * s for _ in range(s)]
     for i in range(s):
         for j in range(s):
-            total = 0.0
+            total = rim = 0.0
             for k, in engine.connected_shifts([(ids[j], 0)], [ids[i]],
-                                              -shift_window, shift_window):
-                total += engine.ursell([(ids[i], k), (ids[j], 0)])
-            L[i][j] = 0.5 * total
+                                              -wide, wide):
+                term = engine.ursell([(ids[i], k), (ids[j], 0)])
+                total += term
+                if abs(k) > SHIFT_WINDOW:
+                    rim += term
+            L[i][j] = 0.5 * _certified(total, rim, f"L_{i}{j}")
     resid = max(abs(L[i][j] - L[j][i]) for i in range(s) for j in range(s))
     return TransportMatrix(tuple(tuple(row) for row in L), resid)
 

@@ -326,8 +326,6 @@ def _weighted_lsq(X: np.ndarray, y: np.ndarray, sig: np.ndarray,
 def fit_models(points: Sequence[Tuple[float, float, float]], tau: int
                ) -> Tuple[FitResult, FitResult]:
     """Fit f1 and f2 to (eps, A, stderr) data by weighted least squares."""
-    if len(points) < 3:
-        raise ValueError("need at least 3 distinct eps values")
     eps = np.array([p[0] for p in points])
     if len(set(eps.tolist())) < 3:
         raise ValueError("need at least 3 distinct eps values")

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ SIMULATE_MODULE = importlib.import_module("catflux.simulate")
 TWO_HARMONICS = [{"nu": [1, 0], "amp": 1.0}, {"nu": [2, 0], "amp": 1.0}]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BENCH_LAYERS = PERFBENCH / "layers.py"
+README = PERFBENCH.parent / "README.md"
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -26,11 +28,19 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 class TestConfigHandling:
     def test_unknown_key_exits_3(self, tmp_path):
-        # out_dir is not a config key: the output directory is --out
-        for key in ("bogus", "out_dir"):
+        # out_dir is not a config key: the output directory is --out; the
+        # shift window is a constant of the cumulants module
+        for key in ("bogus", "out_dir", "shift_window"):
             cfg = write_config(tmp_path, **{key: 1})
             assert main(["cumulants", "--config", str(cfg), "--out",
                          str(tmp_path / "o")]) == 3, key
+
+    def test_readme_names_every_config_key(self):
+        # the README's CLI section names the accepted keys in one sentence
+        text = " ".join(README.read_text().split())
+        sentence = re.search(r"The accepted config keys are (.*?); any other",
+                             text).group(1)
+        assert set(re.findall(r"`(\w+)`", sentence)) == cli._CONFIG_KEYS
 
     def test_empty_eps_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, eps=[])
@@ -51,7 +61,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("key, value", [
         ("order", "two"), ("tau", 2.5), ("T", 0), ("N", True), ("seed", -1),
-        ("workers", 0), ("shift_window", None)])
+        ("workers", 0)])
     def test_bad_integer_key_exits_3(self, tmp_path, capsys, key, value):
         # checked in load_config: the order-4 table is never started
         cfg = write_config(tmp_path, **{key: value})
@@ -114,7 +124,7 @@ class TestConfigHandling:
 
 
 class TestMonteCarloConfigRefusal:
-    """Values SimConfig refuses exit 3 before any table build or stepping."""
+    """Refused values exit 3 before any table build or stepping."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -137,6 +147,21 @@ class TestMonteCarloConfigRefusal:
                      str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("eps", [[0.1, 0.2], [0.1, 0.1, 0.2]])
+    def test_fit_needs_three_distinct_eps(self, tmp_path, capsys, eps):
+        cfg = write_config(tmp_path, eps=eps)
+        assert main(["fit", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 3
+        assert "need at least 3 distinct eps values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cumulants", "zeta"])
+    def test_overflowing_eps_power(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, eps=[0.1, 1e300], order=2)
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "'eps': 1e+300" in err and "order 2 overflows" in err
 
 
 class TestBenchSpans:

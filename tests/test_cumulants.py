@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from catflux import cumulants
 from catflux.cumulants import (CorrelationEngine, MomentEngine,
                                ObservableSeries, _cut, _norm_form, build_table,
                                replay_moments_on_grid, sigma_series,
@@ -26,8 +27,8 @@ TWO_TABLE = {("mean", 1): 0.0, ("mean", 2): 5.0, ("mean", 3): -4.0,
 # recorded from the exact engine and compared with ==: twelve joint
 # cumulants and four means of OBS, and the Green-Kubo matrices of three
 # families
-JOINTS = [2.0, 0.0, 4.500000000000001, 0.5, 0.125, 0.0, 0.0, 0.0, 0.0, 0.0,
-          0.6249999999999998, 0.12499999999999994]
+JOINTS = [2.0, 0.0, 4.5, 0.5, 0.125, 0.0, 0.0, 0.0, 0.0, 0.0,
+          0.625000000000002, 0.12499999999999484]
 MEANS = [0.0, 3.469446951953614e-18, 0.0, -2.1780334155153958e-15]
 TRANSPORT = {
     "mixed": ((1.5625, 1.09375), (1.09375, 0.765625)),
@@ -167,7 +168,7 @@ class TestJointCumulants:
         # O = sin(psi1) is odd under I0; equilibrium mean vanishes
         obs = ObservableSeries([TrigPoly.sine((1, 0))], parity="odd")
         assert single_engine.srb_mean_order(0, obs=obs) == 0.0
-        first = single_engine.srb_mean_order(1, obs=obs, check_sufficiency=False)
+        first = single_engine.srb_mean_order(1, obs=obs)
         assert abs(first) < 10.0  # finite, genuinely nonequilibrium
 
 
@@ -238,12 +239,26 @@ class TestTransport:
 
 
 class TestWindowsAndOracle:
-    def test_shift_window_sufficiency(self, single_force):
-        small = CorrelationEngine(single_force, max_order=2, shift_window=6)
-        big = CorrelationEngine(single_force, max_order=2, shift_window=12)
-        c_small = small.cumulant(2, 2, check_sufficiency=False)
-        c_big = big.cumulant(2, 2, check_sufficiency=False)
-        assert c_small == pytest.approx(c_big, abs=1e-14)
+    def test_shift_window_sufficiency(self, single_force, monkeypatch):
+        # cos(psi1 + psi2) in OBS meets S0-shifted cos(psi1) at k = +-1, so
+        # a window of 1 is the least that holds C_12^(2)
+        want = CorrelationEngine(single_force, 2).joint_cumulant((1, 2), 2,
+                                                                 OBS)
+        monkeypatch.setattr(cumulants, "SHIFT_WINDOW", 1)
+        small = CorrelationEngine(single_force, 2)
+        assert small.joint_cumulant((1, 2), 2, OBS) == want == 0.5
+
+    def test_insufficient_window_raises(self, single_force, monkeypatch):
+        monkeypatch.setattr(cumulants, "SHIFT_WINDOW", 0)
+        eng = CorrelationEngine(single_force, 2)
+        with pytest.raises(RuntimeError,
+                           match="shift window 0 insufficient for joint"):
+            eng.joint_cumulant((1, 2), 2, OBS)
+        # S0 carries cos(psi1) to cos(psi1 + psi2): L_01 lives at k = +-1
+        family = [HarmonicForce.from_pairs([((1, 0), 1.0)]),
+                  HarmonicForce.from_pairs([((1, 1), 1.0)])]
+        with pytest.raises(RuntimeError, match="insufficient for L_01"):
+            transport_matrix(family)
 
     def test_moment_replay_subset(self, single_engine, single_table):
         # full replay is the acceptance criterion; here a fast slice.  The
@@ -341,12 +356,11 @@ class TestPinnedPaths:
 
     def test_table_refuses_mismatched_engine(self, single_force, two_force,
                                              single_engine):
-        for force, order, window, engine in (
-                (two_force, 3, 12, single_engine),
-                (single_force, 4, 6, single_engine),
-                (single_force, 4, 12, CorrelationEngine(single_force, 3))):
+        for force, order, engine in (
+                (two_force, 3, single_engine),
+                (single_force, 4, CorrelationEngine(single_force, 3))):
             with pytest.raises(ValueError, match="engine built for"):
-                build_table(force, order, window, engine=engine)
+                build_table(force, order, engine=engine)
 
 
 class TestConnectedShifts:

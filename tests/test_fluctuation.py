@@ -227,7 +227,7 @@ class TestObservableMean:
             return single_engine.joint_cumulant([1] * n1 + [2] * n2, m, obs=sig)
 
         def direct(m):
-            return single_engine.srb_mean_order(m, check_sufficiency=False)
+            return single_engine.srb_mean_order(m)
 
         out = observable_mean_expansion(joint, direct, 2)
         assert out["implied"][2] == pytest.approx(
