@@ -10,7 +10,7 @@ unperturbed map.
 
 from .torus import (CatSystem, HarmonicForce, Harmonic, TorusPoint,
                     time_reversal)
-from .trig import TrigPoly, geometric_sum, quadrature_average
+from .trig import TrigPoly, geometric_sum
 from .conjugation import (ConjugationSeries, ExpansionRateSeries,
                           RadiusEstimate, RateSeries, conjugacy_residual,
                           conjugation_order_k, expansion_rate_series,
@@ -20,9 +20,8 @@ from .cumulants import (CorrelationEngine, CumulantTable, ObservableSeries,
                         transport_matrix)
 from .fluctuation import (FTReport, ZetaSeries, asymmetry_coefficients,
                           beta_star, check_rel1, check_rel3, ft_report,
-                          lambda_from_cumulants, legendre_oracle,
-                          observable_mean_expansion, zeta, zeta_closed_form,
-                          zeta_ft_imposed)
+                          lambda_from_cumulants, observable_mean_expansion,
+                          zeta, zeta_closed_form, zeta_ft_imposed)
 from .simulate import (FitResult, RatioCurve, RunStats, SimConfig,
                        SlopeResult, build_curve, fit_models,
                        measure_asymmetry, simulate, slope_and_A)

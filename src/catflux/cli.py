@@ -325,8 +325,10 @@ def cmd_report(data: Dict, out: Path) -> None:
     """Perturbative predictions next to Monte Carlo measurements.
 
     A_predicted is asymmetry_coefficients' A summed at eps.  A_measured is
-    slope_and_A's A, which also carries (B/<sigma>) sum w p^4 / sum w p^2
-    from the cubic term B p^3; the two agree only where B = 0.
+    slope_and_A's A, which also carries (B/<sigma>) lever from the cubic
+    term B p^3, so A_predicted_fit = A_predicted + (B/<sigma>) lever, with
+    B and <sigma> summed at eps and the lever of the measured bins, is
+    what A_measured estimates.
     """
     configs = _sim_configs(data, "report")
     p_max = data.get("p_max", P_MAX)
@@ -343,8 +345,11 @@ def cmd_report(data: Dict, out: Path) -> None:
         observed_max = max(s.max_abs_p for s in stats)
         p_star = max(p_star or 0.0, observed_max)
         A_pred = sum(v * eps ** k for k, v in A_series.items())
+        B = sum(v * eps ** k for k, v in B_series.items())
+        A_fit = A_pred + B / table.mean_total(eps) * res.lever
         measurements.append({"eps": eps, "A_measured": res.A,
                              "A_stderr": res.stderr, "A_predicted": A_pred,
+                             "A_predicted_fit": A_fit,
                              "max_abs_p": observed_max})
     payload = {
         "meta": _meta(data),

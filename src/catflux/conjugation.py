@@ -20,6 +20,7 @@ evaluation time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -59,15 +60,6 @@ def compositions(total: int, mins: Sequence[int]) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _alpha_tuples(s: int) -> Iterator[Tuple[int, ...]]:
-    if s == 0:
-        yield ()
-        return
-    for rest in _alpha_tuples(s - 1):
-        yield rest + (1,)
-        yield rest + (-1,)
-
-
 def _chain_terms(g: TrigPoly, h_plus: Sequence[TrigPoly],
                  h_minus: Sequence[TrigPoly], n: int
                  ) -> Iterator[Tuple[float, TrigPoly, List[TrigPoly]]]:
@@ -76,7 +68,7 @@ def _chain_terms(g: TrigPoly, h_plus: Sequence[TrigPoly],
     for s in range(1, n + 1):
         weight = 1.0 / math.factorial(s)
         for ks in compositions(n, (1,) * s):
-            for alphas in _alpha_tuples(s):
+            for alphas in itertools.product((1, -1), repeat=s):
                 deriv = g
                 for a in alphas:
                     deriv = deriv.deriv_alpha(a)
@@ -418,10 +410,11 @@ def conjugacy_residual(force: HarmonicForce, max_order: int,
     P1, P2 = np.meshgrid(g, g, indexing="ij")
     S1 = P1 + P2
     S2 = P1 + 2.0 * P2
-    hp = [series.h_plus[k].evaluate_grid(P1, P2) for k in range(max_order + 1)]
-    hm = [series.h_minus[k].evaluate_grid(P1, P2) for k in range(max_order + 1)]
-    hp_s = [series.h_plus[k].evaluate_grid(S1, S2) for k in range(max_order + 1)]
-    hm_s = [series.h_minus[k].evaluate_grid(S1, S2) for k in range(max_order + 1)]
+    hp = [series.h_plus[k].evaluate(P1, P2) for k in range(max_order + 1)]
+    hm = [series.h_minus[k].evaluate(P1, P2) for k in range(max_order + 1)]
+    hp_s = [series.h_plus[k].evaluate(S1, S2) for k in range(max_order + 1)]
+    hm_s = [series.h_minus[k].evaluate(S1, S2) for k in range(max_order + 1)]
+    f1 = force.f1_poly()
 
     residuals = []
     for eps in eps_list:
@@ -438,7 +431,7 @@ def conjugacy_residual(force: HarmonicForce, max_order: int,
             w *= eps
         h1 = P1 + d1
         h2 = P2 + d2
-        img1 = h1 + h2 + eps * force.value(h1, h2)
+        img1 = h1 + h2 + eps * f1.evaluate(h1, h2)
         img2 = h1 + 2.0 * h2
         r1 = (S1 + e1 - img1 + math.pi) % two_pi - math.pi
         r2 = (S2 + e2 - img2 + math.pi) % two_pi - math.pi

@@ -53,7 +53,7 @@ from .conjugation import (ExpansionRateSeries, chain_average, chain_order,
                           compositions)
 from .torus import HarmonicForce
 from .trig import (LAMBDA_PLUS, SQRT5, TrigPoly, V_MINUS, V_PLUS,
-                   product_average, s0_power)
+                   product_average)
 
 # every shift sum is certified for this window; read at call time
 SHIFT_WINDOW = 12
@@ -62,8 +62,6 @@ SUFFICIENCY_EXTRA = 3
 # rim's terms carry O(1e-13) float dust, so the guard asserts at 1e-11
 SUFFICIENCY_TOL = 1e-11
 ORDER_CAP = 6
-# shifted factor grids replay_moments_on_grid keeps at once
-REPLAY_CACHE = 600
 
 
 @dataclass
@@ -227,7 +225,7 @@ class MomentEngine:
     without ever materializing the composed polynomial, and cut each
     factor of a moment down to the terms that can cancel before it is
     composed.  Every distinct computed moment is kept, which doubles as the
-    record the quadrature oracle replays.
+    record a quadrature replay can re-evaluate.
     """
 
     def __init__(self):
@@ -689,91 +687,3 @@ def transport_matrix(force_family: Sequence[HarmonicForce]) -> TransportMatrix:
             L[i][j] = 0.5 * _certified(total, rim, f"L_{i}{j}")
     resid = max(abs(L[i][j] - L[j][i]) for i in range(s) for j in range(s))
     return TransportMatrix(tuple(tuple(row) for row in L), resid)
-
-
-# ----------------------------------------------------------------------
-# quadrature oracle over the recorded moments
-# ----------------------------------------------------------------------
-def replay_moments_on_grid(engine: MomentEngine, n: int = 256,
-                           limit: Optional[int] = None,
-                           escalate_n: Optional[int] = None
-                           ) -> "ReplayReport":
-    """Re-evaluate recorded moments by the n x n uniform-grid quadrature.
-
-    On the uniform grid the sample values equal the inverse DFT of the
-    alias-folded coefficient array, and composition with S0^l is the exact
-    grid permutation (i,j) -> S0^l (i,j) mod n; the oracle is therefore
-    pure function evaluation plus an arithmetic mean, independent of the
-    frequency selection rules.  An n-point grid cannot distinguish
-    frequencies congruent mod n (aliasing), so moments whose factors carry
-    super-Nyquist frequencies may genuinely disagree; with escalate_n set,
-    each deviating moment is re-checked on that (coprime) grid and counted
-    as alias-explained when it agrees there.
-    """
-    base_grids: Dict[int, np.ndarray] = {}
-    idx = np.arange(n)
-    I, J = np.meshgrid(idx, idx, indexing="ij")
-    shifted_cache: Dict[FactorRef, np.ndarray] = {}
-
-    def base_grid(bid: int) -> np.ndarray:
-        g = base_grids.get(bid)
-        if g is None:
-            # on the uniform grid the sample values are exactly the inverse
-            # DFT of the alias-folded coefficient array
-            folded = np.zeros((n, n), dtype=complex)
-            poly = engine.bases[bid]
-            np.add.at(folded, (poly.n1 % n, poly.n2 % n), poly.c)
-            g = np.real(np.fft.ifft2(folded)) * n * n
-            base_grids[bid] = g
-        return g
-
-    def grid_for(ref: FactorRef) -> np.ndarray:
-        bid, shift = ref
-        if shift == 0:
-            return base_grid(bid)
-        cached = shifted_cache.get(ref)
-        if cached is None:
-            a, b, c, d = s0_power(shift)
-            I2 = ((a % n) * I + (b % n) * J) % n
-            J2 = ((c % n) * I + (d % n) * J) % n
-            cached = base_grid(bid)[I2, J2]
-            if len(shifted_cache) >= REPLAY_CACHE:
-                shifted_cache.pop(next(iter(shifted_cache)))
-            shifted_cache[ref] = cached
-        return cached
-
-    items = sorted(engine.moments.items())
-    if limit is not None and len(items) > limit:
-        items = items[:limit]
-    worst = 0.0
-    deviating: List[Tuple[Tuple[FactorRef, ...], float]] = []
-    for refs, exact in items:
-        prod = None
-        for ref in refs:
-            g = grid_for(ref)
-            prod = g.copy() if prod is None else prod.__imul__(g)
-        approx = float(prod.mean()) if prod is not None else 1.0
-        dev = abs(approx - exact)
-        if dev > 1e-8 and escalate_n is not None:
-            deviating.append((refs, exact))
-        else:
-            worst = max(worst, dev)
-    aliased = 0
-    worst_escalated = 0.0
-    if deviating and escalate_n is not None:
-        # re-check only the deviating moments on the finer coprime grid
-        view = MomentEngine()
-        view.bases = engine.bases
-        view.moments = dict(deviating)
-        fine = replay_moments_on_grid(view, escalate_n)
-        aliased = len(deviating)
-        worst_escalated = fine.worst
-    return ReplayReport(len(items), worst, aliased, worst_escalated)
-
-
-@dataclass(frozen=True)
-class ReplayReport:
-    count: int
-    worst: float
-    aliased: int = 0
-    worst_escalated: float = 0.0

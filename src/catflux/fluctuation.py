@@ -7,7 +7,7 @@ eps-graded coefficients (built by the Legendre stationarity iteration), and
 the asymmetry coefficients A, B of -zeta(p) + zeta(-p).
 
 No floating p or beta grids enter the core; the numerical Legendre maximum
-is provided only as an independent oracle for tests.
+that checks zeta(p) lives with the tests.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ import numpy as np
 from .cumulants import CumulantTable
 
 
-# the beta grid of legendre_oracle: [-LEGENDRE_HALFWIDTH, LEGENDRE_HALFWIDTH]
-# in LEGENDRE_POINTS points
-LEGENDRE_HALFWIDTH = 8.0
-LEGENDRE_POINTS = 400001
 # a residual of ft_report above this is a violation of the fluctuation theorem
 FT_TOL = 1e-12
 
@@ -289,21 +285,6 @@ def zeta_ft_imposed(table: CumulantTable, max_order: int = 4) -> ZetaSeries:
         acc[4] -= c4 / 384.0
         orders[n] = acc
     return ZetaSeries(orders, max_order)
-
-
-def legendre_oracle(table: CumulantTable, eps: float, p: float) -> float:
-    """Numerical max_beta [beta <sigma> (p-1) - lambda(beta)] on a fine grid.
-
-    Independent of the coefficient pipeline; used to validate zeta(p).
-    """
-    s = table.mean_total(eps)
-    betas = np.linspace(-LEGENDRE_HALFWIDTH, LEGENDRE_HALFWIDTH,
-                        LEGENDRE_POINTS)
-    lam_vals = np.zeros_like(betas)
-    for n_c in table.C:
-        cn = table.cumulant_total(n_c, eps)
-        lam_vals += cn * betas ** n_c / math.factorial(n_c)
-    return float(np.max(betas * s * (p - 1.0) - lam_vals))
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ bit-identical for a fixed seed regardless of worker count or scheduling.
 Known defect of that keying: seeds that differ only in their low bits share
 streams.  For any seed in 0..15 at N = 16, {seed ^ r : r < 16} = {0..15}, so
 those sixteen seeds run the same sixteen orbits in a different order
-(ROADMAP item 7); pick seeds that differ above bit log2(N).
+(ROADMAP item 4); pick seeds that differ above bit log2(N).
 """
 
 from __future__ import annotations
@@ -113,36 +113,7 @@ def _simulate_run(config: SimConfig, run_index: int
     """One orbit: (run_index, sigma_bar_T, window sums of sigma)."""
     rng = np.random.Generator(np.random.Philox(key=config.seed ^ run_index))
     x1, x2 = rng.uniform(0.0, 2.0 * math.pi, 2)
-    eps = config.system.epsilon
-    harmonics = [(h.nu[0], h.nu[1], h.amp, h.jac_amp)
-                 for h in config.system.force.harmonics]
-    two_pi = 2.0 * math.pi
-    tau = config.tau
-    sin = math.sin
-    cos = math.cos
-    log1p = math.log1p
-    window_sums: List[float] = []
-    wsum = 0.0
-    j_in_window = 0
-    total = 0.0
-    for _ in range(config.T):
-        force = 0.0
-        jac = 0.0
-        for n1, n2, amp, jamp in harmonics:
-            arg = n1 * x1 + n2 * x2
-            force += amp * sin(arg)
-            jac += jamp * cos(arg)
-        s = -log1p(eps * jac)
-        wsum += s
-        total += s
-        j_in_window += 1
-        if j_in_window == tau:
-            window_sums.append(wsum)
-            wsum = 0.0
-            j_in_window = 0
-        y1 = (x1 + x2 + eps * force) % two_pi
-        y2 = (x1 + 2.0 * x2) % two_pi
-        x1, x2 = y1, y2
+    total, window_sums, _ = config.system.orbit(x1, x2, config.T, config.tau)
     sigma_bar = total / config.T
     if sigma_bar <= 0.0:
         raise RuntimeError(f"non-positive sigma_bar in run {run_index}")
@@ -269,6 +240,7 @@ class SlopeResult:
     slope: float
     A: float
     stderr: float
+    lever: float    # sum w p^4 / sum w p^2 over the fitted bins
 
 
 def slope_and_A(curve: RatioCurve, p_max: float = P_MAX) -> SlopeResult:
@@ -280,8 +252,8 @@ def slope_and_A(curve: RatioCurve, p_max: float = P_MAX) -> SlopeResult:
 
     With the cubic term of fluctuation.asymmetry_coefficients,
     z = (1 + A) p + (B/<sigma>) p^3, the returned A is
-    A + (B/<sigma>) sum w p^4 / sum w p^2 over the fitted bins: it equals
-    asymmetry_coefficients' A only when B = 0.
+    A + (B/<sigma>) lever, lever = sum w p^4 / sum w p^2 over the fitted
+    bins: it equals asymmetry_coefficients' A only when B = 0.
     """
     mask = (np.abs(curve.p) <= p_max) & (curve.p != 0)
     if int(mask.sum()) < 3:
@@ -296,7 +268,8 @@ def slope_and_A(curve: RatioCurve, p_max: float = P_MAX) -> SlopeResult:
     denom = float(np.sum(w * p * p))
     slope = float(np.sum(w * p * z)) / denom
     stderr = math.sqrt(1.0 / denom) if np.all(ez > 0) else 0.0
-    return SlopeResult(slope, slope - 1.0, stderr)
+    lever = float(np.sum(w * p ** 4)) / denom
+    return SlopeResult(slope, slope - 1.0, stderr, lever)
 
 
 @dataclass(frozen=True)

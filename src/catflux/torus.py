@@ -1,8 +1,8 @@
 """The perturbed cat map on T^2.
 
 The step S_eps(psi) = S0 psi + eps f(psi) mod 2pi with S0 = (1 1; 1 2), the
-phase-space contraction rate sigma = -log|det DS_eps|, and the time reversal
-I0 = (-1 0; -1 1).  The eigendata of S0 lives in trig (floats) and qfield
+phase-space contraction rate sigma = -log|det DS_eps|, both computed by the
+one loop CatSystem.orbit, and the time reversal I0 = (-1 0; -1 1).  The eigendata of S0 lives in trig (floats) and qfield
 (exact), its integer powers in trig.s0_power.
 
 All values are immutable after construction and safe to share.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -117,22 +117,6 @@ class HarmonicForce:
         v = V_PLUS if alpha > 0 else V_MINUS
         return self.f1_poly() * v[0]
 
-    def value(self, psi1, psi2):
-        """f1(psi); takes floats or numpy arrays of angles."""
-        return sum(h.amp * np.sin(h.nu[0] * psi1 + h.nu[1] * psi2)
-                   for h in self.harmonics)
-
-    def jacobian_value(self, psi1: float, psi2: float) -> float:
-        return sum(h.jac_amp * math.cos(h.nu[0] * psi1 + h.nu[1] * psi2)
-                   for h in self.harmonics)
-
-    def grad_value(self, psi1: float, psi2: float) -> Tuple[float, float]:
-        d1 = sum(h.amp * h.nu[0] * math.cos(h.nu[0] * psi1 + h.nu[1] * psi2)
-                 for h in self.harmonics)
-        d2 = sum(h.amp * h.nu[1] * math.cos(h.nu[0] * psi1 + h.nu[1] * psi2)
-                 for h in self.harmonics)
-        return d1, d2
-
 
 @dataclass(frozen=True)
 class CatSystem:
@@ -141,33 +125,58 @@ class CatSystem:
     epsilon: float = 0.0
     force: HarmonicForce = field(default_factory=lambda: HarmonicForce(()))
 
-    def step(self, x: TorusPoint) -> TorusPoint:
-        f1 = self.force.value(x.psi1, x.psi2)
-        return TorusPoint(x.psi1 + x.psi2 + self.epsilon * f1,
-                          x.psi1 + 2 * x.psi2)
+    def orbit(self, psi1: float, psi2: float, T: int, tau: int
+              ) -> Tuple[float, List[float], Tuple[float, float]]:
+        """T steps from (psi1, psi2): (sum of sigma, window sums, end point).
 
-    def det_jacobian(self, x: TorusPoint) -> float:
-        return 1.0 + self.epsilon * self.force.jacobian_value(x.psi1, x.psi2)
+        sigma = -log1p(eps g) is taken at each point before the step; the
+        window sums cover the T // tau complete windows of tau steps.  This
+        loop is the one implementation of the step and of sigma.
+        """
+        eps = self.epsilon
+        harmonics = [(h.nu[0], h.nu[1], h.amp, h.jac_amp)
+                     for h in self.force.harmonics]
+        two_pi = TWO_PI
+        sin = math.sin
+        cos = math.cos
+        log1p = math.log1p
+        x1, x2 = psi1, psi2
+        window_sums: List[float] = []
+        wsum = 0.0
+        j_in_window = 0
+        total = 0.0
+        try:
+            for _ in range(T):
+                force = 0.0
+                jac = 0.0
+                for n1, n2, amp, jamp in harmonics:
+                    arg = n1 * x1 + n2 * x2
+                    force += amp * sin(arg)
+                    jac += jamp * cos(arg)
+                s = -log1p(eps * jac)
+                wsum += s
+                total += s
+                j_in_window += 1
+                if j_in_window == tau:
+                    window_sums.append(wsum)
+                    wsum = 0.0
+                    j_in_window = 0
+                y1 = (x1 + x2 + eps * force) % two_pi
+                y2 = (x1 + 2.0 * x2) % two_pi
+                x1, x2 = y1, y2
+        except ValueError:
+            raise ValueError(
+                f"map not locally invertible: det DS_eps = {1.0 + eps * jac} "
+                f"at {TorusPoint(x1, x2)}") from None
+        return total, window_sums, (x1, x2)
+
+    def step(self, x: TorusPoint) -> TorusPoint:
+        """S_eps x; refuses, as sigma does, a point where det DS_eps <= 0."""
+        return TorusPoint(*self.orbit(x.psi1, x.psi2, 1, 1)[2])
 
     def sigma(self, x: TorusPoint) -> float:
         """Phase-space contraction rate -log|det DS_eps| at x."""
-        det = self.det_jacobian(x)
-        if det <= 0.0:
-            raise ValueError(f"map not locally invertible: det DS_eps = {det} at {x}")
-        return -math.log(det)
-
-    def sigma_generic(self, x: TorusPoint) -> float:
-        """sigma from the assembled Jacobian; oracle for sigma().
-
-        DS_eps = (1 + eps d1 f1, 1 + eps d2 f1; 1, 2).
-        """
-        d1, d2 = self.force.grad_value(x.psi1, x.psi2)
-        a = 1 + self.epsilon * d1
-        b = 1 + self.epsilon * d2
-        det = 2.0 * a - b
-        if det <= 0.0:
-            raise ValueError(f"map not locally invertible: det DS_eps = {det} at {x}")
-        return -math.log(det)
+        return self.orbit(x.psi1, x.psi2, 1, 1)[0]
 
 
 def time_reversal(x: TorusPoint) -> TorusPoint:

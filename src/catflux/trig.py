@@ -412,18 +412,14 @@ class TrigPoly:
         """alpha = +1 or -1 selects the unstable/stable eigendirection."""
         return self.deriv_plus() if alpha > 0 else self.deriv_minus()
 
-    def evaluate(self, psi1: float, psi2: float) -> float:
-        """Pointwise value (real part; inputs are real polynomials)."""
-        phase = self.n1 * psi1 + self.n2 * psi2
-        return float((self.c * np.exp(1j * phase)).sum().real)
-
-    def evaluate_grid(self, grid1: np.ndarray, grid2: np.ndarray) -> np.ndarray:
-        """Vectorized real evaluation on arrays of angles (same shape)."""
-        total = np.zeros(np.broadcast(grid1, grid2).shape, dtype=complex)
+    def evaluate(self, psi1, psi2):
+        """Real value at angles psi1, psi2: floats or numpy arrays that
+        broadcast together (inputs are real polynomials)."""
+        total = np.zeros(np.broadcast(psi1, psi2).shape, dtype=complex)
         for n1, n2, c in zip(self.n1.tolist(), self.n2.tolist(),
                              self.c.tolist()):
-            total += c * np.exp(1j * (n1 * grid1 + n2 * grid2))
-        return total.real
+            total += c * np.exp(1j * (n1 * psi1 + n2 * psi2))
+        return total.real[()]
 
     def dump_csv(self) -> str:
         """Debug dump: lines of "nu1,nu2,re,im" sorted by frequency."""
@@ -484,17 +480,6 @@ def geometric_sum(f: TrigPoly, ratio: float, direction: int) -> GeometricSum:
     tail = abs(weight) / (1.0 - abs(ratio)) * norm
     poly = TrigPoly._of(*_merge_parts(parts, COEFF_TOL))
     return GeometricSum(poly, tail)
-
-
-def quadrature_average(f: TrigPoly, n: int = 256) -> float:
-    """Brute-force torus average by the n x n midpoint rule.
-
-    Exact for trig polynomials with all |nu| < n (below the Nyquist limit);
-    used as the independent oracle against average().
-    """
-    theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-    g1, g2 = np.meshgrid(theta, theta, indexing="ij")
-    return float(f.evaluate_grid(g1, g2).mean())
 
 
 def product_average(factors: Iterable[TrigPoly]) -> float:

@@ -290,7 +290,7 @@ class TestSigmaModeAndBinWidth:
 
         def measure(config, p_max):
             configs.append(config)
-            return SlopeResult(1.0, 0.0, 0.1)
+            return SlopeResult(1.0, 0.0, 0.1, 0.0)
 
         fit = FitResult("f", (0.0,), (0.0,), 0.0)
         monkeypatch.setattr(cli, "measure_asymmetry", measure)

@@ -12,6 +12,7 @@ from catflux.cumulants import sigma_series
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
 from catflux.trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS,
                           V_PLUS, s0_power)
+from oracles import force_gradient
 
 FORCE = HarmonicForce.single_harmonic()
 NP = math.sqrt(LAMBDA_PLUS + 1)
@@ -140,7 +141,8 @@ class TestRates:
                 p2 = 2 * math.pi * j / 6 + 0.11
                 d1, d2 = conj.displacement(p1, p2, eps)
                 h1, h2 = p1 + d1, p2 + d2
-                dfx, dfy = FORCE.grad_value(h1 % (2 * math.pi), h2 % (2 * math.pi))
+                dfx, dfy = force_gradient(FORCE, h1 % (2 * math.pi),
+                                          h2 % (2 * math.pi))
                 J = np.array([[1 + eps * dfx, 1 + eps * dfy], [1.0, 2.0]])
                 for alpha in (+1, -1):
                     lam0 = LAMBDA_PLUS if alpha > 0 else LAMBDA_MINUS

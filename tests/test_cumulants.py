@@ -8,10 +8,10 @@ import pytest
 from catflux import cumulants
 from catflux.cumulants import (CorrelationEngine, MomentEngine,
                                ObservableSeries, _cut, _norm_form, build_table,
-                               replay_moments_on_grid, sigma_series,
-                               transport_matrix)
+                               sigma_series, transport_matrix)
 from catflux.torus import HarmonicForce
 from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, product_average
+from oracles import replay_moments_on_grid
 
 LAM_R = LAMBDA_MINUS / (LAMBDA_PLUS + 1)
 
@@ -25,7 +25,7 @@ TWO_TABLE = {("mean", 1): 0.0, ("mean", 2): 5.0, ("mean", 3): -4.0,
              (2, 2): 10.0, (2, 3): -12.0, (3, 3): -12.0}
 
 # recorded from the exact engine and compared with ==: twelve joint
-# cumulants and four means of OBS, and the Green-Kubo matrices of three
+# cumulants and four means of OBS, and the Green-Kubo matrices of four
 # families
 JOINTS = [2.0, 0.0, 4.5, 0.5, 0.125, 0.0, 0.0, 0.0, 0.0, 0.0,
           0.625000000000002, 0.12499999999999484]
@@ -34,6 +34,7 @@ TRANSPORT = {
     "mixed": ((1.5625, 1.09375), (1.09375, 0.765625)),
     "linked": ((1.5625, 0.625), (0.625, 1.515625)),
     "chain": ((15.5,),),
+    "shifted": ((1.0, 0.5), (0.5, 0.25)),
 }
 OBS = ObservableSeries([TrigPoly.zero(), TrigPoly.cosine((1, 0), -1.0)
                         + TrigPoly.cosine((1, 1), 0.5)], parity="odd")
@@ -225,12 +226,16 @@ class TestTransport:
             "mixed": [HarmonicForce.from_pairs([((1, 0), 1.25)]),
                       HarmonicForce.from_pairs([((1, 0), 0.5),
                                                 ((1, 1), 0.75)])],
-            # S0^T (1, 0) = (2, 1) and S0^T (2, 1) = (5, 3): k != 0 survives
+            # S0 carries (1, 0) to (1, 1) and S0^-1 to (2, -1): (2, 1) and
+            # (5, 3) are not on that orbit, so only k = 0 contributes
             "linked": [HarmonicForce.from_pairs([((1, 0), 1.25)]),
                        HarmonicForce.from_pairs([((1, 0), 0.5),
                                                  ((2, 1), 0.75)])],
             "chain": [HarmonicForce.from_pairs([((1, 0), 1.0), ((2, 1), 1.0),
                                                 ((5, 3), 1.0)])],
+            # S0 carries cos(psi1) to cos(psi1 + psi2): L_01 lives at k = 1
+            "shifted": [HarmonicForce.from_pairs([((1, 0), 1.0)]),
+                        HarmonicForce.from_pairs([((1, 1), 1.0)])],
         }
         for name, family in families.items():
             tm = transport_matrix(family)
@@ -254,10 +259,12 @@ class TestWindowsAndOracle:
         with pytest.raises(RuntimeError,
                            match="shift window 0 insufficient for joint"):
             eng.joint_cumulant((1, 2), 2, OBS)
-        # S0 carries cos(psi1) to cos(psi1 + psi2): L_01 lives at k = +-1
+        # S0 carries cos(psi1) to cos(psi1 + psi2): all of L_01 (the
+        # "shifted" pin) lives at k = 1, so window 0 misses it whole
         family = [HarmonicForce.from_pairs([((1, 0), 1.0)]),
                   HarmonicForce.from_pairs([((1, 1), 1.0)])]
-        with pytest.raises(RuntimeError, match="insufficient for L_01"):
+        with pytest.raises(RuntimeError,
+                           match=r"insufficient for L_01: delta 1\.000e\+00"):
             transport_matrix(family)
 
     def test_moment_replay_subset(self, single_engine, single_table):

@@ -7,9 +7,10 @@ from catflux.cumulants import CumulantTable
 from catflux.fluctuation import (MissingCumulantError, NoLinearResponseError,
                                  asymmetry_coefficients, beta_star, check_rel1,
                                  check_rel3, ft_report, lambda_from_cumulants,
-                                 legendre_oracle, observable_mean_expansion,
-                                 zeta, zeta_closed_form, zeta_ft_imposed)
+                                 observable_mean_expansion, zeta,
+                                 zeta_closed_form, zeta_ft_imposed)
 from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS
+from oracles import legendre_oracle
 
 LAM_R = LAMBDA_MINUS / (LAMBDA_PLUS + 1)
 

@@ -162,6 +162,19 @@ class TestSlope:
         res = slope_and_A(curve, p_max=2.0)
         assert res.A == pytest.approx(a, abs=1e-10)
 
+    def test_cubic_term_enters_through_the_lever(self):
+        # z = (1 + A) p + c p^3 fits to A + c sum w p^4 / sum w p^2
+        p = np.linspace(0.1, 2.0, 20)
+        a, c = 0.125, -0.3
+        err = 0.01 + 0.05 * p
+        curve = RatioCurve(p, 1 + a + c * p ** 2, err)
+        res = slope_and_A(curve, p_max=1.5)
+        assert res.A == pytest.approx(a + c * res.lever, abs=1e-12)
+        fitted = p[p <= 1.5]
+        w = 1.0 / (fitted * err[p <= 1.5]) ** 2
+        assert res.lever == pytest.approx(
+            np.sum(w * fitted ** 4) / np.sum(w * fitted ** 2), rel=1e-12)
+
     def test_insufficient_bins(self):
         curve = RatioCurve(np.array([0.1, 0.2]), np.ones(2), np.ones(2))
         with pytest.raises(ValueError, match=">= 3"):

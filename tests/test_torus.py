@@ -5,6 +5,7 @@ import pytest
 
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint, time_reversal
 from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, V_MINUS, V_PLUS, s0_power
+from oracles import sigma_from_jacobian
 
 SQRT5 = math.sqrt(5.0)
 
@@ -104,12 +105,38 @@ class TestStepAndSigma:
         rng = np.random.default_rng(2)
         for _ in range(100):
             p = TorusPoint(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-            assert sys1.sigma(p) == pytest.approx(sys1.sigma_generic(p), abs=1e-12)
+            assert sys1.sigma(p) == pytest.approx(sigma_from_jacobian(sys1, p),
+                                                  abs=1e-12)
 
     def test_sigma_not_invertible(self):
         sys1 = CatSystem(epsilon=0.6, force=HarmonicForce.single_harmonic())
         with pytest.raises(ValueError, match="not locally invertible"):
             sys1.sigma(TorusPoint(math.pi, 0.0))
+        # det DS_eps = 1 + 1.2 cos(pi) < 0: the step refuses the point too
+        with pytest.raises(ValueError, match="not locally invertible"):
+            sys1.step(TorusPoint(math.pi, 0.0))
+
+    def test_orbit_is_chained_steps(self):
+        # total, window sums and end point of one orbit equal, bit for bit,
+        # 20 chained steps with sigma summed in the same order; a partial
+        # last window is dropped
+        system = CatSystem(epsilon=0.1, force=HarmonicForce.two_harmonics())
+        x = TorusPoint(0.7, 2.9)
+        total, window_sums, end = system.orbit(x.psi1, x.psi2, 20, 5)
+        want_total = wsum = 0.0
+        want_sums = []
+        for j in range(20):
+            s = system.sigma(x)
+            want_total += s
+            wsum += s
+            if j % 5 == 4:
+                want_sums.append(wsum)
+                wsum = 0.0
+            x = system.step(x)
+        assert total == want_total
+        assert len(window_sums) == 4 and window_sums == want_sums
+        assert end == (x.psi1, x.psi2)
+        assert len(system.orbit(0.7, 2.9, 22, 5)[1]) == 4
 
     def test_jacobian_extremes_bracket_exact_values(self):
         # g = 2 cos psi1 + 4 cos 2 psi1 = 8c^2 + 2c - 4 with c = cos psi1:

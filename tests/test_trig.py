@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from catflux import trig
 from catflux.trig import (COEFF_TOL, FREQ_LIMIT, FrequencyCapError,
                           LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_PLUS,
-                          geometric_sum, product_average, quadrature_average,
-                          s0_power)
+                          geometric_sum, product_average, s0_power)
+from oracles import quadrature_average
 
 
 def close_polys(p, q, tol=1e-12):
