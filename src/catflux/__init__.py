@@ -12,9 +12,8 @@ from .torus import (CatSystem, HarmonicForce, Harmonic, TorusPoint,
                     time_reversal)
 from .trig import TrigPoly, geometric_sum
 from .conjugation import (ConjugationSeries, ExpansionRateSeries,
-                          RadiusEstimate, RateSeries, conjugacy_residual,
-                          conjugation_order_k, expansion_rate_series,
-                          radius_estimate)
+                          RateSeries, conjugacy_residual,
+                          conjugation_order_k, expansion_rate_series)
 from .cumulants import (CorrelationEngine, CumulantTable, ObservableSeries,
                         TransportMatrix, build_table, sigma_series,
                         transport_matrix)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -164,20 +163,6 @@ class ConjugationSeries:
     @property
     def max_order(self) -> int:
         return len(self.h_plus) - 1
-
-    def displacement(self, psi1: float, psi2: float, eps: float,
-                     max_order: int | None = None) -> Tuple[float, float]:
-        """H(psi) - psi evaluated through the requested order."""
-        kmax = self.max_order if max_order is None else max_order
-        d1 = d2 = 0.0
-        w = eps
-        for k in range(1, kmax + 1):
-            hp = self.h_plus[k].evaluate(psi1, psi2)
-            hm = self.h_minus[k].evaluate(psi1, psi2)
-            d1 += w * (hp * V_PLUS[0] + hm * V_MINUS[0])
-            d2 += w * (hp * V_PLUS[1] + hm * V_MINUS[1])
-            w *= eps
-        return d1, d2
 
 
 def conjugation_order_k(force: HarmonicForce, max_order: int) -> ConjugationSeries:
@@ -356,43 +341,8 @@ def expansion_rate_series(force: HarmonicForce, max_order: int,
     return ExpansionRateSeries(force, max_order, boundary)
 
 
-@dataclass(frozen=True)
-class RadiusEstimate:
-    """Convergence-radius estimate eps0 = [(8 G / r0) / (1 - lambda)]^{-1}."""
-
-    eps0: float
-    G: float
-    r0: float
-    lam: float
-
-    def eps_of_beta(self, beta: float) -> float:
-        """Radius of Hoelder-beta continuity; shrinks to 0 as beta -> 1."""
-        if not 0.0 <= beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
-        return (1.0 - self.lam ** (1.0 - beta)) * self.r0 / (8.0 * self.G)
-
-
-def radius_estimate(force: HarmonicForce, r0: float = 1.0) -> RadiusEstimate:
-    """Analyticity-strip bound: G = max_alpha sup_strip |f_alpha|.
-
-    The supremum over |Im psi_i| < r0 of |sum c_nu e^{i nu.psi}| is bounded
-    by sum |c_nu| e^{r0 |nu|_1}, which is what G uses.
-    """
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
-
-    def strip_bound(f: TrigPoly) -> float:
-        return float((np.abs(f.c) * np.exp(r0 * (np.abs(f.n1) + np.abs(f.n2))))
-                     .sum())
-
-    G = max(strip_bound(force.f_alpha(+1)), strip_bound(force.f_alpha(-1)))
-    eps0 = (1.0 - _LAMBDA) * r0 / (8.0 * G)
-    return RadiusEstimate(eps0, G, r0, _LAMBDA)
-
-
 def conjugacy_residual(force: HarmonicForce, max_order: int,
-                       eps_list: Sequence[float], grid_n: int = 24,
-                       series: "ConjugationSeries | None" = None
+                       eps_list: Sequence[float], grid_n: int = 24
                        ) -> Dict[str, object]:
     """Sup-grid residual |H_K(S0 psi) - S_eps(H_K(psi))| per eps.
 
@@ -401,10 +351,7 @@ def conjugacy_residual(force: HarmonicForce, max_order: int,
     on the grid once (vectorized); only the eps-weighted recombination runs
     per epsilon.
     """
-    if series is None:
-        series = ConjugationSeries(force, max_order)
-    else:
-        series.extend_to(max_order)
+    series = ConjugationSeries(force, max_order)
     two_pi = 2.0 * math.pi
     g = two_pi * (np.arange(grid_n) + 0.31) / grid_n
     P1, P2 = np.meshgrid(g, g, indexing="ij")

@@ -66,10 +66,9 @@ ORDER_CAP = 6
 
 @dataclass
 class ObservableSeries:
-    """eps-orders of an observable, with declared time-reversal parity."""
+    """eps-orders of an observable."""
 
     orders: List[TrigPoly]            # orders[k] = eps^k coefficient
-    parity: Optional[str] = None      # 'odd' | 'even' | None under I0 at eps=0
 
     @property
     def max_order(self) -> int:
@@ -100,7 +99,7 @@ def sigma_series(force: HarmonicForce, max_order: int) -> ObservableSeries:
         power = power * g
         sign = -sign
         orders.append((sign / m) * power)
-    return ObservableSeries(orders, parity="odd")
+    return ObservableSeries(orders)
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
@@ -560,8 +559,6 @@ class CorrelationEngine:
     def joint_cumulant(self, multi_index: Sequence[int], m: int,
                        obs: ObservableSeries) -> float:
         """C_{alpha_1...alpha_k} at order m; index 1 -> sigma, 2 -> obs."""
-        if obs.parity is None:
-            raise ValueError("observable parity must be declared for joint cumulants")
         if any(a not in (1, 2) for a in multi_index):
             raise ValueError("multi-index entries must be 1 or 2")
         series = [self.sigma_observable() if a == 1 else obs for a in multi_index]

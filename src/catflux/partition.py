@@ -87,13 +87,6 @@ class Rectangle:
         """Torus area in lattice units: da * db * sqrt5."""
         return self.extent_a * self.extent_b * Q5(0, 1)
 
-    def u_extent_angle(self) -> float:
-        """Physical side length along the unstable direction, in radians."""
-        return float(self.extent_a) * _EU_LEN * TWO_PI
-
-    def s_extent_angle(self) -> float:
-        return float(self.extent_b) * _ES_LEN * TWO_PI
-
     def bounds(self) -> Tuple[Q5, Q5, Q5, Q5]:
         """(a0, a1, b0, b1): the box is [a0, a1] x [b0, b1]."""
         return (self.anchor_a, self.anchor_a + self.extent_a,
@@ -367,10 +360,6 @@ def _canonical_box(a0: Q5, b0: Q5, da: Q5, db: Q5
 @dataclass
 class MarkovReport:
     ok: bool
-    area_ok: bool
-    disjoint_ok: bool
-    stable_ok: bool
-    unstable_ok: bool
     messages: List[str] = field(default_factory=list)
 
 
@@ -396,16 +385,15 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
     (i) areas sum to the whole torus; (ii) interiors pairwise disjoint
     modulo the lattice; (iii) S maps stable boundaries into the union of
     stable boundaries and S^{-1} maps unstable ones likewise (segment-image
-    containment in eigen-coordinates).
+    containment in eigen-coordinates).  Every failed check appends a
+    message, so the report is ok when there is none.
     """
     msgs: List[str] = []
     rects = partition.rectangles
 
-    area_ok = partition.total_area() == Q5(1)
-    if not area_ok:
+    if not partition.total_area() == Q5(1):
         msgs.append(f"areas sum to {float(partition.total_area()):.12f}, not 1")
 
-    disjoint_ok = True
     for i, r1 in enumerate(rects):
         for j in range(i, len(rects)):
             r2 = rects[j]
@@ -413,7 +401,6 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
                 mn = lattice_from_eigen_shift(A)
                 if i == j and mn == (0, 0):
                     continue
-                disjoint_ok = False
                 msgs.append(f"interiors of R{r1.rid} and R{r2.rid} overlap "
                             f"(translate {mn})")
 
@@ -433,10 +420,7 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
              "not contained in stable boundary" for c, rid in stable_bad]
     msgs += [f"S^-1(unstable side b={float(c):.6f} of R{rid}) "
              "not contained in unstable boundary" for c, rid in unstable_bad]
-    stable_ok, unstable_ok = not stable_bad, not unstable_bad
-
-    ok = area_ok and disjoint_ok and stable_ok and unstable_ok
-    return MarkovReport(ok, area_ok, disjoint_ok, stable_ok, unstable_ok, msgs)
+    return MarkovReport(not msgs, msgs)
 
 
 def _uncovered_sides(sides: List[Tuple[Q5, Q5, Q5, int]],
@@ -622,8 +606,9 @@ class CellTable:
     def assign(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """See assign_rectangles; CHUNK points at a time.  Points of settled
         cells take the cell's id; the others are tested slot by slot, each
-        until it hits."""
+        until it hits, with locate's expressions."""
         mu, nu, rt5 = _MU, _NU, _RT5
+        tol = BOUNDARY_TOL
         box = np.array(self.boxes).reshape(-1, 4)
         shape, x, y = x.shape, x.ravel(), y.ravel()
         out = np.empty(x.shape, dtype=int)
@@ -644,9 +629,10 @@ class CellTable:
                 a0, b0, da, db = box[rid].T
                 px = xs[todo] - (m + kx[todo])
                 py = ys[todo] - (n + ky[todo])
-                a = (py - nu * px) / rt5
-                b = (mu * px - py) / rt5
-                hit = (a >= a0) & (a <= a0 + da) & (b >= b0) & (b <= b0 + db)
+                ra = (py - nu * px) / rt5 - a0
+                rb = (mu * px - py) / rt5 - b0
+                hit = ((ra >= -tol) & (ra <= da + tol)
+                       & (rb >= -tol) & (rb <= db + tol))
                 got[todo[hit]] = rid[hit]
                 todo = todo[~hit]
             out[lo:lo + CHUNK] = got
@@ -663,8 +649,7 @@ class CatCoder:
         self._cells = CellTable([(float(r.anchor_a), float(r.anchor_b),
                                   float(r.extent_a), float(r.extent_b))
                                  for r in partition.rectangles])
-        # unique lattice translate per allowed transition (single-strip)
-        self._pair_translate: Dict[Tuple[int, int], Tuple[Q5, Q5]] = {}
+        # decode reads the one strip of each allowed transition
         q = len(partition)
         for s1 in range(q):
             for s2 in range(q):
@@ -675,7 +660,6 @@ class CatCoder:
                     raise PartitionError(
                         f"transition {s1}->{s2} has {len(hits)} strips; "
                         "partition is not single-strip")
-                self._pair_translate[(s1, s2)] = hits[0]
 
     # -- point membership ------------------------------------------------
     def locate(self, x: float, y: float) -> Tuple[int, bool]:
@@ -718,6 +702,7 @@ class CatCoder:
         """
         n = window.n
         rects = self.partition.rectangles
+        strips = self.partition.strips
         T = self.matrix.T
         for j in range(-n, n):
             if not T[window.symbol(j), window.symbol(j + 1)]:
@@ -728,14 +713,14 @@ class CatCoder:
         r_last = rects[window.symbol(n)]
         lo_a, hi_a = r_last.anchor_a, r_last.anchor_a + r_last.extent_a
         for j in range(n - 1, -1, -1):
-            A, _ = self._pair_translate[(window.symbol(j), window.symbol(j + 1))]
+            A, _ = strips(window.symbol(j), window.symbol(j + 1))[0]
             lo_a = lm * lo_a + A
             hi_a = lm * hi_a + A
         # backward refinement of the b-interval, from sigma_{-n} up to sigma_0
         r_first = rects[window.symbol(-n)]
         lo_b, hi_b = r_first.anchor_b, r_first.anchor_b + r_first.extent_b
         for j in range(-n, 0):
-            _, B = self._pair_translate[(window.symbol(j), window.symbol(j + 1))]
+            _, B = strips(window.symbol(j), window.symbol(j + 1))[0]
             lo_b = lm * (lo_b - B)
             hi_b = lm * (hi_b - B)
         r0 = rects[window.symbol(0)]
@@ -799,8 +784,8 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
 
 def assign_rectangles(coder: CatCoder, x: np.ndarray, y: np.ndarray
                       ) -> np.ndarray:
-    """Vectorized rectangle assignment for lattice-unit points: the least
-    id of the closed boxes holding each point, -1 where none does."""
+    """Vectorized CatCoder.locate for lattice-unit points: the least id of
+    the boxes within BOUNDARY_TOL of each point, -1 where none is."""
     return coder._cells.assign(x, y)
 
 

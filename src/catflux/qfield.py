@@ -195,18 +195,10 @@ def _sign(p: int, q: int) -> int:
     return 1 if 5 * q * q > p * p else -1
 
 
-SQRT5_Q = Q5(0, 1)
 LAMBDA_PLUS_Q = Q5(Fraction(3, 2), Fraction(1, 2))
 LAMBDA_MINUS_Q = Q5(Fraction(3, 2), Fraction(-1, 2))
 MU_Q = Q5(Fraction(1, 2), Fraction(1, 2))     # lambda_+ - 1, unstable slope
 NU_Q = Q5(Fraction(1, 2), Fraction(-1, 2))    # lambda_- - 1, stable slope
-
-
-def eigen_coords(x: Q5, y: Q5) -> Tuple[Q5, Q5]:
-    """(a, b) with (x, y) = a (1, mu) + b (1, nu); exact inversion."""
-    a = (y - NU_Q * x) / SQRT5_Q
-    b = (MU_Q * x - y) / SQRT5_Q
-    return a, b
 
 
 def lattice_coords(m: int, n: int) -> Tuple[Q5, Q5]:

@@ -247,8 +247,9 @@ def slope_and_A(curve: RatioCurve, p_max: float = P_MAX) -> SlopeResult:
     """Weighted slope through the origin of z(p) = p y(p); A = slope - 1.
 
     The FT predicts z = p exactly; the leading deviation z = (1+A) p defines
-    A.  Weights are 1/err(z)^2 when errors are available and uniform
-    otherwise (exact synthetic inputs).
+    A.  Weights are 1/err(z)^2 over the bins with err > 0; a zero-error bin
+    (a sparse bin whose runs agree) is dropped.  Only when every fitted bin
+    has err 0 (exact synthetic inputs) are the weights uniform and stderr 0.
 
     With the cubic term of fluctuation.asymmetry_coefficients,
     z = (1 + A) p + (B/<sigma>) p^3, the returned A is
@@ -256,25 +257,26 @@ def slope_and_A(curve: RatioCurve, p_max: float = P_MAX) -> SlopeResult:
     bins: it equals asymmetry_coefficients' A only when B = 0.
     """
     mask = (np.abs(curve.p) <= p_max) & (curve.p != 0)
+    weighted = bool(np.any(curve.err[mask] > 0))
+    if weighted:
+        mask &= curve.err > 0
     if int(mask.sum()) < 3:
         raise ValueError(f"need >= 3 populated symmetric bins with |p| <= {p_max}")
     p = curve.p[mask]
     z = p * curve.y[mask]
-    ez = np.abs(p) * curve.err[mask]
-    if np.all(ez > 0):
-        w = 1.0 / ez ** 2
+    if weighted:
+        w = 1.0 / (np.abs(p) * curve.err[mask]) ** 2
     else:
         w = np.ones_like(p)
     denom = float(np.sum(w * p * p))
     slope = float(np.sum(w * p * z)) / denom
-    stderr = math.sqrt(1.0 / denom) if np.all(ez > 0) else 0.0
+    stderr = math.sqrt(1.0 / denom) if weighted else 0.0
     lever = float(np.sum(w * p ** 4)) / denom
     return SlopeResult(slope, slope - 1.0, stderr, lever)
 
 
 @dataclass(frozen=True)
 class FitResult:
-    model: str
     params: Tuple[float, ...]
     stderrs: Tuple[float, ...]
     rss: float
@@ -293,7 +295,7 @@ def _weighted_lsq(X: np.ndarray, y: np.ndarray, sig: np.ndarray,
     resid = y - X @ params
     rss = float(np.sum(w * resid ** 2))
     stderrs = tuple(math.sqrt(max(cov[i, i], 0.0)) for i in range(len(params)))
-    return FitResult(model, tuple(map(float, params)), stderrs, rss)
+    return FitResult(tuple(map(float, params)), stderrs, rss)
 
 
 def fit_models(points: Sequence[Tuple[float, float, float]], tau: int

@@ -2,9 +2,12 @@
 
 Each oracle recomputes a library quantity by a route that shares none of
 the code it checks: sigma from the assembled 2 x 2 Jacobian, torus
-averages and recorded moments by grid quadrature, and zeta(p) by a brute
-Legendre maximum over a beta grid.  No subcommand or library code runs
-them; the tests import them from here.
+averages and recorded moments by grid quadrature, zeta(p) by a brute
+Legendre maximum over a beta grid, eigen-coordinates by exact inversion,
+and the cumulants of sigma from periodic-orbit sums.  displacement
+evaluates the conjugation H(psi) - psi pointwise for the defining-relation
+check.  No subcommand or library code runs them; the tests import them
+from here.
 """
 
 import math
@@ -13,9 +16,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from catflux.conjugation import ConjugationSeries
 from catflux.cumulants import CumulantTable, FactorRef, MomentEngine
+from catflux.qfield import MU_Q, NU_Q, Q5
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
-from catflux.trig import TrigPoly, s0_power
+from catflux.trig import TrigPoly, V_MINUS, V_PLUS, s0_power
 
 # shifted factor grids replay_moments_on_grid keeps at once
 REPLAY_CACHE = 600
@@ -47,6 +52,29 @@ def sigma_from_jacobian(system: CatSystem, x: TorusPoint) -> float:
     if det <= 0.0:
         raise ValueError(f"map not locally invertible: det DS_eps = {det} at {x}")
     return -math.log(det)
+
+
+def displacement(series: ConjugationSeries, psi1: float, psi2: float,
+                 eps: float) -> Tuple[float, float]:
+    """H(psi) - psi evaluated through the series' order."""
+    d1 = d2 = 0.0
+    w = eps
+    for k in range(1, series.max_order + 1):
+        hp = series.h_plus[k].evaluate(psi1, psi2)
+        hm = series.h_minus[k].evaluate(psi1, psi2)
+        d1 += w * (hp * V_PLUS[0] + hm * V_MINUS[0])
+        d2 += w * (hp * V_PLUS[1] + hm * V_MINUS[1])
+        w *= eps
+    return d1, d2
+
+
+def eigen_coords(x: Q5, y: Q5) -> Tuple[Q5, Q5]:
+    """(a, b) with (x, y) = a (1, mu) + b (1, nu); exact inversion, the
+    oracle for qfield.lattice_coords."""
+    sqrt5 = Q5(0, 1)
+    a = (y - NU_Q * x) / sqrt5
+    b = (MU_Q * x - y) / sqrt5
+    return a, b
 
 
 def quadrature_average(f: TrigPoly, n: int = 256) -> float:
@@ -158,3 +186,95 @@ def replay_moments_on_grid(engine: MomentEngine, n: int = 256,
         aliased = len(deviating)
         worst_escalated = fine.worst
     return ReplayReport(len(items), worst, aliased, worst_escalated)
+
+
+# ----------------------------------------------------------------------
+# Periodic-orbit oracle: numpy only, nothing from catflux.
+#
+# The flat trace Z_n(beta) = sum_{x in Fix S_eps^n} exp(-beta sigma_n(x)) /
+# |det(I - D S_eps^n(x))| gives (1/n) log Z_n -> lambda(beta), so
+# C_k = kappa_k(sigma_n) / n under the weights 1/|det(I - D S_eps^n)|.  The
+# orbits are the periodic points of S_0^n, continued to S_eps by Newton.
+# ----------------------------------------------------------------------
+
+ORACLE_S0 = np.array([[1, 1], [1, 2]], dtype=np.int64)
+ORACLE_EPS = (0.005, 0.01, 0.015, 0.02)
+
+
+def s0_periodic_points(n):
+    """Fix S_0^n = A^{-1} Z^2 / Z^2 (times 2 pi) with A = S_0^n - I.
+
+    The column Hermite form of A is lower triangular with diagonal
+    (g, det A / g), g = gcd of A's first row, so the vectors (i, j) with
+    0 <= i < g and 0 <= j < |det A| / g represent Z^2 / A Z^2.
+    """
+    A = np.linalg.matrix_power(ORACLE_S0, n) - np.eye(2, dtype=np.int64)
+    p, q, r, s = (int(v) for v in A.ravel())
+    det = p * s - q * r
+    g = math.gcd(p, q)
+    i, j = np.meshgrid(np.arange(g), np.arange(abs(det) // g), indexing="ij")
+    adj = np.array([[s, -q], [-r, p]], dtype=np.int64) * (1 if det > 0 else -1)
+    num = (adj @ np.stack([i.ravel(), j.ravel()])) % abs(det)
+    return 2 * np.pi * num / abs(det)
+
+
+def lifted_orbit(psi, eps, harmonics, n):
+    """sigma_n, D S_eps^n and the lift of S_eps^n(psi) as (carry, angle)."""
+    two_pi = 2 * np.pi
+    carry = np.floor(psi / two_pi)
+    y = psi - two_pi * carry
+    m = np.broadcast_to(np.eye(2), (psi.shape[1], 2, 2))
+    sigma_n = np.zeros(psi.shape[1])
+    for _ in range(n):
+        f, d1, d2 = np.zeros((3, psi.shape[1]))
+        for (a, b), amp in harmonics:
+            arg = a * y[0] + b * y[1]
+            f += amp * np.sin(arg)
+            d1 += a * amp * np.cos(arg)
+            d2 += b * amp * np.cos(arg)
+        jac = np.empty_like(m)
+        jac[:, 0, 0], jac[:, 0, 1] = 1 + eps * d1, 1 + eps * d2
+        jac[:, 1, 0], jac[:, 1, 1] = 1.0, 2.0
+        sigma_n -= np.log(2 * jac[:, 0, 0] - jac[:, 0, 1])
+        m = jac @ m
+        z = np.stack([y[0] + y[1] + eps * f, y[0] + 2 * y[1]])
+        wrap = np.floor(z / two_pi)
+        carry = ORACLE_S0.astype(float) @ carry + wrap
+        y = z - two_pi * wrap
+    return sigma_n, m, carry, y
+
+
+def orbit_cumulants(eps, harmonics, n):
+    """(Z_n(0), [<sigma>, C_2, C_3, C_4]) from the period-n orbits."""
+    psi = s0_periodic_points(n)
+    _, _, carry, y = lifted_orbit(psi, 0.0, harmonics, n)
+    shift = carry + np.round((y - psi) / (2 * np.pi))  # S_0^n psi - psi
+    for _ in range(20):
+        _, m, carry, y = lifted_orbit(psi, eps, harmonics, n)
+        resid = 2 * np.pi * (carry - shift) + y - psi
+        step = np.linalg.solve(m - np.eye(2), resid.T[..., None])[..., 0].T
+        psi = psi - step
+        if np.max(np.abs(step)) < 1e-12:
+            break
+    else:
+        raise RuntimeError("Newton continuation did not converge")
+    sigma_n, m, _, _ = lifted_orbit(psi, eps, harmonics, n)
+    w = 1.0 / np.abs(np.linalg.det(np.eye(2) - m))
+    z = w.sum()
+    mean = (w * sigma_n).sum() / z
+    d = sigma_n - mean
+    m2, m3, m4 = ((w * d ** k).sum() / z for k in (2, 3, 4))
+    return z, np.array([mean, m2, m3, m4 - 3 * m2 ** 2]) / n
+
+
+def eps_coefficient(values, k, lead, parity, power=0):
+    """Coefficient of eps^(lead + 2 power) in quantity k.
+
+    The even (parity +1) or odd (-1) part in eps, divided by eps^lead, is a
+    series in eps^2; interpolating it on ORACLE_EPS and reading off the
+    coefficient of (eps^2)^power extrapolates to eps -> 0.
+    """
+    x = np.array(ORACLE_EPS) ** 2
+    y = [(values[e][k] + parity * values[-e][k]) / 2 / e ** lead
+         for e in ORACLE_EPS]
+    return np.linalg.solve(np.vander(x, increasing=True), y)[power]

@@ -175,11 +175,8 @@ class TestCriterion5ConjugacyResidual:
         force = HarmonicForce.single_harmonic()
         eps_list = [1e-3, 2e-3, 4e-3, 1e-2]
         slopes = {}
-        from catflux.conjugation import ConjugationSeries
-        series = ConjugationSeries(force, 3)
         for K in (1, 2, 3):
-            res = conjugacy_residual(force, K, eps_list, grid_n=24,
-                                     series=series)
+            res = conjugacy_residual(force, K, eps_list, grid_n=24)
             slopes[K] = res["slope"]
         elapsed = time.time() - t0
         ok = all(abs(slopes[K] - (K + 1)) <= 0.2 for K in slopes) and elapsed < 30

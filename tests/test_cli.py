@@ -292,7 +292,7 @@ class TestSigmaModeAndBinWidth:
             configs.append(config)
             return SlopeResult(1.0, 0.0, 0.1, 0.0)
 
-        fit = FitResult("f", (0.0,), (0.0,), 0.0)
+        fit = FitResult((0.0,), (0.0,), 0.0)
         monkeypatch.setattr(cli, "measure_asymmetry", measure)
         monkeypatch.setattr(cli, "fit_models", lambda points, tau: (fit, fit))
         self.run_json(tmp_path, "fit", "fit", "fit.json", eps=[0.05, 0.1, 0.15],

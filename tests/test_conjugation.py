@@ -7,12 +7,12 @@ import pytest
 from catflux.conjugation import (ConjugationSeries, OrderCapError, RateSeries,
                                  chain_average, chain_order,
                                  conjugacy_residual, conjugation_order_k,
-                                 expansion_rate_series, radius_estimate)
+                                 expansion_rate_series)
 from catflux.cumulants import sigma_series
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
 from catflux.trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS,
                           V_PLUS, s0_power)
-from oracles import force_gradient
+from oracles import displacement, force_gradient
 
 FORCE = HarmonicForce.single_harmonic()
 NP = math.sqrt(LAMBDA_PLUS + 1)
@@ -139,7 +139,7 @@ class TestRates:
             for j in range(6):
                 p1 = 2 * math.pi * i / 6 + 0.05
                 p2 = 2 * math.pi * j / 6 + 0.11
-                d1, d2 = conj.displacement(p1, p2, eps)
+                d1, d2 = displacement(conj, p1, p2, eps)
                 h1, h2 = p1 + d1, p2 + d2
                 dfx, dfy = force_gradient(FORCE, h1 % (2 * math.pi),
                                           h2 % (2 * math.pi))
@@ -234,21 +234,3 @@ class TestPinnedOrders:
     def test_expansion_rate(self, boundary, want):
         au = expansion_rate_series(FORCE, 3, boundary)
         assert key_digest([au.order(k) for k in (1, 2, 3)]) == want
-
-
-class TestRadius:
-    def test_formula(self):
-        est = radius_estimate(FORCE, r0=1.0)
-        assert est.eps0 == pytest.approx(
-            (1 - LAMBDA_MINUS) * est.r0 / (8 * est.G), rel=1e-12)
-
-    def test_beta_limit(self):
-        est = radius_estimate(FORCE)
-        assert est.eps_of_beta(0.999) < 1e-2 * est.eps0
-        assert est.eps_of_beta(0.0) == pytest.approx(est.eps0, rel=1e-12)
-        vals = [est.eps_of_beta(b) for b in (0.0, 0.3, 0.6, 0.9)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_r0_validation(self):
-        with pytest.raises(ValueError):
-            radius_estimate(FORCE, r0=-1.0)

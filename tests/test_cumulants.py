@@ -1,5 +1,4 @@
 import itertools
-import math
 from collections import Counter
 
 import numpy as np
@@ -11,7 +10,8 @@ from catflux.cumulants import (CorrelationEngine, MomentEngine,
                                sigma_series, transport_matrix)
 from catflux.torus import HarmonicForce
 from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, product_average
-from oracles import replay_moments_on_grid
+from oracles import (ORACLE_EPS, eps_coefficient, orbit_cumulants,
+                     replay_moments_on_grid)
 
 LAM_R = LAMBDA_MINUS / (LAMBDA_PLUS + 1)
 
@@ -37,7 +37,7 @@ TRANSPORT = {
     "shifted": ((1.0, 0.5), (0.5, 0.25)),
 }
 OBS = ObservableSeries([TrigPoly.zero(), TrigPoly.cosine((1, 0), -1.0)
-                        + TrigPoly.cosine((1, 1), 0.5)], parity="odd")
+                        + TrigPoly.cosine((1, 1), 0.5)])
 
 
 class TestSigmaSeries:
@@ -159,15 +159,9 @@ class TestJointCumulants:
         c112 = single_engine.joint_cumulant((1, 1, 2), 3, obs=sig)
         assert c112 == pytest.approx(0.0, abs=1e-12)
 
-    def test_parity_required(self, single_engine):
-        orders = [TrigPoly.zero(), TrigPoly.cosine((1, 0))]
-        nameless = ObservableSeries(orders, parity=None)
-        with pytest.raises(ValueError, match="parity"):
-            single_engine.joint_cumulant((1, 2), 2, obs=nameless)
-
     def test_fixed_odd_observable(self, single_engine):
         # O = sin(psi1) is odd under I0; equilibrium mean vanishes
-        obs = ObservableSeries([TrigPoly.sine((1, 0))], parity="odd")
+        obs = ObservableSeries([TrigPoly.sine((1, 0))])
         assert single_engine.srb_mean_order(0, obs=obs) == 0.0
         first = single_engine.srb_mean_order(1, obs=obs)
         assert abs(first) < 10.0  # finite, genuinely nonequilibrium
@@ -430,98 +424,9 @@ class TestConnectedShifts:
         assert dropped > 0 and kept > 0
 
 
-# ----------------------------------------------------------------------
-# Periodic-orbit oracle: numpy only, nothing from catflux.
-#
-# The flat trace Z_n(beta) = sum_{x in Fix S_eps^n} exp(-beta sigma_n(x)) /
-# |det(I - D S_eps^n(x))| gives (1/n) log Z_n -> lambda(beta), so
-# C_k = kappa_k(sigma_n) / n under the weights 1/|det(I - D S_eps^n)|.  The
-# orbits are the periodic points of S_0^n, continued to S_eps by Newton.
-# ----------------------------------------------------------------------
-
-ORACLE_S0 = np.array([[1, 1], [1, 2]], dtype=np.int64)
-ORACLE_EPS = (0.005, 0.01, 0.015, 0.02)
+# the forces of the periodic-orbit oracle (orbit_cumulants in oracles.py)
 ORACLE_SINGLE = (((1, 0), 1.0),)
 ORACLE_TWO = (((1, 0), 1.0), ((2, 0), 1.0))
-
-
-def s0_periodic_points(n):
-    """Fix S_0^n = A^{-1} Z^2 / Z^2 (times 2 pi) with A = S_0^n - I.
-
-    The column Hermite form of A is lower triangular with diagonal
-    (g, det A / g), g = gcd of A's first row, so the vectors (i, j) with
-    0 <= i < g and 0 <= j < |det A| / g represent Z^2 / A Z^2.
-    """
-    A = np.linalg.matrix_power(ORACLE_S0, n) - np.eye(2, dtype=np.int64)
-    p, q, r, s = (int(v) for v in A.ravel())
-    det = p * s - q * r
-    g = math.gcd(p, q)
-    i, j = np.meshgrid(np.arange(g), np.arange(abs(det) // g), indexing="ij")
-    adj = np.array([[s, -q], [-r, p]], dtype=np.int64) * (1 if det > 0 else -1)
-    num = (adj @ np.stack([i.ravel(), j.ravel()])) % abs(det)
-    return 2 * np.pi * num / abs(det)
-
-
-def lifted_orbit(psi, eps, harmonics, n):
-    """sigma_n, D S_eps^n and the lift of S_eps^n(psi) as (carry, angle)."""
-    two_pi = 2 * np.pi
-    carry = np.floor(psi / two_pi)
-    y = psi - two_pi * carry
-    m = np.broadcast_to(np.eye(2), (psi.shape[1], 2, 2))
-    sigma_n = np.zeros(psi.shape[1])
-    for _ in range(n):
-        f, d1, d2 = np.zeros((3, psi.shape[1]))
-        for (a, b), amp in harmonics:
-            arg = a * y[0] + b * y[1]
-            f += amp * np.sin(arg)
-            d1 += a * amp * np.cos(arg)
-            d2 += b * amp * np.cos(arg)
-        jac = np.empty_like(m)
-        jac[:, 0, 0], jac[:, 0, 1] = 1 + eps * d1, 1 + eps * d2
-        jac[:, 1, 0], jac[:, 1, 1] = 1.0, 2.0
-        sigma_n -= np.log(2 * jac[:, 0, 0] - jac[:, 0, 1])
-        m = jac @ m
-        z = np.stack([y[0] + y[1] + eps * f, y[0] + 2 * y[1]])
-        wrap = np.floor(z / two_pi)
-        carry = ORACLE_S0.astype(float) @ carry + wrap
-        y = z - two_pi * wrap
-    return sigma_n, m, carry, y
-
-
-def orbit_cumulants(eps, harmonics, n):
-    """(Z_n(0), [<sigma>, C_2, C_3, C_4]) from the period-n orbits."""
-    psi = s0_periodic_points(n)
-    _, _, carry, y = lifted_orbit(psi, 0.0, harmonics, n)
-    shift = carry + np.round((y - psi) / (2 * np.pi))  # S_0^n psi - psi
-    for _ in range(20):
-        _, m, carry, y = lifted_orbit(psi, eps, harmonics, n)
-        resid = 2 * np.pi * (carry - shift) + y - psi
-        step = np.linalg.solve(m - np.eye(2), resid.T[..., None])[..., 0].T
-        psi = psi - step
-        if np.max(np.abs(step)) < 1e-12:
-            break
-    else:
-        raise RuntimeError("Newton continuation did not converge")
-    sigma_n, m, _, _ = lifted_orbit(psi, eps, harmonics, n)
-    w = 1.0 / np.abs(np.linalg.det(np.eye(2) - m))
-    z = w.sum()
-    mean = (w * sigma_n).sum() / z
-    d = sigma_n - mean
-    m2, m3, m4 = ((w * d ** k).sum() / z for k in (2, 3, 4))
-    return z, np.array([mean, m2, m3, m4 - 3 * m2 ** 2]) / n
-
-
-def eps_coefficient(values, k, lead, parity, power=0):
-    """Coefficient of eps^(lead + 2 power) in quantity k.
-
-    The even (parity +1) or odd (-1) part in eps, divided by eps^lead, is a
-    series in eps^2; interpolating it on ORACLE_EPS and reading off the
-    coefficient of (eps^2)^power extrapolates to eps -> 0.
-    """
-    x = np.array(ORACLE_EPS) ** 2
-    y = [(values[e][k] + parity * values[-e][k]) / 2 / e ** lead
-         for e in ORACLE_EPS]
-    return np.linalg.solve(np.vander(x, increasing=True), y)[power]
 
 
 class TestPeriodicOrbitOracle:

@@ -1,5 +1,5 @@
 """No library module, and no test oracle, keeps a module-level import it
-never uses."""
+never uses; no library dataclass keeps a field that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -45,3 +45,40 @@ def unused_imports(source: str):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dataclass_fields(source: str):
+    """(class, field) of every annotated field of a @dataclass class."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                   for d in decorators):
+            continue
+        out += [(node.name, item.target.id) for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)]
+    return out
+
+
+def attribute_reads(paths):
+    """Every name read as `.name` in the given files."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_dataclass_field_is_read():
+    # by name only: a field counts as read when any `.name` load in src/ or
+    # tests/ matches it, whatever the object
+    reads = attribute_reads(sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")))
+    fields = [(path.name, cls, name) for path in sorted(SRC.glob("*.py"))
+              for cls, name in dataclass_fields(path.read_text())]
+    assert len(fields) > 50
+    assert [f for f in fields if f[2] not in reads] == []

@@ -16,11 +16,12 @@ from catflux.partition import (GRID, CatCoder, CellTable, MarkovPartition,
                                build_cat_partition, partition_from_json,
                                partition_to_json, transition_matrix,
                                verify_markov)
-from catflux.qfield import (LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, eigen_coords,
-                            from_eigen, lattice_coords, lattice_from_b_shift,
+from catflux.qfield import (LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, from_eigen,
+                            lattice_coords, lattice_from_b_shift,
                             lattice_from_eigen_shift)
 from catflux.torus import CatSystem, TorusPoint
 from fractions import Fraction
+from oracles import eigen_coords
 
 LAMBDA_PLUS = (3 + math.sqrt(5)) / 2
 TWO_PI = 2 * math.pi
@@ -62,7 +63,11 @@ class TestConstruction:
     def test_total_area(self, cat_partition):
         # areas sum to the full torus (4 pi^2 in angle units, 1 in lattice units)
         assert cat_partition.total_area() == Q5(1)
-        angle_area = sum(r.u_extent_angle() * r.s_extent_angle()
+        # side lengths in radians: eigen-extent times |e_u| = |(1, mu)| or
+        # |e_s| = |(1, nu)|, times 2 pi
+        eu, es = math.hypot(1, float(MU_Q)), math.hypot(1, float(NU_Q))
+        angle_area = sum(float(r.extent_a) * eu * TWO_PI
+                         * float(r.extent_b) * es * TWO_PI
                          for r in cat_partition.rectangles)
         assert angle_area == pytest.approx(4 * math.pi ** 2, rel=1e-12)
 
@@ -110,8 +115,7 @@ class TestVerifyRejectsBadPartitions:
         broken = MarkovPartition([shifted] + rects[1:], "constructed")
         report = verify_markov(broken)
         assert not report.ok
-        assert report.disjoint_ok is False
-        assert report.messages
+        assert any("overlap" in m for m in report.messages)
 
     def test_single_rectangle_fails(self):
         whole = Rectangle(0, Q5(0), Q5(0), Q5(1), Q5(1))
@@ -152,20 +156,21 @@ class TestStrips:
         # the build's last single-strip round computed all q^2 strips, so the
         # transition matrix and the coder read them without recomputing
         tm = transition_matrix(cat_partition)
-        coder = CatCoder(cat_partition, tm)
+        CatCoder(cat_partition, tm)
         assert overlap_calls == []
-        assert len(coder._pair_translate) == tm.T.sum()
+        assert all(len(cat_partition.strips(i, j)) == 1
+                   for i, j in zip(*np.nonzero(tm.T)))
 
     def test_loaded_coder_computes_allowed_pairs_only(self, cat_partition,
                                                       cat_matrix,
                                                       overlap_calls):
         loaded = partition_from_json(partition_to_json(cat_partition))
-        coder = CatCoder(loaded, cat_matrix)
+        CatCoder(loaded, cat_matrix)
         allowed = {(int(i), int(j)) for i, j in zip(*np.nonzero(cat_matrix.T))}
         assert len(overlap_calls) == len(allowed)
         assert set(loaded._strips) == allowed
-        assert coder._pair_translate == {
-            pair: cat_partition.strips(*pair)[0] for pair in allowed}
+        assert {pair: loaded.strips(*pair) for pair in allowed} == {
+            pair: cat_partition.strips(*pair) for pair in allowed}
 
 
 def scan_overlaps(a0, a1, b0, b1, c0, c1, d0, d1):
@@ -381,24 +386,6 @@ def window_locate(boxes, x, y, tol=partition_module.BOUNDARY_TOL):
     return ids, flags
 
 
-def window_assign(boxes, x, y):
-    """Brute-force oracle for assign_rectangles: the least id whose closed
-    box holds the point, over the translate window of each box."""
-    out = np.full(x.shape, -1)
-    for rid, (a0, b0, da, db) in enumerate(boxes):
-        ax, ay = a0 + b0, a0 * MU + b0 * NU
-        m_base = np.floor(x - ax - (da + db))
-        n_base = np.floor(y - ay - da * MU)
-        for dm in range(int(math.ceil(da + db)) + 2):
-            for dn in range(int(math.ceil(da * MU - db * NU)) + 2):
-                px, py = x - (m_base + dm), y - (n_base + dn)
-                a = (py - NU * px) / RT5
-                b = (MU * px - py) / RT5
-                hit = (a >= a0) & (a <= a0 + da) & (b >= b0) & (b <= b0 + db)
-                out[hit & (out < 0)] = rid
-    return out
-
-
 def boundary_points(partition):
     """Rectangle corners and edge points, exact in Q(sqrt5) and converted
     once: as built, reduced into [0,1)^2 and moved by the lattice vector
@@ -464,14 +451,14 @@ class TestCellTable:
 
     def test_assign_matches_window_scan(self, cat_coder, points):
         x, y = points
-        expected = window_assign(cat_coder._cells.boxes, x, y)
+        expected, _ = window_locate(cat_coder._cells.boxes, x, y)
         assert (expected >= 0).all()
         assert np.array_equal(assign_rectangles(cat_coder, x, y), expected)
 
     def test_holed_table_matches_window_scan(self, cat_coder, points):
         boxes = cat_coder._cells.boxes[:-1]
         x, y = points[:, :20_000]
-        expected = window_assign(boxes, x, y)
+        expected, _ = window_locate(boxes, x, y)
         assert (expected < 0).any()
         table = CellTable(boxes)
         assert np.array_equal(table.assign(x, y), expected)
@@ -488,7 +475,7 @@ class TestCellTable:
         assert (table.settled >= 0).sum() > 0
         assert (table.settled != 0).all()
         x, y = points[:, :20_000]
-        expected = window_assign(boxes, x, y)
+        expected, _ = window_locate(boxes, x, y)
         assert (expected == 0).sum() > 100
         assert np.array_equal(table.assign(x, y), expected)
         assert locate_all(table, x, y) == window_pairs(boxes, x, y)
@@ -503,8 +490,7 @@ class TestCellTable:
             ids, flags = window_locate(table.boxes, x, y)
             assert np.array_equal(ids, table.settled[cells])
             assert not flags.any()
-            assert np.array_equal(window_assign(table.boxes, x, y),
-                                  table.settled[cells])
+            assert np.array_equal(table.assign(x, y), table.settled[cells])
 
     def test_every_cell_has_a_candidate(self, cat_coder):
         # the rectangles tile the torus, so no cell of [0,1)^2 is empty

@@ -175,8 +175,26 @@ class TestSlope:
         assert res.lever == pytest.approx(
             np.sum(w * fitted ** 4) / np.sum(w * fitted ** 2), rel=1e-12)
 
+    def test_zero_error_bin_is_dropped(self):
+        # one bin whose runs agree exactly has err 0: the fit is that of
+        # the other bins, with their weights and a nonzero stderr
+        p = np.linspace(0.1, 2.0, 20)
+        y = 1.1 + 0.2 * np.sin(7 * p)
+        err = 0.01 + 0.05 * p
+        err[12] = 0.0
+        res = slope_and_A(RatioCurve(p, y, err))
+        keep = err > 0
+        ref = slope_and_A(RatioCurve(p[keep], y[keep], err[keep]))
+        assert res == ref
+        assert res.stderr > 0
+
     def test_insufficient_bins(self):
         curve = RatioCurve(np.array([0.1, 0.2]), np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match=">= 3"):
+            slope_and_A(curve)
+        # the count is taken after the zero-error bins are dropped
+        curve = RatioCurve(np.array([0.1, 0.2, 0.3]), np.ones(3),
+                           np.array([1.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match=">= 3"):
             slope_and_A(curve)
 
