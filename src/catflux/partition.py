@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
                      from_eigen, lattice_coords, lattice_from_b_shift,
                      lattice_from_eigen_shift)
 from .torus import TorusPoint
-from .trig import s0_power
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,13 +38,14 @@ _MU, _NU = float(MU_Q), float(NU_Q)
 _RT5 = math.sqrt(5.0)
 _EU_LEN = math.sqrt(1.0 + _MU ** 2)
 _ES_LEN = math.sqrt(1.0 + _NU ** 2)
+# birkhoff_frequencies' orbit lives on the lattice 2^-64 Z^2, held mod 2^64
+_MASK64 = (1 << 64) - 1
 
 MAX_REFINEMENTS = 8    # single-strip refinement rounds of the build
 LATTICE_WINDOW = 30    # translates with |m|, |n| <= this carry crossings
 MAX_ROUNDS = 64        # endpoint-closure rounds per refinement
 MIXING_CAP = 20        # largest mixing time transition_matrix searches
 BOUNDARY_TOL = 1e-12   # eigen-coordinate distance that counts as boundary
-BLOCK = 16             # orbit steps per S^j block in birkhoff_frequencies
 GRID = 64              # CellTable cells per side of [0,1)^2
 CELL_MARGIN = 1e-9     # slack of CellTable's tests and of the float shadows
 CHUNK = 1 << 16        # points per pass of CellTable.assign
@@ -513,9 +513,6 @@ class SymbolWindow:
     n: int
     boundary_flags: List[bool] = field(default_factory=list)
 
-    def symbol(self, j: int) -> int:
-        return self.symbols[j + self.n]
-
 
 class CellTable:
     """Float point location against a list of rectangle boxes.
@@ -650,7 +647,9 @@ class CatCoder:
                                   float(r.extent_a), float(r.extent_b))
                                  for r in partition.rectangles])
         # decode reads the one strip of each allowed transition
+        rects = partition.rectangles
         q = len(partition)
+        strips = {}
         for s1 in range(q):
             for s2 in range(q):
                 if not self.matrix.T[s1, s2]:
@@ -660,6 +659,27 @@ class CatCoder:
                     raise PartitionError(
                         f"transition {s1}->{s2} has {len(hits)} strips; "
                         "partition is not single-strip")
+                strips[s1, s2] = hits[0]
+        # decode runs on integer pairs (P, Q) meaning (P + Q sqrt5)/den with
+        # den = 2D, D the lcm of the denominators of the sides and strips:
+        # those are then pairs of even integers, and every value of decode
+        # stays in (1/D) Z[phi], the pairs with P = Q mod 2
+        values = [v for r in rects for v in r.bounds()]
+        values += [v for AB in strips.values() for v in AB]
+        self._den = 2 * math.lcm(*(c.denominator for v in values
+                                   for c in (v.a, v.b)))
+        self._sides = []
+        for r in rects:
+            a0, a1, b0, b1 = map(self._pair, r.bounds())
+            self._sides.append(((a0, a1), (b0, b1)))
+        # a -> lambda_- a + A and b -> lambda_- (b - B) both take the form
+        # v -> lambda_- v + shift; lambda_- is a unit of Z[phi], so the
+        # b-shift lambda_- (-B) is a pair as well
+        self._shifts = {key: (self._pair(A), self._pair(-(LAMBDA_MINUS_Q * B)))
+                        for key, (A, B) in strips.items()}
+
+    def _pair(self, v: Q5) -> Tuple[int, int]:
+        return int(v.a * self._den), int(v.b * self._den)
 
     # -- point membership ------------------------------------------------
     def locate(self, x: float, y: float) -> Tuple[int, bool]:
@@ -697,47 +717,55 @@ class CatCoder:
         independent 1-D refinements: forward symbols contract the unstable
         coordinate through the affine maps a -> lambda_- a + A(transition),
         backward symbols contract the stable one via b -> lambda_-(b - B).
-        Everything is exact in Q(sqrt5); the cell shrinks like lambda_-^n
-        in both directions.
+        Both run exactly on the integer pairs of __init__, where one step is
+        (P, Q) -> ((3P - 5Q)/2, (3Q - P)/2) plus the shift, an exact integer
+        division; the cell shrinks like lambda_-^n in both directions.  The
+        ends become Q5 once, for the clamp to Q_{sigma_0} and the centre.
         """
         n = window.n
-        rects = self.partition.rectangles
-        strips = self.partition.strips
-        T = self.matrix.T
-        for j in range(-n, n):
-            if not T[window.symbol(j), window.symbol(j + 1)]:
+        sym = window.symbols
+        shifts = []
+        for j in range(2 * n):
+            shift = self._shifts.get((sym[j], sym[j + 1]))
+            if shift is None:
                 raise PartitionError(
-                    f"incompatible symbols at positions {j}, {j + 1}")
-        lm = LAMBDA_MINUS_Q
+                    f"incompatible symbols at positions {j - n}, {j - n + 1}")
+            shifts.append(shift)
         # forward refinement of the a-interval, from sigma_n back to sigma_0
-        r_last = rects[window.symbol(n)]
-        lo_a, hi_a = r_last.anchor_a, r_last.anchor_a + r_last.extent_a
-        for j in range(n - 1, -1, -1):
-            A, _ = strips(window.symbol(j), window.symbol(j + 1))[0]
-            lo_a = lm * lo_a + A
-            hi_a = lm * hi_a + A
+        lo_a, hi_a = _contract(*self._sides[sym[2 * n]][0],
+                               [A for A, _ in reversed(shifts[n:])])
         # backward refinement of the b-interval, from sigma_{-n} up to sigma_0
-        r_first = rects[window.symbol(-n)]
-        lo_b, hi_b = r_first.anchor_b, r_first.anchor_b + r_first.extent_b
-        for j in range(-n, 0):
-            _, B = strips(window.symbol(j), window.symbol(j + 1))[0]
-            lo_b = lm * (lo_b - B)
-            hi_b = lm * (hi_b - B)
-        r0 = rects[window.symbol(0)]
-        lo_a = max(lo_a, r0.anchor_a)
-        hi_a = min(hi_a, r0.anchor_a + r0.extent_a)
-        lo_b = max(lo_b, r0.anchor_b)
-        hi_b = min(hi_b, r0.anchor_b + r0.extent_b)
+        lo_b, hi_b = _contract(*self._sides[sym[0]][1],
+                               [C for _, C in shifts[:n]])
+        den = self._den
+        lo_a, hi_a, lo_b, hi_b = (Q5.from_triple(P, Q, den)
+                                  for P, Q in (lo_a, hi_a, lo_b, hi_b))
+        a0, a1, b0, b1 = self.partition.rectangles[sym[n]].bounds()
+        lo_a = max(lo_a, a0)
+        hi_a = min(hi_a, a1)
+        lo_b = max(lo_b, b0)
+        hi_b = min(hi_b, b1)
         if not (hi_a > lo_a and hi_b > lo_b):
             raise PartitionError("empty refinement cell for the given window")
-        ca = (lo_a + hi_a) / Q5(2)
-        cb = (lo_b + hi_b) / Q5(2)
-        x, y = from_eigen(ca, cb)
+        x, y = from_eigen((lo_a + hi_a) / 2, (lo_b + hi_b) / 2)
         center = TorusPoint(float(x.mod1()) * TWO_PI, float(y.mod1()) * TWO_PI)
         da = float(hi_a - lo_a) * _EU_LEN
         db = float(hi_b - lo_b) * _ES_LEN
         diameter = math.hypot(da, db) * TWO_PI
         return center, diameter
+
+
+def _contract(lo: Tuple[int, int], hi: Tuple[int, int],
+              shifts: List[Tuple[int, int]]
+              ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """Both ends through v -> lambda_- v + shift, one shift after another,
+    on integer pairs: lambda_- (P + Q sqrt5) = ((3P - 5Q) + (3Q - P) sqrt5)/2,
+    exact when P = Q mod 2, which the step keeps."""
+    (p0, q0), (p1, q1) = lo, hi
+    for sp, sq in shifts:
+        p0, q0 = (3 * p0 - 5 * q0) // 2 + sp, (3 * q0 - p0) // 2 + sq
+        p1, q1 = (3 * p1 - 5 * q1) // 2 + sp, (3 * q1 - p1) // 2 + sq
+    return (p0, q0), (p1, q1)
 
 
 # ----------------------------------------------------------------------
@@ -747,39 +775,75 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
                          n_steps: int) -> Dict[int, float]:
     """Visit frequencies of each rectangle along the orbit of x0.
 
-    The orbit is generated in blocks (entries of S^j stay float-exact for
-    j < BLOCK): one scalar pass chains the block starts, and one broadcast
-    fills the blocks.  Membership is evaluated by CellTable.assign.  An
-    orbit point that no rectangle holds raises PartitionError: the
-    frequencies would not sum over the torus.
+    The orbit is the exact one of the lattice point of x0 on 2^-64 Z^2
+    (see _lattice_orbit), read at 53 bits: each coordinate X becomes the
+    double (X >> 11) 2^-53 in [0, 1).  Membership is evaluated by
+    CellTable.assign, one chunk of the orbit at a time.  An orbit point
+    that no rectangle holds raises PartitionError: the frequencies would
+    not sum over the torus.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    mats = np.array([s0_power(j) for j in range(BLOCK)], dtype=float)
-    blocks = -(-n_steps // BLOCK)
-    # block starts: each is S applied to the last point of the block before
-    starts = []
-    cx, cy = x0.psi1 / TWO_PI, x0.psi2 / TWO_PI
-    al, bl, cl, dl = s0_power(BLOCK - 1)
-    for _ in range(blocks):
-        starts.append((cx, cy))
-        xl = (al * cx + bl * cy) % 1.0
-        yl = (cl * cx + dl * cy) % 1.0
-        cx, cy = (xl + yl) % 1.0, (xl + 2 * yl) % 1.0
-    sx, sy = np.array(starts).T
-    a, b, c, d = (col[None, :] for col in mats.T)
-    x = ((a * sx[:, None] + b * sy[:, None]) % 1.0).ravel()[:n_steps]
-    y = ((c * sx[:, None] + d * sy[:, None]) % 1.0).ravel()[:n_steps]
-    assign = assign_rectangles(coder, x, y)
-    missed = np.flatnonzero(assign < 0)
-    if missed.size:
-        i = missed[0]
+    counts = np.zeros(len(coder.partition), dtype=int)
+    done = 0
+    missed = 0
+    for X, Y in _lattice_orbit(x0, n_steps):
+        x = (X >> 11) * 2.0 ** -53
+        y = (Y >> 11) * 2.0 ** -53
+        assign = assign_rectangles(coder, x, y)
+        out = np.flatnonzero(assign < 0)
+        if not out.size:
+            counts += np.bincount(assign, minlength=len(counts))
+        elif not missed:
+            first = (done + out[0], x[out[0]], y[out[0]])
+        missed += out.size
+        done += X.size
+    if missed:
+        i, xi, yi = first
         raise PartitionError(
-            f"{missed.size} of {n_steps} orbit points not located in any "
-            f"rectangle; first at step {i}: ({x[i]}, {y[i]})")
-    counts = np.bincount(assign, minlength=len(coder.partition))
+            f"{missed} of {n_steps} orbit points not located in any "
+            f"rectangle; first at step {i}: ({xi}, {yi})")
     freqs = counts / counts.sum()
     return {rid: float(freqs[rid]) for rid in range(len(coder.partition))}
+
+
+def _lattice_orbit(x0: TorusPoint, n_steps: int
+                   ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """S^j (X, Y) mod 2^64 for 0 <= j < n_steps, in order, as pairs of
+    uint64 arrays of about CHUNK points.
+
+    (X, Y) = floor(2^64 psi / 2 pi) mod 2^64 is the lattice point of x0 on
+    2^-64 Z^2, which S maps onto itself, so the orbit is exact.  It runs in
+    blocks of L = ceil(sqrt(n_steps)) steps: a Python-int loop chains the
+    block starts with S^L, and a uint64 broadcast, exact since uint64 wraps
+    mod 2^64, fills CHUNK // L blocks at a time.  S^j is symmetric with
+    rows (a, b) and (b, a + b), where (a, b) = S^j (1, 0).
+    """
+    x = math.floor(math.ldexp(x0.psi1 / TWO_PI, 64)) & _MASK64
+    y = math.floor(math.ldexp(x0.psi2 / TWO_PI, 64)) & _MASK64
+    size = math.isqrt(n_steps - 1) + 1
+    powers = []
+    a, b = 1, 0
+    for _ in range(size + 1):
+        powers.append((a, b))
+        a, b = (a + b) & _MASK64, (a + 2 * b) & _MASK64
+    al, bl = powers.pop()
+    a, b = np.array(powers, dtype=np.uint64).T
+    left = n_steps
+    while left:
+        starts = []
+        for _ in range(min(max(1, CHUNK // size), -(-left // size))):
+            starts.append((x, y))
+            x, y = ((al * x + bl * y) & _MASK64,
+                    (bl * x + (al + bl) * y) & _MASK64)
+        sx, sy = np.array(starts, dtype=np.uint64).T[:, :, None]
+        X = a * sx
+        X += b * sy
+        Y = b * sx
+        Y += (a + b) * sy
+        k = min(left, X.size)
+        yield X.ravel()[:k], Y.ravel()[:k]
+        left -= k
 
 
 def assign_rectangles(coder: CatCoder, x: np.ndarray, y: np.ndarray

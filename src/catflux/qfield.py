@@ -147,6 +147,11 @@ class Q5:
     def mod1(self) -> "Q5":
         return self - self.floor()
 
+    @staticmethod
+    def from_triple(p: int, q: int, d: int) -> "Q5":
+        """(p + q sqrt5)/d for integers p, q and d > 0, in lowest terms."""
+        return _q5(p, q, d)
+
     def __repr__(self):
         return f"Q5({self.a}, {self.b})"
 

@@ -4,21 +4,24 @@ Each oracle recomputes a library quantity by a route that shares none of
 the code it checks: sigma from the assembled 2 x 2 Jacobian, torus
 averages and recorded moments by grid quadrature, zeta(p) by a brute
 Legendre maximum over a beta grid, eigen-coordinates by exact inversion,
-and the cumulants of sigma from periodic-orbit sums.  displacement
-evaluates the conjugation H(psi) - psi pointwise for the defining-relation
-check.  No subcommand or library code runs them; the tests import them
-from here.
+the cumulants of sigma from periodic-orbit sums, the Birkhoff orbit step
+by step in Python ints, and the decoded cell by Q(sqrt5) arithmetic.
+displacement evaluates the conjugation H(psi) - psi pointwise for the
+defining-relation check.  No subcommand or library code runs them; the
+tests import them from here.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from catflux.conjugation import ConjugationSeries
 from catflux.cumulants import CumulantTable, FactorRef, MomentEngine
-from catflux.qfield import MU_Q, NU_Q, Q5
+from catflux.partition import CatCoder, SymbolWindow
+from catflux.qfield import LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, from_eigen
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
 from catflux.trig import TrigPoly, V_MINUS, V_PLUS, s0_power
 
@@ -75,6 +78,55 @@ def eigen_coords(x: Q5, y: Q5) -> Tuple[Q5, Q5]:
     a = (y - NU_Q * x) / sqrt5
     b = (MU_Q * x - y) / sqrt5
     return a, b
+
+
+def lattice_orbit(x0: TorusPoint, n: int) -> List[Tuple[int, int]]:
+    """n points of the orbit of the lattice point floor(2^64 psi / 2 pi)
+    mod 2^64, one step (X, Y) -> (X + Y, X + 2Y) mod 2^64 at a time; the
+    oracle for partition._lattice_orbit."""
+    X, Y = (math.floor(Fraction(psi / (2 * math.pi)) * 2 ** 64) % 2 ** 64
+            for psi in (x0.psi1, x0.psi2))
+    out = []
+    for _ in range(n):
+        out.append((X, Y))
+        X, Y = (X + Y) % 2 ** 64, (X + 2 * Y) % 2 ** 64
+    return out
+
+
+def decode_q5(coder: CatCoder, window: SymbolWindow
+              ) -> Tuple[TorusPoint, float]:
+    """CatCoder.decode's cell of an admissible window by affine refinement
+    in Q5, from the strips of the partition: a -> lambda_- a + A forward
+    from sigma_n and b -> lambda_- (b - B) backward from sigma_{-n}, then
+    the clamp to Q_{sigma_0}; (centre, diameter) as decode converts them."""
+    n = window.n
+    sym = window.symbols
+    rects = coder.partition.rectangles
+    strips = coder.partition.strips
+    lm = LAMBDA_MINUS_Q
+    r_last = rects[sym[2 * n]]
+    lo_a, hi_a = r_last.anchor_a, r_last.anchor_a + r_last.extent_a
+    for j in range(2 * n - 1, n - 1, -1):
+        A, _ = strips(sym[j], sym[j + 1])[0]
+        lo_a = lm * lo_a + A
+        hi_a = lm * hi_a + A
+    r_first = rects[sym[0]]
+    lo_b, hi_b = r_first.anchor_b, r_first.anchor_b + r_first.extent_b
+    for j in range(n):
+        _, B = strips(sym[j], sym[j + 1])[0]
+        lo_b = lm * (lo_b - B)
+        hi_b = lm * (hi_b - B)
+    r0 = rects[sym[n]]
+    lo_a = max(lo_a, r0.anchor_a)
+    hi_a = min(hi_a, r0.anchor_a + r0.extent_a)
+    lo_b = max(lo_b, r0.anchor_b)
+    hi_b = min(hi_b, r0.anchor_b + r0.extent_b)
+    x, y = from_eigen((lo_a + hi_a) / Q5(2), (lo_b + hi_b) / Q5(2))
+    two_pi = 2.0 * math.pi
+    center = TorusPoint(float(x.mod1()) * two_pi, float(y.mod1()) * two_pi)
+    da = float(hi_a - lo_a) * math.sqrt(1.0 + float(MU_Q) ** 2)
+    db = float(hi_b - lo_b) * math.sqrt(1.0 + float(NU_Q) ** 2)
+    return center, math.hypot(da, db) * two_pi
 
 
 def quadrature_average(f: TrigPoly, n: int = 256) -> float:

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from catflux.conjugation import conjugacy_residual
-from catflux.cumulants import CorrelationEngine, build_table, transport_matrix
+from catflux.cumulants import CorrelationEngine, transport_matrix
 from catflux.fluctuation import (check_rel1, check_rel3, lambda_from_cumulants,
                                  zeta, zeta_closed_form, zeta_ft_imposed)
 from catflux.partition import birkhoff_frequencies, verify_markov
 from catflux.simulate import (SimConfig, build_curve, fit_models,
-                              measure_asymmetry, simulate, slope_and_A)
+                              measure_asymmetry, simulate)
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
 from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS
 from oracles import quadrature_average, replay_moments_on_grid

@@ -9,7 +9,7 @@ from catflux.conjugation import (ConjugationSeries, OrderCapError, RateSeries,
                                  conjugacy_residual, conjugation_order_k,
                                  expansion_rate_series)
 from catflux.cumulants import sigma_series
-from catflux.torus import CatSystem, HarmonicForce, TorusPoint
+from catflux.torus import CatSystem, HarmonicForce
 from catflux.trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS,
                           V_PLUS, s0_power)
 from oracles import displacement, force_gradient

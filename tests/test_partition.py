@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import catflux.partition as partition_module
 from catflux.partition import (GRID, CatCoder, CellTable, MarkovPartition,
                                PartitionError, Rectangle, _first_crossing,
-                               _lattice_overlaps, _lattice_shadow,
-                               assign_rectangles, birkhoff_frequencies,
-                               build_cat_partition, partition_from_json,
+                               _lattice_orbit, _lattice_overlaps,
+                               _lattice_shadow, assign_rectangles,
+                               birkhoff_frequencies, partition_from_json,
                                partition_to_json, transition_matrix,
                                verify_markov)
 from catflux.qfield import (LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, from_eigen,
@@ -21,7 +21,7 @@ from catflux.qfield import (LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, from_eigen,
                             lattice_from_eigen_shift)
 from catflux.torus import CatSystem, TorusPoint
 from fractions import Fraction
-from oracles import eigen_coords
+from oracles import decode_q5, eigen_coords, lattice_orbit
 
 LAMBDA_PLUS = (3 + math.sqrt(5)) / 2
 TWO_PI = 2 * math.pi
@@ -349,6 +349,27 @@ class TestCoding:
         with pytest.raises(ValueError, match="n must be >= 0"):
             cat_coder.encode(TorusPoint(0.3, 0.4), -1)
 
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_decode_matches_q5_oracle(self, cat_coder, source):
+        # the integer-pair decode gives the Q5 refinement's floats bit for
+        # bit; the loaded coder takes its denominator from the reference
+        # file, not from the build
+        if source == "built":
+            coder = cat_coder
+        else:
+            ref = json.loads(REFERENCE.read_text())
+            coder = CatCoder(partition_from_json(json.dumps(ref["partition"])))
+        assert coder._den == 20
+        rng = np.random.default_rng(41)
+        depths = set()
+        for _ in range(240):
+            p = TorusPoint(*rng.uniform(-2.0, 8.0, 2))
+            n = int(rng.integers(1, 17))
+            depths.add(n)
+            window = coder.encode(p, n)
+            assert coder.decode(window) == decode_q5(coder, window)
+        assert depths == set(range(1, 17))
+
     def test_shift_covariance(self, cat_coder):
         rng = np.random.default_rng(31)
         for _ in range(100):
@@ -513,6 +534,44 @@ class TestBirkhoff:
         holed._cells = CellTable(cat_coder._cells.boxes[:-1])
         with pytest.raises(PartitionError, match="not located in any rectangle"):
             birkhoff_frequencies(holed, TorusPoint(0.7, 1.9), 2_000)
+
+    def test_unlocated_count_spans_chunks(self, cat_coder):
+        # the misses of every chunk are counted, and the first is reported
+        start, n = TorusPoint(1e3, -25.0), 140_001
+        boxes = cat_coder._cells.boxes[:-1]
+        X, Y = np.array(lattice_orbit(start, n), dtype=np.uint64).T
+        ids = CellTable(boxes).assign((X >> 11) * 2.0 ** -53,
+                                      (Y >> 11) * 2.0 ** -53)
+        out = np.flatnonzero(ids < 0)
+        assert out.size and out[0] < 65_536 < out[-1]
+        holed = copy.copy(cat_coder)
+        holed._cells = CellTable(boxes)
+        with pytest.raises(PartitionError,
+                           match=f"^{out.size} of {n} .* first at step {out[0]}:"):
+            birkhoff_frequencies(holed, start, n)
+
+    @pytest.mark.parametrize("psi, n_steps", [
+        ((0.7, 1.9), 5_003),            # 71 blocks of 71 steps, the last short
+        ((-3.1, 7.4), 5_003),           # psi outside [0, 2 pi) on both axes
+        ((1e3, -25.0), 140_001),        # several chunks of blocks
+    ])
+    def test_orbit_matches_stepwise_orbit(self, psi, n_steps):
+        chunks = list(_lattice_orbit(TorusPoint(*psi), n_steps))
+        X = np.concatenate([c[0] for c in chunks])
+        Y = np.concatenate([c[1] for c in chunks])
+        assert X.dtype == Y.dtype == np.uint64
+        want = lattice_orbit(TorusPoint(*psi), n_steps)
+        assert list(zip(X.tolist(), Y.tolist())) == want
+
+    def test_frequencies_count_the_stepwise_orbit(self, cat_coder):
+        start, n = TorusPoint(-3.1, 7.4), 5_003
+        X, Y = np.array(lattice_orbit(start, n), dtype=np.uint64).T
+        ids = assign_rectangles(cat_coder, (X >> 11) * 2.0 ** -53,
+                                (Y >> 11) * 2.0 ** -53)
+        q = len(cat_coder.partition)
+        want = np.bincount(ids, minlength=q) / n
+        freqs = birkhoff_frequencies(cat_coder, start, n)
+        assert [freqs[i] for i in range(q)] == want.tolist()
 
     def test_frequencies_match_areas(self, cat_coder, cat_partition):
         freqs = birkhoff_frequencies(cat_coder, TorusPoint(2.7, 0.9), 200_000)
