@@ -18,7 +18,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from .conjugation import ORDER_CAP as CONJUGATION_CAP
 from .conjugation import conjugation_order_k, expansion_rate_series
+from .cumulants import ORDER_CAP as TABLE_CAP
 from .cumulants import SHIFT_WINDOW, CorrelationEngine, build_table
 from .fluctuation import (asymmetry_coefficients, ft_report, zeta,
                           zeta_closed_form, zeta_ft_imposed)
@@ -157,6 +159,15 @@ def _sim_configs(data: Dict, command: str) -> List[SimConfig]:
         raise ConfigError(str(exc)) from exc
 
 
+def _order(data: Dict, default: int, cap: int) -> int:
+    """The config's order, refused above the cap of the layer computing it."""
+    order = data.get("order", default)
+    if order > cap:
+        raise ConfigError(f"config key 'order' must be <= {cap} for this "
+                          f"subcommand, got {order}")
+    return order
+
+
 def _write(out_dir: Path, name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(text)
@@ -167,7 +178,7 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 # ----------------------------------------------------------------------
 def cmd_coeffs(data: Dict, out: Path) -> None:
     force = force_from_config(data)
-    order = data.get("order", 2)
+    order = _order(data, 2, CONJUGATION_CAP)
     conj = conjugation_order_k(force, order)
     au = expansion_rate_series(force, order,
                                boundary=data.get("boundary_terms", "off") == "on")
@@ -180,14 +191,14 @@ def cmd_coeffs(data: Dict, out: Path) -> None:
 
 def _table(data: Dict):
     """The cumulant table of the config's force through the config's order."""
-    eng = CorrelationEngine(force_from_config(data), data.get("order", 4))
+    eng = CorrelationEngine(force_from_config(data), _order(data, 4, TABLE_CAP))
     return build_table(eng.force, eng.max_order, engine=eng)
 
 
 def _eps_powers(data: Dict) -> List[float]:
     """The config's eps list, refused before any table build when the
     largest |eps| to the power 'order' overflows."""
-    eps_list, order = eps_list_from_config(data), data.get("order", 4)
+    eps_list, order = eps_list_from_config(data), _order(data, 4, TABLE_CAP)
     top = max(map(abs, eps_list))
     try:
         top ** order

@@ -103,6 +103,13 @@ class MarkovPartition:
     _strips: Dict[Tuple[int, int], List[Tuple[Q5, Q5]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # strips, the transition matrix and the frequencies index by position
+        for i, r in enumerate(self.rectangles):
+            if r.rid != i:
+                raise PartitionError(f"rectangle entry {i} has id {r.rid}, "
+                                     "not its position")
+
     def strips(self, s1: int, s2: int) -> List[Tuple[Q5, Q5]]:
         """Translates (A, B) with int Q_s1 meeting S^{-1} int Q_s2 + (A, B).
 
@@ -258,19 +265,20 @@ def build_cat_partition() -> MarkovPartition:
 def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
                         coords: List[Tuple[Q5, Q5]], fcoords: np.ndarray
                         ) -> List[Rectangle]:
-    """Probe next to every boundary crossing; snap walls exactly.
+    """Read each face of the boundary arrangement once, exactly.
 
-    The boundary pieces near the fundamental domain form an axis-aligned
-    arrangement in eigen-coordinates; every rectangle has a corner at some
-    crossing of a vertical and a horizontal piece, so probing the four
-    quadrants around each crossing finds every component.  The probe only
-    chooses which walls to read off; the box coordinates themselves are
-    snapped to the exact Q5 wall values, deduplicated by the canonical
-    (center reduced into [0,1)^2) representative.  coords holds the
-    eigen-coordinates (A, B) of the lattice translates near the origin;
-    each carries a horizontal (unstable) piece b = B, a in [A - u-, A + u+]
-    and a vertical (stable) piece a = A, b in [B - s-, B + s+].  The pieces
-    are located in floats, from fcoords (the float shadows of coords).
+    coords holds the eigen-coordinates (A, B) of the lattice translates
+    near the origin; each carries a horizontal (unstable) piece b = B,
+    a in [A - u-, A + u+], and a vertical (stable) piece a = A,
+    b in [B - s-, B + s+], located in floats from fcoords (the shadows of
+    coords).  A face has its lower-left corner at a crossing, so one probe
+    up and to the right of each crossing near the canonical region lies in
+    a face, and the nearest covering pieces are its walls.  A face's side
+    lies on one piece (each line b = B(m, n) holds one translate), so
+    da <= u- + u+ and db <= s- + s+, and the padded piece region holds
+    every wall a probe reads: no probe reads a box larger than a face.
+    Each box is snapped to its exact walls and kept once, by its canonical
+    (center in [0,1)^2) translate.
     """
     um, up, sm, sp = map(float, (u_minus, u_plus, s_minus, s_plus))
     fa, fb = fcoords.T
@@ -284,63 +292,29 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
     va, vlo, vhi = fa[vert_n], fb[vert_n] - sm, fb[vert_n] + sp
     hb, hlo, hhi = fb[horiz_n], fa[horiz_n] - um, fa[horiz_n] + up
 
-    # probes: four quadrants around every crossing near the canonical region
-    probes: List[Tuple[float, float]] = []
     delta = 1e-7
-    for i in np.where(np.abs(va) <= 1.1)[0]:
-        mask = (hlo - 1e-12 <= va[i]) & (va[i] <= hhi + 1e-12) & (np.abs(hb) <= 1.5)
-        for j in np.where(mask)[0]:
-            if vlo[i] - 1e-12 <= hb[j] <= vhi[i] + 1e-12:
-                for da in (-delta, delta):
-                    for db in (-delta, delta):
-                        probes.append((va[i] + da, hb[j] + db))
-
     guard = 1e-10
-    boxes: Dict[tuple, Tuple[Q5, Q5, Q5, Q5]] = {}
-    read = set()    # wall index tuples already read off
-    for a, b in probes:
-        vcover = (vlo - guard <= b) & (b <= vhi + guard)
-        left = np.where(vcover & (va < a - guard))[0]
-        right = np.where(vcover & (va > a + guard))[0]
-        hcover = (hlo - guard <= a) & (a <= hhi + guard)
-        down = np.where(hcover & (hb < b - guard))[0]
-        up = np.where(hcover & (hb > b + guard))[0]
-        if not (len(left) and len(right) and len(down) and len(up)):
-            continue
-        walls = (vert_n[left[np.argmax(va[left])]],
-                 vert_n[right[np.argmin(va[right])]],
-                 horiz_n[down[np.argmax(hb[down])]],
-                 horiz_n[up[np.argmin(hb[up])]])
-        if walls in read:
-            continue
-        read.add(walls)
-        a0, a1 = coords[walls[0]][0], coords[walls[1]][0]
-        b0, b1 = coords[walls[2]][1], coords[walls[3]][1]
-        box = _canonical_box(a0, b0, a1 - a0, b1 - b0)
-        key = (box[0].to_string(), box[1].to_string(),
-               box[2].to_string(), box[3].to_string())
-        boxes.setdefault(key, box)
-
-    # A probe sitting inside a true face always reads off that face's walls
-    # (the nearest covering piece is the wall), so every face is among the
-    # candidates.  A probe whose true wall fell outside the piece region can
-    # produce a spurious larger box, which then strictly contains faces;
-    # greedy minimal-area selection with exact pairwise disjointness drops
-    # exactly those.
-    cands = sorted(boxes.values(), key=lambda bx: (bx[2] * bx[3], bx[0], bx[1]))
-    accepted: List[Tuple[Q5, Q5, Q5, Q5]] = []
-    for bx in cands:
-        a0, b0, da, db = bx
-        ok = True
-        for a0o, b0o, dao, dbo in accepted:
-            if _lattice_overlaps(a0, a0 + da, b0, b0 + db,
-                                 a0o, a0o + dao, b0o, b0o + dbo):
-                ok = False
-                break
-        if ok:
-            accepted.append(bx)
-    ordered = sorted(accepted, key=lambda bx: (bx[0], bx[1]))
-    return [Rectangle(i, *bx) for i, bx in enumerate(ordered)]
+    faces = set()
+    for i in np.flatnonzero(np.abs(va) <= 1.1):
+        cross = ((hlo - 1e-12 <= va[i]) & (va[i] <= hhi + 1e-12)
+                 & (vlo[i] - 1e-12 <= hb) & (hb <= vhi[i] + 1e-12)
+                 & (np.abs(hb) <= 1.5))
+        for j in np.flatnonzero(cross):
+            a, b = va[i] + delta, hb[j] + delta
+            vcover = (vlo - guard <= b) & (b <= vhi + guard)
+            left = np.flatnonzero(vcover & (va < a - guard))
+            right = np.flatnonzero(vcover & (va > a + guard))
+            hcover = (hlo - guard <= a) & (a <= hhi + guard)
+            below = np.flatnonzero(hcover & (hb < b - guard))
+            above = np.flatnonzero(hcover & (hb > b + guard))
+            if not (len(left) and len(right) and len(below) and len(above)):
+                continue
+            a0 = coords[vert_n[left[np.argmax(va[left])]]][0]
+            a1 = coords[vert_n[right[np.argmin(va[right])]]][0]
+            b0 = coords[horiz_n[below[np.argmax(hb[below])]]][1]
+            b1 = coords[horiz_n[above[np.argmin(hb[above])]]][1]
+            faces.add(_canonical_box(a0, b0, a1 - a0, b1 - b0))
+    return [Rectangle(i, *bx) for i, bx in enumerate(sorted(faces))]
 
 
 def _canonical_box(a0: Q5, b0: Q5, da: Q5, db: Q5
@@ -873,10 +847,15 @@ def partition_to_json(partition: MarkovPartition) -> str:
 
 def partition_from_json(text: str) -> MarkovPartition:
     data = json.loads(text)
-    rects = [Rectangle(item["id"],
-                       Q5.from_string(item["anchor_a"]),
-                       Q5.from_string(item["anchor_b"]),
-                       Q5.from_string(item["extent_a"]),
-                       Q5.from_string(item["extent_b"]))
-             for item in data["rectangles"]]
+    rects = []
+    for i, item in enumerate(data["rectangles"]):
+        try:
+            rects.append(Rectangle(item["id"],
+                                   Q5.from_string(item["anchor_a"]),
+                                   Q5.from_string(item["anchor_b"]),
+                                   Q5.from_string(item["extent_a"]),
+                                   Q5.from_string(item["extent_b"])))
+        except KeyError as exc:
+            raise PartitionError(
+                f"rectangle entry {i} has no field {exc}") from None
     return MarkovPartition(rects, provenance="loaded")

@@ -108,8 +108,11 @@ class Q5:
         return self._p == p and self._q == q and self._d == d
 
     def __hash__(self):
-        # a rational value equals, and so hashes like, its int or Fraction
-        return hash(self.a) if self._q == 0 else hash((self.a, self.b))
+        # a rational value equals, and so hashes like, its int or Fraction;
+        # an irrational one equals only a Q5 with the same triple
+        if self._q == 0:
+            return hash(self.a)
+        return hash((self._p, self._q, self._d))
 
     def __lt__(self, other):
         return self._cmp(other) < 0

@@ -131,7 +131,8 @@ class TestMonteCarloConfigRefusal:
         def work(*args):
             raise AssertionError("work ran for a refused configuration")
 
-        monkeypatch.setattr(cli, "_table", work)
+        for name in ("conjugation_order_k", "CorrelationEngine"):
+            monkeypatch.setattr(cli, name, work)
         monkeypatch.setattr(SIMULATE_MODULE, "_simulate_run", work)
 
     @pytest.mark.parametrize("command", ["report", "simulate", "fit"])
@@ -147,6 +148,17 @@ class TestMonteCarloConfigRefusal:
                      str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("command, order, cap", [
+        ("cumulants", 7, 6), ("zeta", 7, 6), ("ftcheck", 7, 6),
+        ("report", 7, 6), ("coeffs", 9, 8)])
+    def test_order_above_cap(self, tmp_path, capsys, command, order, cap):
+        # the caps of the cumulant table and of the conjugation series
+        cfg = write_config(tmp_path, order=order)
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"must be <= {cap}" in err
 
     @pytest.mark.parametrize("eps", [[0.1, 0.2], [0.1, 0.1, 0.2]])
     def test_fit_needs_three_distinct_eps(self, tmp_path, capsys, eps):

@@ -13,9 +13,9 @@ from catflux.partition import (GRID, CatCoder, CellTable, MarkovPartition,
                                PartitionError, Rectangle, _first_crossing,
                                _lattice_orbit, _lattice_overlaps,
                                _lattice_shadow, assign_rectangles,
-                               birkhoff_frequencies, partition_from_json,
-                               partition_to_json, transition_matrix,
-                               verify_markov)
+                               birkhoff_frequencies, build_cat_partition,
+                               partition_from_json, partition_to_json,
+                               transition_matrix, verify_markov)
 from catflux.qfield import (LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, from_eigen,
                             lattice_coords, lattice_from_b_shift,
                             lattice_from_eigen_shift)
@@ -87,6 +87,35 @@ class TestConstruction:
                     if x.mod1() == Q5(0) and y.mod1() == Q5(0):
                         on_corner = True
         assert on_corner
+
+    def test_every_round_tiles_the_torus(self, monkeypatch):
+        # the first round's faces are wider than the torus in a (da > 3);
+        # the golden file pins only the last round.  Faces are read off the
+        # boundary pieces alone: the extraction computes no overlaps.
+        rounds = []
+        inner = partition_module._extract_rectangles
+        overlaps = partition_module._lattice_overlaps
+
+        def no_overlaps(*args):
+            raise AssertionError("_extract_rectangles computed an overlap")
+
+        def recorded(*args):
+            monkeypatch.setattr(partition_module, "_lattice_overlaps",
+                                no_overlaps)
+            rounds.append(inner(*args))
+            monkeypatch.setattr(partition_module, "_lattice_overlaps",
+                                overlaps)
+            return rounds[-1]
+
+        monkeypatch.setattr(partition_module, "_extract_rectangles", recorded)
+        build_cat_partition()
+        assert [len(rects) for rects in rounds] == [3, 19]
+        assert max(float(r.extent_a) for r in rounds[0]) > 3
+        for rects in rounds:
+            part = MarkovPartition(rects)
+            assert part.total_area() == Q5(1)
+            report = verify_markov(part)
+            assert report.ok, report.messages
 
     def test_spectral_radius_is_lambda_plus(self, cat_matrix):
         rho = max(abs(np.linalg.eigvals(cat_matrix.T.astype(float))))
@@ -616,6 +645,19 @@ class TestSerialization:
         for a, b in zip(loaded.rectangles, cat_partition.rectangles):
             assert a.anchor_a == b.anchor_a
             assert a.extent_b == b.extent_b
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda items: items.reverse(), "entry 0 has id 18"),
+        (lambda items: items[1].update(id=0), "entry 1 has id 0"),
+        (lambda items: items[3].pop("anchor_a"),
+         "entry 3 has no field 'anchor_a'")],
+        ids=["reversed", "duplicate-id", "missing-field"])
+    def test_bad_entries_refused(self, damage, message):
+        # ids index the transition matrix and the frequencies by position
+        data = json.loads(REFERENCE.read_text())["partition"]
+        damage(data["rectangles"])
+        with pytest.raises(PartitionError, match=f"^rectangle {message}"):
+            partition_from_json(json.dumps(data))
 
     def test_json_schema(self, cat_partition):
         data = json.loads(partition_to_json(cat_partition))

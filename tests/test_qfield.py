@@ -174,6 +174,7 @@ class TestIdentity:
         same = Q5(Fraction(x[0].numerator * scale, x[0].denominator * scale),
                   x[1]) + Q5(*y) - Q5(*y)
         assert same == qx and hash(same) == hash(qx)
+        assert len({same, qx}) == 1
         assert (qx == Q5(*y)) == (x == y)
         assert lowest_terms(qx)
 
