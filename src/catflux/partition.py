@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -47,6 +48,7 @@ MAX_ROUNDS = 64        # endpoint-closure rounds per refinement
 MIXING_CAP = 20        # largest mixing time transition_matrix searches
 BOUNDARY_TOL = 1e-12   # eigen-coordinate distance that counts as boundary
 GRID = 64              # CellTable cells per side of [0,1)^2
+SETTLE = 4             # CellTable subcells per cell side, settled one by one
 CELL_MARGIN = 1e-9     # slack of CellTable's tests and of the float shadows
 CHUNK = 1 << 16        # points per pass of CellTable.assign
 
@@ -494,70 +496,94 @@ class CellTable:
     [0,1)^2 is cut into GRID x GRID cells; each cell lists, sorted by id, the
     box translates (rid, m, n) whose float footprint comes within
     CELL_MARGIN of it, in (x, y) and in eigen-coordinates alike (a
-    separating-axis test of two parallelograms).  A point (x, y) is tested
-    only against the list of the cell of its fractional part, with the
-    translate shifted by its integer part; the margin, far above
-    BOUNDARY_TOL and float rounding, keeps every translate that could hold
-    the point in that list.
+    separating-axis test of two parallelograms, _cell_tests).  A point
+    (x, y) is tested only against the list of the cell of its fractional
+    part, with the translate shifted by its integer part; the margin, far
+    above BOUNDARY_TOL and float rounding, keeps every translate that could
+    hold the point in that list.
 
-    A cell is settled when its list holds one translate and the cell's
-    eigen-coordinate bounding box lies CELL_MARGIN inside it: every point
-    of the cell is then inside that box, farther than BOUNDARY_TOL from its
-    sides, and gets its id without a test (settled[cell], -1 elsewhere).
+    Each cell is cut again into SETTLE x SETTLE subcells.  A subcell is
+    settled when exactly one translate of its cell's list meets it, by the
+    same test, and the subcell's eigen-coordinate bounding box lies
+    CELL_MARGIN inside that translate: every point of the subcell is then
+    inside that box, farther than BOUNDARY_TOL from its sides, and gets its
+    id without a test (settled[subcell], -1 elsewhere).
     """
 
     def __init__(self, boxes: List[Tuple[float, float, float, float]]):
         self.boxes = boxes
-        mu, nu, rt5 = _MU, _NU, _RT5
-        edges = np.arange(GRID + 1) / GRID
-        x0, y0 = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
-        x1, y1 = x0 + 1.0 / GRID, y0 + 1.0 / GRID
-        # the cells' eigen-coordinate ranges (mu > 0 > nu)
-        ca0, ca1 = (y0 - nu * x0) / rt5, (y1 - nu * x1) / rt5
-        cb0, cb1 = (mu * x0 - y1) / rt5, (mu * x1 - y0) / rt5
-        eps = CELL_MARGIN
-        cells: List[List[Tuple[int, int, int]]] = [[] for _ in range(GRID ** 2)]
-        holds = np.zeros(x0.shape, dtype=bool)
+        self.box = np.array(boxes, dtype=float).reshape(-1, 4)
+        # every translate whose (x, y) footprint meets [0,1)^2, in
+        # (rid, m, n) order, with the block of cells [ix0, ix1) x [iy0, iy1)
+        # that its footprint, padded by a cell, covers
+        rows = []
         for rid, (a0, b0, da, db) in enumerate(boxes):
-            # (x, y) footprint [bx0, bx1] x [by0, by1] of the untranslated box
             bx0, bx1 = a0 + b0, a0 + da + b0 + db
-            by0, by1 = a0 * mu + (b0 + db) * nu, (a0 + da) * mu + b0 * nu
-            for m in range(math.floor(-bx1) - 1, math.ceil(1.0 - bx0) + 2):
-                for n in range(math.floor(-by1) - 1, math.ceil(1.0 - by0) + 2):
-                    A, B = _lattice_shadow(m, n)
-                    meets = ((x0 <= bx1 + m + eps) & (bx0 + m <= x1 + eps)
-                             & (y0 <= by1 + n + eps) & (by0 + n <= y1 + eps)
-                             & (ca0 <= a0 + da + A + eps) & (a0 + A <= ca1 + eps)
-                             & (cb0 <= b0 + db + B + eps) & (b0 + B <= cb1 + eps))
-                    for c in np.flatnonzero(meets.ravel()):
-                        cells[c].append((rid, m, n))
-                    holds |= ((a0 + A + eps <= ca0) & (ca1 <= a0 + da + A - eps)
-                              & (b0 + B + eps <= cb0) & (cb1 <= b0 + db + B - eps))
-        self.cells = cells
-        # the same lists as arrays padded to the longest, for assign()
-        width = max(map(len, cells))
-        self.count = np.array([len(c) for c in cells])
-        self.cand = np.zeros((GRID ** 2, width, 3), dtype=int)
-        for i, c in enumerate(cells):
-            if c:
-                self.cand[i, :len(c)] = c
-        self.settled = np.where(holds.ravel() & (self.count == 1),
-                                self.cand[:, 0, 0], -1)
+            by0, by1 = a0 * _MU + (b0 + db) * _NU, (a0 + da) * _MU + b0 * _NU
+            for m in range(math.floor(-bx1), math.ceil(1.0 - bx0) + 1):
+                for n in range(math.floor(-by1), math.ceil(1.0 - by0) + 1):
+                    ix0, ix1 = (min(GRID, max(0, math.floor(GRID * v)))
+                                for v in (bx0 + m - 1 / GRID, bx1 + m + 2 / GRID))
+                    iy0, iy1 = (min(GRID, max(0, math.floor(GRID * v)))
+                                for v in (by0 + n - 1 / GRID, by1 + n + 2 / GRID))
+                    if ix0 < ix1 and iy0 < iy1:
+                        rows.append((rid, m, n, ix0, ix1 - ix0, iy0, iy1 - iy0))
+        rid, m, n, ix0, wx, iy0, wy = np.array(rows, dtype=int).reshape(-1, 7).T
+        foot = _footprints(self.box[rid], m, n)
+        # one test per translate and cell of its block, a few translates
+        # at a time
+        found = [np.zeros((2, 0), dtype=int)]
+        for lo in range(0, rid.size, 8):
+            t, j = _ragged(wx[lo:lo + 8] * wy[lo:lo + 8])
+            t += lo
+            cell = (ix0[t] + j // wy[t]) * GRID + iy0[t] + j % wy[t]
+            x0, y0 = np.divmod(cell, GRID)
+            meets, _ = _cell_tests(x0 / GRID, y0 / GRID, 1.0 / GRID, foot[:, t])
+            found.append(np.stack([cell[meets], t[meets]]))
+        # the hits cell by cell, in (rid, m, n) order within a cell
+        cell, t = np.concatenate(found, axis=1)
+        order = np.argsort(cell, kind="stable")
+        t, cell = t[order], cell[order]
+        self.count = np.bincount(cell, minlength=GRID ** 2)
+        first = np.cumsum(self.count) - self.count
+        # translate t of each slot; the padding past count repeats
+        # translate 0 and is never read
+        slots = np.zeros((GRID ** 2, self.count.max()), dtype=int)
+        slots[cell, np.arange(cell.size) - first[cell]] = t
+        triples = np.stack([rid, m, n], axis=1)
+        self.cand = triples[slots]
+        hits = triples[t].tolist()
+        self.cells = [hits[i:i + k] for i, k in zip(first.tolist(),
+                                                    self.count.tolist())]
+        # settle the subcells a band at a time, one test per subcell and
+        # slot of its cell's list
+        fine, band = GRID * SETTLE, 4096
+        self.settled = np.full(fine ** 2, -1)
+        for lo in range(0, fine ** 2, band):
+            ix, iy = np.divmod(np.arange(lo, lo + band), fine)
+            cell = ix // SETTLE * GRID + iy // SETTLE
+            sub, slot = _ragged(self.count[cell])
+            t = slots[cell[sub], slot]
+            meets, holds = _cell_tests(ix[sub] / fine, iy[sub] / fine,
+                                       1.0 / fine, foot[:, t])
+            one = np.bincount(sub, weights=meets, minlength=band) == 1
+            sure = one[sub] & meets & holds
+            self.settled[lo + sub[sure]] = rid[t[sure]]
 
     def locate(self, x: float, y: float) -> Tuple[int, bool]:
         """See CatCoder.locate."""
         mu, nu, rt5 = _MU, _NU, _RT5
         tol = BOUNDARY_TOL
+        fine = GRID * SETTLE
         kx, ky = math.floor(x), math.floor(y)
-        ix = min(int((x - kx) * GRID), GRID - 1)
-        iy = min(int((y - ky) * GRID), GRID - 1)
-        cell = ix * GRID + iy
-        settled = self.settled[cell]
+        ix = min(int((x - kx) * fine), fine - 1)
+        iy = min(int((y - ky) * fine), fine - 1)
+        settled = self.settled[ix * fine + iy]
         if settled >= 0:
             return int(settled), False
         hits: List[int] = []
         boundary = False
-        for rid, m, n in self.cells[cell]:
+        for rid, m, n in self.cells[ix // SETTLE * GRID + iy // SETTLE]:
             a0, b0, da, db = self.boxes[rid]
             px = x - (m + kx)
             py = y - (n + ky)
@@ -576,28 +602,29 @@ class CellTable:
 
     def assign(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """See assign_rectangles; CHUNK points at a time.  Points of settled
-        cells take the cell's id; the others are tested slot by slot, each
-        until it hits, with locate's expressions."""
+        subcells take the subcell's id; the others are tested against their
+        cell's slots, each until it hits, with locate's expressions."""
         mu, nu, rt5 = _MU, _NU, _RT5
         tol = BOUNDARY_TOL
-        box = np.array(self.boxes).reshape(-1, 4)
+        fine = GRID * SETTLE
         shape, x, y = x.shape, x.ravel(), y.ravel()
         out = np.empty(x.shape, dtype=int)
         for lo in range(0, x.size, CHUNK):
             xs, ys = x[lo:lo + CHUNK], y[lo:lo + CHUNK]
             kx, ky = np.floor(xs), np.floor(ys)
-            ix = np.minimum(((xs - kx) * GRID).astype(int), GRID - 1)
-            iy = np.minimum(((ys - ky) * GRID).astype(int), GRID - 1)
-            cell = ix * GRID + iy
-            got = self.settled[cell]
+            ix = np.minimum(((xs - kx) * fine).astype(int), fine - 1)
+            iy = np.minimum(((ys - ky) * fine).astype(int), fine - 1)
+            got = self.settled[ix * fine + iy]
             todo = np.flatnonzero(got < 0)
+            cell = ix[todo] // SETTLE * GRID + iy[todo] // SETTLE
             # slots are sorted by id, so the first hit is the least id
             for k in range(self.cand.shape[1]):
-                todo = todo[k < self.count[cell[todo]]]
+                more = k < self.count[cell]
+                todo, cell = todo[more], cell[more]
                 if not todo.size:
                     break
-                rid, m, n = self.cand[cell[todo], k].T
-                a0, b0, da, db = box[rid].T
+                rid, m, n = self.cand[cell, k].T
+                a0, b0, da, db = self.box[rid].T
                 px = xs[todo] - (m + kx[todo])
                 py = ys[todo] - (n + ky[todo])
                 ra = (py - nu * px) / rt5 - a0
@@ -605,9 +632,61 @@ class CellTable:
                 hit = ((ra >= -tol) & (ra <= da + tol)
                        & (rb >= -tol) & (rb <= db + tol))
                 got[todo[hit]] = rid[hit]
-                todo = todo[~hit]
+                todo, cell = todo[~hit], cell[~hit]
             out[lo:lo + CHUNK] = got
         return out.reshape(shape)
+
+
+def _ragged(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every j < k[i], i ascending: the entries of a ragged array
+    of row lengths k."""
+    i = np.repeat(np.arange(k.size), k)
+    return i, np.arange(i.size) - np.repeat(np.cumsum(k) - k, k)
+
+
+def _footprints(box: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Rows x0, x1, y0, y1, a0, a1, b0, b1: the (x, y) and eigen-coordinate
+    ranges of the box translates, box rows (a0, b0, da, db) shifted by the
+    lattice vectors (m, n)."""
+    mu, nu = _MU, _NU
+    a0, b0, da, db = box.T
+    A, B = _lattice_shadow(m, n)
+    return np.stack([a0 + b0 + m, a0 + da + b0 + db + m,
+                     a0 * mu + (b0 + db) * nu + n, (a0 + da) * mu + b0 * nu + n,
+                     a0 + A, a0 + da + A, b0 + B, b0 + db + B])
+
+
+def _cell_tests(x0, y0, side: float, foot: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """(meets, holds) of the squares [x0, x0 + side] x [y0, y0 + side] and
+    the translates of the _footprints rows foot, pair by pair.
+
+    meets: the two parallelograms come within CELL_MARGIN of each other on
+    each of the four separating axes, x, y, a and b.  holds: the square's
+    eigen-coordinate bounding box lies CELL_MARGIN inside the translate.
+    """
+    mu, nu, rt5 = _MU, _NU, _RT5
+    eps = CELL_MARGIN
+    fx0, fx1, fy0, fy1, fa0, fa1, fb0, fb1 = foot
+    x1, y1 = x0 + side, y0 + side
+    # the squares' eigen-coordinate ranges (mu > 0 > nu)
+    ca0, ca1 = (y0 - nu * x0) / rt5, (y1 - nu * x1) / rt5
+    cb0, cb1 = (mu * x0 - y1) / rt5, (mu * x1 - y0) / rt5
+    meets = ((x0 <= fx1 + eps) & (fx0 <= x1 + eps)
+             & (y0 <= fy1 + eps) & (fy0 <= y1 + eps)
+             & (ca0 <= fa1 + eps) & (fa0 <= ca1 + eps)
+             & (cb0 <= fb1 + eps) & (fb0 <= cb1 + eps))
+    holds = ((fa0 + eps <= ca0) & (ca1 <= fa1 - eps)
+             & (fb0 + eps <= cb0) & (cb1 <= fb1 - eps))
+    return meets, holds
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is a bool, not an integer, or below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 class CatCoder:
@@ -667,8 +746,7 @@ class CatCoder:
     # -- encoding ----------------------------------------------------------
     def encode(self, p: TorusPoint, n: int) -> SymbolWindow:
         """Symbols of S^j p for |j| <= n."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        _check_count("n", n, 0)
         x = p.psi1 / TWO_PI
         y = p.psi2 / TWO_PI
         # backward orbit start: S^{-n}
@@ -756,8 +834,7 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
     that no rectangle holds raises PartitionError: the frequencies would
     not sum over the torus.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_count("n_steps", n_steps, 1)
     counts = np.zeros(len(coder.partition), dtype=int)
     done = 0
     missed = 0

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catflux.partition as partition_module
-from catflux.partition import (GRID, CatCoder, CellTable, MarkovPartition,
-                               PartitionError, Rectangle, _first_crossing,
-                               _lattice_orbit, _lattice_overlaps,
-                               _lattice_shadow, assign_rectangles,
+from catflux.partition import (GRID, SETTLE, CatCoder, CellTable,
+                               MarkovPartition, PartitionError, Rectangle,
+                               _first_crossing, _lattice_orbit,
+                               _lattice_overlaps, _lattice_shadow,
+                               assign_rectangles,
                                birkhoff_frequencies, build_cat_partition,
                                partition_from_json, partition_to_json,
                                transition_matrix, verify_markov)
@@ -25,6 +27,7 @@ from oracles import decode_q5, eigen_coords, lattice_orbit
 
 LAMBDA_PLUS = (3 + math.sqrt(5)) / 2
 TWO_PI = 2 * math.pi
+README = Path(__file__).resolve().parents[1] / "README.md"
 REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
              / "cat_partition.json")
 
@@ -378,6 +381,11 @@ class TestCoding:
         with pytest.raises(ValueError, match="n must be >= 0"):
             cat_coder.encode(TorusPoint(0.3, 0.4), -1)
 
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_non_integer_depth_rejected(self, cat_coder, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            cat_coder.encode(TorusPoint(0.3, 0.4), n)
+
     @pytest.mark.parametrize("source", ["built", "loaded"])
     def test_decode_matches_q5_oracle(self, cat_coder, source):
         # the integer-pair decode gives the Q5 refinement's floats bit for
@@ -474,6 +482,13 @@ def locate_all(table, x, y):
     return out
 
 
+def lower_id_duplicate(boxes):
+    """boxes behind a new id 0: the middle quarter of the largest box."""
+    k = max(range(len(boxes)), key=lambda i: boxes[i][2] * boxes[i][3])
+    a0, b0, da, db = boxes[k]
+    return [(a0 + da / 4, b0 + db / 4, da / 2, db / 2)] + list(boxes)
+
+
 def window_pairs(boxes, x, y):
     ids, flags = window_locate(boxes, x, y)
     return list(zip(ids.tolist(), flags.tolist()))
@@ -517,10 +532,7 @@ class TestCellTable:
     def test_lower_id_duplicate_matches_window_scan(self, cat_coder, points):
         # id 0 is the middle quarter of the largest box, which now has a
         # higher id: the least-id rule decides the points they share
-        boxes = list(cat_coder._cells.boxes)
-        k = max(range(len(boxes)), key=lambda i: boxes[i][2] * boxes[i][3])
-        a0, b0, da, db = boxes[k]
-        boxes = [(a0 + da / 4, b0 + db / 4, da / 2, db / 2)] + boxes
+        boxes = lower_id_duplicate(cat_coder._cells.boxes)
         table = CellTable(boxes)
         assert (table.settled >= 0).sum() > 0
         assert (table.settled != 0).all()
@@ -531,16 +543,51 @@ class TestCellTable:
         assert locate_all(table, x, y) == window_pairs(boxes, x, y)
 
     def test_settled_cells_match_window_scan(self, cat_coder):
-        table = cat_coder._cells
-        cells = np.flatnonzero(table.settled >= 0)
-        assert cells.size > 0
-        ix, iy = np.divmod(cells, GRID)
-        for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1), (0.5, 0.5)):
-            x, y = (ix + dx) / GRID, (iy + dy) / GRID
-            ids, flags = window_locate(table.boxes, x, y)
-            assert np.array_equal(ids, table.settled[cells])
-            assert not flags.any()
-            assert np.array_equal(table.assign(x, y), table.settled[cells])
+        # corners and centre of every settled subcell, on the built table,
+        # the holed one and the one with a lower-id duplicate
+        fine = GRID * SETTLE
+        boxes = cat_coder._cells.boxes
+        for table in (cat_coder._cells, CellTable(boxes[:-1]),
+                      CellTable(lower_id_duplicate(boxes))):
+            assert table.settled.shape == (fine ** 2,)
+            subcells = np.flatnonzero(table.settled >= 0)
+            assert subcells.size > 0
+            ix, iy = np.divmod(subcells, fine)
+            for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1), (0.5, 0.5)):
+                x, y = (ix + dx) / fine, (iy + dy) / fine
+                ids, flags = window_locate(table.boxes, x, y)
+                assert np.array_equal(ids, table.settled[subcells])
+                assert not flags.any()
+                assert np.array_equal(table.assign(x, y), table.settled[subcells])
+
+    def test_most_subcells_are_settled(self, cat_coder):
+        # the fast path of locate and assign: 54,586 of the 65,536
+        # subcells of the built coder
+        assert (cat_coder._cells.settled >= 0).mean() >= 0.8
+
+    def test_encode_agrees_with_locate_and_assign(self, cat_coder):
+        # encode's own points, replayed with its float steps: assign gives
+        # its symbols, and the window scan its symbols and boundary flags
+        rng = np.random.default_rng(53)
+        n = 16
+        xs, ys, symbols, flags = [], [], [], []
+        for _ in range(200):
+            p = TorusPoint(*rng.uniform(0.0, TWO_PI, 2))
+            window = cat_coder.encode(p, n)
+            symbols += window.symbols
+            flags += window.boundary_flags
+            x, y = p.psi1 / TWO_PI, p.psi2 / TWO_PI
+            for _ in range(n):
+                x, y = (2 * x - y) % 1.0, (y - x) % 1.0
+            for _ in range(2 * n + 1):
+                xs.append(x)
+                ys.append(y)
+                x, y = (x + y) % 1.0, (x + 2 * y) % 1.0
+        xs, ys = np.array(xs), np.array(ys)
+        assert assign_rectangles(cat_coder, xs, ys).tolist() == symbols
+        ids, scan_flags = window_locate(cat_coder._cells.boxes, xs, ys)
+        assert ids.tolist() == symbols
+        assert scan_flags.tolist() == flags
 
     def test_every_cell_has_a_candidate(self, cat_coder):
         # the rectangles tile the torus, so no cell of [0,1)^2 is empty
@@ -555,6 +602,11 @@ class TestBirkhoff:
     def test_no_steps_rejected(self, cat_coder):
         with pytest.raises(ValueError, match="n_steps must be >= 1"):
             birkhoff_frequencies(cat_coder, TorusPoint(0.7, 1.9), 0)
+
+    @pytest.mark.parametrize("n_steps", [True, 1e4])
+    def test_non_integer_steps_rejected(self, cat_coder, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            birkhoff_frequencies(cat_coder, TorusPoint(0.7, 1.9), n_steps)
 
     def test_unlocated_point_raises(self, cat_coder):
         # without one rectangle the orbit leaves the covered set; the
@@ -664,3 +716,13 @@ class TestSerialization:
         assert data["provenance"] == "constructed"
         assert all({"id", "anchor_a", "anchor_b", "extent_a", "extent_b"}
                    <= set(item) for item in data["rectangles"])
+
+
+class TestConstants:
+    def test_readme_names_every_constant(self):
+        # the partition's limits are module constants, listed in README
+        source = Path(partition_module.__file__).read_text()
+        names = re.findall(r"^([A-Z][A-Z0-9_]*) = ", source, re.MULTILINE)
+        assert "GRID" in names
+        text = README.read_text()
+        assert [n for n in names if n != "TWO_PI" and f"`{n}`" not in text] == []
