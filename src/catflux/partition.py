@@ -31,6 +31,7 @@ from .qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
                      from_eigen, lattice_coords, lattice_from_b_shift,
                      lattice_from_eigen_shift)
 from .torus import TorusPoint
+from .trig import s0_power
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,7 +40,8 @@ _MU, _NU = float(MU_Q), float(NU_Q)
 _RT5 = math.sqrt(5.0)
 _EU_LEN = math.sqrt(1.0 + _MU ** 2)
 _ES_LEN = math.sqrt(1.0 + _NU ** 2)
-# birkhoff_frequencies' orbit lives on the lattice 2^-64 Z^2, held mod 2^64
+# encode's and birkhoff_frequencies' orbits live on the lattice 2^-64 Z^2,
+# held mod 2^64
 _MASK64 = (1 << 64) - 1
 
 MAX_REFINEMENTS = 8    # single-strip refinement rounds of the build
@@ -57,14 +59,17 @@ class PartitionError(RuntimeError):
     pass
 
 
-def _lattice_shadow(m, n):
-    """Float shadow (A, B) of lattice_coords(m, n), for ints or arrays.
+def _eigen_shadow(x, y):
+    """Float eigen-coordinates (a, b) of the point (x, y), for floats or
+    arrays: ((y - nu x)/sqrt5, (mu x - y)/sqrt5).
 
-    Off by a few ulp of max(|m|, |n|): under 1e-13 for |m|, |n| < 10^2,
-    like float(Q5) of a value below 10^2.  Geometry tests that widen their
-    bounds by CELL_MARGIN therefore never drop what the exact test keeps.
+    At a lattice point (m, n) this is the float shadow of
+    lattice_coords(m, n), off by a few ulp of max(|m|, |n|): under 1e-13
+    for |m|, |n| < 10^2, like float(Q5) of a value below 10^2.  Geometry
+    tests that widen their bounds by CELL_MARGIN therefore never drop what
+    the exact test keeps.
     """
-    return (n - _NU * m) / _RT5, (_MU * m - n) / _RT5
+    return (y - _NU * x) / _RT5, (_MU * x - y) / _RT5
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ def _first_crossing(cross: List[Tuple[Q5, Q5]], fcross: np.ndarray, end: Q5,
     shadows pass the window widened by CELL_MARGIN are tested exactly, in
     ascending shadow order, up to the first shadow that clears the best
     exact value by the margin; the shadows are off by far less (see
-    _lattice_shadow).
+    _eigen_shadow).
     """
     eps = CELL_MARGIN
     fv = sign * fcross[:, axis]
@@ -220,8 +225,8 @@ def build_cat_partition() -> MarkovPartition:
     coords = [lattice_coords(m, n) for m in range(-w, w + 1)
               for n in range(-w, w + 1)]
     span = np.arange(-w, w + 1)
-    fcoords = np.stack(_lattice_shadow(np.repeat(span, 2 * w + 1),
-                                       np.tile(span, 2 * w + 1)), axis=1)
+    fcoords = np.stack(_eigen_shadow(np.repeat(span, 2 * w + 1),
+                                     np.tile(span, 2 * w + 1)), axis=1)
     # crossings (t, s) = (A, -B) of the master lines; the origin is not one
     off = [i for i, (A, B) in enumerate(coords) if not (A == 0 and B == 0)]
     cross = [(coords[i][0], -1 * coords[i][1]) for i in off]
@@ -460,7 +465,7 @@ def _lattice_overlaps(a0, a1, b0, b1, c0, c1, d0, d1) -> List[Tuple[Q5, Q5]]:
     widened by CELL_MARGIN, and only the candidates that pass are tested
     exactly.  A bound is a difference of two float(Q5) values, and it is
     compared with a shadow: the three are off by less than 1e-12 in all
-    (see _lattice_shadow), so the filter never drops a translate the exact
+    (see _eigen_shadow), so the filter never drops a translate the exact
     test keeps.
     """
     fa0, fa1, fb0, fb1, fc0, fc1, fd0, fd1 = map(
@@ -473,7 +478,7 @@ def _lattice_overlaps(a0, a1, b0, b1, c0, c1, d0, d1) -> List[Tuple[Q5, Q5]]:
     for m in range(math.floor(a_lo + b_lo), math.ceil(a_hi + b_hi) + 1):
         for n in range(math.floor(_MU * a_lo + _NU * b_hi),
                        math.ceil(_MU * a_hi + _NU * b_lo) + 1):
-            fa, fb = _lattice_shadow(m, n)
+            fa, fb = _eigen_shadow(m, n)
             if not (a_lo < fa < a_hi and b_lo < fb < b_hi):
                 continue
             A, B = lattice_coords(m, n)
@@ -485,9 +490,23 @@ def _lattice_overlaps(a0, a1, b0, b1, c0, c1, d0, d1) -> List[Tuple[Q5, Q5]]:
 
 @dataclass
 class SymbolWindow:
+    """Symbols sigma_j for |j| <= n, in order; boundary_flags is empty or
+    holds one flag per symbol."""
+
     symbols: List[int]
     n: int
     boundary_flags: List[bool] = field(default_factory=list)
+
+    def __post_init__(self):
+        _check_count("n", self.n, 0)
+        if len(self.symbols) != 2 * self.n + 1:
+            raise ValueError(f"a window of depth n = {self.n} has "
+                             f"{2 * self.n + 1} symbols, got "
+                             f"{len(self.symbols)}")
+        if self.boundary_flags and (len(self.boundary_flags)
+                                    != len(self.symbols)):
+            raise ValueError(f"{len(self.boundary_flags)} boundary flags "
+                             f"for {len(self.symbols)} symbols")
 
 
 class CellTable:
@@ -517,9 +536,8 @@ class CellTable:
         # (rid, m, n) order, with the block of cells [ix0, ix1) x [iy0, iy1)
         # that its footprint, padded by a cell, covers
         rows = []
-        for rid, (a0, b0, da, db) in enumerate(boxes):
-            bx0, bx1 = a0 + b0, a0 + da + b0 + db
-            by0, by1 = a0 * _MU + (b0 + db) * _NU, (a0 + da) * _MU + b0 * _NU
+        for rid, (bx0, bx1, by0, by1) in enumerate(
+                _footprints(self.box, 0, 0)[:4].T.tolist()):
             for m in range(math.floor(-bx1), math.ceil(1.0 - bx0) + 1):
                 for n in range(math.floor(-by1), math.ceil(1.0 - by0) + 1):
                     ix0, ix1 = (min(GRID, max(0, math.floor(GRID * v)))
@@ -572,7 +590,6 @@ class CellTable:
 
     def locate(self, x: float, y: float) -> Tuple[int, bool]:
         """See CatCoder.locate."""
-        mu, nu, rt5 = _MU, _NU, _RT5
         tol = BOUNDARY_TOL
         fine = GRID * SETTLE
         kx, ky = math.floor(x), math.floor(y)
@@ -585,10 +602,7 @@ class CellTable:
         boundary = False
         for rid, m, n in self.cells[ix // SETTLE * GRID + iy // SETTLE]:
             a0, b0, da, db = self.boxes[rid]
-            px = x - (m + kx)
-            py = y - (n + ky)
-            a = (py - nu * px) / rt5
-            b = (mu * px - py) / rt5
+            a, b = _eigen_shadow(x - (m + kx), y - (n + ky))
             ra = a - a0
             rb = b - b0
             if -tol <= ra <= da + tol and -tol <= rb <= db + tol:
@@ -604,7 +618,6 @@ class CellTable:
         """See assign_rectangles; CHUNK points at a time.  Points of settled
         subcells take the subcell's id; the others are tested against their
         cell's slots, each until it hits, with locate's expressions."""
-        mu, nu, rt5 = _MU, _NU, _RT5
         tol = BOUNDARY_TOL
         fine = GRID * SETTLE
         shape, x, y = x.shape, x.ravel(), y.ravel()
@@ -625,10 +638,10 @@ class CellTable:
                     break
                 rid, m, n = self.cand[cell, k].T
                 a0, b0, da, db = self.box[rid].T
-                px = xs[todo] - (m + kx[todo])
-                py = ys[todo] - (n + ky[todo])
-                ra = (py - nu * px) / rt5 - a0
-                rb = (mu * px - py) / rt5 - b0
+                a, b = _eigen_shadow(xs[todo] - (m + kx[todo]),
+                                     ys[todo] - (n + ky[todo]))
+                ra = a - a0
+                rb = b - b0
                 hit = ((ra >= -tol) & (ra <= da + tol)
                        & (rb >= -tol) & (rb <= db + tol))
                 got[todo[hit]] = rid[hit]
@@ -650,7 +663,7 @@ def _footprints(box: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     lattice vectors (m, n)."""
     mu, nu = _MU, _NU
     a0, b0, da, db = box.T
-    A, B = _lattice_shadow(m, n)
+    A, B = _eigen_shadow(m, n)
     return np.stack([a0 + b0 + m, a0 + da + b0 + db + m,
                      a0 * mu + (b0 + db) * nu + n, (a0 + da) * mu + b0 * nu + n,
                      a0 + A, a0 + da + A, b0 + B, b0 + db + B])
@@ -745,20 +758,26 @@ class CatCoder:
 
     # -- encoding ----------------------------------------------------------
     def encode(self, p: TorusPoint, n: int) -> SymbolWindow:
-        """Symbols of S^j p for |j| <= n."""
+        """Symbols of S^j p for |j| <= n.
+
+        The orbit is the exact one of p's lattice point on 2^-64 Z^2, as
+        in birkhoff_frequencies: moved to S^-n by s0_power(-n) mod 2^64,
+        then stepped (X, Y) -> (X + Y, X + 2Y) mod 2^64, each point read at
+        53 bits and located by CellTable.locate.  The window is the exact
+        window of a point within 2^-64 of p; a flag marks a point within
+        BOUNDARY_TOL of a side.
+        """
         _check_count("n", n, 0)
-        x = p.psi1 / TWO_PI
-        y = p.psi2 / TWO_PI
-        # backward orbit start: S^{-n}
-        for _ in range(n):
-            x, y = (2 * x - y) % 1.0, (y - x) % 1.0
+        a, b, c, d = s0_power(-n)
+        X, Y = _lattice_point(p)
+        X, Y = (a * X + b * Y) & _MASK64, (c * X + d * Y) & _MASK64
         symbols = []
         flags = []
-        for j in range(2 * n + 1):
-            rid, fl = self.locate(x, y)
+        for _ in range(2 * n + 1):
+            rid, fl = self._cells.locate(_lattice_read(X), _lattice_read(Y))
             symbols.append(rid)
             flags.append(fl)
-            x, y = (x + y) % 1.0, (x + 2 * y) % 1.0
+            X, Y = (X + Y) & _MASK64, (X + 2 * Y) & _MASK64
         return SymbolWindow(symbols, n, flags)
 
     # -- decoding ----------------------------------------------------------
@@ -828,19 +847,17 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
     """Visit frequencies of each rectangle along the orbit of x0.
 
     The orbit is the exact one of the lattice point of x0 on 2^-64 Z^2
-    (see _lattice_orbit), read at 53 bits: each coordinate X becomes the
-    double (X >> 11) 2^-53 in [0, 1).  Membership is evaluated by
-    CellTable.assign, one chunk of the orbit at a time.  An orbit point
-    that no rectangle holds raises PartitionError: the frequencies would
-    not sum over the torus.
+    (see _lattice_orbit), read at 53 bits by _lattice_read.  Membership is
+    evaluated by CellTable.assign, one chunk of the orbit at a time.  An
+    orbit point that no rectangle holds raises PartitionError: the
+    frequencies would not sum over the torus.
     """
     _check_count("n_steps", n_steps, 1)
     counts = np.zeros(len(coder.partition), dtype=int)
     done = 0
     missed = 0
     for X, Y in _lattice_orbit(x0, n_steps):
-        x = (X >> 11) * 2.0 ** -53
-        y = (Y >> 11) * 2.0 ** -53
+        x, y = _lattice_read(X), _lattice_read(Y)
         assign = assign_rectangles(coder, x, y)
         out = np.flatnonzero(assign < 0)
         if not out.size:
@@ -858,20 +875,31 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
     return {rid: float(freqs[rid]) for rid in range(len(coder.partition))}
 
 
+def _lattice_point(p: TorusPoint) -> Tuple[int, int]:
+    """(X, Y) = floor(2^64 psi / 2 pi) mod 2^64: the lattice point of p on
+    2^-64 Z^2, which S maps onto itself."""
+    return (math.floor(math.ldexp(p.psi1 / TWO_PI, 64)) & _MASK64,
+            math.floor(math.ldexp(p.psi2 / TWO_PI, 64)) & _MASK64)
+
+
+def _lattice_read(X):
+    """The double (X >> 11) 2^-53 in [0, 1) of a lattice coordinate X in
+    [0, 2^64), an int or a uint64 array: its top 53 bits, exactly."""
+    return (X >> 11) * 2.0 ** -53
+
+
 def _lattice_orbit(x0: TorusPoint, n_steps: int
                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """S^j (X, Y) mod 2^64 for 0 <= j < n_steps, in order, as pairs of
     uint64 arrays of about CHUNK points.
 
-    (X, Y) = floor(2^64 psi / 2 pi) mod 2^64 is the lattice point of x0 on
-    2^-64 Z^2, which S maps onto itself, so the orbit is exact.  It runs in
-    blocks of L = ceil(sqrt(n_steps)) steps: a Python-int loop chains the
-    block starts with S^L, and a uint64 broadcast, exact since uint64 wraps
-    mod 2^64, fills CHUNK // L blocks at a time.  S^j is symmetric with
-    rows (a, b) and (b, a + b), where (a, b) = S^j (1, 0).
+    The orbit of x0's lattice point (_lattice_point) is exact.  It runs
+    in blocks of L = ceil(sqrt(n_steps)) steps: a Python-int loop chains
+    the block starts with S^L, and a uint64 broadcast, exact since uint64
+    wraps mod 2^64, fills CHUNK // L blocks at a time.  S^j is symmetric
+    with rows (a, b) and (b, a + b), where (a, b) = S^j (1, 0).
     """
-    x = math.floor(math.ldexp(x0.psi1 / TWO_PI, 64)) & _MASK64
-    y = math.floor(math.ldexp(x0.psi2 / TWO_PI, 64)) & _MASK64
+    x, y = _lattice_point(x0)
     size = math.isqrt(n_steps - 1) + 1
     powers = []
     a, b = 1, 0
@@ -923,16 +951,36 @@ def partition_to_json(partition: MarkovPartition) -> str:
 
 
 def partition_from_json(text: str) -> MarkovPartition:
+    """The partition of a partition_to_json document.  A document that is
+    not an object with a list "rectangles" of objects, each with an id and
+    four Q5 literals, the extents positive, raises PartitionError naming
+    the entry and the field."""
     data = json.loads(text)
+    items = data.get("rectangles") if isinstance(data, dict) else None
+    if not isinstance(items, list):
+        raise PartitionError("partition document must be an object with a "
+                             f"list field 'rectangles', got {data!r:.40}")
     rects = []
-    for i, item in enumerate(data["rectangles"]):
-        try:
-            rects.append(Rectangle(item["id"],
-                                   Q5.from_string(item["anchor_a"]),
-                                   Q5.from_string(item["anchor_b"]),
-                                   Q5.from_string(item["extent_a"]),
-                                   Q5.from_string(item["extent_b"])))
-        except KeyError as exc:
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
             raise PartitionError(
-                f"rectangle entry {i} has no field {exc}") from None
+                f"rectangle entry {i} must be an object, got {item!r:.40}")
+        for key in ("id", "anchor_a", "anchor_b", "extent_a", "extent_b"):
+            if key not in item:
+                raise PartitionError(
+                    f"rectangle entry {i} has no field {key!r}")
+        values = []
+        for key in ("anchor_a", "anchor_b", "extent_a", "extent_b"):
+            literal = item[key]
+            try:
+                values.append(Q5.from_string(literal))
+            except (AttributeError, ValueError, ZeroDivisionError):
+                # AttributeError: the literal is not a string
+                raise PartitionError(
+                    f"rectangle entry {i} field {key!r} must be a Q5 "
+                    f"literal 'a;b', got {literal!r:.40}") from None
+        try:
+            rects.append(Rectangle(item["id"], *values))
+        except ValueError as exc:
+            raise PartitionError(f"rectangle entry {i}: {exc}") from None
     return MarkovPartition(rects, provenance="loaded")

@@ -16,7 +16,8 @@ bit-identical for a fixed seed regardless of worker count or scheduling.
 Known defect of that keying: seeds that differ only in their low bits share
 streams.  For any seed in 0..15 at N = 16, {seed ^ r : r < 16} = {0..15}, so
 those sixteen seeds run the same sixteen orbits in a different order
-(ROADMAP item 4); pick seeds that differ above bit log2(N).
+(ROADMAP, open item "Monte Carlo: lanes and fresh streams"); pick seeds
+that differ above bit log2(N).
 """
 
 from __future__ import annotations

@@ -4,11 +4,11 @@ Each oracle recomputes a library quantity by a route that shares none of
 the code it checks: sigma from the assembled 2 x 2 Jacobian, torus
 averages and recorded moments by grid quadrature, zeta(p) by a brute
 Legendre maximum over a beta grid, eigen-coordinates by exact inversion,
-the cumulants of sigma from periodic-orbit sums, the Birkhoff orbit step
-by step in Python ints, and the decoded cell by Q(sqrt5) arithmetic.
-displacement evaluates the conjugation H(psi) - psi pointwise for the
-defining-relation check.  No subcommand or library code runs them; the
-tests import them from here.
+the cumulants of sigma from periodic-orbit sums, the Birkhoff and encode
+orbits step by step in Python ints, and the decoded cell by Q(sqrt5)
+arithmetic.  displacement evaluates the conjugation H(psi) - psi
+pointwise for the defining-relation check.  No subcommand or library code
+runs them; the tests import them from here.
 """
 
 import math
@@ -80,12 +80,17 @@ def eigen_coords(x: Q5, y: Q5) -> Tuple[Q5, Q5]:
     return a, b
 
 
-def lattice_orbit(x0: TorusPoint, n: int) -> List[Tuple[int, int]]:
+def lattice_orbit(x0: TorusPoint, n: int, back: int = 0
+                  ) -> List[Tuple[int, int]]:
     """n points of the orbit of the lattice point floor(2^64 psi / 2 pi)
-    mod 2^64, one step (X, Y) -> (X + Y, X + 2Y) mod 2^64 at a time; the
-    oracle for partition._lattice_orbit."""
+    mod 2^64, from `back` steps before it, each step back by
+    S0^-1 = (2 -1; -1 1) and each step forward (X, Y) -> (X + Y, X + 2Y)
+    mod 2^64 taken one at a time; the oracle for partition._lattice_orbit
+    (back = 0) and for CatCoder.encode's window (n = 2 back + 1)."""
     X, Y = (math.floor(Fraction(psi / (2 * math.pi)) * 2 ** 64) % 2 ** 64
             for psi in (x0.psi1, x0.psi2))
+    for _ in range(back):
+        X, Y = (2 * X - Y) % 2 ** 64, (Y - X) % 2 ** 64
     out = []
     for _ in range(n):
         out.append((X, Y))

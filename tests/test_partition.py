@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 import catflux.partition as partition_module
 from catflux.partition import (GRID, SETTLE, CatCoder, CellTable,
                                MarkovPartition, PartitionError, Rectangle,
-                               _first_crossing, _lattice_orbit,
-                               _lattice_overlaps, _lattice_shadow,
+                               SymbolWindow, _eigen_shadow, _first_crossing,
+                               _lattice_orbit, _lattice_overlaps,
                                assign_rectangles,
                                birkhoff_frequencies, build_cat_partition,
                                partition_from_json, partition_to_json,
                                transition_matrix, verify_markov)
-from catflux.qfield import (LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, from_eigen,
-                            lattice_coords, lattice_from_b_shift,
+from catflux.qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
+                            from_eigen, lattice_coords, lattice_from_b_shift,
                             lattice_from_eigen_shift)
 from catflux.torus import CatSystem, TorusPoint
 from fractions import Fraction
@@ -123,6 +123,27 @@ class TestConstruction:
     def test_spectral_radius_is_lambda_plus(self, cat_matrix):
         rho = max(abs(np.linalg.eigvals(cat_matrix.T.astype(float))))
         assert rho == pytest.approx(LAMBDA_PLUS, abs=1e-9)
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_parry_identities_hold_exactly(self, cat_partition, cat_matrix,
+                                           source):
+        # the extents are positive eigenvectors of T and of its transpose
+        # for lambda_+, exactly in Q(sqrt5): the areas extent_a extent_b
+        # sqrt5 are the Parry measure, and T has spectral radius lambda_+
+        if source == "built":
+            rects, T = cat_partition.rectangles, cat_matrix.T.tolist()
+        else:
+            ref = json.loads(REFERENCE.read_text())
+            rects = partition_from_json(
+                json.dumps(ref["partition"])).rectangles
+            T = ref["transition_matrix"]
+        q = len(rects)
+        assert (q, sum(map(sum, T))) == (19, 51)
+        for i in range(q):
+            row = sum((rects[j].extent_a for j in range(q) if T[i][j]), Q5(0))
+            assert row == LAMBDA_PLUS_Q * rects[i].extent_a
+            col = sum((rects[k].extent_b for k in range(q) if T[k][i]), Q5(0))
+            assert col == LAMBDA_PLUS_Q * rects[i].extent_b
 
 
 class TestGolden:
@@ -287,7 +308,7 @@ def small_crossings(w):
     mn = [(m, n) for m in range(-w, w + 1) for n in range(-w, w + 1)
           if (m, n) != (0, 0)]
     cross = [(A, -1 * B) for A, B in (lattice_coords(m, n) for m, n in mn)]
-    fa, fb = _lattice_shadow(*np.array(mn).T)
+    fa, fb = _eigen_shadow(*np.array(mn).T)
     return cross, np.stack([fa, -fb], axis=1)
 
 
@@ -373,7 +394,6 @@ class TestCoding:
                 bad = s1
                 break
         assert bad is not None
-        from catflux.partition import SymbolWindow
         with pytest.raises(PartitionError, match="incompatible"):
             cat_coder.decode(SymbolWindow([s0, s0, bad], 1))
 
@@ -406,6 +426,34 @@ class TestCoding:
             window = coder.encode(p, n)
             assert coder.decode(window) == decode_q5(coder, window)
         assert depths == set(range(1, 17))
+
+    def test_float_orbit_window_corrected(self, cat_coder):
+        # point 1291 of default_rng(7): a float pseudo-orbit read symbols
+        # [0, 6] at +15 and +16; the lattice orbit and a 60-digit mpmath
+        # orbit give [12, 16]
+        n = 16
+        p = TorusPoint(5.7891776325331215, 5.09064171177081)
+        window = cat_coder.encode(p, n)
+        assert window.symbols[n + 15:] == [12, 16]
+        assert not any(window.boundary_flags[n + 15:])
+        X, Y = np.array(lattice_orbit(p, 2 * n + 1, n), dtype=np.uint64).T
+        ids = assign_rectangles(cat_coder, (X >> 11) * 2.0 ** -53,
+                                (Y >> 11) * 2.0 ** -53)
+        assert ids.tolist() == window.symbols
+
+    def test_inconsistent_windows_refused(self, cat_coder):
+        w = cat_coder.encode(TorusPoint(2.03, 4.71), 3)
+        with pytest.raises(ValueError, match="depth n = 2 has 5 symbols, got 7"):
+            SymbolWindow(w.symbols, 2)
+        with pytest.raises(ValueError, match="depth n = 3 has 7 symbols, got 6"):
+            SymbolWindow(w.symbols[:-1], 3)
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            SymbolWindow(w.symbols, -1)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            SymbolWindow(w.symbols, 3.0)
+        with pytest.raises(ValueError, match="6 boundary flags for 7 symbols"):
+            SymbolWindow(w.symbols, 3, w.boundary_flags[1:])
+        assert SymbolWindow(w.symbols, 3).boundary_flags == []
 
     def test_shift_covariance(self, cat_coder):
         rng = np.random.default_rng(31)
@@ -494,6 +542,28 @@ def window_pairs(boxes, x, y):
     return list(zip(ids.tolist(), flags.tolist()))
 
 
+def check_encode_windows(coder, depths):
+    """encode's window is the exact lattice window, replayed by the oracle
+    one step at a time and read at 53 bits: on 2,000 points, their depths
+    cycling through `depths`, assign gives its symbols, and the window
+    scan its symbols and boundary flags."""
+    rng = np.random.default_rng(53)
+    XY, symbols, flags = [], [], []
+    for i in range(2_000):
+        p = TorusPoint(*rng.uniform(0.0, TWO_PI, 2))
+        n = depths[i % len(depths)]
+        window = coder.encode(p, n)
+        symbols += window.symbols
+        flags += window.boundary_flags
+        XY += lattice_orbit(p, 2 * n + 1, n)
+    X, Y = np.array(XY, dtype=np.uint64).T
+    xs, ys = (X >> 11) * 2.0 ** -53, (Y >> 11) * 2.0 ** -53
+    assert assign_rectangles(coder, xs, ys).tolist() == symbols
+    ids, scan_flags = window_locate(coder._cells.boxes, xs, ys)
+    assert ids.tolist() == symbols
+    assert scan_flags.tolist() == flags
+
+
 class TestCellTable:
     @pytest.fixture(scope="class")
     def points(self, cat_partition):
@@ -566,28 +636,10 @@ class TestCellTable:
         assert (cat_coder._cells.settled >= 0).mean() >= 0.8
 
     def test_encode_agrees_with_locate_and_assign(self, cat_coder):
-        # encode's own points, replayed with its float steps: assign gives
-        # its symbols, and the window scan its symbols and boundary flags
-        rng = np.random.default_rng(53)
-        n = 16
-        xs, ys, symbols, flags = [], [], [], []
-        for _ in range(200):
-            p = TorusPoint(*rng.uniform(0.0, TWO_PI, 2))
-            window = cat_coder.encode(p, n)
-            symbols += window.symbols
-            flags += window.boundary_flags
-            x, y = p.psi1 / TWO_PI, p.psi2 / TWO_PI
-            for _ in range(n):
-                x, y = (2 * x - y) % 1.0, (y - x) % 1.0
-            for _ in range(2 * n + 1):
-                xs.append(x)
-                ys.append(y)
-                x, y = (x + y) % 1.0, (x + 2 * y) % 1.0
-        xs, ys = np.array(xs), np.array(ys)
-        assert assign_rectangles(cat_coder, xs, ys).tolist() == symbols
-        ids, scan_flags = window_locate(cat_coder._cells.boxes, xs, ys)
-        assert ids.tolist() == symbols
-        assert scan_flags.tolist() == flags
+        check_encode_windows(cat_coder, [16])
+
+    def test_encode_agrees_at_every_depth(self, cat_coder):
+        check_encode_windows(cat_coder, list(range(1, 17)))
 
     def test_every_cell_has_a_candidate(self, cat_coder):
         # the rectangles tile the torus, so no cell of [0,1)^2 is empty
@@ -702,14 +754,34 @@ class TestSerialization:
         (lambda items: items.reverse(), "entry 0 has id 18"),
         (lambda items: items[1].update(id=0), "entry 1 has id 0"),
         (lambda items: items[3].pop("anchor_a"),
-         "entry 3 has no field 'anchor_a'")],
-        ids=["reversed", "duplicate-id", "missing-field"])
+         "entry 3 has no field 'anchor_a'"),
+        (lambda items: items.__setitem__(4, 5), "entry 4 must be an object"),
+        (lambda items: items[3].update(anchor_a="x"),
+         "entry 3 field 'anchor_a' must be a Q5 literal 'a;b', got 'x'"),
+        (lambda items: items[2].update(extent_b=5),
+         "entry 2 field 'extent_b' must be a Q5 literal 'a;b', got 5"),
+        (lambda items: items[0].update(anchor_b="1/0;1"),
+         "entry 0 field 'anchor_b' must be a Q5 literal"),
+        (lambda items: items[5].update(extent_a="-1;0"),
+         "entry 5: rectangle extents must be positive")],
+        ids=["reversed", "duplicate-id", "missing-field", "not-an-object",
+             "malformed-literal", "non-string-literal", "zero-denominator",
+             "negative-extent"])
     def test_bad_entries_refused(self, damage, message):
         # ids index the transition matrix and the frequencies by position
         data = json.loads(REFERENCE.read_text())["partition"]
         damage(data["rectangles"])
         with pytest.raises(PartitionError, match=f"^rectangle {message}"):
             partition_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("document", [{}, [], {"rectangles": 5}],
+                             ids=["no-rectangles", "list",
+                                  "rectangles-not-a-list"])
+    def test_bad_documents_refused(self, document):
+        with pytest.raises(PartitionError,
+                           match="^partition document must be an object with "
+                                 "a list field 'rectangles', got "):
+            partition_from_json(json.dumps(document))
 
     def test_json_schema(self, cat_partition):
         data = json.loads(partition_to_json(cat_partition))
