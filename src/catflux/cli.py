@@ -227,8 +227,8 @@ def cmd_zeta(data: Dict, out: Path) -> None:
     table = _table(data)
     order = table.max_order
     zs = zeta(table, order)
-    closed = zeta_closed_form(table, order)
-    imposed = zeta_ft_imposed(table, order)
+    closed = zeta_closed_form(table, min(order, 4))
+    imposed = zeta_ft_imposed(table, min(order, 4))
     payload = {
         "meta": _meta(data),
         "pipeline": {str(n): list(map(float, c)) for n, c in zs.orders.items()},
@@ -237,6 +237,8 @@ def cmd_zeta(data: Dict, out: Path) -> None:
         "ft_imposed": {str(n): list(map(float, c))
                        for n, c in imposed.orders.items()},
     }
+    if order > 4:  # the closed forms stop at eps^4
+        payload["closed_form_order"] = 4
     _write(out, "zeta.json", json.dumps(payload, indent=2))
     rows = ["eps,p,zeta,asym"]
     for eps in eps_list:
@@ -250,7 +252,7 @@ def cmd_ftcheck(data: Dict, out: Path) -> None:
     table = _table(data)
     order = table.max_order
     report = ft_report(table, order)
-    A, B = asymmetry_coefficients(table, order)
+    A, B = asymmetry_coefficients(table, min(order, 4))
     payload = {
         "meta": _meta(data),
         "rel1_residual_beta_poly": {str(m): v for m, v in report.rel1.items()},
@@ -261,6 +263,8 @@ def cmd_ftcheck(data: Dict, out: Path) -> None:
         "A_series": {str(k): v for k, v in A.items()},
         "B_series": {str(k): v for k, v in B.items()},
     }
+    if order > 4:  # A and B stop at eps^4
+        payload["asymmetry_order"] = 4
     _write(out, "ftcheck.json", json.dumps(payload, indent=2))
 
 
@@ -346,7 +350,7 @@ def cmd_report(data: Dict, out: Path) -> None:
     table = _table(data)
     order = table.max_order
     ft = ft_report(table, order)
-    A_series, B_series = asymmetry_coefficients(table, order)
+    A_series, B_series = asymmetry_coefficients(table, min(order, 4))
     measurements = []
     p_star = None
     for config in configs:
@@ -372,6 +376,8 @@ def cmd_report(data: Dict, out: Path) -> None:
         "p_star_estimate": p_star,
         "monte_carlo": measurements,
     }
+    if order > 4:  # A and B stop at eps^4
+        payload["asymmetry_order"] = 4
     _write(out, "report.json", json.dumps(payload, indent=2))
 
 

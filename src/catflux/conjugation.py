@@ -193,9 +193,10 @@ class RateSeries:
         # rate order k only needs conjugation chains through order k-1
         self.conj = ConjugationSeries(force, max(1, max_order - 1))
         fp, fm = self.conj.f_plus, self.conj.f_minus
-        # d_beta f_alpha, indexed [beta][alpha] with +1 -> 0, -1 -> 1.
-        self._df = {(+1, +1): fp.deriv_plus(), (-1, +1): fp.deriv_minus(),
-                    (+1, -1): fm.deriv_plus(), (-1, -1): fm.deriv_minus()}
+        # orders n of (d_beta f_alpha) o H for (beta, alpha) = (+,+), (-,+),
+        # (+,-), (-,-), one appended per rate order; order 0 is d_beta f_alpha
+        self._chains = ([fp.deriv_plus()], [fp.deriv_minus()],
+                        [fm.deriv_plus()], [fm.deriv_minus()])
         z = TrigPoly.zero()
         self.gamma_plus: List[TrigPoly] = [z]
         self.gamma_minus: List[TrigPoly] = [z]
@@ -211,25 +212,23 @@ class RateSeries:
         for k in range(self.max_order + 1, order + 1):
             self._extend(k)
 
-    def _df_chain(self, beta: int, alpha: int, n: int) -> TrigPoly:
-        """Order-n coefficient of (d_beta f_alpha) o H."""
-        return chain_order(self._df[(beta, alpha)], self.conj.h_plus,
-                           self.conj.h_minus, n)
-
     def _extend(self, k: int):
         lam = _LAMBDA
+        if k > 1:
+            for chain in self._chains:
+                chain.append(chain_order(chain[0], self.conj.h_plus,
+                                         self.conj.h_minus, k - 1))
+        dpfp, dmfp, dpfm, dmfm = self._chains
         # gamma at order k uses k_{-,+} only at orders <= k-1.
-        gp = self._df_chain(+1, +1, k - 1)
-        gm = self._df_chain(-1, -1, k - 1)
+        gp, gm = dpfp[k - 1], dmfm[k - 1]
         for m in range(1, k):
-            gp = gp + self.k_minus[m] * self._df_chain(-1, +1, k - 1 - m)
-            gm = gm + self.k_plus[m] * self._df_chain(+1, -1, k - 1 - m)
+            gp = gp + self.k_minus[m] * dmfp[k - 1 - m]
+            gm = gm + self.k_plus[m] * dpfm[k - 1 - m]
 
-        rp = self._df_chain(-1, +1, k - 1)
-        rm = self._df_chain(+1, -1, k - 1)
+        rp, rm = dmfp[k - 1], dpfm[k - 1]
         for m in range(1, k):
-            rp = rp + self.k_plus[m] * self._df_chain(+1, +1, k - 1 - m)
-            rm = rm + self.k_minus[m] * self._df_chain(-1, -1, k - 1 - m)
+            rp = rp + self.k_plus[m] * dpfp[k - 1 - m]
+            rm = rm + self.k_minus[m] * dmfm[k - 1 - m]
         for m in range(1, k):
             # gamma^{(m)} * (k o S0)^{(k-m)}; both strictly lower order.
             rp = rp - self.gamma_minus[m] * self.k_plus[k - m].compose_power(1)
@@ -253,8 +252,11 @@ class RateSeries:
         return len(self.gamma_plus) - 1
 
 
-def _log1p_series(u_orders: List[TrigPoly], max_order: int) -> List[TrigPoly]:
-    """Orders of log(1 + u) for u = sum_{k>=1} u^(k); index 0 is zero."""
+def log1p_series(u_orders: List[TrigPoly], max_order: int) -> List[TrigPoly]:
+    """Orders of log(1 + u) for u = sum_{k>=1} u^(k); index 0 is zero.
+
+    The one log1p expansion: A_u's log(1 + gamma_+/lambda_+), its boundary
+    term's log(1 + k_-^2) and, negated, sigma = -log(1 + eps g)."""
     z = TrigPoly.zero()
     u = list(u_orders[:max_order + 1])
     u += [z] * (max_order + 1 - len(u))
@@ -299,13 +301,18 @@ class ExpansionRateSeries:
 
     def _rebuild(self, max_order: int):
         u = [g * (1.0 / LAMBDA_PLUS) for g in self.rates.gamma_plus]
-        log_orders = _log1p_series(u, max_order)
-        orders = [TrigPoly.const(math.log(LAMBDA_PLUS))]
-        for k in range(1, max_order + 1):
-            term = log_orders[k]
-            if self.boundary:
-                term = term + self._boundary_order(k)
-            orders.append(term)
+        orders = log1p_series(u, max_order)
+        orders[0] = TrigPoly.const(math.log(LAMBDA_PLUS))
+        if self.boundary:
+            # (1/2)[b o S0 - b], b = log(1 + k_-^2) expanded once for all orders
+            km = self.rates.k_minus
+            q = [TrigPoly.zero() for _ in range(max_order + 1)]
+            for n in range(2, max_order + 1):
+                for m in range(1, n):
+                    q[n] = q[n] + km[m] * km[n - m]
+            b = log1p_series(q, max_order)
+            for k in range(1, max_order + 1):
+                orders[k] = orders[k] + 0.5 * (b[k].compose_power(1) - b[k])
         self._orders = orders
 
     def extend_to(self, order: int):
@@ -314,17 +321,6 @@ class ExpansionRateSeries:
         _check_order(order)
         self.rates.extend_to(order)
         self._rebuild(order)
-
-    def _boundary_order(self, k: int) -> TrigPoly:
-        km = self.rates.k_minus
-        q = [TrigPoly.zero() for _ in range(k + 1)]
-        for n in range(2, k + 1):
-            acc = TrigPoly.zero()
-            for m in range(1, n):
-                acc = acc + km[m] * km[n - m]
-            q[n] = acc
-        b = _log1p_series(q, k)[k]
-        return 0.5 * (b.compose_power(1) - b)
 
     def order(self, k: int) -> TrigPoly:
         if k > self.max_order:

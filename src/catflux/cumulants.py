@@ -50,7 +50,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .conjugation import (ExpansionRateSeries, chain_average, chain_order,
-                          compositions)
+                          compositions, log1p_series)
 from .torus import HarmonicForce
 from .trig import (LAMBDA_PLUS, SQRT5, TrigPoly, V_MINUS, V_PLUS,
                    product_average)
@@ -88,18 +88,13 @@ def sigma_series(force: HarmonicForce, max_order: int) -> ObservableSeries:
 
     g is the Jacobian polynomial (2 d1 - d2) f1; for f = sin psi1 this gives
     sigma^(1) = -2 cos psi1, sigma^(2) = 2 cos^2 psi1, sigma^(3) = -8/3 cos^3.
+    The orders are the negated log1p expansion that A_u also uses.
     """
     if max_order > ORDER_CAP:
         raise ValueError(f"order {max_order} beyond cap {ORDER_CAP}")
-    g = force.jacobian_poly()
-    orders = [TrigPoly.zero()]
-    power = TrigPoly.const(1.0)
-    sign = 1.0
-    for m in range(1, max_order + 1):
-        power = power * g
-        sign = -sign
-        orders.append((sign / m) * power)
-    return ObservableSeries(orders)
+    log_orders = log1p_series([TrigPoly.zero(), force.jacobian_poly()],
+                              max_order)
+    return ObservableSeries([-1.0 * p for p in log_orders])
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
@@ -445,12 +440,7 @@ class CorrelationEngine:
         """
         ids = self._composed_cache.setdefault(self._obs_id(obs), [])
         for n in range(len(ids), up_to + 1):
-            total = TrigPoly.zero()
-            for j in range(0, n + 1):
-                if j <= obs.max_order and obs.orders[j]:
-                    self.conj.extend_to(max(1, n - j))
-                    total = total + chain_order(obs.orders[j], self.conj.h_plus,
-                                                self.conj.h_minus, n - j)
+            total = sum(self._chained(obs, n, chain_order), TrigPoly.zero())
             ids.append(self.engine.register(total))
         return ids
 
@@ -465,13 +455,19 @@ class CorrelationEngine:
         val = self._average_cache.get(key)
         if val is None:
             val = 0.0
-            for j in range(0, min(n, obs.max_order) + 1):
-                if obs.orders[j]:
-                    self.conj.extend_to(max(1, n - j))
-                    val += chain_average(obs.orders[j], self.conj.h_plus,
-                                         self.conj.h_minus, n - j)
+            for term in self._chained(obs, n, chain_average):
+                val += term
             self._average_cache[key] = val
         return val
+
+    def _chained(self, obs: ObservableSeries, n: int, chain) -> Iterator:
+        """chain(obs^(j), h_+, h_-, n - j) over the nonzero orders j <= n of
+        the observable, the conjugation extended to order n - j first."""
+        for j in range(0, min(n, obs.max_order) + 1):
+            if obs.orders[j]:
+                self.conj.extend_to(max(1, n - j))
+                yield chain(obs.orders[j], self.conj.h_plus,
+                            self.conj.h_minus, n - j)
 
     # ------------------------------------------------------------------
     # core connected expectation
@@ -609,17 +605,6 @@ class CumulantTable:
 
     def mean_total(self, eps: float) -> float:
         return sum(v * eps ** m for m, v in self.mean.items())
-
-    def cumulant_total(self, n: int, eps: float) -> float:
-        return sum(v * eps ** m for m, v in self.C.get(n, {}).items())
-
-    def lambda_order(self, m: int) -> np.ndarray:
-        """beta-polynomial coefficients of lambda(beta) = sum_n C_n beta^n / n!
-        at eps-order m."""
-        out = np.zeros(max(self.C) + 1)
-        for n, per_order in self.C.items():
-            out[n] = per_order.get(m, 0.0) / math.factorial(n)
-        return out
 
     def mean_order(self, m: int) -> float:
         return self.mean.get(m, 0.0)

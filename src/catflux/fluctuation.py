@@ -255,11 +255,20 @@ def zeta(table: CumulantTable, max_order: int) -> ZetaSeries:
     return ZetaSeries(orders, max_order)
 
 
+def _fourth_order(table: CumulantTable, max_order: int) -> CumulantTable:
+    """lambda_from_cumulants for the eps^4 forms below, which read C_2..C_4
+    only and so refuse any higher order."""
+    if max_order > 4:
+        raise ValueError(f"order {max_order}: the fourth-order forms hold "
+                         "through eps^4 only; pass max_order <= 4")
+    return lambda_from_cumulants(table, max_order)
+
+
 def zeta_closed_form(table: CumulantTable, max_order: int = 4) -> ZetaSeries:
     """The fourth-order closed form:
     zeta = (x^2/2)[<sigma> - C_2/4] - (x^3/48) C_3 - (x^4/384) C_4.
     """
-    lam = lambda_from_cumulants(table, max_order)
+    lam = _fourth_order(table, max_order)
     orders: Dict[int, np.ndarray] = {}
     for n in range(2, max_order + 1):
         acc = np.zeros(5)
@@ -274,7 +283,7 @@ def zeta_ft_imposed(table: CumulantTable, max_order: int = 4) -> ZetaSeries:
     """zeta with the FT relations imposed:
     zeta = (x^2/8) C_2 - (C_4/48) x^2 (1 + x/2 + x^2/8).
     """
-    lam = lambda_from_cumulants(table, max_order)
+    lam = _fourth_order(table, max_order)
     orders: Dict[int, np.ndarray] = {}
     for n in range(2, max_order + 1):
         acc = np.zeros(5)
@@ -298,7 +307,7 @@ def asymmetry_coefficients(table: CumulantTable, max_order: int = 4
     relative orders (graded division by the leading <sigma>), and
     B = (1/24)[C_3 - C_4/2] in absolute orders.
     """
-    lam = lambda_from_cumulants(table, max_order)
+    lam = _fourth_order(table, max_order)
     num: Dict[int, float] = {}
     for m in range(2, max_order + 1):
         num[m] = (lam.mean_order(m)

@@ -969,6 +969,10 @@ def partition_from_json(text: str) -> MarkovPartition:
             if key not in item:
                 raise PartitionError(
                     f"rectangle entry {i} has no field {key!r}")
+        rid = item["id"]
+        if isinstance(rid, bool) or not isinstance(rid, int):
+            raise PartitionError(f"rectangle entry {i} field 'id' must be "
+                                 f"an integer, got {rid!r:.40}")
         values = []
         for key in ("anchor_a", "anchor_b", "extent_a", "extent_b"):
             literal = item[key]
@@ -980,7 +984,7 @@ def partition_from_json(text: str) -> MarkovPartition:
                     f"rectangle entry {i} field {key!r} must be a Q5 "
                     f"literal 'a;b', got {literal!r:.40}") from None
         try:
-            rects.append(Rectangle(item["id"], *values))
+            rects.append(Rectangle(rid, *values))
         except ValueError as exc:
             raise PartitionError(f"rectangle entry {i}: {exc}") from None
     return MarkovPartition(rects, provenance="loaded")

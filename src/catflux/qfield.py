@@ -235,10 +235,8 @@ def lattice_from_eigen_shift(delta: Q5) -> Tuple[int, int] | None:
 def lattice_from_b_shift(delta: Q5) -> Tuple[int, int] | None:
     """The unique (m, n) with B(m,n) == delta, if it is integral.
 
-    B(m,n) = m/2 + (m - 2n) sqrt5/10, so with delta = (p + q sqrt5)/d,
-    m = 2p/d and n = (p - 5q)/d must both be integers.
+    B(m,n) = m/2 + (m - 2n) sqrt5/10 = A(m, m - n), so it is
+    lattice_from_eigen_shift's (m, n') read as (m, m - n').
     """
-    p, q, d = delta._p, delta._q, delta._d
-    if (2 * p) % d or (p - 5 * q) % d:
-        return None
-    return 2 * p // d, (p - 5 * q) // d
+    mn = lattice_from_eigen_shift(delta)
+    return None if mn is None else (mn[0], mn[0] - mn[1])

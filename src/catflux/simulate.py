@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -121,11 +122,6 @@ def _simulate_run(config: SimConfig, run_index: int
     return run_index, sigma_bar, np.array(window_sums)
 
 
-def _simulate_chunk(args):
-    config, indices = args
-    return [_simulate_run(config, r) for r in indices]
-
-
 def _bin_windows(run_index: int, sigma_bar: float, window_sums: np.ndarray,
                  norm_sigma: float, config: SimConfig) -> RunStats:
     counts: Dict[int, int] = {}
@@ -139,18 +135,13 @@ def _bin_windows(run_index: int, sigma_bar: float, window_sums: np.ndarray,
 
 def simulate(config: SimConfig) -> List[RunStats]:
     """N independent runs, merged in run order (worker-count invariant)."""
-    indices = list(range(config.N))
     if config.workers == 1 or config.N == 1:
-        raw = [_simulate_run(config, r) for r in indices]
+        raw = [_simulate_run(config, r) for r in range(config.N)]
     else:
-        chunks = [indices[i::config.workers] for i in range(config.workers)]
-        chunks = [c for c in chunks if c]
+        # map returns the runs in run order, whatever the chunking
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = pool.map(_simulate_chunk, [(config, c) for c in chunks])
-            raw = []
-            for r in results:
-                raw.extend(r)
-        raw.sort(key=lambda t: t[0])
+            raw = list(pool.map(_simulate_run, repeat(config), range(config.N),
+                                chunksize=math.ceil(config.N / config.workers)))
     if config.sigma_mode == "pooled":
         pooled = float(np.mean([sb for _, sb, _ in raw]))
         return [_bin_windows(i, sb, ws, pooled, config) for i, sb, ws in raw]

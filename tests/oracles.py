@@ -155,7 +155,7 @@ def legendre_oracle(table: CumulantTable, eps: float, p: float) -> float:
                         LEGENDRE_POINTS)
     lam_vals = np.zeros_like(betas)
     for n_c in table.C:
-        cn = table.cumulant_total(n_c, eps)
+        cn = sum(v * eps ** m for m, v in table.C[n_c].items())
         lam_vals += cn * betas ** n_c / math.factorial(n_c)
     return float(np.max(betas * s * (p - 1.0) - lam_vals))
 

@@ -8,6 +8,7 @@ import pytest
 
 import catflux.cli as cli
 from catflux.cli import force_from_config, load_config, main
+from catflux.cumulants import CumulantTable
 from catflux.torus import HarmonicForce
 
 # the package re-exports simulate(), which shadows the module attribute
@@ -250,6 +251,29 @@ class TestFtcheckCommand:
         assert main(["ftcheck", "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads((out / "ftcheck.json").read_text())
         assert payload["first_violation_eps_order"] == 3
+
+
+class TestFourthOrderForms:
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_evaluated_through_order_four(self, tmp_path, monkeypatch, order):
+        # a synthetic table stands in for the 40 s eps^5 build
+        table = CumulantTable(
+            order, {m: float(m == 2) for m in range(1, order + 1)},
+            {n: {m: 2.0 * (n == m == 2) for m in range(n, order + 1)}
+             for n in range(2, order + 1)})
+        monkeypatch.setattr(cli, "_table", lambda data: table)
+        cfg = write_config(tmp_path, order=order)
+        out = tmp_path / "out"
+        for command in ("zeta", "ftcheck"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        zeta_json = json.loads((out / "zeta.json").read_text())
+        ftcheck = json.loads((out / "ftcheck.json").read_text())
+        assert max(map(int, zeta_json["pipeline"])) == order
+        assert max(map(int, zeta_json["closed_form"])) == 4
+        assert max(map(int, ftcheck["B_series"])) == 4
+        # the order of the eps^4 forms is written when it is below the table's
+        assert zeta_json.get("closed_form_order") == (4 if order > 4 else None)
+        assert ftcheck.get("asymmetry_order") == (4 if order > 4 else None)
 
 
 class TestSimulateCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,15 @@ from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS
 from oracles import legendre_oracle
 
 LAM_R = LAMBDA_MINUS / (LAMBDA_PLUS + 1)
+
+
+def lambda_coefficients(table, m):
+    """beta-polynomial coefficients of lambda(beta) = sum_n C_n beta^n / n!
+    at eps-order m."""
+    out = np.zeros(max(table.C) + 1)
+    for n, per_order in table.C.items():
+        out[n] = per_order.get(m, 0.0) / math.factorial(n)
+    return out
 
 
 def synthetic_table(mean, C, max_order=4):
@@ -49,12 +60,12 @@ class TestLambda:
     def test_lambda_at_zero(self, single_table):
         lam = lambda_from_cumulants(single_table, 4)
         for m in range(2, 5):
-            assert lam.lambda_order(m)[0] == 0.0
-            assert lam.lambda_order(m)[1] == 0.0
+            assert lambda_coefficients(lam, m)[0] == 0.0
+            assert lambda_coefficients(lam, m)[1] == 0.0
 
     def test_lambda_minus_one_is_mean_order2(self, gaussian_table):
         lam = lambda_from_cumulants(gaussian_table, 2)
-        coeffs = lam.lambda_order(2)
+        coeffs = lambda_coefficients(lam, 2)
         val = sum(c * (-1.0) ** k for k, c in enumerate(coeffs))
         assert val == pytest.approx(lam.mean_order(2), abs=1e-14)
 
@@ -216,6 +227,19 @@ class TestAsymmetry:
     def test_report_first_violation(self, single_table, two_table):
         assert ft_report(single_table, 4).first_violation_order == 4
         assert ft_report(two_table, 3).first_violation_order == 3
+
+
+class TestFourthOrderForms:
+    def test_refused_above_order_four(self):
+        # the eps^4 forms read C_2..C_4 only; at eps^5 they would drop terms
+        t = synthetic_table({m: float(m == 2) for m in range(1, 6)},
+                            {n: {m: 2.0 * (n == m == 2) for m in range(n, 6)}
+                             for n in range(2, 6)}, max_order=5)
+        for form in (zeta_closed_form, zeta_ft_imposed, asymmetry_coefficients):
+            with pytest.raises(ValueError, match="^order 5: .* eps\\^4 only"):
+                form(t, 5)
+            form(t, 4)
+        assert max(zeta(t, 5).orders) == 5
 
 
 class TestObservableMean:

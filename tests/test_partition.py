@@ -763,10 +763,16 @@ class TestSerialization:
         (lambda items: items[0].update(anchor_b="1/0;1"),
          "entry 0 field 'anchor_b' must be a Q5 literal"),
         (lambda items: items[5].update(extent_a="-1;0"),
-         "entry 5: rectangle extents must be positive")],
+         "entry 5: rectangle extents must be positive"),
+        (lambda items: items[1].update(id=True),
+         "entry 1 field 'id' must be an integer, got True"),
+        (lambda items: items[1].update(id=1.0),
+         "entry 1 field 'id' must be an integer, got 1.0"),
+        (lambda items: items[1].update(id="1"),
+         "entry 1 field 'id' must be an integer, got '1'")],
         ids=["reversed", "duplicate-id", "missing-field", "not-an-object",
              "malformed-literal", "non-string-literal", "zero-denominator",
-             "negative-extent"])
+             "negative-extent", "bool-id", "float-id", "string-id"])
     def test_bad_entries_refused(self, damage, message):
         # ids index the transition matrix and the frequencies by position
         data = json.loads(REFERENCE.read_text())["partition"]
@@ -790,11 +796,19 @@ class TestSerialization:
                    <= set(item) for item in data["rectangles"])
 
 
+# module constants that are eigendata or other fixed mathematics, not limits
+EIGENDATA = re.compile(r"SQRT5|LAMBDA_\w+|NORM_\w+_SQ|V_\w+|S0|S0_INV|\w+_Q"
+                       r"|TWO_PI")
+
+
 class TestConstants:
     def test_readme_names_every_constant(self):
-        # the partition's limits are module constants, listed in README
-        source = Path(partition_module.__file__).read_text()
-        names = re.findall(r"^([A-Z][A-Z0-9_]*) = ", source, re.MULTILINE)
-        assert "GRID" in names
+        # every library module's limits are module constants, listed in README
+        names = []
+        for source in Path(partition_module.__file__).parent.glob("*.py"):
+            names += re.findall(r"^([A-Z][A-Z0-9_]*) = ", source.read_text(),
+                                re.MULTILINE)
+        assert {"GRID", "ORDER_CAP", "COEFF_TOL", "P_MAX"} <= set(names)
         text = README.read_text()
-        assert [n for n in names if n != "TWO_PI" and f"`{n}`" not in text] == []
+        assert [n for n in names if not EIGENDATA.fullmatch(n)
+                and f"`{n}`" not in text] == []
