@@ -28,6 +28,16 @@ MomentEngine.connected_shifts evaluates that test as one numpy mask over
 the window's grid and yields only the survivors, in the walk's order, so
 the remaining terms are summed exactly as before.
 
+Most moments vanish by the same selection rule, and they are ruled out
+before anything is composed.  Each base keeps its per-term projections
+sorted; starting from every factor's largest scaled projections,
+MomentEngine._may_cancel shrinks each factor's bound, one eigendirection at
+a time, to its largest term that the sum of its partners' bounds can
+still cancel, until no bound shrinks.  A factor left without terms has no
+zero-sum frequency selection, and the moment is recorded as exactly 0
+without composing it.  A surviving moment composes only the terms of each
+factor that can cancel against its partners' largest projections.
+
 Average-only terms are contracted, not built: the zero-insertion term of a
 mean reads (obs o H)^(m) only at nu = 0, so it sums product_average over
 the chain-rule terms (conjugation.chain_average) instead of multiplying out
@@ -74,6 +84,10 @@ class ObservableSeries:
     def max_order(self) -> int:
         return len(self.orders) - 1
 
+    def key(self) -> tuple:
+        """The orders' keys: equal series have equal keys."""
+        return tuple(poly.key() for poly in self.orders)
+
     @property
     def min_order(self) -> int:
         """Lowest eps order with a nonzero coefficient (0 for fixed observables)."""
@@ -115,6 +129,10 @@ _PARTITIONS = {n: [tuple(map(tuple, p)) for p in _set_partitions(list(range(n)))
                for n in range(2, ORDER_CAP + 1)}
 _PARTITION_COEF = {b: (-1.0) ** (b - 1) * math.factorial(b - 1)
                    for b in range(1, ORDER_CAP + 1)}
+# each block is an increasing index tuple; the distinct blocks per arity, in
+# the order the partitions first use them
+_BLOCKS = {n: list(dict.fromkeys(b for part in parts for b in part))
+           for n, parts in _PARTITIONS.items()}
 
 
 FactorRef = Tuple[int, int]  # (base poly id, shift)
@@ -164,21 +182,6 @@ def _term_projections(poly: TrigPoly) -> Tuple[np.ndarray, np.ndarray]:
             np.where(nonzero, np.abs(b), 0.0))
 
 
-def _projections(poly: TrigPoly, terms: Tuple[np.ndarray, np.ndarray]
-                 ) -> Tuple[float, float, float, float, bool]:
-    """(amin, amax, bmin, bmax, has_const): the per-term projections
-    summarised over the nonzero support frequencies, widened by
-    PROJECTION_SLACK.  A polynomial without nonzero frequencies has
-    amin = bmin = inf."""
-    nonzero = (poly.n1 != 0) | (poly.n2 != 0)
-    a, b = terms[0][nonzero], terms[1][nonzero]
-    low, high = 1.0 - PROJECTION_SLACK, 1.0 + PROJECTION_SLACK
-    if not a.size:
-        return math.inf, 0.0, math.inf, 0.0, not nonzero.all()
-    return (float(a.min()) * low, float(a.max()) * high,
-            float(b.min()) * low, float(b.max()) * high, not nonzero.all())
-
-
 def _cut(bounds):
     """Whether some factor's smallest projection exceeds the sum of its
     partners' largest, in either eigendirection.
@@ -214,19 +217,19 @@ class MomentEngine:
     Base polynomials are registered once; factors are (base_id, shift) pairs
     and moments are canonicalized by translation invariance (subtract the
     minimum shift) before caching.  Each base keeps its per-term
-    eigen-projections (_term_projections) and their summary bounds
-    (_projections), which rule out moments and whole cumulants (_cut)
-    without ever materializing the composed polynomial, and cut each
-    factor of a moment down to the terms that can cancel before it is
-    composed.  Every distinct computed moment is kept, which doubles as the
-    record a quadrature replay can re-evaluate.
+    eigen-projections (_term_projections), in term order and sorted.  They
+    rule out moments (_may_cancel) and whole cumulants (_cut) without ever
+    materializing the composed polynomial, and cut each factor of a moment
+    down to the terms that can cancel before it is composed.  Every
+    distinct computed moment is kept, which doubles as the record a
+    quadrature replay can re-evaluate.
     """
 
     def __init__(self):
         self.bases: List[TrigPoly] = []
         self._base_ids: Dict[bytes, int] = {}
         self._terms: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._projections: List[Tuple[float, float, float, float, bool]] = []
+        self._sorted: List[Tuple[np.ndarray, np.ndarray]] = []
         self.moments: Dict[Tuple[FactorRef, ...], float] = {}
         self._ursells: Dict[Tuple[FactorRef, ...], float] = {}
 
@@ -237,20 +240,40 @@ class MomentEngine:
             bid = len(self.bases)
             self.bases.append(poly)
             self._base_ids[key] = bid
-            terms = _term_projections(poly)
-            self._terms.append(terms)
-            self._projections.append(_projections(poly, terms))
+            a, b = _term_projections(poly)
+            self._terms.append((a, b))
+            self._sorted.append((np.sort(a), np.sort(b)))
         return bid
 
     def _bounds(self, bid: int, lp, centred: bool):
         """(amin, amax, bmin, bmax) of base bid composed with S0^l, given
-        lp = lambda_+^l (a float or an array).  S0 is symmetric, so
-        (S0^l nu).v_+- = lambda_+-^l (nu.v_+-).  Uncentred, a constant term
-        is a zero frequency and the minima drop to 0."""
-        amin, amax, bmin, bmax, const = self._projections[bid]
+        lp = lambda_+^l (a float or an array), widened by PROJECTION_SLACK.
+
+        S0 is symmetric, so (S0^l nu).v_+- = lambda_+-^l (nu.v_+-).  Only
+        the zero frequency projects to 0, so it sorts first and the minima
+        over the nonzero frequencies are the next entries (inf if there are
+        none).  Uncentred, a constant term is a zero frequency and the
+        minima drop to 0.
+        """
+        low, high = 1.0 - PROJECTION_SLACK, 1.0 + PROJECTION_SLACK
+        a, b = self._sorted[bid]
+        const = int(a.size > 0 and a[0] == 0.0)
+        if a.size == const:
+            amin = bmin = math.inf
+            amax = bmax = 0.0
+        else:
+            amin, bmin = float(a[const]) * low, float(b[const]) * low
+            amax, bmax = float(a[-1]) * high, float(b[-1]) * high
         if const and not centred:
             amin = bmin = 0.0
         return lp * amin, lp * amax, bmin / lp, bmax / lp
+
+    def _maxima(self, bid: int, lp: float) -> Tuple[float, float]:
+        """The largest projections of a base with terms, composed with S0^l
+        and widened as in _bounds."""
+        high = 1.0 + PROJECTION_SLACK
+        a, b = self._sorted[bid]
+        return lp * (float(a[-1]) * high), float(b[-1]) * high / lp
 
     def connected_grid(self, fixed: Sequence[FactorRef], free: Sequence[int],
                        lo: int, hi: int):
@@ -292,23 +315,81 @@ class MomentEngine:
             yield tuple(idx)
 
     def moment(self, refs: Sequence[FactorRef]) -> float:
+        """Torus average of the product of the factors, cached; only the
+        moments _may_cancel keeps are composed, the rest are exactly 0."""
         if not refs:
             return 1.0
-        key = _canonical(refs)
+        return self._moment_at(_canonical(refs))
+
+    def _moment_at(self, key: Tuple[FactorRef, ...]) -> float:
+        """moment of a key that is already canonical (_canonical)."""
         val = self.moments.get(key)
-        if val is not None:
-            return val
-        # a cut factor has no zero-sum frequency selection with its
-        # partners; constants count here, so the factors stay uncentred
-        val = 0.0
-        bounds = [self._bounds(bid, LAMBDA_PLUS ** sh, False)
-                  for bid, sh in key]
-        if not _cut(bounds):
-            val = product_average(self._cancelling(key, bounds))
-        self.moments[key] = val
+        if val is None:
+            val = 0.0
+            if self._may_cancel(key):
+                val = product_average(self._cancelling(key))
+            self.moments[key] = val
         return val
 
-    def _cancelling(self, key: Sequence[FactorRef], bounds) -> List[TrigPoly]:
+    def _may_cancel(self, key: Sequence[FactorRef]) -> bool:
+        """Whether the factors of a moment may have a zero-sum frequency
+        selection; False proves the moment exactly 0.
+
+        A term of a selection has a scaled projection of at most the sum
+        of its partners' terms in the selection, in both eigendirections.
+        Each factor starts from its largest scaled projections; a round
+        counts, in each direction separately in the sorted projections,
+        the terms at most the sum of the partners' bounds, and shrinks the
+        factor's bound to the largest of them.  The bounds only shrink and
+        a selection's terms always survive, so the rounds stop at a fixed
+        point, and a factor left without terms has no selection.  The
+        first round is _cut on uncentred factors.  Each partner sum is
+        summed directly: "total minus own" would cancel when one factor
+        dominates.
+        """
+        low, high = 1.0 - PROJECTION_SLACK, 1.0 + PROJECTION_SLACK
+        # per factor: sorted projections, lambda_+^l and the largest kept
+        # projections, unscaled; ahi and bhi are those scaled and widened
+        factors, ahi, bhi = [], [], []
+        for bid, sh in key:
+            a, b = self._sorted[bid]
+            if not a.size:
+                return False
+            lp = LAMBDA_PLUS ** sh
+            factors.append([a, b, lp, float(a[-1]), float(b[-1])])
+            amax, bmax = self._maxima(bid, lp)
+            ahi.append(amax)
+            bhi.append(bmax)
+        shrunk = True
+        while shrunk:
+            shrunk = False
+            for j, factor in enumerate(factors):
+                a, b, lp, atop, btop = factor
+                pa = pb = 0.0
+                for k in range(len(factors)):
+                    if k != j:
+                        pa += ahi[k]
+                        pb += bhi[k]
+                # the count changes only once the largest kept term is out
+                # of the partners' reach
+                alim, blim = pa / (lp * low), pb * lp / low
+                if alim < atop:
+                    count = int(a.searchsorted(alim, "right"))
+                    if not count:
+                        return False
+                    factor[3] = float(a[count - 1])
+                    ahi[j] = lp * (factor[3] * high)
+                    shrunk = True
+                if blim < btop:
+                    count = int(b.searchsorted(blim, "right"))
+                    if not count:
+                        return False
+                    factor[4] = float(b[count - 1])
+                    bhi[j] = factor[4] * high / lp
+                    shrunk = True
+        return True
+
+    def _cancelling(self, key: Sequence[FactorRef]) -> List[TrigPoly]:
         """The factors of a moment, each cut down to the terms that can
         cancel and then composed with its shift.
 
@@ -320,13 +401,14 @@ class MomentEngine:
         composed frequencies far below the int64 limit.
         """
         low = 1.0 - PROJECTION_SLACK
+        maxima = [self._maxima(bid, LAMBDA_PLUS ** sh) for bid, sh in key]
         out = []
         for j, (bid, sh) in enumerate(key):
             pa = pb = 0.0
-            for k, other in enumerate(bounds):
+            for k, other in enumerate(maxima):
                 if k != j:
-                    pa += other[1]
-                    pb += other[3]
+                    pa += other[0]
+                    pb += other[1]
             lp = LAMBDA_PLUS ** sh
             a, b = self._terms[bid]
             keep = (a * (lp * low) <= pa) & (b * (low / lp) <= pb)
@@ -345,12 +427,18 @@ class MomentEngine:
         cached = self._ursells.get(key)
         if cached is not None:
             return cached
+        # every block is evaluated, so the recorded moments do not depend on
+        # the order of the base ids.  A block of the sorted key is sorted,
+        # so moving its least shift to 0 makes it canonical
+        values = {}
+        for block in _BLOCKS[n]:
+            factors = [key[i] for i in block]
+            low = min([sh for _, sh in factors])
+            values[block] = self._moment_at(
+                tuple([(bid, sh - low) for bid, sh in factors]))
         total = 0.0
         for part in _PARTITIONS[n]:
-            # every block is evaluated, so the recorded moments do not
-            # depend on the order of the base ids
-            prod = math.prod([self.moment([key[i] for i in block])
-                              for block in part])
+            prod = math.prod([values[block] for block in part])
             total += _PARTITION_COEF[len(part)] * prod
         self._ursells[key] = total
         return total
@@ -400,9 +488,11 @@ class CorrelationEngine:
         self.conj = self.expansion.rates.conj
         self.engine = MomentEngine()
         self._insertion_ids: Dict[int, int] = {}
-        # observables are numbered by their canonical key; the composed base
-        # ids and contracted averages are cached per observable number
-        self._obs_ids: Dict[tuple, int] = {}
+        # observables are numbered by their canonical key, sigma (built once)
+        # as 0 without re-keying; the composed base ids and contracted
+        # averages are cached per observable number
+        self._sigma = sigma_series(force, max_order)
+        self._obs_ids: Dict[tuple, int] = {self._sigma.key(): 0}
         self._composed_cache: Dict[int, List[int]] = {}
         self._average_cache: Dict[Tuple[int, int], float] = {}
         self._cum_cache: Dict[tuple, Tuple[float, float]] = {}
@@ -426,8 +516,9 @@ class CorrelationEngine:
     # observables composed with the conjugation
     # ------------------------------------------------------------------
     def _obs_id(self, obs: ObservableSeries) -> int:
-        key = tuple(o.key() for o in obs.orders)
-        return self._obs_ids.setdefault(key, len(self._obs_ids))
+        if obs is self._sigma:
+            return 0
+        return self._obs_ids.setdefault(obs.key(), len(self._obs_ids))
 
     def composed_ids(self, obs: ObservableSeries, up_to: int) -> List[int]:
         """Base ids of (obs o H)^(n) for n = 0..up_to, computed lazily.
@@ -540,7 +631,8 @@ class CorrelationEngine:
         return self._shift_summed(self._resolve([obs], m), f"mean order {m}")
 
     def sigma_observable(self) -> ObservableSeries:
-        return sigma_series(self.force, self.max_order)
+        """sigma's eps-orders, built once per engine."""
+        return self._sigma
 
     def cumulant(self, n: int, m: int, obs: Optional[ObservableSeries] = None
                  ) -> float:

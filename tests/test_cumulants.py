@@ -6,8 +6,8 @@ import pytest
 
 from catflux import cumulants
 from catflux.cumulants import (CorrelationEngine, MomentEngine,
-                               ObservableSeries, _cut, _norm_form, build_table,
-                               sigma_series, transport_matrix)
+                               ObservableSeries, _canonical, _cut, _norm_form,
+                               build_table, sigma_series, transport_matrix)
 from catflux.torus import HarmonicForce
 from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, product_average
 from oracles import (ORACLE_EPS, eps_coefficient, orbit_cumulants,
@@ -422,6 +422,69 @@ class TestConnectedShifts:
                 value = eng.ursell(fixed + list(zip(free, lvec)))
                 assert value == 0.0, (fixed, free, lvec, value)
         assert dropped > 0 and kept > 0
+
+
+class TestMomentFixedPoint:
+    def check(self, eng, refs):
+        """A moment the fixed point rules out has a full, uncut product
+        average of exactly 0; every moment equals that average."""
+        full = product_average([shifted(eng, r) for r in refs])
+        ruled_out = not eng._may_cancel(_canonical(refs))
+        if ruled_out:
+            assert full == 0.0, (refs, full)
+        assert eng.moment(refs) == full, refs
+        return ruled_out
+
+    def test_ruled_out_moments_vanish(self):
+        rng = np.random.default_rng(2024)
+        ruled_out = kept = 0
+        for _ in range(300):
+            eng = MomentEngine()
+            refs = [(eng.register(random_real_poly(rng, rng.random() < 0.5)),
+                     int(rng.integers(-4, 5)))
+                    for _ in range(rng.integers(1, 5))]
+            if self.check(eng, refs):
+                ruled_out += 1
+            else:
+                kept += 1
+        assert ruled_out > 50 and kept > 50
+
+    def test_zero_polynomial_is_ruled_out(self):
+        eng = MomentEngine()
+        zero = eng.register(TrigPoly.zero())
+        one = eng.register(TrigPoly.const(1.0))
+        cos = eng.register(TrigPoly.cosine((1, 0), 1.0))
+        for refs in ([(zero, 0)], [(zero, 0), (one, 0)],
+                     [(zero, 0), (cos, 0), (cos, 0)]):
+            assert self.check(eng, refs)
+            assert eng.moment(refs) == 0.0
+
+    def test_one_large_shift_against_small_partners(self):
+        eng = MomentEngine()
+        cos = eng.register(TrigPoly.cosine((1, 0), 1.0))
+        with_const = eng.register(TrigPoly.const(1.0)
+                                  + TrigPoly.cosine((1, 0), 1.0))
+        small = [(cos, 0), (cos, 0)]
+        # without a constant the shifted factor cannot cancel; with one, the
+        # constant multiplies the partners' own average
+        assert self.check(eng, [(cos, 12)] + small)
+        assert not self.check(eng, [(with_const, 12)] + small)
+        assert eng.moment([(with_const, 12)] + small) != 0.0
+
+    def test_composed_moment_count(self, single_force, monkeypatch):
+        # build_table(sin psi1, 4) records 2,153 moments; the fixed point
+        # leaves 511 of them to compose (the one-shot cut left 1,788)
+        calls = []
+
+        def counting(factors):
+            calls.append(1)
+            return product_average(factors)
+
+        monkeypatch.setattr(cumulants, "product_average", counting)
+        eng = CorrelationEngine(single_force, max_order=4)
+        build_table(single_force, 4, engine=eng)
+        assert len(eng.engine.moments) == 2153
+        assert len(calls) == 511
 
 
 # the forces of the periodic-orbit oracle (orbit_cumulants in oracles.py)
