@@ -18,15 +18,23 @@ frequencies cancel, and |S0^k nu| grows like lambda_+^{|k|}.
 
 Means, C_n, joint cumulants and the Green-Kubo transport matrix are all
 connected correlations of shifted trigonometric polynomials, and all of
-them are MomentEngine.ursell summed over MomentEngine.connected_shifts.
+them are MomentEngine.ursell summed over the tuples that
+MomentEngine.connected_grid keeps.
 
-The insertion shifts are enumerated connected, not walked: S0 is symmetric,
-so composing with S0^l scales the projections nu.v_+- by lambda_+-^l, and
-a joint cumulant vanishes once one centred factor's smallest projection, in
-either eigendirection, exceeds the sum of its partners' largest.
-MomentEngine.connected_shifts evaluates that test as one numpy mask over
-the window's grid and yields only the survivors, in the walk's order, so
-the remaining terms are summed exactly as before.
+The shift tuples are enumerated connected, not walked: S0 is symmetric, so
+composing with S0^l scales the projections nu.v_+- by lambda_+-^l, and a
+joint cumulant vanishes once one centred factor's smallest projection, in
+either eigendirection, exceeds the sum of its partners' largest.  For each
+split of a family's order among its observables and insertions,
+MomentEngine.connected_tuples evaluates that test once, as one numpy mask
+over the joint grid of observable and insertion shifts (in slabs of
+observable tuples when the grid is large), cuts each observable tuple's
+insertion shifts to its own window, and returns the survivors grouped by
+observable tuple.  Only the tuples with a survivor are visited, in the
+walk's order, so the remaining terms are summed exactly as before.  Inside
+an Ursell sum, a partition with a singleton block of a centred factor (one
+without a constant term) is exactly 0, and neither it nor the blocks only
+it uses are evaluated.
 
 Most moments vanish by the same selection rule, and they are ruled out
 before anything is composed.  Each base keeps its per-term projections
@@ -36,7 +44,7 @@ a time, to its largest term that the sum of its partners' bounds can
 still cancel, until no bound shrinks.  A factor left without terms has no
 zero-sum frequency selection, and the moment is recorded as exactly 0
 without composing it.  A surviving moment composes only the terms of each
-factor that can cancel against its partners' largest projections.
+factor within the fixed point's final bounds.
 
 Average-only terms are contracted, not built: the zero-insertion term of a
 mean reads (obs o H)^(m) only at nu = 0, so it sums product_average over
@@ -52,18 +60,19 @@ SHIFT_WINDOW, must stay below SUFFICIENCY_TOL of the rest, or it raises.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .conjugation import (ExpansionRateSeries, chain_average, chain_order,
                           compositions, log1p_series)
 from .torus import HarmonicForce
-from .trig import (LAMBDA_PLUS, SQRT5, TrigPoly, V_MINUS, V_PLUS,
-                   product_average)
+from .trig import (LAMBDA_PLUS, PAIR_CHUNK, SQRT5, TrigPoly, V_MINUS,
+                   V_PLUS, product_average)
 
 # every shift sum is certified for this window; read at call time
 SHIFT_WINDOW = 12
@@ -129,10 +138,21 @@ _PARTITIONS = {n: [tuple(map(tuple, p)) for p in _set_partitions(list(range(n)))
                for n in range(2, ORDER_CAP + 1)}
 _PARTITION_COEF = {b: (-1.0) ** (b - 1) * math.factorial(b - 1)
                    for b in range(1, ORDER_CAP + 1)}
-# each block is an increasing index tuple; the distinct blocks per arity, in
-# the order the partitions first use them
-_BLOCKS = {n: list(dict.fromkeys(b for part in parts for b in part))
-           for n, parts in _PARTITIONS.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _ursell_plan(centred: Tuple[bool, ...]):
+    """The partitions of {0..n-1} (n = len(centred)) that an Ursell sum
+    evaluates, and their distinct blocks in the order of first use; each
+    block is an increasing index tuple.
+
+    A centred factor (no constant term) has a lone average of exactly 0,
+    so every partition with a singleton block of one is exactly 0 and is
+    left out, and so are the blocks that only such partitions use.
+    """
+    parts = tuple(part for part in _PARTITIONS[len(centred)]
+                  if not any(len(b) == 1 and centred[b[0]] for b in part))
+    return parts, tuple(dict.fromkeys(b for part in parts for b in part))
 
 
 FactorRef = Tuple[int, int]  # (base poly id, shift)
@@ -217,12 +237,14 @@ class MomentEngine:
     Base polynomials are registered once; factors are (base_id, shift) pairs
     and moments are canonicalized by translation invariance (subtract the
     minimum shift) before caching.  Each base keeps its per-term
-    eigen-projections (_term_projections), in term order and sorted.  They
-    rule out moments (_may_cancel) and whole cumulants (_cut) without ever
-    materializing the composed polynomial, and cut each factor of a moment
-    down to the terms that can cancel before it is composed.  Every
-    distinct computed moment is kept, which doubles as the record a
-    quadrature replay can re-evaluate.
+    eigen-projections (_term_projections), in term order and sorted, and
+    whether it is centred (has no constant term).  The projections rule out
+    whole cumulants over a grid of shift tuples (connected_grid) and single
+    moments (_may_cancel) without ever materializing the composed
+    polynomial, and cut each factor of a moment down to the terms within
+    the rule-out's final bounds before it is composed.  Every distinct
+    computed moment is kept, which doubles as the record a quadrature
+    replay can re-evaluate.
     """
 
     def __init__(self):
@@ -230,6 +252,7 @@ class MomentEngine:
         self._base_ids: Dict[bytes, int] = {}
         self._terms: List[Tuple[np.ndarray, np.ndarray]] = []
         self._sorted: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._centred: List[bool] = []
         self.moments: Dict[Tuple[FactorRef, ...], float] = {}
         self._ursells: Dict[Tuple[FactorRef, ...], float] = {}
 
@@ -243,6 +266,8 @@ class MomentEngine:
             a, b = _term_projections(poly)
             self._terms.append((a, b))
             self._sorted.append((np.sort(a), np.sort(b)))
+            self._centred.append(
+                not np.any((poly.n1 == 0) & (poly.n2 == 0)))
         return bid
 
     def _bounds(self, bid: int, lp, centred: bool):
@@ -268,51 +293,66 @@ class MomentEngine:
             amin = bmin = 0.0
         return lp * amin, lp * amax, bmin / lp, bmax / lp
 
-    def _maxima(self, bid: int, lp: float) -> Tuple[float, float]:
-        """The largest projections of a base with terms, composed with S0^l
-        and widened as in _bounds."""
-        high = 1.0 + PROJECTION_SLACK
-        a, b = self._sorted[bid]
-        return lp * (float(a[-1]) * high), float(b[-1]) * high / lp
-
-    def connected_grid(self, fixed: Sequence[FactorRef], free: Sequence[int],
-                       lo: int, hi: int):
-        """Mask over [lo, hi]^len(free): the shift tuples l at which the
-        joint cumulant of fixed + zip(free, l) can be nonzero; a bool when
-        free is empty.
+    def connected_grid(self, bids: Sequence[int],
+                       ranges: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Mask over the shift tuples of two or more factors, one axis per
+        factor: factor j, base bids[j], takes the shifts ranges[j] =
+        (lo, hi), and a cell is True where the joint cumulant of the
+        factors at its shifts can be nonzero.
 
         A joint cumulant of two or more factors ignores constant terms, so
         each factor is taken centred.  If one factor is cut (see _cut), no
         block containing it has a zero-sum frequency selection, and every
-        partition term of the cumulant vanishes.  Each bound scales by
-        lambda_+^l from Python's power, the scalar test's own, so the mask
-        agrees bit for bit with that test at each tuple.
+        partition term of the cumulant vanishes.  The bounds are listed in
+        factor order and each scales by lambda_+^l from Python's power, so
+        every cell agrees bit for bit with the scalar test at its tuple.
         """
-        s = len(free)
-        bounds = [self._bounds(bid, LAMBDA_PLUS ** sh, True) for bid, sh in fixed]
-        if s == 0:
-            return not _cut(bounds)
-        powers = np.array([LAMBDA_PLUS ** sh for sh in range(lo, hi + 1)])
-        for axis, bid in enumerate(free):
-            shape = [1] * s
+        bounds = []
+        for axis, (bid, (lo, hi)) in enumerate(zip(bids, ranges)):
+            shape = [1] * len(bids)
             shape[axis] = -1
+            powers = np.array([LAMBDA_PLUS ** sh for sh in range(lo, hi + 1)])
             bounds.append(self._bounds(bid, powers.reshape(shape), True))
-        return ~np.broadcast_to(_cut(bounds), (len(powers),) * s)
+        return ~np.broadcast_to(_cut(bounds),
+                                tuple(hi - lo + 1 for lo, hi in ranges))
 
-    def connected_shifts(self, fixed: Sequence[FactorRef], free: Sequence[int],
-                         lo: int, hi: int) -> Iterator[Tuple[int, ...]]:
-        """The tuples of connected_grid, in lexicographic order; every
-        tuple when fewer than two factors take part."""
-        if len(fixed) + len(free) < 2:
-            yield from itertools.product(range(lo, hi + 1), repeat=len(free))
-            return
-        keep = self.connected_grid(fixed, free, lo, hi)
-        if not free:
-            if keep:
-                yield ()
-            return
-        for idx in (np.argwhere(keep) + lo).tolist():
-            yield tuple(idx)
+    def connected_tuples(self, fixed: Sequence[int],
+                         ranges: Sequence[Tuple[int, int]],
+                         free: Sequence[int], reach: int
+                         ) -> Dict[Tuple[int, ...], np.ndarray]:
+        """The connected shift tuples of the factors fixed + free, from one
+        connected_grid mask, grouped by the shifts of fixed.
+
+        Factor j of fixed takes the shifts ranges[j] = (lo, hi); the free
+        shifts of a fixed tuple t run over its own window, from
+        min(t) - reach to max(t) + reach.  Maps each fixed tuple with a
+        survivor to its surviving free-shift tuples, one per row, both in
+        lexicographic order: the order of a walk over the tuples.
+        """
+        n, s = len(fixed), len(free)
+        lo = min(r[0] for r in ranges) - reach
+        hi = max(r[1] for r in ranges) + reach
+        keep = self.connected_grid(list(fixed) + list(free),
+                                   list(ranges) + [(lo, hi)] * s)
+        if s:
+            mesh = np.ix_(*[np.arange(a, b + 1) for a, b in ranges])
+            low = functools.reduce(np.minimum, mesh)[..., None] - reach
+            high = functools.reduce(np.maximum, mesh)[..., None] + reach
+            shifts = np.arange(lo, hi + 1)
+            inside = (shifts >= low) & (shifts <= high)
+            for axis in range(s):
+                shape = list(inside.shape[:n]) + [1] * s
+                shape[n + axis] = -1
+                keep &= inside.reshape(shape)
+        hits = np.argwhere(keep)
+        if not hits.size:
+            return {}
+        heads = hits[:, :n] + [r[0] for r in ranges]
+        starts = np.flatnonzero(np.r_[True, np.any(heads[1:] != heads[:-1],
+                                                   axis=1)]).tolist()
+        tails = hits[:, n:] + lo
+        return {tuple(heads[i].tolist()): tails[i:j]
+                for i, j in zip(starts, starts[1:] + [len(tails)])}
 
     def moment(self, refs: Sequence[FactorRef]) -> float:
         """Torus average of the product of the factors, cached; only the
@@ -325,15 +365,16 @@ class MomentEngine:
         """moment of a key that is already canonical (_canonical)."""
         val = self.moments.get(key)
         if val is None:
-            val = 0.0
-            if self._may_cancel(key):
-                val = product_average(self._cancelling(key))
+            tops = self._may_cancel(key)
+            val = product_average(self._cancelling(key, tops)) if tops else 0.0
             self.moments[key] = val
         return val
 
-    def _may_cancel(self, key: Sequence[FactorRef]) -> bool:
-        """Whether the factors of a moment may have a zero-sum frequency
-        selection; False proves the moment exactly 0.
+    def _may_cancel(self, key: Sequence[FactorRef]
+                    ) -> Optional[List[Tuple[float, float]]]:
+        """Per factor, the largest unscaled projections (a, b) that a
+        zero-sum frequency selection of the factors may use; None proves
+        the moment exactly 0.
 
         A term of a selection has a scaled projection of at most the sum
         of its partners' terms in the selection, in both eigendirections.
@@ -354,12 +395,11 @@ class MomentEngine:
         for bid, sh in key:
             a, b = self._sorted[bid]
             if not a.size:
-                return False
+                return None
             lp = LAMBDA_PLUS ** sh
             factors.append([a, b, lp, float(a[-1]), float(b[-1])])
-            amax, bmax = self._maxima(bid, lp)
-            ahi.append(amax)
-            bhi.append(bmax)
+            ahi.append(lp * (float(a[-1]) * high))
+            bhi.append(float(b[-1]) * high / lp)
         shrunk = True
         while shrunk:
             shrunk = False
@@ -376,42 +416,33 @@ class MomentEngine:
                 if alim < atop:
                     count = int(a.searchsorted(alim, "right"))
                     if not count:
-                        return False
+                        return None
                     factor[3] = float(a[count - 1])
                     ahi[j] = lp * (factor[3] * high)
                     shrunk = True
                 if blim < btop:
                     count = int(b.searchsorted(blim, "right"))
                     if not count:
-                        return False
+                        return None
                     factor[4] = float(b[count - 1])
                     bhi[j] = factor[4] * high / lp
                     shrunk = True
-        return True
+        return [(factor[3], factor[4]) for factor in factors]
 
-    def _cancelling(self, key: Sequence[FactorRef]) -> List[TrigPoly]:
-        """The factors of a moment, each cut down to the terms that can
-        cancel and then composed with its shift.
+    def _cancelling(self, key: Sequence[FactorRef],
+                    tops: Sequence[Tuple[float, float]]) -> List[TrigPoly]:
+        """The factors of a moment, each cut down to the terms within its
+        bounds from _may_cancel (tops) and then composed with its shift.
 
-        A term of a zero-sum selection is minus the sum of one term from
-        each partner, so its scaled projection is at most the sum of the
-        partners' largest, in both eigendirections.  A term above that has
-        no zero-sum selection and adds nothing to the average; dropping it
-        is exact.  Only the survivors are composed, which keeps the
-        composed frequencies far below the int64 limit.
+        Every term of a zero-sum selection lies within those bounds; a term
+        outside them adds nothing to the average, and dropping it is exact.
+        Only the survivors are composed, which keeps the composed
+        frequencies far below the int64 limit.
         """
-        low = 1.0 - PROJECTION_SLACK
-        maxima = [self._maxima(bid, LAMBDA_PLUS ** sh) for bid, sh in key]
         out = []
-        for j, (bid, sh) in enumerate(key):
-            pa = pb = 0.0
-            for k, other in enumerate(maxima):
-                if k != j:
-                    pa += other[0]
-                    pb += other[1]
-            lp = LAMBDA_PLUS ** sh
+        for (bid, sh), (atop, btop) in zip(key, tops):
             a, b = self._terms[bid]
-            keep = (a * (lp * low) <= pa) & (b * (low / lp) <= pb)
+            keep = (a <= atop) & (b <= btop)
             poly = self.bases[bid]
             if not keep.all():
                 poly = poly.take(keep)
@@ -427,17 +458,20 @@ class MomentEngine:
         cached = self._ursells.get(key)
         if cached is not None:
             return cached
-        # every block is evaluated, so the recorded moments do not depend on
-        # the order of the base ids.  A block of the sorted key is sorted,
-        # so moving its least shift to 0 makes it canonical
+        # which blocks are evaluated depends on the factors alone, so the
+        # recorded moments do not depend on the order of the base ids.  A
+        # block of the sorted key is sorted, so moving its least shift to 0
+        # makes it canonical
+        parts, blocks = _ursell_plan(
+            tuple([self._centred[bid] for bid, _ in key]))
         values = {}
-        for block in _BLOCKS[n]:
+        for block in blocks:
             factors = [key[i] for i in block]
             low = min([sh for _, sh in factors])
             values[block] = self._moment_at(
                 tuple([(bid, sh - low) for bid, sh in factors]))
         total = 0.0
-        for part in _PARTITIONS[n]:
+        for part in parts:
             prod = math.prod([values[block] for block in part])
             total += _PARTITION_COEF[len(part)] * prod
         self._ursells[key] = total
@@ -587,37 +621,48 @@ class CorrelationEngine:
                for obs, mo in zip(observables, min_orders)]
         return _Resolved(m, oids, ids, min_orders, None)
 
-    def _cumulant_at(self, fam: _Resolved, shifts: Sequence[int]
-                     ) -> Tuple[float, float]:
+    def _splits(self, fam: _Resolved
+                ) -> List[Tuple[List[int], List[int], float]]:
+        """(observable base ids, insertion base ids, 1/s!) of each split of
+        the family's order with s insertions, in summation order.
+
+        A split with a zero observable is left out; a lone observable's
+        zero-insertion term is its average, which needs no split.
+        """
+        out = []
+        first = 0 if fam.average is None else 1
+        for s in range(first, fam.m - sum(fam.min_orders) + 1):
+            weight = 1.0 / math.factorial(s)
+            for obs_orders, ins_orders in _mixed_splits(fam.min_orders, s,
+                                                        fam.m):
+                obs = [fam.ids[i][o] for i, o in enumerate(obs_orders)]
+                if all(self.engine.bases[bid] for bid in obs):
+                    out.append((obs, [self._insertion_id(q)
+                                      for q in ins_orders], weight))
+        return out
+
+    def _cumulant_at(self, fam: _Resolved, shifts: Sequence[int],
+                     terms: Sequence[tuple]) -> Tuple[float, float]:
         """The family's joint SRB cumulant at these observable shifts, and
         its rim: the part whose insertion shifts leave [lo, hi], the
-        observable shifts' span widened by SHIFT_WINDOW."""
-        m = fam.m
-        key = (tuple(sorted(zip(fam.oids, shifts))), m)
+        observable shifts' span widened by SHIFT_WINDOW.  terms pairs each
+        split with its connected insertion-shift lists at these shifts."""
+        key = (tuple(sorted(zip(fam.oids, shifts))), fam.m)
         cached = self._cum_cache.get(key)
         if cached is not None:
             return cached
-        ids = fam.ids
         lo, hi = min(shifts) - SHIFT_WINDOW, max(shifts) + SHIFT_WINDOW
         # the zero-insertion term of a lone observable is its average
-        total, s_first = (0.0, 0) if fam.average is None else (fam.average, 1)
+        total = 0.0 if fam.average is None else fam.average
         rim = 0.0
-        for s in range(s_first, m - sum(fam.min_orders) + 1):
-            weight = 1.0 / math.factorial(s)
-            for obs_orders, ins_orders in _mixed_splits(fam.min_orders, s, m):
-                base_refs = [(ids[i][obs_orders[i]], shifts[i])
-                             for i in range(len(ids))]
-                if any(not self.engine.bases[r[0]] for r in base_refs):
-                    continue
-                ins_ids = [self._insertion_id(q) for q in ins_orders]
-                for lvec in self.engine.connected_shifts(
-                        base_refs, ins_ids, lo - SUFFICIENCY_EXTRA,
-                        hi + SUFFICIENCY_EXTRA):
-                    refs = base_refs + list(zip(ins_ids, lvec))
-                    term = weight * self.engine.ursell(refs)
-                    total += term
-                    if term and any(l < lo or l > hi for l in lvec):
-                        rim += term
+        for (obs, ins, weight), lvecs in terms:
+            base_refs = list(zip(obs, shifts))
+            for lvec in lvecs:
+                term = weight * self.engine.ursell(base_refs
+                                                   + list(zip(ins, lvec)))
+                total += term
+                if term and any(l < lo or l > hi for l in lvec):
+                    rim += term
         self._cum_cache[key] = total, rim
         return total, rim
 
@@ -656,35 +701,63 @@ class CorrelationEngine:
         """The family's sum over its observable shifts, certified; a tuple
         with an observable shift beyond SHIFT_WINDOW is rim as a whole."""
         total = rim = 0.0
-        for shifts in self._observable_shifts(fam):
-            val, edge = self._cumulant_at(fam, list(shifts) + [0])
+        for shifts, terms in self._connected_terms(fam):
+            val, edge = self._cumulant_at(fam, shifts, terms)
             total += val
             rim += val if any(abs(k) > SHIFT_WINDOW for k in shifts) else edge
         return _certified(total, rim, what)
 
-    def _observable_shifts(self, fam: _Resolved) -> Iterable[Tuple[int, ...]]:
-        """The observable-shift tuples to sum, in lexicographic order; the
-        one empty tuple for a lone observable.
+    def _connected_terms(self, fam: _Resolved) -> Iterator[tuple]:
+        """(observable shifts, terms for _cumulant_at) of each observable-
+        shift tuple with a connected term in some split, in lexicographic
+        order; the last observable sits at shift 0, and a lone observable's
+        one tuple is always visited, for its average.
 
-        When the family's orders leave no room for an insertion (m is the
-        sum of the minimum orders), each split is one fixed set of factors,
-        and a tuple cut for every split has a joint cumulant of exactly 0:
-        only the union of the connected survivors over the splits is
-        visited.  Other families walk the whole window.
+        Each split's survivors come from one connected_tuples mask per slab
+        of observable tuples; the slabs tile the window in lexicographic
+        order and hold about PAIR_CHUNK cells of the joint grid, or one
+        tuple's insertion grid when that is larger.
         """
-        s = len(fam.oids) - 1
-        if s == 0:
-            return [()]
+        splits = self._splits(fam)
         window = SHIFT_WINDOW + SUFFICIENCY_EXTRA
-        if fam.m != sum(fam.min_orders):
-            return itertools.product(range(-window, window + 1), repeat=s)
-        alive = np.zeros((2 * window + 1,) * s, dtype=bool)
-        for obs_orders, _ in _mixed_splits(fam.min_orders, 0, fam.m):
-            ids = [fam.ids[i][o] for i, o in enumerate(obs_orders)]
-            if all(self.engine.bases[bid] for bid in ids):
-                alive |= self.engine.connected_grid([(ids[-1], 0)], ids[:-1],
-                                                    -window, window)
-        return [tuple(idx) for idx in (np.argwhere(alive) - window).tolist()]
+        widest = max([len(ins) for _, ins, _ in splits], default=0)
+        for ranges in _slabs(len(fam.ids) - 1, window,
+                             (4 * window + 1) ** widest):
+            ranges = ranges + [(0, 0)]
+            found = [self.engine.connected_tuples(obs, ranges, ins, window)
+                     for obs, ins, _ in splits]
+            heads = ([(0,)] if fam.average is not None
+                     else sorted(set().union(*found)))
+            for head in heads:
+                yield list(head), [(split, tails[head].tolist()
+                                    if head in tails else [])
+                                   for split, tails in zip(splits, found)]
+
+
+def _slabs(axes: int, window: int, cells: int
+           ) -> Iterator[List[Tuple[int, int]]]:
+    """Boxes of observable-shift tuples that tile [-window, window]^axes in
+    lexicographic order; a box holds about PAIR_CHUNK // cells tuples, or
+    one.
+
+    Leading axes are taken one value at a time until a value of the next
+    axis, with the remaining axes whole, fits; that axis is then cut into
+    runs of as many values as fit.
+    """
+    if not axes:
+        yield []
+        return
+    span = 2 * window + 1
+    lead = 0
+    while lead < axes - 1 and span ** (axes - lead - 1) * cells > PAIR_CHUNK:
+        lead += 1
+    rest = axes - lead - 1
+    step = max(1, PAIR_CHUNK // (span ** rest * cells))
+    for head in itertools.product(range(-window, window + 1), repeat=lead):
+        for start in range(-window, window + 1, step):
+            yield ([(v, v) for v in head]
+                   + [(start, min(start + step - 1, window))]
+                   + [(-window, window)] * rest)
 
 
 @dataclass
@@ -742,7 +815,7 @@ def transport_matrix(force_family: Sequence[HarmonicForce]) -> TransportMatrix:
     Each family member's amplitude is an independent coupling, so
     J_i^(0) = -g_i with g_i the member's unit Jacobian polynomial.  The
     connected correlation is the engine's Ursell function of the pair,
-    summed over the k that connected_shifts keeps, and certified.
+    summed over the k that connected_grid keeps, and certified.
     """
     engine = MomentEngine()
     ids = [engine.register(-1.0 * fam.jacobian_poly()) for fam in force_family]
@@ -752,8 +825,9 @@ def transport_matrix(force_family: Sequence[HarmonicForce]) -> TransportMatrix:
     for i in range(s):
         for j in range(s):
             total = rim = 0.0
-            for k, in engine.connected_shifts([(ids[j], 0)], [ids[i]],
-                                              -wide, wide):
+            keep = engine.connected_grid([ids[j], ids[i]],
+                                         [(0, 0), (-wide, wide)])[0]
+            for k in (np.flatnonzero(keep) - wide).tolist():
                 term = engine.ursell([(ids[i], k), (ids[j], 0)])
                 total += term
                 if abs(k) > SHIFT_WINDOW:

@@ -64,7 +64,8 @@ COEFF_TOL = 1e-14
 # near p ~ 35 first, where frequencies reach ~lambda_+^35 ~ 5e14
 MAX_P = 60
 # products form their frequency pairs in chunks of about this many pairs,
-# so that the peak memory of one product stays bounded
+# and shift sums test their shift tuples in slabs of about this many cells
+# (cumulants._slabs), so that the peak memory of one step stays bounded
 PAIR_CHUNK = 1 << 20
 # relative rounding bound of the float64 composition shadow: a11 n1 + a12 n2
 # rounds each entry, each frequency, both products and the sum (5 roundings

@@ -1,15 +1,18 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from catflux import cumulants
-from catflux.cumulants import (CorrelationEngine, MomentEngine,
+from catflux.cumulants import (_PARTITIONS, CorrelationEngine, MomentEngine,
                                ObservableSeries, _canonical, _cut, _norm_form,
-                               build_table, sigma_series, transport_matrix)
+                               _slabs, build_table, sigma_series,
+                               transport_matrix)
 from catflux.torus import HarmonicForce
-from catflux.trig import LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, product_average
+from catflux.trig import (LAMBDA_MINUS, LAMBDA_PLUS, PAIR_CHUNK, TrigPoly,
+                          product_average)
 from oracles import (ORACLE_EPS, eps_coefficient, orbit_cumulants,
                      replay_moments_on_grid)
 
@@ -91,11 +94,15 @@ class TestMeans:
         assert ruled_out > 100
 
     def test_cancelling_terms_give_every_moment(self, single_engine,
-                                                single_table, two_engine,
-                                                two_table):
+                                                single_table, two_force):
         # a moment composes only the terms of each factor that can cancel;
-        # the full shifted factors give the same averages
-        for eng in (single_engine.engine, two_engine.engine):
+        # the full shifted factors give the same averages.  The eps^3
+        # two-harmonic table records fewer than 50 moments, so a fresh
+        # engine adds those of a sigma-OBS joint cumulant
+        two = CorrelationEngine(two_force, max_order=3)
+        build_table(two_force, 3, engine=two)
+        two.joint_cumulant((1, 2), 3, OBS)
+        for eng in (single_engine.engine, two.engine):
             assert len(eng.moments) >= 50
             for key, value in eng.moments.items():
                 full = product_average([shifted(eng, r) for r in key])
@@ -273,11 +280,28 @@ class TestWindowsAndOracle:
 
 
 class FullWindowMoments(MomentEngine):
-    """Brute-force oracle: every insertion-shift tuple of the window, as
-    the shift sums walked them before connected_shifts pruned them."""
+    """Brute-force oracle: every shift tuple of the window, observable and
+    insertion shifts alike, as a walk without the connectivity mask."""
 
-    def connected_shifts(self, fixed, free, lo, hi):
-        return itertools.product(range(lo, hi + 1), repeat=len(free))
+    def connected_grid(self, bids, ranges):
+        return np.ones([hi - lo + 1 for lo, hi in ranges], dtype=bool)
+
+
+def tuple_survivors(eng, fixed, free, lo, hi):
+    """The insertion-shift tuples of [lo, hi] that pass the connectivity
+    test with the fixed factors, one fixed tuple at a time, as the shift
+    sums enumerated them before the joint mask: fixed bounds are scalars,
+    each free axis an array, and the bounds are listed fixed first."""
+    bounds = [eng._bounds(bid, LAMBDA_PLUS ** sh, True) for bid, sh in fixed]
+    if not free:
+        return [] if _cut(bounds) else [()]
+    powers = np.array([LAMBDA_PLUS ** sh for sh in range(lo, hi + 1)])
+    for axis, bid in enumerate(free):
+        shape = [1] * len(free)
+        shape[axis] = -1
+        bounds.append(eng._bounds(bid, powers.reshape(shape), True))
+    keep = ~np.broadcast_to(_cut(bounds), (len(powers),) * len(free))
+    return [tuple(idx) for idx in (np.argwhere(keep) + lo).tolist()]
 
 
 def shifted(eng, ref):
@@ -290,6 +314,11 @@ def full_window_table(force, order):
     eng = CorrelationEngine(force, max_order=order)
     eng.engine = FullWindowMoments()
     return build_table(force, order, engine=eng)
+
+
+def listed(tuples):
+    """connected_tuples' map as (fixed shifts, free-shift lists) pairs."""
+    return [(head, tails.tolist()) for head, tails in tuples.items()]
 
 
 def table_entries(table):
@@ -394,7 +423,7 @@ class TestConnectedShifts:
                     for key in eng.moments}
 
         assert recorded(primed.engine) == recorded(plain.engine)
-        assert len(plain.engine.moments) == 2153
+        assert len(plain.engine.moments) == 1846
 
     @pytest.mark.parametrize("window", [4, 5, 6])
     def test_dropped_tuples_have_zero_ursell(self, window):
@@ -407,13 +436,20 @@ class TestConnectedShifts:
                      for _ in range(rng.integers(1, 3))]
             free = [eng.register(random_real_poly(rng, False))
                     for _ in range(rng.integers(0, 3))]
+            if len(fixed) + len(free) < 2:
+                # a lone factor is no joint cumulant: a lone observable's
+                # term is its average, which needs no mask
+                continue
             shifts = [sh for _, sh in fixed]
             lo, hi = min(shifts) - window, max(shifts) + window
-            survivors = list(eng.connected_shifts(fixed, free, lo, hi))
+            keep = eng.connected_grid(
+                [bid for bid, _ in fixed] + free,
+                [(sh, sh) for sh in shifts] + [(lo, hi)] * len(free))
+            alive = {tuple(idx[len(fixed):])
+                     for idx in (np.argwhere(keep) + lo).tolist()}
             grid = list(itertools.product(range(lo, hi + 1),
                                           repeat=len(free)))
-            alive = set(survivors)
-            assert survivors == [l for l in grid if l in alive]
+            assert alive == set(tuple_survivors(eng, fixed, free, lo, hi))
             for lvec in grid:
                 if lvec in alive:
                     kept += 1
@@ -422,6 +458,56 @@ class TestConnectedShifts:
                 value = eng.ursell(fixed + list(zip(free, lvec)))
                 assert value == 0.0, (fixed, free, lvec, value)
         assert dropped > 0 and kept > 0
+
+    @pytest.mark.parametrize("window", [4, 5, 6])
+    def test_joint_survivors_equal_per_tuple_walk(self, window):
+        # one mask over the joint grid of observable and insertion shifts
+        # keeps, per observable tuple, exactly the insertion tuples of its
+        # own window that the per-tuple test keeps, in the same order; a
+        # box cut into two slabs gives the same survivors
+        rng = np.random.default_rng(2000 + window)
+        found = 0
+        for _ in range(12):
+            eng = MomentEngine()
+            obs = [eng.register(random_real_poly(rng, rng.random() < 0.5))
+                   for _ in range(rng.integers(2, 4))]
+            ins = [eng.register(random_real_poly(rng, False))
+                   for _ in range(rng.integers(0, 3))]
+            ranges = [(-window, window)] * (len(obs) - 1) + [(0, 0)]
+            joint = eng.connected_tuples(obs, ranges, ins, window)
+            want = {}
+            for head in itertools.product(range(-window, window + 1),
+                                          repeat=len(obs) - 1):
+                shifts = head + (0,)
+                tails = tuple_survivors(eng, list(zip(obs, shifts)), ins,
+                                        min(shifts) - window,
+                                        max(shifts) + window)
+                if tails:
+                    want[shifts] = [list(t) for t in tails]
+            assert listed(joint) == list(want.items())
+            halves = [eng.connected_tuples(obs, [(a, b)] + ranges[1:], ins,
+                                           window)
+                      for a, b in ((-window, 0), (1, window))]
+            assert listed(halves[0]) + listed(halves[1]) == list(want.items())
+            found += len(want)
+        assert found > 0
+
+    @pytest.mark.parametrize("axes, cells", [(0, 31 ** 4), (1, 61 ** 3),
+                                             (2, 61 ** 3), (3, 61), (2, 1)])
+    def test_slabs_tile_the_window_in_order(self, axes, cells):
+        # the slabs walk every observable tuple once, in lexicographic
+        # order, and none holds more than PAIR_CHUNK cells unless it is a
+        # single tuple
+        window = 15
+        boxes = list(_slabs(axes, window, cells))
+        walked = [t for box in boxes
+                  for t in itertools.product(*[range(a, b + 1)
+                                               for a, b in box])]
+        assert walked == list(itertools.product(range(-window, window + 1),
+                                                repeat=axes))
+        for box in boxes:
+            size = math.prod(b - a + 1 for a, b in box)
+            assert size == 1 or size * cells <= PAIR_CHUNK
 
 
 class TestMomentFixedPoint:
@@ -472,19 +558,52 @@ class TestMomentFixedPoint:
         assert eng.moment([(with_const, 12)] + small) != 0.0
 
     def test_composed_moment_count(self, single_force, monkeypatch):
-        # build_table(sin psi1, 4) records 2,153 moments; the fixed point
-        # leaves 511 of them to compose (the one-shot cut left 1,788)
+        # build_table(sin psi1, 4) records 1,846 moments; the fixed point
+        # leaves 510 of them to compose (the one-shot cut left 1,788), and
+        # its final bounds keep 12,375 of their factors' terms
         calls = []
 
         def counting(factors):
-            calls.append(1)
+            calls.append(sum(len(f) for f in factors))
             return product_average(factors)
 
         monkeypatch.setattr(cumulants, "product_average", counting)
         eng = CorrelationEngine(single_force, max_order=4)
         build_table(single_force, 4, engine=eng)
-        assert len(eng.engine.moments) == 2153
-        assert len(calls) == 511
+        assert len(eng.engine.moments) == 1846
+        assert len(calls) == 510
+        assert sum(calls) == 12375
+
+
+class TestUrsellPlan:
+    def test_equals_full_moebius_sum(self):
+        # dyadic factors, with and without constants: ursell equals the
+        # Moebius sum over every partition exactly, and a block it does not
+        # evaluate appears only in partitions with a singleton block of a
+        # centred factor, whose lone average is 0
+        rng = np.random.default_rng(77)
+        skipped = 0
+        for _ in range(120):
+            eng = MomentEngine()
+            n = int(rng.integers(2, 6))
+            refs = [(eng.register(random_real_poly(rng, rng.random() < 0.5)),
+                     int(rng.integers(-2, 3))) for _ in range(n)]
+            value = eng.ursell(refs)
+            key = _canonical(refs)
+            centred = [eng.bases[bid].average() == 0.0 for bid, _ in key]
+            total = 0.0
+            for part in _PARTITIONS[n]:
+                total += ((-1) ** (len(part) - 1) * math.factorial(len(part) - 1)
+                          * math.prod(product_average([shifted(eng, key[i])
+                                                       for i in block])
+                                      for block in part))
+                lone = any(len(b) == 1 and centred[b[0]] for b in part)
+                for block in part:
+                    if _canonical([key[i] for i in block]) not in eng.moments:
+                        assert lone, (key, part, block)
+                        skipped += 1
+            assert value == total, (key, value, total)
+        assert skipped > 0
 
 
 # the forces of the periodic-orbit oracle (orbit_cumulants in oracles.py)
@@ -545,7 +664,7 @@ class TestPeriodicOrbitOracle:
                 "C4_4": eps_coefficient(values, 3, 4, 1)}
         eng = CorrelationEngine(two_force, max_order=4)
         table = build_table(two_force, 4, engine=eng)
-        assert len(eng.engine.moments) == 2655
+        assert len(eng.engine.moments) == 2337
         got = {"mean4": table.mean[4], "C2_4": table.C[2][4],
                "C3_4": table.C[3][4], "C4_4": table.C[4][4]}
         for key in want:
