@@ -21,30 +21,36 @@ connected correlations of shifted trigonometric polynomials, and all of
 them are MomentEngine.ursell summed over the tuples that
 MomentEngine.connected_grid keeps.
 
-The shift tuples are enumerated connected, not walked: S0 is symmetric, so
-composing with S0^l scales the projections nu.v_+- by lambda_+-^l, and a
-joint cumulant vanishes once one centred factor's smallest projection, in
-either eigendirection, exceeds the sum of its partners' largest.  For each
-split of a family's order among its observables and insertions,
-MomentEngine.connected_tuples evaluates that test once, as one numpy mask
-over the joint grid of observable and insertion shifts (in slabs of
-observable tuples when the grid is large), cuts each observable tuple's
-insertion shifts to its own window, and returns the survivors grouped by
-observable tuple.  Only the tuples with a survivor are visited, in the
-walk's order, so the remaining terms are summed exactly as before.  Inside
-an Ursell sum, a partition with a singleton block of a centred factor (one
-without a constant term) is exactly 0, and neither it nor the blocks only
-it uses are evaluated.
+The shift tuples are enumerated connected, not walked.  S0 is symmetric,
+so composing with S0^l scales the projections nu.v_+- by lambda_+-^l, and
+one selection rule, _fixed_point, rules out shift tuples and moments alike.
+A term of a zero-sum frequency selection that uses every factor has, in
+either eigendirection, a scaled projection of at most the sum of its
+partners' terms in the selection.  Each factor's bound starts at its
+largest scaled projection.  The first step is the one-shot test: a factor
+whose smallest usable projection exceeds the sum of its partners' bounds
+has no selection.  The rounds that follow shrink each bound, one
+eigendirection at a time, to the largest term that the partners' bounds
+can still cancel, until no bound shrinks; a factor left without terms has
+no selection either.
 
-Most moments vanish by the same selection rule, and they are ruled out
-before anything is composed.  Each base keeps its per-term projections
-sorted; starting from every factor's largest scaled projections,
-MomentEngine._may_cancel shrinks each factor's bound, one eigendirection at
-a time, to its largest term that the sum of its partners' bounds can
-still cancel, until no bound shrinks.  A factor left without terms has no
-zero-sum frequency selection, and the moment is recorded as exactly 0
-without composing it.  A surviving moment composes only the terms of each
-factor within the fixed point's final bounds.
+A joint cumulant of two or more factors ignores constant terms, so over a
+grid of shift tuples the rule runs on centred factors
+(MomentEngine.connected_grid).  For each split of a family's order among
+its observables and insertions, MomentEngine.connected_tuples evaluates it
+once, as one numpy mask over the joint grid of observable and insertion
+shifts (in slabs of observable tuples when the grid is large), cuts each
+observable tuple's insertion shifts to its own window, and returns the
+survivors grouped by observable tuple.  Only the tuples with a survivor are
+visited, in the walk's order, so the remaining terms are summed exactly as
+before.  Inside an Ursell sum, a partition with a singleton block of a
+centred factor (one without a constant term) is exactly 0, and neither it
+nor the blocks only it uses are evaluated.
+
+A moment runs the rule on its uncentred factors (MomentEngine._may_cancel).
+A moment it rules out is recorded as exactly 0 without composing it; a
+surviving moment composes only the terms of each factor within the final
+bounds.
 
 Average-only terms are contracted, not built: the zero-insertion term of a
 mean reads (obs o H)^(m) only at nu = 0, so it sums product_average over
@@ -202,25 +208,74 @@ def _term_projections(poly: TrigPoly) -> Tuple[np.ndarray, np.ndarray]:
             np.where(nonzero, np.abs(b), 0.0))
 
 
-def _cut(bounds):
-    """Whether some factor's smallest projection exceeds the sum of its
-    partners' largest, in either eigendirection.
+def _fixed_point(projections: Sequence[Tuple[np.ndarray, np.ndarray]],
+                 scales: Sequence, first: Sequence[int]) -> tuple:
+    """Whether the factors can have a zero-sum frequency selection that uses
+    every factor, and per factor the largest unscaled projections (a, b)
+    that one may use.
 
-    bounds holds (amin, amax, bmin, bmax) per factor, as floats or as numpy
-    arrays that broadcast together; the result is a bool or a mask.  A cut
-    factor has no zero-sum frequency selection with any subset of its
-    partners.  Each partner sum is summed directly: "total minus own term"
-    would cancel when one term dominates.
+    Factor j has the sorted projections projections[j], usable from index
+    first[j] on, scaled by scales[j] = lambda_+^l.  For one tuple of shifts
+    the scales are floats, and the result is a bool and the bounds.  Over
+    a grid of tuples they are arrays that broadcast together, the result is
+    a mask over the grid and None, and the rounds run only on the cells
+    that the first step keeps.  Bounds are widened by PROJECTION_SLACK, and
+    each partner sum is summed directly: "total minus own" would cancel
+    when one factor dominates.
     """
-    cut = False
-    for low, high in ((0, 1), (2, 3)):
-        for j, own in enumerate(bounds):
-            partners = 0.0
-            for k, other in enumerate(bounds):
-                if k != j:
-                    partners = partners + other[high]
-            cut = cut | (own[low] > partners)
-    return cut
+    low, high = 1.0 - PROJECTION_SLACK, 1.0 + PROJECTION_SLACK
+    if any(a.size <= f for (a, _), f in zip(projections, first)):
+        return False, None
+    tops = [[float(a[-1]), float(b[-1])] for a, b in projections]
+    ahi = [lp * (a * high) for lp, (a, _) in zip(scales, tops)]
+    bhi = [b * high / lp for lp, (_, b) in zip(scales, tops)]
+
+    def partners(j):
+        pa = pb = 0.0
+        for k in range(len(ahi)):
+            if k != j:
+                pa, pb = pa + ahi[k], pb + bhi[k]
+        return pa, pb
+
+    keep = True
+    for j, ((a, b), lp, f) in enumerate(zip(projections, scales, first)):
+        pa, pb = partners(j)
+        keep = (keep & (lp * (float(a[f]) * low) <= pa)
+                & (float(b[f]) * low / lp <= pb))
+    grid = isinstance(keep, np.ndarray)
+    if grid:
+        cells = np.nonzero(keep)
+        scales, ahi, bhi = ([np.broadcast_to(x, keep.shape)[cells] for x in xs]
+                            for xs in (scales, ahi, bhi))
+    elif not keep:
+        return False, None
+    # a cell needs a search only where a limit falls below its bound; the
+    # bounds only shrink, so a search elsewhere would find the bound again
+    anywhere = np.ndarray.any if grid else bool
+    live = keep[cells] if grid else True
+    shrunk = True
+    while shrunk and anywhere(live):
+        shrunk = False
+        for j, ((a, b), lp, f) in enumerate(zip(projections, scales, first)):
+            pa, pb = partners(j)
+            alim, blim = pa / (lp * low), pb * lp / low
+            top = tops[j]
+            if anywhere(live & (alim < top[0])):
+                count = a.searchsorted(alim, "right")
+                live = live & (count > f)
+                top[0] = a[count - 1]
+                ahi[j] = lp * (top[0] * high)
+                shrunk = True
+            if anywhere(live & (blim < top[1])):
+                count = b.searchsorted(blim, "right")
+                live = live & (count > f)
+                top[1] = b[count - 1]
+                bhi[j] = top[1] * high / lp
+                shrunk = True
+    if grid:
+        keep[cells] = live
+        return keep, None
+    return bool(live), tops
 
 
 def _canonical(refs: Sequence[FactorRef]) -> Tuple[FactorRef, ...]:
@@ -238,13 +293,13 @@ class MomentEngine:
     and moments are canonicalized by translation invariance (subtract the
     minimum shift) before caching.  Each base keeps its per-term
     eigen-projections (_term_projections), in term order and sorted, and
-    whether it is centred (has no constant term).  The projections rule out
-    whole cumulants over a grid of shift tuples (connected_grid) and single
-    moments (_may_cancel) without ever materializing the composed
-    polynomial, and cut each factor of a moment down to the terms within
-    the rule-out's final bounds before it is composed.  Every distinct
-    computed moment is kept, which doubles as the record a quadrature
-    replay can re-evaluate.
+    whether it is centred (has no constant term).  One selection rule on
+    the projections, _fixed_point, rules out whole cumulants over a grid of
+    shift tuples (connected_grid) and single moments (_may_cancel) without
+    ever materializing the composed polynomial; a moment it keeps is
+    composed from the terms of each factor within the rule's final bounds.
+    Every distinct computed moment is kept, which doubles as the record a
+    quadrature replay can re-evaluate.
     """
 
     def __init__(self):
@@ -270,29 +325,6 @@ class MomentEngine:
                 not np.any((poly.n1 == 0) & (poly.n2 == 0)))
         return bid
 
-    def _bounds(self, bid: int, lp, centred: bool):
-        """(amin, amax, bmin, bmax) of base bid composed with S0^l, given
-        lp = lambda_+^l (a float or an array), widened by PROJECTION_SLACK.
-
-        S0 is symmetric, so (S0^l nu).v_+- = lambda_+-^l (nu.v_+-).  Only
-        the zero frequency projects to 0, so it sorts first and the minima
-        over the nonzero frequencies are the next entries (inf if there are
-        none).  Uncentred, a constant term is a zero frequency and the
-        minima drop to 0.
-        """
-        low, high = 1.0 - PROJECTION_SLACK, 1.0 + PROJECTION_SLACK
-        a, b = self._sorted[bid]
-        const = int(a.size > 0 and a[0] == 0.0)
-        if a.size == const:
-            amin = bmin = math.inf
-            amax = bmax = 0.0
-        else:
-            amin, bmin = float(a[const]) * low, float(b[const]) * low
-            amax, bmax = float(a[-1]) * high, float(b[-1]) * high
-        if const and not centred:
-            amin = bmin = 0.0
-        return lp * amin, lp * amax, bmin / lp, bmax / lp
-
     def connected_grid(self, bids: Sequence[int],
                        ranges: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Mask over the shift tuples of two or more factors, one axis per
@@ -301,20 +333,21 @@ class MomentEngine:
         factors at its shifts can be nonzero.
 
         A joint cumulant of two or more factors ignores constant terms, so
-        each factor is taken centred.  If one factor is cut (see _cut), no
-        block containing it has a zero-sum frequency selection, and every
-        partition term of the cumulant vanishes.  The bounds are listed in
-        factor order and each scales by lambda_+^l from Python's power, so
-        every cell agrees bit for bit with the scalar test at its tuple.
+        _fixed_point skips a factor's constant term, the first of its
+        sorted projections.  Each shift scales by lambda_+^l from Python's
+        power, so every cell agrees bit for bit with the test at its tuple
+        alone.
         """
-        bounds = []
-        for axis, (bid, (lo, hi)) in enumerate(zip(bids, ranges)):
+        scales = []
+        for axis, (lo, hi) in enumerate(ranges):
             shape = [1] * len(bids)
             shape[axis] = -1
             powers = np.array([LAMBDA_PLUS ** sh for sh in range(lo, hi + 1)])
-            bounds.append(self._bounds(bid, powers.reshape(shape), True))
-        return ~np.broadcast_to(_cut(bounds),
-                                tuple(hi - lo + 1 for lo, hi in ranges))
+            scales.append(powers.reshape(shape))
+        keep, _ = _fixed_point([self._sorted[bid] for bid in bids], scales,
+                               [int(not self._centred[bid]) for bid in bids])
+        return np.array(np.broadcast_to(
+            keep, tuple(hi - lo + 1 for lo, hi in ranges)))
 
     def connected_tuples(self, fixed: Sequence[int],
                          ranges: Sequence[Tuple[int, int]],
@@ -371,66 +404,17 @@ class MomentEngine:
         return val
 
     def _may_cancel(self, key: Sequence[FactorRef]
-                    ) -> Optional[List[Tuple[float, float]]]:
+                    ) -> Optional[List[List[float]]]:
         """Per factor, the largest unscaled projections (a, b) that a
-        zero-sum frequency selection of the factors may use; None proves
-        the moment exactly 0.
-
-        A term of a selection has a scaled projection of at most the sum
-        of its partners' terms in the selection, in both eigendirections.
-        Each factor starts from its largest scaled projections; a round
-        counts, in each direction separately in the sorted projections,
-        the terms at most the sum of the partners' bounds, and shrinks the
-        factor's bound to the largest of them.  The bounds only shrink and
-        a selection's terms always survive, so the rounds stop at a fixed
-        point, and a factor left without terms has no selection.  The
-        first round is _cut on uncentred factors.  Each partner sum is
-        summed directly: "total minus own" would cancel when one factor
-        dominates.
-        """
-        low, high = 1.0 - PROJECTION_SLACK, 1.0 + PROJECTION_SLACK
-        # per factor: sorted projections, lambda_+^l and the largest kept
-        # projections, unscaled; ahi and bhi are those scaled and widened
-        factors, ahi, bhi = [], [], []
-        for bid, sh in key:
-            a, b = self._sorted[bid]
-            if not a.size:
-                return None
-            lp = LAMBDA_PLUS ** sh
-            factors.append([a, b, lp, float(a[-1]), float(b[-1])])
-            ahi.append(lp * (float(a[-1]) * high))
-            bhi.append(float(b[-1]) * high / lp)
-        shrunk = True
-        while shrunk:
-            shrunk = False
-            for j, factor in enumerate(factors):
-                a, b, lp, atop, btop = factor
-                pa = pb = 0.0
-                for k in range(len(factors)):
-                    if k != j:
-                        pa += ahi[k]
-                        pb += bhi[k]
-                # the count changes only once the largest kept term is out
-                # of the partners' reach
-                alim, blim = pa / (lp * low), pb * lp / low
-                if alim < atop:
-                    count = int(a.searchsorted(alim, "right"))
-                    if not count:
-                        return None
-                    factor[3] = float(a[count - 1])
-                    ahi[j] = lp * (factor[3] * high)
-                    shrunk = True
-                if blim < btop:
-                    count = int(b.searchsorted(blim, "right"))
-                    if not count:
-                        return None
-                    factor[4] = float(b[count - 1])
-                    bhi[j] = factor[4] * high / lp
-                    shrunk = True
-        return [(factor[3], factor[4]) for factor in factors]
+        zero-sum frequency selection of the factors may use (_fixed_point
+        with every term usable); None proves the moment exactly 0."""
+        keep, tops = _fixed_point([self._sorted[bid] for bid, _ in key],
+                                  [LAMBDA_PLUS ** sh for _, sh in key],
+                                  [0] * len(key))
+        return tops if keep else None
 
     def _cancelling(self, key: Sequence[FactorRef],
-                    tops: Sequence[Tuple[float, float]]) -> List[TrigPoly]:
+                    tops: Sequence[Sequence[float]]) -> List[TrigPoly]:
         """The factors of a moment, each cut down to the terms within its
         bounds from _may_cancel (tops) and then composed with its shift.
 

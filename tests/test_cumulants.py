@@ -6,26 +6,31 @@ import numpy as np
 import pytest
 
 from catflux import cumulants
-from catflux.cumulants import (_PARTITIONS, CorrelationEngine, MomentEngine,
-                               ObservableSeries, _canonical, _cut, _norm_form,
+from catflux.cumulants import (_PARTITIONS, PROJECTION_SLACK,
+                               CorrelationEngine, MomentEngine,
+                               ObservableSeries, _canonical, _norm_form,
                                _slabs, build_table, sigma_series,
                                transport_matrix)
 from catflux.torus import HarmonicForce
 from catflux.trig import (LAMBDA_MINUS, LAMBDA_PLUS, PAIR_CHUNK, TrigPoly,
-                          product_average)
+                          product_average, s0_power)
 from oracles import (ORACLE_EPS, eps_coefficient, orbit_cumulants,
                      replay_moments_on_grid)
 
 LAM_R = LAMBDA_MINUS / (LAMBDA_PLUS + 1)
 
 # the eps^4 single-harmonic and eps^3 two-harmonic tables, recorded from the
-# exact engine; TestPinnedTables compares them with ==
+# exact engine; TestPinnedTables compares them with ==, and
+# TestPeriodicOrbitOracle the eps^4 two-harmonic table
 SINGLE_TABLE = {("mean", 1): 0.0, ("mean", 2): 1.0, ("mean", 3): 0.0,
                 ("mean", 4): 1.499999999999992, (2, 2): 2.0, (2, 3): 0.0,
                 (2, 4): 4.5, (3, 3): 0.0, (3, 4): 2.9999999999999996,
                 (4, 4): -6.0}
 TWO_TABLE = {("mean", 1): 0.0, ("mean", 2): 5.0, ("mean", 3): -4.0,
              (2, 2): 10.0, (2, 3): -12.0, (3, 3): -12.0}
+TWO_TABLE_4 = {("mean", 1): 0.0, ("mean", 2): 5.0, ("mean", 3): -4.0,
+               ("mean", 4): 49.50000000000015, (2, 2): 10.0, (2, 3): -12.0,
+               (2, 4): 170.5, (3, 3): -12.0, (3, 4): 261.0, (4, 4): 186.0}
 
 # recorded from the exact engine and compared with ==: twelve joint
 # cumulants and four means of OBS, and the Green-Kubo matrices of four
@@ -81,13 +86,17 @@ class TestMeans:
         assert single_table.mean[4] == pytest.approx(1.5, rel=1e-12)
         assert single_table.C[2][4] == pytest.approx(4.5, rel=1e-12)
 
-    def test_ruled_out_moments_vanish_exactly(self, single_engine,
-                                              single_table):
-        eng = single_engine.engine
+    def test_ruled_out_moments_vanish_exactly(self, single_force):
+        # the table alone records 60 ruled-out moments, since the tuples
+        # the rule drops are never visited; a sigma-OBS joint cumulant adds
+        # more.  A fresh engine keeps its moments out of the session one
+        fresh = CorrelationEngine(single_force, max_order=4)
+        build_table(single_force, 4, engine=fresh)
+        fresh.joint_cumulant((1, 2), 4, OBS)
+        eng = fresh.engine
         ruled_out = 0
         for key, value in eng.moments.items():
-            if _cut([eng._bounds(bid, LAMBDA_PLUS ** sh, False)
-                     for bid, sh in key]):
+            if eng._may_cancel(key) is None:
                 ruled_out += 1
                 assert value == 0.0
                 assert product_average([shifted(eng, r) for r in key]) == 0.0
@@ -98,10 +107,11 @@ class TestMeans:
         # a moment composes only the terms of each factor that can cancel;
         # the full shifted factors give the same averages.  The eps^3
         # two-harmonic table records fewer than 50 moments, so a fresh
-        # engine adds those of a sigma-OBS joint cumulant
+        # engine adds those of three joint cumulants with OBS
         two = CorrelationEngine(two_force, max_order=3)
         build_table(two_force, 3, engine=two)
-        two.joint_cumulant((1, 2), 3, OBS)
+        for index in ((1, 2), (2, 2), (1, 1, 2)):
+            two.joint_cumulant(index, 3, OBS)
         for eng in (single_engine.engine, two.engine):
             assert len(eng.moments) >= 50
             for key, value in eng.moments.items():
@@ -271,7 +281,13 @@ class TestWindowsAndOracle:
     def test_moment_replay_subset(self, single_engine, single_table):
         # full replay is the acceptance criterion; here a fast slice.  The
         # slice holds far-shift factors with super-Nyquist frequencies, so,
-        # as in the criterion, those averages are re-checked on a prime grid
+        # as in the criterion, those averages are re-checked on a prime grid.
+        # The table records 570 moments; the order-4 OBS families pinned in
+        # JOINTS and MEANS add more
+        for index in ((1, 2), (2, 2)):
+            single_engine.joint_cumulant(index, 4, OBS)
+        for m in range(1, 5):
+            single_engine.srb_mean_order(m, obs=OBS)
         report = replay_moments_on_grid(single_engine.engine, 256,
                                         limit=1500, escalate_n=509)
         assert report.count == 1500
@@ -281,39 +297,84 @@ class TestWindowsAndOracle:
 
 class FullWindowMoments(MomentEngine):
     """Brute-force oracle: every shift tuple of the window, observable and
-    insertion shifts alike, as a walk without the connectivity mask."""
+    insertion shifts alike, as a walk with neither the connectivity mask
+    nor the engine's windows: the free shifts of each fixed tuple t run
+    over its own window, min(t) - reach to max(t) + reach."""
 
-    def connected_grid(self, bids, ranges):
-        return np.ones([hi - lo + 1 for lo, hi in ranges], dtype=bool)
+    def connected_tuples(self, fixed, ranges, free, reach):
+        out = {}
+        for head in itertools.product(*[range(lo, hi + 1)
+                                        for lo, hi in ranges]):
+            span = range(min(head) - reach, max(head) + reach + 1)
+            tails = list(itertools.product(span, repeat=len(free)))
+            out[head] = np.array(tails, dtype=np.int64).reshape(len(tails),
+                                                                len(free))
+        return out
 
 
 def tuple_survivors(eng, fixed, free, lo, hi):
-    """The insertion-shift tuples of [lo, hi] that pass the connectivity
-    test with the fixed factors, one fixed tuple at a time, as the shift
-    sums enumerated them before the joint mask: fixed bounds are scalars,
-    each free axis an array, and the bounds are listed fixed first."""
-    bounds = [eng._bounds(bid, LAMBDA_PLUS ** sh, True) for bid, sh in fixed]
-    if not free:
-        return [] if _cut(bounds) else [()]
-    powers = np.array([LAMBDA_PLUS ** sh for sh in range(lo, hi + 1)])
-    for axis, bid in enumerate(free):
-        shape = [1] * len(free)
+    """The insertion-shift tuples of [lo, hi] that connected_grid keeps
+    with the fixed factors, one fixed tuple at a time, as the shift sums
+    enumerated them before the joint mask."""
+    keep = eng.connected_grid([bid for bid, _ in fixed] + list(free),
+                              [(sh, sh) for _, sh in fixed]
+                              + [(lo, hi)] * len(free))
+    return [tuple(i + lo for i in idx[len(fixed):])
+            for idx in np.argwhere(keep).tolist()]
+
+
+def one_shot_grid(eng, bids, ranges):
+    """The one-shot test over a grid of shift tuples, kept here as an
+    independent copy: a cell is cut where some factor's smallest nonzero
+    projection, in either eigendirection, exceeds the sum of its partners'
+    largest.  Bounds are widened by PROJECTION_SLACK, as in the engine."""
+    low, high = 1.0 - PROJECTION_SLACK, 1.0 + PROJECTION_SLACK
+    bounds = []
+    for axis, (bid, (lo, hi)) in enumerate(zip(bids, ranges)):
+        shape = [1] * len(bids)
         shape[axis] = -1
-        bounds.append(eng._bounds(bid, powers.reshape(shape), True))
-    keep = ~np.broadcast_to(_cut(bounds), (len(powers),) * len(free))
-    return [tuple(idx) for idx in (np.argwhere(keep) + lo).tolist()]
+        lp = np.array([LAMBDA_PLUS ** sh
+                       for sh in range(lo, hi + 1)]).reshape(shape)
+        a, b = eng._sorted[bid]
+        const = int(a.size > 0 and a[0] == 0.0)
+        if a.size == const:
+            amin = bmin = math.inf
+            amax = bmax = 0.0
+        else:
+            amin, bmin = float(a[const]) * low, float(b[const]) * low
+            amax, bmax = float(a[-1]) * high, float(b[-1]) * high
+        bounds.append((lp * amin, lp * amax, bmin / lp, bmax / lp))
+    cut = False
+    for lower, upper in ((0, 1), (2, 3)):
+        for j, own in enumerate(bounds):
+            partners = 0.0
+            for k, other in enumerate(bounds):
+                if k != j:
+                    partners = partners + other[upper]
+            cut = cut | (own[lower] > partners)
+    return ~np.broadcast_to(cut, tuple(hi - lo + 1 for lo, hi in ranges))
+
+
+def has_zero_sum_selection(eng, refs):
+    """Whether one nonzero frequency of each factor, composed with its
+    shift in Python ints, sums to zero with the others."""
+    terms = []
+    for bid, sh in refs:
+        m11, m12, m21, m22 = s0_power(sh)
+        poly = eng.bases[bid]
+        terms.append({(m11 * x + m12 * y, m21 * x + m22 * y)
+                      for x, y in zip(poly.n1.tolist(), poly.n2.tolist())
+                      if (x, y) != (0, 0)})
+    sums = {(0, 0)}
+    for freqs in terms[:-1]:
+        sums = {(s1 + f1, s2 + f2) for s1, s2 in sums for f1, f2 in freqs}
+    return any((-f1, -f2) in sums for f1, f2 in terms[-1])
 
 
 def shifted(eng, ref):
     """Base ref[0] of eng composed with S0^ref[1], every term: the factor a
     moment would use without its cut to the cancelling terms."""
     return eng.bases[ref[0]].compose_power(ref[1])
-
-
-def full_window_table(force, order):
-    eng = CorrelationEngine(force, max_order=order)
-    eng.engine = FullWindowMoments()
-    return build_table(force, order, engine=eng)
 
 
 def listed(tuples):
@@ -395,17 +456,21 @@ class TestPinnedPaths:
 
 class TestConnectedShifts:
     def test_pruned_tables_equal_full_window_walk(self, single_force,
-                                                  single_table, two_force,
-                                                  two_table):
+                                                  two_force):
         # every dropped tuple contributes exactly 0.0, so the surviving
-        # terms are summed in the same order and the tables are identical
-        for force, order, table in ((single_force, 4, single_table),
-                                    (two_force, 3, two_table)):
-            want = table_entries(full_window_table(force, order))
-            got = table_entries(table)
+        # terms are summed in the same order and the tables are identical.
+        # A tuple outside its window adds 0.0 too, so the walks are also
+        # compared: the pruned walk evaluates only tuples of the full one
+        for force, order in ((single_force, 4), (two_force, 3)):
+            pruned = CorrelationEngine(force, max_order=order)
+            full = CorrelationEngine(force, max_order=order)
+            full.engine = FullWindowMoments()
+            got = table_entries(build_table(force, order, engine=pruned))
+            want = table_entries(build_table(force, order, engine=full))
             assert got.keys() == want.keys()
             for key in want:
                 assert got[key] == want[key], (order, key)
+            assert set(pruned.engine._ursells) <= set(full.engine._ursells)
 
     def test_recorded_moments_independent_of_base_order(self, single_force):
         # priming registers the composed sigma bases first, so every base
@@ -423,12 +488,16 @@ class TestConnectedShifts:
                     for key in eng.moments}
 
         assert recorded(primed.engine) == recorded(plain.engine)
-        assert len(plain.engine.moments) == 1846
+        assert len(plain.engine.moments) == 570
 
     @pytest.mark.parametrize("window", [4, 5, 6])
     def test_dropped_tuples_have_zero_ursell(self, window):
+        # the fixed point over a shift grid keeps a subset of what the
+        # one-shot test keeps, keeps every tuple with a zero-sum frequency
+        # selection that uses every factor, and every tuple it drops has an
+        # Ursell function of exactly 0
         rng = np.random.default_rng(1000 + window)
-        dropped = kept = 0
+        dropped = kept = tightened = selected = 0
         for _ in range(12):
             eng = MomentEngine()
             fixed = [(eng.register(random_real_poly(rng, rng.random() < 0.5)),
@@ -442,22 +511,25 @@ class TestConnectedShifts:
                 continue
             shifts = [sh for _, sh in fixed]
             lo, hi = min(shifts) - window, max(shifts) + window
-            keep = eng.connected_grid(
-                [bid for bid, _ in fixed] + free,
-                [(sh, sh) for sh in shifts] + [(lo, hi)] * len(free))
-            alive = {tuple(idx[len(fixed):])
-                     for idx in (np.argwhere(keep) + lo).tolist()}
-            grid = list(itertools.product(range(lo, hi + 1),
-                                          repeat=len(free)))
-            assert alive == set(tuple_survivors(eng, fixed, free, lo, hi))
-            for lvec in grid:
-                if lvec in alive:
+            bids = [bid for bid, _ in fixed] + free
+            ranges = [(sh, sh) for sh in shifts] + [(lo, hi)] * len(free)
+            keep = eng.connected_grid(bids, ranges)
+            one_shot = one_shot_grid(eng, bids, ranges)
+            assert not np.any(keep & ~one_shot)
+            tightened += int(np.count_nonzero(one_shot & ~keep))
+            for idx in itertools.product(*[range(a, b + 1)
+                                           for a, b in ranges]):
+                refs = list(zip(bids, idx))
+                selection = has_zero_sum_selection(eng, refs)
+                if keep[tuple(i - a for i, (a, _) in zip(idx, ranges))]:
                     kept += 1
+                    selected += selection
                     continue
                 dropped += 1
-                value = eng.ursell(fixed + list(zip(free, lvec)))
-                assert value == 0.0, (fixed, free, lvec, value)
-        assert dropped > 0 and kept > 0
+                assert not selection, refs
+                value = eng.ursell(refs)
+                assert value == 0.0, (refs, value)
+        assert dropped > 0 and kept > 0 and tightened > 0 and selected > 0
 
     @pytest.mark.parametrize("window", [4, 5, 6])
     def test_joint_survivors_equal_per_tuple_walk(self, window):
@@ -558,9 +630,10 @@ class TestMomentFixedPoint:
         assert eng.moment([(with_const, 12)] + small) != 0.0
 
     def test_composed_moment_count(self, single_force, monkeypatch):
-        # build_table(sin psi1, 4) records 1,846 moments; the fixed point
-        # leaves 510 of them to compose (the one-shot cut left 1,788), and
-        # its final bounds keep 12,375 of their factors' terms
+        # build_table(sin psi1, 4) records 570 moments, 322 of them nonzero
+        # (1,846 while the shift grids had only the one-shot test); the
+        # fixed point leaves 510 of them to compose, and its final bounds
+        # keep 12,375 of their factors' terms
         calls = []
 
         def counting(factors):
@@ -570,7 +643,8 @@ class TestMomentFixedPoint:
         monkeypatch.setattr(cumulants, "product_average", counting)
         eng = CorrelationEngine(single_force, max_order=4)
         build_table(single_force, 4, engine=eng)
-        assert len(eng.engine.moments) == 1846
+        assert len(eng.engine.moments) == 570
+        assert sum(1 for v in eng.engine.moments.values() if v) == 322
         assert len(calls) == 510
         assert sum(calls) == 12375
 
@@ -664,11 +738,11 @@ class TestPeriodicOrbitOracle:
                 "C4_4": eps_coefficient(values, 3, 4, 1)}
         eng = CorrelationEngine(two_force, max_order=4)
         table = build_table(two_force, 4, engine=eng)
-        assert len(eng.engine.moments) == 2337
+        assert len(eng.engine.moments) == 711
         got = {"mean4": table.mean[4], "C2_4": table.C[2][4],
                "C3_4": table.C[3][4], "C4_4": table.C[4][4]}
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-6), key
-        # and bit for bit, against the values recorded from the engine
-        assert got == {"mean4": 49.50000000000015, "C2_4": 170.5,
-                       "C3_4": 261.0, "C4_4": 186.0}
+        # and the whole table bit for bit, against the values recorded
+        # from the engine: the selection rule drops only exact zeros
+        assert table_entries(table) == TWO_TABLE_4
