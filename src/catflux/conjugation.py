@@ -12,7 +12,10 @@ The same fixed-point strategy yields the perturbed eigenvalue corrections
 gamma_{+,-} and the tangent-vector mixing coefficients k_{+,-} from
 DS_eps(H(psi)) w_pm(psi) = lambda_pm(psi) w_pm(S0 psi), and from those the
 unstable expansion rate A_u(psi) = log(lambda_+ + gamma_+(psi)) plus an
-optional norm-ratio boundary term.
+optional norm-ratio boundary term.  The rate equations split into two
+closed halves, (gamma_+, k_-) and (gamma_-, k_+), solved by one recursion
+in the direction and grown on demand; A_u reads only the unstable half
+(gamma_+, k_-), so the other is never built for it.
 
 Series orders are pure coefficient functions: eps is reinstated only at
 evaluation time.
@@ -185,71 +188,90 @@ class RateSeries:
 
     solved order by order by Neumann series; order 1 reproduces the explicit
     first-order sums (k_+^(1) = -sum_n lambda_+^{-(2n+1)} d_-f_+ o S0^n, ...).
+
+    The equations split into two closed halves, one per direction alpha:
+    (gamma_+, k_-) and (gamma_-, k_+).  gamma_alpha^(k) reads k_{-alpha}
+    only through order k-1, and k_{-alpha}^(k) reads gamma_alpha and
+    k_{-alpha} through order k-1, so grow solves one recursion in alpha.
+    Each half, each chain (d_beta f_alpha) o H and the conjugation grow
+    only as far as a caller asks: RateSeries(force, K) grows both halves
+    through K, max_order 0 grows nothing, and A_u reads the unstable half
+    alone (ExpansionRateSeries).
     """
 
     def __init__(self, force: HarmonicForce, max_order: int):
-        _check_order(max_order)
         self.force = force
-        # rate order k only needs conjugation chains through order k-1
-        self.conj = ConjugationSeries(force, max(1, max_order - 1))
-        fp, fm = self.conj.f_plus, self.conj.f_minus
-        # orders n of (d_beta f_alpha) o H for (beta, alpha) = (+,+), (-,+),
-        # (+,-), (-,-), one appended per rate order; order 0 is d_beta f_alpha
-        self._chains = ([fp.deriv_plus()], [fp.deriv_minus()],
-                        [fm.deriv_plus()], [fm.deriv_minus()])
+        self.conj = ConjugationSeries(force, 1)
+        # orders n of (d_beta f_alpha) o H per (beta, alpha); order 0 is
+        # d_beta f_alpha
+        self._chains = {
+            (beta, alpha): [(self.conj.f_plus if alpha > 0
+                             else self.conj.f_minus).deriv_alpha(beta)]
+            for alpha in (1, -1) for beta in (1, -1)}
         z = TrigPoly.zero()
         self.gamma_plus: List[TrigPoly] = [z]
         self.gamma_minus: List[TrigPoly] = [z]
         self.k_plus: List[TrigPoly] = [z]
         self.k_minus: List[TrigPoly] = [z]
-        self.tail_bounds: List[float] = [0.0]
-        self.extend_to(max_order)
+        # Neumann tail bounds of k_- (half +1) and k_+ (half -1) per order
+        self._tails = {1: [0.0], -1: [0.0]}
+        if max_order:
+            self.extend_to(max_order)
 
     def extend_to(self, order: int):
+        """Grow both halves through order."""
         _check_order(order)
-        if order > 1:
-            self.conj.extend_to(order - 1)
-        for k in range(self.max_order + 1, order + 1):
-            self._extend(k)
+        for alpha in (1, -1):
+            self.grow(alpha, order, order)
 
-    def _extend(self, k: int):
+    def _chain(self, beta: int, alpha: int, n: int) -> TrigPoly:
+        """Order n of (d_beta f_alpha) o H, grown on demand."""
+        chain = self._chains[beta, alpha]
+        for m in range(len(chain), n + 1):
+            self.conj.extend_to(m)
+            chain.append(chain_order(chain[0], self.conj.h_plus,
+                                     self.conj.h_minus, m))
+        return chain[n]
+
+    def grow(self, alpha: int, gamma_order: int, k_order: int):
+        """Grow half alpha: gamma_alpha through gamma_order and k_{-alpha}
+        through k_order, which is at least gamma_order - 1."""
         lam = _LAMBDA
-        if k > 1:
-            for chain in self._chains:
-                chain.append(chain_order(chain[0], self.conj.h_plus,
-                                         self.conj.h_minus, k - 1))
-        dpfp, dmfp, dpfm, dmfm = self._chains
-        # gamma at order k uses k_{-,+} only at orders <= k-1.
-        gp, gm = dpfp[k - 1], dmfm[k - 1]
-        for m in range(1, k):
-            gp = gp + self.k_minus[m] * dmfp[k - 1 - m]
-            gm = gm + self.k_plus[m] * dpfm[k - 1 - m]
+        gammas, ks = ((self.gamma_plus, self.k_minus) if alpha > 0
+                      else (self.gamma_minus, self.k_plus))
+        for k in range(1, max(gamma_order, k_order) + 1):
+            if k <= gamma_order and len(gammas) == k:
+                g = self._chain(alpha, alpha, k - 1)
+                for m in range(1, k):
+                    g = g + ks[m] * self._chain(-alpha, alpha, k - 1 - m)
+                gammas.append(g)
+            if k <= k_order and len(ks) == k:
+                r = self._chain(alpha, -alpha, k - 1)
+                for m in range(1, k):
+                    r = r + ks[m] * self._chain(-alpha, -alpha, k - 1 - m)
+                for m in range(1, k):
+                    # gamma^{(m)} * (k o S0)^{(k-m)}; both strictly lower order.
+                    r = r - gammas[m] * ks[k - m].compose_power(1)
+                r = (-lam) * r
+                if alpha > 0:
+                    gs = geometric_sum(r.compose_power(-1), lam * lam, -1)
+                    ks.append(-1.0 * gs.poly)
+                else:
+                    gs = geometric_sum(r, lam * lam, +1)
+                    ks.append(gs.poly)
+                self._tails[alpha].append(gs.tail_bound)
 
-        rp, rm = dmfp[k - 1], dpfm[k - 1]
-        for m in range(1, k):
-            rp = rp + self.k_plus[m] * dpfp[k - 1 - m]
-            rm = rm + self.k_minus[m] * dmfm[k - 1 - m]
-        for m in range(1, k):
-            # gamma^{(m)} * (k o S0)^{(k-m)}; both strictly lower order.
-            rp = rp - self.gamma_minus[m] * self.k_plus[k - m].compose_power(1)
-            rm = rm - self.gamma_plus[m] * self.k_minus[k - m].compose_power(1)
-        rp = (-lam) * rp
-        rm = (-lam) * rm
-
-        gs_p = geometric_sum(rp, lam * lam, +1)
-        kp = gs_p.poly
-        gs_m = geometric_sum(rm.compose_power(-1), lam * lam, -1)
-        km = -1.0 * gs_m.poly
-
-        self.gamma_plus.append(gp)
-        self.gamma_minus.append(gm)
-        self.k_plus.append(kp)
-        self.k_minus.append(km)
-        self.tail_bounds.append(gs_p.tail_bound + gs_m.tail_bound)
+    @property
+    def tail_bounds(self) -> List[float]:
+        """Neumann tail bound of k_+ plus that of k_-, per order both
+        halves reach."""
+        return [p + m for p, m in zip(self._tails[-1], self._tails[1])]
 
     @property
     def max_order(self) -> int:
-        return len(self.gamma_plus) - 1
+        """The highest order all four lists hold."""
+        return min(len(self.gamma_plus), len(self.gamma_minus),
+                   len(self.k_plus), len(self.k_minus)) - 1
 
 
 def log1p_series(u_orders: List[TrigPoly], max_order: int) -> List[TrigPoly]:
@@ -288,6 +310,10 @@ class ExpansionRateSeries:
     norm-ratio term (1/2)[log(1+k_-^2) o S0 - log(1+k_-^2)] is added.  The
     boundary term telescopes in translation-invariant sums, so it is off by
     default for cumulant work.
+
+    Through order K, both terms read only the unstable half of the rate
+    series, gamma_+ through K and k_- through K - 1, so only that half is
+    grown; gamma_- and k_+ stay at order 0.
     """
 
     def __init__(self, force: HarmonicForce, max_order: int,
@@ -295,11 +321,12 @@ class ExpansionRateSeries:
         _check_order(max_order)
         self.force = force
         self.boundary = boundary
-        self.rates = RateSeries(force, max_order)
+        self.rates = RateSeries(force, 0)
         self._orders: List[TrigPoly] = []
         self._rebuild(max_order)
 
     def _rebuild(self, max_order: int):
+        self.rates.grow(1, max_order, max_order - 1)
         u = [g * (1.0 / LAMBDA_PLUS) for g in self.rates.gamma_plus]
         orders = log1p_series(u, max_order)
         orders[0] = TrigPoly.const(math.log(LAMBDA_PLUS))
@@ -319,7 +346,6 @@ class ExpansionRateSeries:
         if order <= self.max_order:
             return
         _check_order(order)
-        self.rates.extend_to(order)
         self._rebuild(order)
 
     def order(self, k: int) -> TrigPoly:

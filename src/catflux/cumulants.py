@@ -50,7 +50,7 @@ nor the blocks only it uses are evaluated.
 A moment runs the rule on its uncentred factors (MomentEngine._may_cancel).
 A moment it rules out is recorded as exactly 0 without composing it; a
 surviving moment composes only the terms of each factor within the final
-bounds.
+bounds, and each distinct cut factor is composed once per engine.
 
 Average-only terms are contracted, not built: the zero-insertion term of a
 mean reads (obs o H)^(m) only at nu = 0, so it sums product_average over
@@ -309,6 +309,9 @@ class MomentEngine:
         self._sorted: List[Tuple[np.ndarray, np.ndarray]] = []
         self._centred: List[bool] = []
         self.moments: Dict[Tuple[FactorRef, ...], float] = {}
+        # composed, cut factors of _cancelling per (base id, shift, a-bound,
+        # b-bound): equal bounds give the same cut
+        self._factors: Dict[Tuple[int, int, float, float], TrigPoly] = {}
         self._ursells: Dict[Tuple[FactorRef, ...], float] = {}
 
     def register(self, poly: TrigPoly) -> int:
@@ -421,16 +424,21 @@ class MomentEngine:
         Every term of a zero-sum selection lies within those bounds; a term
         outside them adds nothing to the average, and dropping it is exact.
         Only the survivors are composed, which keeps the composed
-        frequencies far below the int64 limit.
+        frequencies far below the int64 limit.  Each distinct cut factor is
+        composed once and kept (_factors).
         """
         out = []
         for (bid, sh), (atop, btop) in zip(key, tops):
-            a, b = self._terms[bid]
-            keep = (a <= atop) & (b <= btop)
-            poly = self.bases[bid]
-            if not keep.all():
-                poly = poly.take(keep)
-            out.append(poly.compose_power(sh))
+            poly = self._factors.get((bid, sh, atop, btop))
+            if poly is None:
+                a, b = self._terms[bid]
+                keep = (a <= atop) & (b <= btop)
+                poly = self.bases[bid]
+                if not keep.all():
+                    poly = poly.take(keep)
+                poly = poly.compose_power(sh)
+                self._factors[bid, sh, atop, btop] = poly
+            out.append(poly)
         return out
 
     def ursell(self, refs: Sequence[FactorRef]) -> float:

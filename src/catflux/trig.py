@@ -490,6 +490,11 @@ def product_average(factors: Iterable[TrigPoly]) -> float:
     largest factor's sorted keys, <prod> = sum_nu acc_nu big_{-nu}, with an
     empty-product early abort.  This is the workhorse behind every
     selection-rule integral.
+
+    The join searches the shorter side's negated keys in the longer side.
+    Negation reverses lexicographic order, so when the convolution is the
+    longer side its matches come in reverse; read back, they give the same
+    products in the same order, and the same sum.
     """
     polys = sorted(factors, key=len)
     if not polys:
@@ -508,5 +513,9 @@ def product_average(factors: Iterable[TrigPoly]) -> float:
     n1, n2, c = acc
     if not c.size:
         return 0.0
-    idx, found = _find(big.n1, big.n2, -n1, -n2)
-    return float((c[found] * big.c[idx[found]]).sum().real)
+    if c.size <= big.c.size:
+        idx, found = _find(big.n1, big.n2, -n1, -n2)
+        return float((c[found] * big.c[idx[found]]).sum().real)
+    idx, found = _find(n1, n2, -big.n1, -big.n2)
+    j = np.flatnonzero(found)[::-1]
+    return float((c[idx[j]] * big.c[j]).sum().real)

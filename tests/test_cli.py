@@ -204,20 +204,28 @@ class TestBenchSpans:
 
     def test_traced_table_reads_engine_attributes(self, monkeypatch):
         # a traced run primes an engine through conj, expansion and
-        # composed_ids, then counts engine.moments; an engine attribute the
-        # bench reads that goes missing would fail every traced run
+        # composed_ids, then counts engine.moments and the four rate lists;
+        # an engine attribute the bench reads that goes missing would fail
+        # every traced run.  Order 4 is exact-deep's table: the priming
+        # check compares the depths, (conj, expansion) orders, that an
+        # untraced build reaches, so a change that moves them shows here
         monkeypatch.syspath_prepend(str(PERFBENCH))
         spans, workloads, layers = (importlib.import_module(m) for m in
                                     ("spans", "workloads", "layers"))
-        rec = spans.Recorder(tracing=True)
         force = HarmonicForce.single_harmonic()
-        plain, primed = workloads.Result(), workloads.Result()
-        workloads.exact_table(rec, plain, "order-2", force, 2, None)
-        workloads.exact_table(rec, primed, "order-2", force, 2, plain.depths)
-        counts = layers.engine_counts([*plain.engines.values(),
-                                       *primed.engines.values()])
-        assert rec.failed == 0
-        assert counts["cumulants.moments"] > 0
+        for order, depths in ((2, (1, 1)), (4, (3, 3))):
+            rec = spans.Recorder(tracing=True)
+            plain, primed = workloads.Result(), workloads.Result()
+            label = f"order-{order}"
+            workloads.exact_table(rec, plain, label, force, order, None)
+            workloads.exact_table(rec, primed, label, force, order,
+                                  plain.depths)
+            counts = layers.engine_counts([*plain.engines.values(),
+                                           *primed.engines.values()])
+            assert rec.failed == 0, order
+            assert plain.depths == primed.depths == {label: depths}
+            assert counts["cumulants.moments"] > 0
+            assert counts["conjugation.rate_terms"] > 0
 
 
 class TestCumulantsCommand:

@@ -166,6 +166,35 @@ class TestRates:
         assert rates.tail_bounds[1] < 1e-12
 
 
+class TestRateHalves:
+    # A_u grows only the unstable half, gamma_+ through K and k_- through
+    # K - 1, boundary term on or off; two harmonics stop at K = 3, since
+    # RateSeries at K = 4 takes about 105 s
+    @pytest.mark.parametrize("force, K", [
+        *[(FORCE, K) for K in range(1, 5)],
+        *[(HarmonicForce.two_harmonics(), K) for K in range(1, 4)]])
+    def test_unstable_half_equals_full_series(self, force, K):
+        full = RateSeries(force, K)
+        for boundary in (False, True):
+            half = expansion_rate_series(force, K, boundary).rates
+            assert half.gamma_plus == full.gamma_plus
+            assert half.k_minus == full.k_minus[:K]
+            assert half.gamma_minus == half.k_plus == [TrigPoly.zero()]
+
+    def test_halves_grow_on_demand(self):
+        rates = RateSeries(FORCE, 0)
+        assert rates.max_order == 0
+        rates.grow(-1, 2, 1)
+        assert (len(rates.gamma_minus), len(rates.k_plus)) == (3, 2)
+        assert (len(rates.gamma_plus), len(rates.k_minus)) == (1, 1)
+        rates.extend_to(2)
+        full = RateSeries(FORCE, 2)
+        assert rates.max_order == 2
+        for name in ("gamma_plus", "gamma_minus", "k_plus", "k_minus"):
+            assert getattr(rates, name) == getattr(full, name), name
+        assert rates.tail_bounds == full.tail_bounds
+
+
 class TestExpansionRate:
     def test_order_zero_and_one(self):
         au = expansion_rate_series(FORCE, 2)
@@ -224,6 +253,16 @@ class TestPinnedOrders:
             "6db74686913d51535204956421d2873058b2a06b09992d9dc25b0b98b4793029")
         assert key_digest(series.h_minus[1:]) == (
             "4aa38be1697f1601bc63db02608cffd158d702ab9d4b9ce2ba2b6fcff740ac34")
+
+    def test_rate_series(self):
+        # the four lists of both halves, as the joint recursion built them
+        rates = RateSeries(FORCE, 3)
+        assert [key_digest(getattr(rates, name)[1:]) for name in
+                ("gamma_plus", "gamma_minus", "k_plus", "k_minus")] == [
+            "f9a29b7ab13e2575360b76f727d9350698712afca58ba7b98452d19549424025",
+            "58248d42f80a3e8b6e6a581c0f7fe0549fbc4383d5c5c311584b8f40bd9ceab8",
+            "8731c802c8240dd72535a2c9d66609786608068adae62ec05b599afb249efc15",
+            "85b11f43cb6bd937055b1dcf6d03f6e769c752bef1d111ebd9c4a7d2024ec424"]
 
     @pytest.mark.parametrize("boundary, want", [
         (False,

@@ -48,6 +48,15 @@ OBS = ObservableSeries([TrigPoly.zero(), TrigPoly.cosine((1, 0), -1.0)
                         + TrigPoly.cosine((1, 1), 0.5)])
 
 
+@pytest.fixture(scope="module")
+def table_engine(single_force):
+    """An engine that has built build_table(sin psi1, 4) and nothing else,
+    unlike the session single_engine, which later tests extend."""
+    eng = CorrelationEngine(single_force, max_order=4)
+    build_table(single_force, 4, engine=eng)
+    return eng
+
+
 class TestSigmaSeries:
     def test_single_harmonic_orders(self, single_force):
         s = sigma_series(single_force, 3)
@@ -102,17 +111,19 @@ class TestMeans:
                 assert product_average([shifted(eng, r) for r in key]) == 0.0
         assert ruled_out > 100
 
-    def test_cancelling_terms_give_every_moment(self, single_engine,
-                                                single_table, two_force):
-        # a moment composes only the terms of each factor that can cancel;
-        # the full shifted factors give the same averages.  The eps^3
-        # two-harmonic table records fewer than 50 moments, so a fresh
-        # engine adds those of three joint cumulants with OBS
+    def test_cancelling_terms_give_every_moment(self, table_engine,
+                                                two_force):
+        # a moment composes only the terms of each factor that can cancel,
+        # each distinct cut factor once; the full shifted factors give the
+        # same averages.  The eps^4 single-harmonic engine holds the
+        # table's moments alone, and the eps^3 two-harmonic table records
+        # fewer than 50 moments, so a fresh engine adds those of three
+        # joint cumulants with OBS
         two = CorrelationEngine(two_force, max_order=3)
         build_table(two_force, 3, engine=two)
         for index in ((1, 2), (2, 2), (1, 1, 2)):
             two.joint_cumulant(index, 3, OBS)
-        for eng in (single_engine.engine, two.engine):
+        for eng in (table_engine.engine, two.engine):
             assert len(eng.moments) >= 50
             for key, value in eng.moments.items():
                 full = product_average([shifted(eng, r) for r in key])
@@ -188,6 +199,15 @@ class TestEngineSeries:
     def test_one_conjugation_series(self, single_engine, single_table):
         # the composed observables and the rate series read one H
         assert single_engine.conj is single_engine.expansion.rates.conj
+
+    def test_table_grows_only_the_unstable_rate_half(self, table_engine):
+        # A_u through order 3 reads gamma_+ through 3 and k_- through 2
+        rates = table_engine.expansion.rates
+        assert (table_engine.conj.max_order,
+                table_engine.expansion.max_order) == (3, 3)
+        assert len(rates.gamma_plus) == 4
+        assert len(rates.k_minus) == 3
+        assert rates.gamma_minus == rates.k_plus == [TrigPoly.zero()]
 
     def test_order_cap(self, single_force):
         with pytest.raises(ValueError, match="beyond cap 6"):
@@ -633,11 +653,12 @@ class TestMomentFixedPoint:
         # build_table(sin psi1, 4) records 570 moments, 322 of them nonzero
         # (1,846 while the shift grids had only the one-shot test); the
         # fixed point leaves 510 of them to compose, and its final bounds
-        # keep 12,375 of their factors' terms
+        # keep 12,375 of their factors' terms.  Their 1,523 factors are
+        # 184 distinct cut factors, each composed once
         calls = []
 
         def counting(factors):
-            calls.append(sum(len(f) for f in factors))
+            calls.append((len(factors), sum(len(f) for f in factors)))
             return product_average(factors)
 
         monkeypatch.setattr(cumulants, "product_average", counting)
@@ -646,7 +667,17 @@ class TestMomentFixedPoint:
         assert len(eng.engine.moments) == 570
         assert sum(1 for v in eng.engine.moments.values() if v) == 322
         assert len(calls) == 510
-        assert sum(calls) == 12375
+        assert sum(terms for _, terms in calls) == 12375
+        assert sum(uses for uses, _ in calls) == 1523
+        assert len(eng.engine._factors) == 184
+
+    def test_cached_factors_equal_fresh_cuts(self, table_engine):
+        eng = table_engine.engine
+        assert eng._factors
+        for (bid, sh, atop, btop), poly in eng._factors.items():
+            a, b = eng._terms[bid]
+            fresh = eng.bases[bid].take((a <= atop) & (b <= btop))
+            assert poly == fresh.compose_power(sh), (bid, sh)
 
 
 class TestUrsellPlan:

@@ -131,6 +131,28 @@ class TestAverages:
             direct = ((f * g) * h).average()
             assert abs(product_average([f, g, h]) - direct) < 1e-11
 
+    def test_join_from_the_short_side_is_bit_identical(self):
+        # when the convolved smaller factors outgrow the largest factor,
+        # the join searches the largest factor's keys instead; the sum
+        # must keep its bits, against a copy of the one-sided join
+        rng = np.random.default_rng(28)
+        nonzero = 0
+        for _ in range(60):
+            factors = [random_poly(rng, terms=int(rng.integers(3, 9)), span=4)
+                       for _ in range(int(rng.integers(3, 5)))]
+            polys = sorted(factors, key=len)
+            big, acc = polys[-1], polys[0]._columns()
+            for f in polys[1:-1]:
+                acc = trig._convolve(acc, f._columns(), 0.0)
+            n1, n2, c = acc
+            assert c.size > len(big)
+            idx, found = trig._find(big.n1, big.n2, -n1, -n2)
+            want = float((c[found] * big.c[idx[found]]).sum().real)
+            got = product_average(factors)
+            assert got.hex() == want.hex()
+            nonzero += got != 0.0
+        assert nonzero > 50
+
 
 class TestGeometricSum:
     def test_zero_input(self):
