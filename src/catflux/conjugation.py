@@ -6,7 +6,12 @@ the eigendirections and expanding in eps turns the functional equation into
 a chain of cohomology equations lambda_a h_a(psi) - h_a(S0 psi) = -F_a(psi),
 each solved by an explicit geometric sum over iterates; the right-hand side
 at order k is a polynomial in lower orders, so the whole series is built
-bottom-up with memoized lower orders (no tree enumeration).
+bottom-up with memoized lower orders (no tree enumeration).  Extending the
+series builds each order's right-hand side and tail bound at once; only
+the merge of the geometric sum waits until something reads the order
+whole (trig.DeferredSum).  The contracted top-order mean reads h^(K-1) at
+a few frequencies only (chain_average, product_average), so an order-K
+table never merges it.
 
 The same fixed-point strategy yields the perturbed eigenvalue corrections
 gamma_{+,-} and the tangent-vector mixing coefficients k_{+,-} from
@@ -121,7 +126,15 @@ def chain_average(g: TrigPoly, h_plus: Sequence[TrigPoly],
 
 
 class ConjugationSeries:
-    """Orders h_{+,-}^{(k)} of the conjugation for a given force."""
+    """Orders h_{+,-}^{(k)} of the conjugation for a given force.
+
+    h_plus and h_minus are plain lists indexed by order.  Each order k >= 1
+    is a trig.DeferredSum: its right-hand side F^(k) and its tail bound are
+    built by extend_to, and its columns are merged the first time they are
+    read, giving the same columns as an eager solve.  The entries hold
+    their summand, never the series, so no reference cycle keeps a series
+    alive.
+    """
 
     def __init__(self, force: HarmonicForce, max_order: int):
         _check_order(max_order)
@@ -146,9 +159,9 @@ class ConjugationSeries:
         alpha=-1: h = +sum_{p<=-1} lambda_-^{-p-1} rhs(S0^p psi)
         """
         if alpha > 0:
-            gs = geometric_sum(rhs, _LAMBDA, +1)
-            return -_LAMBDA * gs.poly, _LAMBDA * gs.tail_bound
-        gs = geometric_sum(rhs.compose_power(-1), _LAMBDA, -1)
+            gs = geometric_sum(rhs, _LAMBDA, +1, scale=-_LAMBDA)
+        else:
+            gs = geometric_sum(rhs.compose_power(-1), _LAMBDA, -1)
         return gs.poly, gs.tail_bound
 
     def _rhs(self, alpha: int, k: int) -> TrigPoly:
@@ -254,11 +267,11 @@ class RateSeries:
                     r = r - gammas[m] * ks[k - m].compose_power(1)
                 r = (-lam) * r
                 if alpha > 0:
-                    gs = geometric_sum(r.compose_power(-1), lam * lam, -1)
-                    ks.append(-1.0 * gs.poly)
+                    gs = geometric_sum(r.compose_power(-1), lam * lam, -1,
+                                       scale=-1.0)
                 else:
                     gs = geometric_sum(r, lam * lam, +1)
-                    ks.append(gs.poly)
+                ks.append(gs.poly)
                 self._tails[alpha].append(gs.tail_bound)
 
     @property

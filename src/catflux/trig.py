@@ -9,7 +9,9 @@ are all diagonal or near-diagonal in this representation, so every
 selection-rule integral reduces to exact frequency bookkeeping.  Every
 operation that can create equal frequencies (construction, sums, products,
 geometric sums) goes through one merge: lexsort, add.reduceat over equal
-keys, prune |c| > COEFF_TOL.
+keys, prune |c| > COEFF_TOL.  A geometric sum's merge is deferred until
+its columns are first read (DeferredSum); product_average can read such a
+sum at the few frequencies a join needs without merging it.
 
 One truncation rule serves every caller: coefficients of magnitude at most
 COEFF_TOL are dropped (by the merge, by scalar products and by derivatives),
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -439,6 +441,114 @@ def weighted_sum(terms: Iterable[Tuple[complex, TrigPoly]]) -> TrigPoly:
     return TrigPoly._of(*_merge_parts(parts, COEFF_TOL))
 
 
+class DeferredSum(TrigPoly):
+    """The polynomial of a geometric sum, merged the first time its columns
+    are read.
+
+    It holds the summand f, the weight of each index p, the direction and
+    a scale.  Until the columns n1, n2 and c are first read, they are unset
+    slots, and __getattr__ merges them: the same composition, merge and
+    prunes that geometric_sum describes, in the same order.  Reading an
+    entry whole (len, bool, a product, a composition, coeffs) therefore sees
+    exactly the eagerly merged columns, and holds them from then on.
+    product_average reads an unmerged sum only at the frequencies it needs
+    (coefficients_at) when its partners are certainly shorter.
+    """
+
+    __slots__ = ("_plan",)
+
+    def __init__(self, f: TrigPoly, weights: Tuple[float, ...],
+                 direction: int, scale: float, terms: int):
+        self._key = None
+        self._plan = (f, weights, direction, scale, terms)
+
+    def __getattr__(self, name: str):
+        # reached only while a slot is unset, i.e. before the merge
+        if name not in ("n1", "n2", "c") or self._plan is None:
+            raise AttributeError(name)
+        self.n1, self.n2, self.c = self._merged()
+        self._plan = None
+        return getattr(self, name)
+
+    @property
+    def pending(self) -> bool:
+        """True until the columns have been merged."""
+        return self._plan is not None
+
+    @property
+    def terms(self) -> int:
+        """Composed terms the merge will concatenate (while pending)."""
+        return self._plan[4]
+
+    def _scaled(self, c: np.ndarray) -> np.ndarray:
+        """c times the scale.  A scale of 1.0 is skipped, as an unscaled sum
+        never multiplied: the complex product could flip a zero's sign."""
+        scale = self._plan[3]
+        return c if scale == 1.0 else c * scale
+
+    def _merged(self) -> Columns:
+        f, weights, direction, _, _ = self._plan
+        size = np.abs(f.c)
+        parts = []
+        for p, weight in enumerate(weights):
+            live = size * abs(weight) > COEFF_TOL
+            n1, n2 = f.n1[live], f.n2[live]
+            if p:
+                n1, n2 = _compose(n1, n2, direction * p)
+            parts.append((n1, n2, weight * f.c[live]))
+        n1, n2, c = _merge_parts(parts, COEFF_TOL)
+        c = self._scaled(c)
+        keep = np.abs(c) > COEFF_TOL
+        if not keep.all():
+            n1, n2, c = n1[keep], n2[keep], c[keep]
+        return n1, n2, c
+
+    def coefficients_at(self, q1: np.ndarray, q2: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """(c, found): the merged coefficient at each query frequency,
+        read from an unmerged sum without merging it.
+
+        The term of index p at nu comes from f at S0^{-direction p} nu,
+        found in f's keys (preimages in Python ints, so one past the int64
+        range is simply absent) and kept by the live rule.  Per query the
+        terms are added in p order by np.add.reduceat, as the merge adds
+        them, then pruned, scaled and pruned again: the same numbers as the
+        merged columns hold at those frequencies.
+        """
+        f, weights, direction, _, _ = self._plan
+        queries = list(zip(q1.tolist(), q2.tolist()))
+        pre = []
+        for p in range(len(weights)):
+            a, b, c, d = s0_power(-direction * p)
+            for i, (x, y) in enumerate(queries):
+                m1, m2 = a * x + c * y, b * x + d * y
+                if max(abs(m1), abs(m2)) < FREQ_LIMIT:
+                    pre.append((i, p, m1, m2))
+        out = np.zeros(len(queries), dtype=np.complex128)
+        hit = np.zeros(len(queries), dtype=bool)
+        if not pre:
+            return out, hit
+        qi, p, m1, m2 = (np.array(col, dtype=np.int64) for col in zip(*pre))
+        idx, found = _find(f.n1, f.n2, m1, m2)
+        w = np.array(weights)[p]
+        found &= np.abs(f.c[idx]) * np.abs(w) > COEFF_TOL
+        qi, w, idx = qi[found], w[found], idx[found]
+        if not qi.size:
+            return out, hit
+        # rows are grouped by p; a stable sort groups them by query in p order
+        order = np.argsort(qi, kind="stable")
+        qi, vals = qi[order], w[order] * f.c[idx[order]]
+        starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+        sums = np.add.reduceat(vals, starts)
+        qi = qi[starts]
+        keep = np.abs(sums) > COEFF_TOL
+        qi, sums = qi[keep], self._scaled(sums[keep])
+        keep = np.abs(sums) > COEFF_TOL
+        out[qi[keep]] = sums[keep]
+        hit[qi[keep]] = True
+        return out, hit
+
+
 @dataclass(frozen=True)
 class GeometricSum:
     """Result of a truncated geometric sum with its recorded tail bound."""
@@ -447,15 +557,23 @@ class GeometricSum:
     tail_bound: float
 
 
-def geometric_sum(f: TrigPoly, ratio: float, direction: int) -> GeometricSum:
-    """sum_{p>=0} ratio^p f(S0^{direction*p} psi), truncated.
+def geometric_sum(f: TrigPoly, ratio: float, direction: int,
+                  scale: float = 1.0) -> GeometricSum:
+    """scale * sum_{p>=0} ratio^p f(S0^{direction*p} psi), truncated.
 
     The sum stops after p = MAX_P or as soon as |ratio|^p ||f||_1 falls below
     COEFF_TOL (the terms would be pruned immediately anyway); the geometric
-    tail bound |ratio|^{p+1}/(1-|ratio|) ||f||_1 for the stopping index is
-    recorded.  Only terms whose weighted coefficient survives pruning are
-    composed, which keeps frequency growth tied to actual content; the
-    composed terms of every p are concatenated and merged once.
+    tail bound |scale| |ratio|^{p+1}/(1-|ratio|) ||f||_1 for the stopping
+    index is recorded.  Only terms whose weighted coefficient survives
+    pruning are composed, which keeps frequency growth tied to actual
+    content; the composed terms of every p are concatenated and merged once,
+    pruned, multiplied by scale and pruned again, exactly as
+    scale * (merged sum) would be.
+
+    The stopping index, the tail bound and the frequency cap are settled
+    here: a composition that could pass FREQ_LIMIT is checked now and
+    raises FrequencyCapError.  The merge itself waits: the poly is a
+    DeferredSum, merged the first time its columns are read.
     """
     if abs(ratio) >= 1.0:
         raise ValueError(f"geometric sum requires |ratio| < 1, got {ratio}")
@@ -465,22 +583,69 @@ def geometric_sum(f: TrigPoly, ratio: float, direction: int) -> GeometricSum:
         return GeometricSum(TrigPoly.zero(), 0.0)
     norm = f.l1_norm()
     size = np.abs(f.c)
-    parts = []
+    reach = max(_abs_max(f.n1), _abs_max(f.n2))
+    weights = []
+    terms = 0
     weight = 1.0
-    p = 0
-    while p <= MAX_P and abs(weight) * norm > COEFF_TOL:
+    while len(weights) <= MAX_P and abs(weight) * norm > COEFF_TOL:
         live = size * abs(weight) > COEFF_TOL
-        if not live.any():
+        count = int(np.count_nonzero(live))
+        if not count:
             break
-        n1, n2 = f.n1[live], f.n2[live]
-        if p:
-            n1, n2 = _compose(n1, n2, direction * p)
-        parts.append((n1, n2, weight * f.c[live]))
+        power = direction * len(weights)
+        if 2 * max(map(abs, s0_power(power))) * reach >= FREQ_LIMIT:
+            _compose(f.n1[live], f.n2[live], power)
+        weights.append(weight)
+        terms += count
         weight *= ratio
-        p += 1
-    tail = abs(weight) / (1.0 - abs(ratio)) * norm
-    poly = TrigPoly._of(*_merge_parts(parts, COEFF_TOL))
+    tail = abs(scale) * (abs(weight) / (1.0 - abs(ratio)) * norm)
+    poly = DeferredSum(f, tuple(weights), direction, scale, terms)
     return GeometricSum(poly, tail)
+
+
+def _product(polys: Sequence[TrigPoly]) -> Columns:
+    """Columns of the product of merged polynomials, convolved in order,
+    with an empty-product early abort."""
+    acc = polys[0]._columns()
+    for f in polys[1:]:
+        if not acc[2].size:
+            break
+        acc = _convolve(acc, f._columns(), 0.0)
+    return acc
+
+
+def _deferred_join(polys: List[TrigPoly], i: int) -> float | None:
+    """product_average with the unmerged sum polys[i] read only where the
+    join needs it, or None when it is not certainly the longest factor.
+
+    Sorted by length, the sum would be the last factor when it is at least
+    as long as every factor before it and longer than every factor after
+    it.  Its length is bounded below by the number of its own largest
+    summand terms whose merged coefficients survive; when that bound does
+    not settle it, or reading the needed coefficients would cost more than
+    the merge, the caller merges.
+    """
+    big = polys[i]
+    rest = sorted(polys[:i] + polys[i + 1:], key=len)
+    need = max([len(p) for p in polys[:i]]
+               + [len(p) + 1 for p in polys[i + 1:]], default=0)
+    f, weights = big._plan[:2]
+    if rest:
+        n1, n2, c = _product(rest)
+    else:
+        n1 = n2 = np.zeros(1, dtype=np.int64)
+        c = None
+    if (n1.size + need) * len(weights) > big.terms:
+        return None
+    top = np.argsort(-np.abs(f.c), kind="stable")[:need]
+    vals, found = big.coefficients_at(np.concatenate([-n1, f.n1[top]]),
+                                      np.concatenate([-n2, f.n2[top]]))
+    if int(found[n1.size:].sum()) < need:
+        return None
+    vals, found = vals[:n1.size], found[:n1.size]
+    if c is None:
+        return float(vals[0].real) if found[0] else 0.0
+    return float((c[found] * vals[found]).sum().real)
 
 
 def product_average(factors: Iterable[TrigPoly]) -> float:
@@ -495,22 +660,29 @@ def product_average(factors: Iterable[TrigPoly]) -> float:
     Negation reverses lexicographic order, so when the convolution is the
     longer side its matches come in reverse; read back, they give the same
     products in the same order, and the same sum.
+
+    An unmerged geometric sum (DeferredSum) is not merged to be sorted.
+    When it is the only unmerged factor and certainly the longest, the
+    join reads its coefficients only at the convolution's negated keys
+    (DeferredSum.coefficients_at): the same products in the same order,
+    and the same sum.  Otherwise it is merged first.
     """
-    polys = sorted(factors, key=len)
+    polys = list(factors)
+    pending = [i for i, p in enumerate(polys)
+               if isinstance(p, DeferredSum) and p.pending]
+    if len(pending) == 1:
+        value = _deferred_join(polys, pending[0])
+        if value is not None:
+            return value
+    polys.sort(key=len)
     if not polys:
         return 1.0
-    big = polys[-1]
-    rest = polys[:-1]
+    big = polys.pop()
     if not big:
         return 0.0
-    if not rest:
+    if not polys:
         return big.average()
-    acc = rest[0]._columns()
-    for f in rest[1:]:
-        if not acc[2].size:
-            return 0.0
-        acc = _convolve(acc, f._columns(), 0.0)
-    n1, n2, c = acc
+    n1, n2, c = _product(polys)
     if not c.size:
         return 0.0
     if c.size <= big.c.size:

@@ -7,7 +7,9 @@ Legendre maximum over a beta grid, eigen-coordinates by exact inversion,
 the cumulants of sigma from periodic-orbit sums, the Birkhoff and encode
 orbits step by step in Python ints, and the decoded cell by Q(sqrt5)
 arithmetic.  displacement evaluates the conjugation H(psi) - psi
-pointwise for the defining-relation check.  No subcommand or library code
+pointwise for the defining-relation check.  eager_geometric_sum merges a
+geometric sum at once, in numpy and Python ints, in the summation order
+the library's deferred merge must keep.  No subcommand or library code
 runs them; the tests import them from here.
 """
 
@@ -23,7 +25,8 @@ from catflux.cumulants import CumulantTable, FactorRef, MomentEngine
 from catflux.partition import CatCoder, SymbolWindow
 from catflux.qfield import LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, from_eigen
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
-from catflux.trig import TrigPoly, V_MINUS, V_PLUS, s0_power
+from catflux.trig import (COEFF_TOL, MAX_P, TrigPoly, V_MINUS, V_PLUS,
+                          s0_power)
 
 # shifted factor grids replay_moments_on_grid keeps at once
 REPLAY_CACHE = 600
@@ -69,6 +72,54 @@ def displacement(series: ConjugationSeries, psi1: float, psi2: float,
         d2 += w * (hp * V_PLUS[1] + hm * V_MINUS[1])
         w *= eps
     return d1, d2
+
+
+def eager_geometric_sum(f: TrigPoly, ratio: float, direction: int,
+                        scale: float = 1.0, max_p: int = MAX_P
+                        ) -> Tuple[TrigPoly, float]:
+    """scale * sum_p ratio^p f o S0^{direction p} and its tail bound,
+    merged at once.
+
+    The terms of each p with |ratio^p c| > COEFF_TOL are composed in Python
+    ints and concatenated in p order; a stable lexsort and np.add.reduceat
+    sum each frequency in that order, then the sum is pruned at COEFF_TOL,
+    multiplied by scale and pruned again.  Those are the numbers, in that
+    order, that geometric_sum's merge gives, whenever it runs.
+    """
+    size = np.abs(f.c)
+    norm = float(size.sum())
+    n1, n2, c = [], [], []
+    weight = 1.0
+    p = 0
+    while f and p <= max_p and abs(weight) * norm > COEFF_TOL:
+        live = size * abs(weight) > COEFF_TOL
+        if not live.any():
+            break
+        a, b, cc, d = s0_power(direction * p)
+        for x, y in zip(f.n1[live].tolist(), f.n2[live].tolist()):
+            n1.append(a * x + cc * y)
+            n2.append(b * x + d * y)
+        c.append(weight * f.c[live])
+        weight *= ratio
+        p += 1
+    tail = abs(scale) * (abs(weight) / (1.0 - abs(ratio)) * norm) if f else 0.0
+    if not n1:
+        return TrigPoly.zero(), tail
+    n1 = np.array(n1, dtype=np.int64)
+    n2 = np.array(n2, dtype=np.int64)
+    c = np.concatenate(c)
+    order = np.lexsort((n2, n1))
+    n1, n2, c = n1[order], n2[order], c[order]
+    starts = np.flatnonzero(np.r_[True, (n1[1:] != n1[:-1])
+                                  | (n2[1:] != n2[:-1])])
+    n1, n2, c = n1[starts], n2[starts], np.add.reduceat(c, starts)
+    keep = np.abs(c) > COEFF_TOL
+    n1, n2, c = n1[keep], n2[keep], c[keep]
+    if scale != 1.0:
+        c = c * scale
+        keep = np.abs(c) > COEFF_TOL
+        n1, n2, c = n1[keep], n2[keep], c[keep]
+    return TrigPoly._of(n1, n2, c), tail
 
 
 def eigen_coords(x: Q5, y: Q5) -> Tuple[Q5, Q5]:

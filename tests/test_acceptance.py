@@ -169,6 +169,7 @@ class TestCriterion4GreenKubo:
         assert tm.symmetry_residual == 0.0
 
 
+@pytest.mark.slow
 class TestCriterion5ConjugacyResidual:
     def test_slopes(self):
         t0 = time.time()
@@ -219,6 +220,7 @@ class TestCriterion6OracleEquivalence:
         assert worst_alias < 1e-8
 
 
+@pytest.mark.slow
 class TestCriterion7MonteCarlo:
     def test_desk_scale_ratio_curve(self):
         t0 = time.time()
@@ -252,6 +254,7 @@ class TestCriterion7MonteCarlo:
         assert elapsed < 150.0
 
 
+@pytest.mark.slow
 class TestCriterion8AScaling:
     def test_stated_eps_grid_is_realizable(self):
         # the criterion pins eps in {0.1, 0.2, 0.3} for both forces, but the

@@ -1,18 +1,21 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catflux.conjugation import (ConjugationSeries, OrderCapError, RateSeries,
                                  chain_average, chain_order,
                                  conjugacy_residual, conjugation_order_k,
                                  expansion_rate_series)
-from catflux.cumulants import sigma_series
+from catflux.cumulants import CorrelationEngine, build_table, sigma_series
 from catflux.torus import CatSystem, HarmonicForce
 from catflux.trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS,
-                          V_PLUS, s0_power)
-from oracles import displacement, force_gradient
+                          V_PLUS, product_average, s0_power)
+from oracles import displacement, eager_geometric_sum, force_gradient
 
 FORCE = HarmonicForce.single_harmonic()
 NP = math.sqrt(LAMBDA_PLUS + 1)
@@ -273,3 +276,101 @@ class TestPinnedOrders:
     def test_expansion_rate(self, boundary, want):
         au = expansion_rate_series(FORCE, 3, boundary)
         assert key_digest([au.order(k) for k in (1, 2, 3)]) == want
+
+
+DEFERRED_FORCES = {"single": HarmonicForce.single_harmonic(),
+                   "two": HarmonicForce.two_harmonics()}
+
+
+@pytest.fixture(scope="module")
+def deferred_and_merged():
+    """(name, order) -> two series of one force through order: in the
+    first the top order is still unmerged, in the second every order has
+    been read whole.  Built once per module."""
+    built = {}
+
+    def get(name, order):
+        if (name, order) not in built:
+            lazy = ConjugationSeries(DEFERRED_FORCES[name], order)
+            merged = ConjugationSeries(DEFERRED_FORCES[name], order)
+            for h in merged.h_plus + merged.h_minus:
+                len(h)
+            built[name, order] = lazy, merged
+        return built[name, order]
+    return get
+
+
+def eager_solve(series, alpha, k):
+    """h_alpha^(k) and its tail bound, merged at once from the series' own
+    right-hand side (oracles.eager_geometric_sum)."""
+    rhs = series._rhs(alpha, k)
+    if alpha > 0:
+        return eager_geometric_sum(rhs, LAMBDA_MINUS, +1, -LAMBDA_MINUS)
+    return eager_geometric_sum(rhs.compose_power(-1), LAMBDA_MINUS, -1)
+
+
+# real partners of at most 8 terms with |nu|_inf <= 3
+partner_terms = st.lists(
+    st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+              st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    min_size=1, max_size=4)
+
+
+def real_partner(terms):
+    d = {}
+    for nu, re, im in terms:
+        m = (-nu[0], -nu[1])
+        if nu == m:
+            d[nu] = complex(re)
+        else:
+            d[nu] = complex(re, im)
+            d[m] = complex(re, -im)
+    return TrigPoly(d)
+
+
+class TestDeferredOrders:
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(sorted(DEFERRED_FORCES)), st.sampled_from([2, 3]),
+           st.sampled_from([1, -1]), partner_terms)
+    def test_join_equals_merged_order(self, deferred_and_merged, name, order,
+                                      alpha, terms):
+        # chain_average joins d_alpha g against the top order unmerged;
+        # the sum keeps its bits against the merged order, and the order
+        # stays unmerged
+        lazy, merged = deferred_and_merged(name, order)
+        pick = (lambda s: s.h_plus) if alpha > 0 else (lambda s: s.h_minus)
+        h, want_h = pick(lazy)[order], pick(merged)[order]
+        partner = real_partner(terms)
+        for factors, want in (([partner, h], [partner, want_h]),
+                              ([h, partner], [want_h, partner])):
+            got = product_average(factors)
+            assert got.hex() == product_average(want).hex()
+        assert h.pending
+
+    @pytest.mark.parametrize("amp", [1.0, 1.25])
+    def test_table_leaves_top_order_unmerged(self, amp):
+        # the order-4 table reads h^(3) only through the contracted mean:
+        # h^(3) stays unmerged and the build's traced peak stays small;
+        # read later, it equals an eager solve column for column
+        force = HarmonicForce.single_harmonic(amp)
+        tracemalloc.start()
+        try:
+            eng = CorrelationEngine(force, 4)
+            build_table(force, 4, engine=eng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        conj = eng.conj
+        assert conj.max_order == 3
+        assert conj.h_plus[3].pending and conj.h_minus[3].pending
+        assert peak < 10e6, f"traced peak {peak / 1e6:.1f} MB"
+        tails = [0.0]
+        for k in (1, 2, 3):
+            hp, tp = eager_solve(conj, +1, k)
+            hm, tm = eager_solve(conj, -1, k)
+            for got, want in ((conj.h_plus[k], hp), (conj.h_minus[k], hm)):
+                for col in ("n1", "n2", "c"):
+                    assert np.array_equal(getattr(got, col),
+                                          getattr(want, col)), (k, col)
+            tails.append(tp + tm)
+        assert [t.hex() for t in conj.tail_bounds] == [t.hex() for t in tails]

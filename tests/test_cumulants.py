@@ -451,6 +451,16 @@ class TestPinnedTables:
     def test_two_harmonic_third_order(self, two_table):
         assert table_entries(two_table) == TWO_TABLE
 
+    @pytest.mark.slow
+    def test_single_harmonic_fifth_order(self, single_force):
+        # the eps^5 entries of sin psi1 sit within 3e-15 of these rationals
+        table = build_table(single_force, 5)
+        got = {"mean": table.mean[5], 2: table.C[2][5], 3: table.C[3][5],
+               4: table.C[4][5], 5: table.C[5][5]}
+        want = {"mean": -1 / 24, 2: -35 / 12, 3: -35 / 2, 4: -44.0, 5: -40.0}
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
 
 class TestPinnedPaths:
     def test_joint_cumulants_and_means(self, single_engine):

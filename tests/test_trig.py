@@ -10,7 +10,7 @@ from catflux import trig
 from catflux.trig import (COEFF_TOL, FREQ_LIMIT, FrequencyCapError,
                           LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_PLUS,
                           geometric_sum, product_average, s0_power)
-from oracles import quadrature_average
+from oracles import eager_geometric_sum, quadrature_average
 
 
 def close_polys(p, q, tol=1e-12):
@@ -317,6 +317,10 @@ coefficients = st.builds(
     st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
     st.floats(0.5, 2.0) | st.floats(-2.0, -0.5))
 polys = st.dictionaries(frequencies, coefficients, max_size=12)
+# the conjugation's ratios with every index allowed, or any ratio with few
+ratios_and_max_p = (
+    st.tuples(st.sampled_from([LAMBDA_MINUS, LAMBDA_MINUS ** 2]), st.just(60))
+    | st.tuples(st.floats(-0.9, 0.9), st.integers(1, 30)))
 
 
 class TestArrayKernelsAgainstDictModel:
@@ -351,6 +355,98 @@ class TestArrayKernelsAgainstDictModel:
                                   max_p, tol=-1.0)
         assert_matches(got, ref_geometric_sum(f, ratio, direction, max_p),
                        scale)
+
+    @examples
+    @given(polys, ratios_and_max_p, st.sampled_from([1, -1]),
+           st.sampled_from([1.0, -1.0, -LAMBDA_MINUS]))
+    def test_deferred_merge_equals_eager_merge(self, f, ratio_max_p,
+                                               direction, scale):
+        # the merge waits for the first read and then gives the eager
+        # merge's columns and tail bound bit for bit
+        ratio, max_p = ratio_max_p
+        with patch.object(trig, "MAX_P", max_p):
+            gs = geometric_sum(TrigPoly(f), ratio, direction, scale)
+        want, tail = eager_geometric_sum(TrigPoly(f), ratio, direction,
+                                         scale, max_p)
+        assert gs.tail_bound.hex() == tail.hex()
+        if f:
+            assert gs.poly.pending
+        assert gs.poly == want
+        assert not getattr(gs.poly, "pending", False)
+
+    @examples
+    @given(polys, ratios_and_max_p, st.sampled_from([1, -1]),
+           st.sampled_from([1.0, -LAMBDA_MINUS]),
+           st.lists(frequencies, max_size=6))
+    def test_coefficients_at_equal_merged_columns(self, f, ratio_max_p,
+                                                  direction, scale, extra):
+        # queries: every frequency an index p could reach, terms below the
+        # live rule included, a few others, and one whose preimages pass
+        # the int64 range at every p > 0
+        ratio, max_p = ratio_max_p
+        with patch.object(trig, "MAX_P", max_p):
+            lazy = geometric_sum(TrigPoly(f), ratio, direction, scale).poly
+            merged = geometric_sum(TrigPoly(f), ratio, direction, scale).poly
+        if not f:
+            return
+        queries = extra + [(2 ** 61, -2 ** 61)]
+        for p in range(max_p + 1):
+            a, b, c, d = s0_power(direction * p)
+            queries += [(a * x + c * y, b * x + d * y) for x, y in f
+                        if max(abs(a * x + c * y), abs(b * x + d * y))
+                        < FREQ_LIMIT]
+        q1 = np.array([q[0] for q in queries], dtype=np.int64)
+        q2 = np.array([q[1] for q in queries], dtype=np.int64)
+        got, found = lazy.coefficients_at(q1, q2)
+        assert lazy.pending
+        want = merged.coeffs
+        for q, value, hit in zip(queries, got.tolist(), found.tolist()):
+            assert hit == (q in want)
+            if hit:
+                assert value == want[q]
+
+    def test_deferred_join_sorts_as_merged(self):
+        # the products -0.5, -5e15 and 5e15 sum to 0 in one order and to
+        # -0.5 in the reverse; the sum must read them as the merged sum
+        # sorts them.  The ten tiny summand terms are pruned after the
+        # scale, so the sum has 3 terms but 13 composed ones: its length
+        # must be certified, not guessed from the work
+        h = {(1, 0): 1.0, (2, 0): 1.0, (3, 0): 1.0,
+             **{(0, j): 2e-14 for j in range(1, 11)}}
+        same = {(-1, 0): 1.0, (-2, 0): 1e16, (-3, 0): -1e16}
+        longer = {**same, (5, 5): 1.0}
+        for partner, at, want in ((same, 0, 0.0), (same, 1, -0.5),
+                                  (longer, 0, 0.0), (longer, 1, 0.0)):
+            with patch.object(trig, "MAX_P", 0):
+                lazy = geometric_sum(TrigPoly(h), 0.5, +1, -0.5).poly
+                merged = geometric_sum(TrigPoly(h), 0.5, +1, -0.5).poly
+            assert len(merged) == 3 and lazy.terms == 13
+            factors = [TrigPoly(partner)]
+            assert product_average(
+                factors[:at] + [merged] + factors[at:]) == want
+            got = product_average(factors[:at] + [lazy] + factors[at:])
+            assert got.hex() == want.hex(), (len(partner), at)
+            # only a partner certainly not longer, before the sum, joins
+            # without the merge
+            assert lazy.pending == (partner is same and at == 1)
+
+    @examples
+    @given(polys, st.floats(-0.9, 0.9), st.sampled_from([1, -1]),
+           st.integers(1, 20), st.lists(polys, min_size=1, max_size=3),
+           st.integers(0, 3))
+    def test_deferred_join_is_bit_identical(self, f, ratio, direction, max_p,
+                                            partners, at):
+        # the join against an unmerged sum, wherever it sits among the
+        # factors and however long its partners are, against the merged sum
+        with patch.object(trig, "MAX_P", max_p):
+            lazy = geometric_sum(TrigPoly(f), ratio, direction).poly
+            merged = geometric_sum(TrigPoly(f), ratio, direction).poly
+        len(merged)
+        others = [TrigPoly(p) for p in partners]
+        at = min(at, len(others))
+        got = product_average(others[:at] + [lazy] + others[at:])
+        want = product_average(others[:at] + [merged] + others[at:])
+        assert got.hex() == want.hex()
 
     @examples
     @given(st.lists(polys, max_size=4))
