@@ -10,7 +10,7 @@ bottom-up with memoized lower orders (no tree enumeration).  Extending the
 series builds each order's right-hand side and tail bound at once; only
 the merge of the geometric sum waits until something reads the order
 whole (trig.DeferredSum).  The contracted top-order mean reads h^(K-1) at
-a few frequencies only (chain_average, product_average), so an order-K
+a few frequencies only (chain_average, trig.join_average), so an order-K
 table never merges it.
 
 The same fixed-point strategy yields the perturbed eigenvalue corrections
@@ -36,7 +36,8 @@ import numpy as np
 
 from .torus import HarmonicForce
 from .trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS, V_PLUS,
-                   geometric_sum, product_average, weighted_sum)
+                   geometric_sum, join_average, product_average,
+                   weighted_sum)
 
 ORDER_CAP = 8  # beyond this the term count explodes; 4 covers every paper value
 
@@ -113,16 +114,24 @@ def chain_average(g: TrigPoly, h_plus: Sequence[TrigPoly],
                   h_minus: Sequence[TrigPoly], n: int) -> float:
     """Torus average of (g o H)^(n), contracted term by term.
 
-    Each Faa di Bruno term of chain_order goes to product_average, which
-    convolves the small factors and dot-products them against the largest,
-    so the order-n polynomial is never built.  Equal to
+    A Faa di Bruno term of chain_order with one h factor, d_alpha g times
+    h_alpha^(n), looks the terms of d_alpha g up in h (trig.join_average),
+    which reads an unmerged h^(n) at those few frequencies without merging
+    it.  A term with two or more h factors goes to product_average, which
+    convolves the small factors and dot-products them against the largest.
+    So the order-n polynomial is never built.  Equal to
     chain_order(...).average() up to summation order and the coefficient
-    pruning chain_order applies.
+    pruning chain_order applies.  When d_alpha g is no longer than h, the
+    lookup adds the same products in the same order as product_average of
+    the pair would; when it is longer, product_average would look h's terms
+    up in d_alpha g instead and add them in h's key order.
     """
     if n == 0:
         return g.average()
-    return sum(weight * product_average([deriv] + factors)
-               for weight, deriv, factors in _chain_terms(g, h_plus, h_minus, n))
+    terms = _chain_terms(g, h_plus, h_minus, n)
+    return sum((weight * (join_average(deriv, hs[0]) if len(hs) == 1
+                          else product_average([deriv] + hs))
+                for weight, deriv, hs in terms), 0.0)
 
 
 class ConjugationSeries:

@@ -53,8 +53,8 @@ surviving moment composes only the terms of each factor within the final
 bounds, and each distinct cut factor is composed once per engine.
 
 Average-only terms are contracted, not built: the zero-insertion term of a
-mean reads (obs o H)^(m) only at nu = 0, so it sums product_average over
-the chain-rule terms (conjugation.chain_average) instead of multiplying out
+mean reads (obs o H)^(m) only at nu = 0, so it sums the averages of the
+chain-rule terms (conjugation.chain_average) instead of multiplying out
 the composed polynomial, which at the top order would be the largest the
 engine holds.  Every factor of a moment with a partner is still built and
 registered.
@@ -515,12 +515,11 @@ class CorrelationEngine:
         self.engine = MomentEngine()
         self._insertion_ids: Dict[int, int] = {}
         # observables are numbered by their canonical key, sigma (built once)
-        # as 0 without re-keying; the composed base ids and contracted
-        # averages are cached per observable number
+        # as 0 without re-keying; the composed base ids are cached per
+        # observable number
         self._sigma = sigma_series(force, max_order)
         self._obs_ids: Dict[tuple, int] = {self._sigma.key(): 0}
         self._composed_cache: Dict[int, List[int]] = {}
-        self._average_cache: Dict[Tuple[int, int], float] = {}
         self._cum_cache: Dict[tuple, Tuple[float, float]] = {}
 
     def _insertion_id(self, q: int) -> int:
@@ -531,7 +530,6 @@ class CorrelationEngine:
         """
         bid = self._insertion_ids.get(q)
         if bid is None:
-            self.expansion.extend_to(q)
             poly = -1.0 * self.expansion.order(q)
             poly = poly.take((poly.n1 != 0) | (poly.n2 != 0))
             bid = self.engine.register(poly)
@@ -562,20 +560,13 @@ class CorrelationEngine:
         return ids
 
     def composed_average(self, obs: ObservableSeries, n: int) -> float:
-        """Torus average of (obs o H)^(n), contracted and cached.
+        """Torus average of (obs o H)^(n), contracted.
 
         Summed over the observable's orders j as in composed_ids, with
         chain_average in place of chain_order: the order-n polynomial, the
         largest the engine would otherwise build, is never multiplied out.
         """
-        key = (self._obs_id(obs), n)
-        val = self._average_cache.get(key)
-        if val is None:
-            val = 0.0
-            for term in self._chained(obs, n, chain_average):
-                val += term
-            self._average_cache[key] = val
-        return val
+        return sum(self._chained(obs, n, chain_average), 0.0)
 
     def _chained(self, obs: ObservableSeries, n: int, chain) -> Iterator:
         """chain(obs^(j), h_+, h_-, n - j) over the nonzero orders j <= n of

@@ -10,8 +10,9 @@ selection-rule integral reduces to exact frequency bookkeeping.  Every
 operation that can create equal frequencies (construction, sums, products,
 geometric sums) goes through one merge: lexsort, add.reduceat over equal
 keys, prune |c| > COEFF_TOL.  A geometric sum's merge is deferred until
-its columns are first read (DeferredSum); product_average can read such a
-sum at the few frequencies a join needs without merging it.
+its columns are first read (DeferredSum); coefficients_at can read such a
+sum at a few frequencies without merging it, and join_average is the one
+join that asks for them.
 
 One truncation rule serves every caller: coefficients of magnitude at most
 COEFF_TOL are dropped (by the merge, by scalar products and by derivatives),
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -385,8 +386,16 @@ class TrigPoly:
     def average(self) -> float:
         """Torus average: the real part of the coefficient at nu = 0."""
         zero = np.zeros(1, dtype=np.int64)
-        idx, found = _find(self.n1, self.n2, zero, zero)
-        return float(self.c[idx[0]].real) if found[0] else 0.0
+        return float(self.coefficients_at(zero, zero)[0][0].real)
+
+    def coefficients_at(self, q1: np.ndarray, q2: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """(c, found): the coefficient at each query frequency (q1, q2),
+        0 where there is none, and whether there is one."""
+        idx, found = _find(self.n1, self.n2, q1, q2)
+        c = np.zeros(q1.size, dtype=np.complex128)
+        c[found] = self.c[idx[found]]
+        return c, found
 
     def compose_power(self, p: int) -> "TrigPoly":
         """f(S0^p psi): moves the coefficient at nu to (S0^T)^p nu.
@@ -451,8 +460,8 @@ class DeferredSum(TrigPoly):
     prunes that geometric_sum describes, in the same order.  Reading an
     entry whole (len, bool, a product, a composition, coeffs) therefore sees
     exactly the eagerly merged columns, and holds them from then on.
-    product_average reads an unmerged sum only at the frequencies it needs
-    (coefficients_at) when its partners are certainly shorter.
+    coefficients_at alone reads an unmerged sum without merging it, when
+    its queries are few (join_average, from conjugation.chain_average).
     """
 
     __slots__ = ("_plan",)
@@ -474,11 +483,6 @@ class DeferredSum(TrigPoly):
     def pending(self) -> bool:
         """True until the columns have been merged."""
         return self._plan is not None
-
-    @property
-    def terms(self) -> int:
-        """Composed terms the merge will concatenate (while pending)."""
-        return self._plan[4]
 
     def _scaled(self, c: np.ndarray) -> np.ndarray:
         """c times the scale.  A scale of 1.0 is skipped, as an unscaled sum
@@ -505,16 +509,20 @@ class DeferredSum(TrigPoly):
 
     def coefficients_at(self, q1: np.ndarray, q2: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """(c, found): the merged coefficient at each query frequency,
-        read from an unmerged sum without merging it.
+        """(c, found): the merged coefficient at each query frequency.
 
-        The term of index p at nu comes from f at S0^{-direction p} nu,
-        found in f's keys (preimages in Python ints, so one past the int64
-        range is simply absent) and kept by the live rule.  Per query the
-        terms are added in p order by np.add.reduceat, as the merge adds
-        them, then pruned, scaled and pruned again: the same numbers as the
-        merged columns hold at those frequencies.
+        While the sum is unmerged and the reads cost no more than the merge
+        (queries times indices p at most the composed terms), it is read
+        without merging: the term of index p at nu comes from f at
+        S0^{-direction p} nu, found in f's keys (preimages in Python ints,
+        so one past the int64 range is simply absent) and kept by the live
+        rule.  Per query the terms are added in p order by np.add.reduceat,
+        as the merge adds them, then pruned, scaled and pruned again: the
+        same numbers as the merged columns hold at those frequencies.
+        Otherwise the sum is merged and looked up.
         """
+        if self._plan is None or q1.size * len(self._plan[1]) > self._plan[4]:
+            return super().coefficients_at(q1, q2)
         f, weights, direction, _, _ = self._plan
         queries = list(zip(q1.tolist(), q2.tolist()))
         pre = []
@@ -603,78 +611,30 @@ def geometric_sum(f: TrigPoly, ratio: float, direction: int,
     return GeometricSum(poly, tail)
 
 
-def _product(polys: Sequence[TrigPoly]) -> Columns:
-    """Columns of the product of merged polynomials, convolved in order,
-    with an empty-product early abort."""
-    acc = polys[0]._columns()
-    for f in polys[1:]:
-        if not acc[2].size:
-            break
-        acc = _convolve(acc, f._columns(), 0.0)
-    return acc
-
-
-def _deferred_join(polys: List[TrigPoly], i: int) -> float | None:
-    """product_average with the unmerged sum polys[i] read only where the
-    join needs it, or None when it is not certainly the longest factor.
-
-    Sorted by length, the sum would be the last factor when it is at least
-    as long as every factor before it and longer than every factor after
-    it.  Its length is bounded below by the number of its own largest
-    summand terms whose merged coefficients survive; when that bound does
-    not settle it, or reading the needed coefficients would cost more than
-    the merge, the caller merges.
-    """
-    big = polys[i]
-    rest = sorted(polys[:i] + polys[i + 1:], key=len)
-    need = max([len(p) for p in polys[:i]]
-               + [len(p) + 1 for p in polys[i + 1:]], default=0)
-    f, weights = big._plan[:2]
-    if rest:
-        n1, n2, c = _product(rest)
-    else:
-        n1 = n2 = np.zeros(1, dtype=np.int64)
-        c = None
-    if (n1.size + need) * len(weights) > big.terms:
-        return None
-    top = np.argsort(-np.abs(f.c), kind="stable")[:need]
-    vals, found = big.coefficients_at(np.concatenate([-n1, f.n1[top]]),
-                                      np.concatenate([-n2, f.n2[top]]))
-    if int(found[n1.size:].sum()) < need:
-        return None
-    vals, found = vals[:n1.size], found[:n1.size]
-    if c is None:
-        return float(vals[0].real) if found[0] else 0.0
-    return float((c[found] * vals[found]).sum().real)
+def join_average(small: TrigPoly, big: TrigPoly) -> float:
+    """Exact torus average of small * big, <small big> = sum_nu small_nu
+    big_{-nu}: small's terms looked up in big at their negated frequencies
+    (big.coefficients_at, so an unmerged big is read, not merged, when the
+    lookups are few) and summed in small's key order."""
+    vals, found = big.coefficients_at(-small.n1, -small.n2)
+    return float((small.c[found] * vals[found]).sum().real)
 
 
 def product_average(factors: Iterable[TrigPoly]) -> float:
     """Exact torus average of a product of polynomials.
 
-    The smaller factors are convolved and the result is joined against the
-    largest factor's sorted keys, <prod> = sum_nu acc_nu big_{-nu}, with an
-    empty-product early abort.  This is the workhorse behind every
-    selection-rule integral.
+    The factors are sorted by length (which merges an unmerged one), the
+    smaller ones convolved, with an empty-product early abort, and the
+    result is joined against the largest, <prod> = sum_nu acc_nu big_{-nu}.
+    This is the workhorse behind every selection-rule integral.
 
     The join searches the shorter side's negated keys in the longer side.
+    When the convolution is the shorter side, that is join_average.
     Negation reverses lexicographic order, so when the convolution is the
     longer side its matches come in reverse; read back, they give the same
     products in the same order, and the same sum.
-
-    An unmerged geometric sum (DeferredSum) is not merged to be sorted.
-    When it is the only unmerged factor and certainly the longest, the
-    join reads its coefficients only at the convolution's negated keys
-    (DeferredSum.coefficients_at): the same products in the same order,
-    and the same sum.  Otherwise it is merged first.
     """
-    polys = list(factors)
-    pending = [i for i, p in enumerate(polys)
-               if isinstance(p, DeferredSum) and p.pending]
-    if len(pending) == 1:
-        value = _deferred_join(polys, pending[0])
-        if value is not None:
-            return value
-    polys.sort(key=len)
+    polys = sorted(factors, key=len)
     if not polys:
         return 1.0
     big = polys.pop()
@@ -682,12 +642,16 @@ def product_average(factors: Iterable[TrigPoly]) -> float:
         return 0.0
     if not polys:
         return big.average()
-    n1, n2, c = _product(polys)
+    acc = polys[0]._columns()
+    for f in polys[1:]:
+        if not acc[2].size:
+            break
+        acc = _convolve(acc, f._columns(), 0.0)
+    n1, n2, c = acc
     if not c.size:
         return 0.0
     if c.size <= big.c.size:
-        idx, found = _find(big.n1, big.n2, -n1, -n2)
-        return float((c[found] * big.c[idx[found]]).sum().real)
+        return join_average(TrigPoly._of(n1, n2, c), big)
     idx, found = _find(n1, n2, -big.n1, -big.n2)
     j = np.flatnonzero(found)[::-1]
     return float((c[idx[j]] * big.c[j]).sum().real)

@@ -208,7 +208,9 @@ class TestBenchSpans:
         # an engine attribute the bench reads that goes missing would fail
         # every traced run.  Order 4 is exact-deep's table: the priming
         # check compares the depths, (conj, expansion) orders, that an
-        # untraced build reaches, so a change that moves them shows here
+        # untraced build reaches, so a change that moves them shows here.
+        # The primed table equals the plain one by float.hex, so a traced
+        # run times the same table as an untraced one
         monkeypatch.syspath_prepend(str(PERFBENCH))
         spans, workloads, layers = (importlib.import_module(m) for m in
                                     ("spans", "workloads", "layers"))
@@ -217,13 +219,18 @@ class TestBenchSpans:
             rec = spans.Recorder(tracing=True)
             plain, primed = workloads.Result(), workloads.Result()
             label = f"order-{order}"
-            workloads.exact_table(rec, plain, label, force, order, None)
-            workloads.exact_table(rec, primed, label, force, order,
-                                  plain.depths)
+            tables = [
+                workloads.exact_table(rec, plain, label, force, order, None),
+                workloads.exact_table(rec, primed, label, force, order,
+                                      plain.depths)]
             counts = layers.engine_counts([*plain.engines.values(),
                                            *primed.engines.values()])
             assert rec.failed == 0, order
             assert plain.depths == primed.depths == {label: depths}
+            plain_hex, primed_hex = (
+                {(n, m): v.hex() for n, row in [("mean", t.mean), *t.C.items()]
+                 for m, v in row.items()} for t in tables)
+            assert primed_hex == plain_hex
             assert counts["cumulants.moments"] > 0
             assert counts["conjugation.rate_terms"] > 0
 

@@ -14,7 +14,7 @@ from catflux.conjugation import (ConjugationSeries, OrderCapError, RateSeries,
 from catflux.cumulants import CorrelationEngine, build_table, sigma_series
 from catflux.torus import CatSystem, HarmonicForce
 from catflux.trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS,
-                          V_PLUS, product_average, s0_power)
+                          V_PLUS, join_average, product_average, s0_power)
 from oracles import displacement, eager_geometric_sum, force_gradient
 
 FORCE = HarmonicForce.single_harmonic()
@@ -334,18 +334,21 @@ class TestDeferredOrders:
            st.sampled_from([1, -1]), partner_terms)
     def test_join_equals_merged_order(self, deferred_and_merged, name, order,
                                       alpha, terms):
-        # chain_average joins d_alpha g against the top order unmerged;
-        # the sum keeps its bits against the merged order, and the order
-        # stays unmerged
+        # a partner looked up in the top order unmerged (join_average, as
+        # chain_average looks d_alpha g up) keeps its bits against
+        # product_average with the merged order, and so does chain_average
+        # of the partner; the top orders stay unmerged
         lazy, merged = deferred_and_merged(name, order)
         pick = (lambda s: s.h_plus) if alpha > 0 else (lambda s: s.h_minus)
         h, want_h = pick(lazy)[order], pick(merged)[order]
         partner = real_partner(terms)
-        for factors, want in (([partner, h], [partner, want_h]),
-                              ([h, partner], [want_h, partner])):
-            got = product_average(factors)
+        got = join_average(partner, h)
+        for want in ([partner, want_h], [want_h, partner]):
             assert got.hex() == product_average(want).hex()
-        assert h.pending
+        got = chain_average(partner, lazy.h_plus, lazy.h_minus, order)
+        want = chain_average(partner, merged.h_plus, merged.h_minus, order)
+        assert got.hex() == want.hex()
+        assert lazy.h_plus[order].pending and lazy.h_minus[order].pending
 
     @pytest.mark.parametrize("amp", [1.0, 1.25])
     def test_table_leaves_top_order_unmerged(self, amp):

@@ -28,6 +28,20 @@ SINGLE_TABLE = {("mean", 1): 0.0, ("mean", 2): 1.0, ("mean", 3): 0.0,
                 (4, 4): -6.0}
 TWO_TABLE = {("mean", 1): 0.0, ("mean", 2): 5.0, ("mean", 3): -4.0,
              (2, 2): 10.0, (2, 3): -12.0, (3, 3): -12.0}
+# the eps^4 tables of a sin psi1 at the ends of the bench's amplitude range
+# [0.8, 1.25] (a = 0.9 and 1.25), recorded from the exact engine as float.hex
+AMP_TABLES = {
+    0.9: {("mean", 1): "0x0.0p+0", ("mean", 2): "0x1.9eb851eb851ecp-1",
+          ("mean", 3): "0x0.0p+0", ("mean", 4): "0x1.f7e28240b77dcp-1",
+          (2, 2): "0x1.9eb851eb851ecp+0", (2, 3): "0x0.0p+0",
+          (2, 4): "0x1.79e9e1b089a03p+1", (3, 3): "0x0.0p+0",
+          (3, 4): "0x1.f7e28240b7809p+0", (4, 4): "-0x1.f7e28240b7805p+1"},
+    1.25: {("mean", 1): "0x0.0p+0", ("mean", 2): "0x1.9000000000000p+0",
+           ("mean", 3): "0x0.0p+0", ("mean", 4): "0x1.d4bffffffffdcp+1",
+           (2, 2): "0x1.9000000000000p+1", (2, 3): "0x0.0p+0",
+           (2, 4): "0x1.5f90000000001p+3", (3, 3): "0x0.0p+0",
+           (3, 4): "0x1.d4c0000000000p+2", (4, 4): "-0x1.d4c0000000000p+3"},
+}
 TWO_TABLE_4 = {("mean", 1): 0.0, ("mean", 2): 5.0, ("mean", 3): -4.0,
                ("mean", 4): 49.50000000000015, (2, 2): 10.0, (2, 3): -12.0,
                (2, 4): 170.5, (3, 3): -12.0, (3, 4): 261.0, (4, 4): 186.0}
@@ -409,6 +423,10 @@ def table_entries(table):
     return entries
 
 
+def table_hex(table):
+    return {key: value.hex() for key, value in table_entries(table).items()}
+
+
 def random_real_poly(rng, with_const):
     """A few cosines with small frequencies and dyadic amplitudes, so that
     every moment and cumulant of them is computed without rounding."""
@@ -450,6 +468,11 @@ class TestPinnedTables:
 
     def test_two_harmonic_third_order(self, two_table):
         assert table_entries(two_table) == TWO_TABLE
+
+    @pytest.mark.parametrize("amp", sorted(AMP_TABLES))
+    def test_single_harmonic_fourth_order_at_amplitude(self, amp):
+        table = build_table(HarmonicForce.single_harmonic(amp), 4)
+        assert table_hex(table) == AMP_TABLES[amp]
 
     @pytest.mark.slow
     def test_single_harmonic_fifth_order(self, single_force):
@@ -502,23 +525,34 @@ class TestConnectedShifts:
                 assert got[key] == want[key], (order, key)
             assert set(pruned.engine._ursells) <= set(full.engine._ursells)
 
-    def test_recorded_moments_independent_of_base_order(self, single_force):
+    def test_recorded_moments_independent_of_base_order(self):
         # priming registers the composed sigma bases first, so every base
-        # id differs from the unprimed engine's.  Both engines are fresh:
-        # the session engine also records other tests' moments
-        plain = CorrelationEngine(single_force, max_order=4)
-        build_table(single_force, 4, engine=plain)
-        primed = CorrelationEngine(single_force, max_order=4)
-        primed.composed_ids(primed.sigma_observable(), 4)
-        build_table(single_force, 4, engine=primed)
-
+        # id differs from the unprimed engine's.  Building them also merges
+        # h^(K-1), which the plain table reads only unmerged, in the
+        # contracted top mean: both read paths give the same table.  Both
+        # engines are fresh: the session engine also records other tests'
+        # moments
         def recorded(eng):
             return {frozenset(Counter((eng.bases[bid].key(), sh)
                                       for bid, sh in key).items())
                     for key in eng.moments}
 
-        assert recorded(primed.engine) == recorded(plain.engine)
-        assert len(plain.engine.moments) == 570
+        for force, order, moments in (
+                (HarmonicForce.single_harmonic(), 4, 570),
+                (HarmonicForce.single_harmonic(1.1), 4, 570),
+                (HarmonicForce.two_harmonics(), 3, 25)):
+            plain = CorrelationEngine(force, max_order=order)
+            plain_table = build_table(force, order, engine=plain)
+            primed = CorrelationEngine(force, max_order=order)
+            primed.composed_ids(primed.sigma_observable(), order)
+            primed_table = build_table(force, order, engine=primed)
+            top = order - 1
+            for eng, pending in ((plain, True), (primed, False)):
+                assert [eng.conj.h_plus[top].pending,
+                        eng.conj.h_minus[top].pending] == [pending] * 2
+            assert table_hex(primed_table) == table_hex(plain_table)
+            assert recorded(primed.engine) == recorded(plain.engine)
+            assert len(plain.engine.moments) == moments
 
     @pytest.mark.parametrize("window", [4, 5, 6])
     def test_dropped_tuples_have_zero_ursell(self, window):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from catflux import trig
 from catflux.trig import (COEFF_TOL, FREQ_LIMIT, FrequencyCapError,
                           LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_PLUS,
-                          geometric_sum, product_average, s0_power)
+                          geometric_sum, join_average, product_average,
+                          s0_power)
 from oracles import eager_geometric_sum, quadrature_average
 
 
@@ -382,11 +383,14 @@ class TestArrayKernelsAgainstDictModel:
                                                   direction, scale, extra):
         # queries: every frequency an index p could reach, terms below the
         # live rule included, a few others, and one whose preimages pass
-        # the int64 range at every p > 0
+        # the int64 range at every p > 0.  Read in reads few enough to stay
+        # unmerged, all at once (merged only past the cost rule), and from
+        # the merged sum, each equals the merged columns
         ratio, max_p = ratio_max_p
         with patch.object(trig, "MAX_P", max_p):
-            lazy = geometric_sum(TrigPoly(f), ratio, direction, scale).poly
-            merged = geometric_sum(TrigPoly(f), ratio, direction, scale).poly
+            lazy, bulk, merged = (
+                geometric_sum(TrigPoly(f), ratio, direction, scale).poly
+                for _ in range(3))
         if not f:
             return
         queries = extra + [(2 ** 61, -2 ** 61)]
@@ -397,38 +401,34 @@ class TestArrayKernelsAgainstDictModel:
                         < FREQ_LIMIT]
         q1 = np.array([q[0] for q in queries], dtype=np.int64)
         q2 = np.array([q[1] for q in queries], dtype=np.int64)
-        got, found = lazy.coefficients_at(q1, q2)
+        _, weights, _, _, terms = lazy._plan
+        # the most queries one read takes without merging
+        step = terms // len(weights)
+        reads = [lazy.coefficients_at(q1[i:i + step], q2[i:i + step])
+                 for i in range(0, q1.size, step)]
         assert lazy.pending
+        cheap = bulk.coefficients_at(q1, q2)
+        assert bulk.pending == (q1.size * len(weights) <= terms)
         want = merged.coeffs
-        for q, value, hit in zip(queries, got.tolist(), found.tolist()):
-            assert hit == (q in want)
-            if hit:
-                assert value == want[q]
+        assert not merged.pending
+        for got, found in (tuple(map(np.concatenate, zip(*reads))), cheap,
+                           merged.coefficients_at(q1, q2)):
+            for q, value, hit in zip(queries, got.tolist(), found.tolist()):
+                assert hit == (q in want)
+                assert value == want.get(q, 0.0)
 
-    def test_deferred_join_sorts_as_merged(self):
-        # the products -0.5, -5e15 and 5e15 sum to 0 in one order and to
-        # -0.5 in the reverse; the sum must read them as the merged sum
-        # sorts them.  The ten tiny summand terms are pruned after the
-        # scale, so the sum has 3 terms but 13 composed ones: its length
-        # must be certified, not guessed from the work
-        h = {(1, 0): 1.0, (2, 0): 1.0, (3, 0): 1.0,
-             **{(0, j): 2e-14 for j in range(1, 11)}}
-        same = {(-1, 0): 1.0, (-2, 0): 1e16, (-3, 0): -1e16}
-        longer = {**same, (5, 5): 1.0}
-        for partner, at, want in ((same, 0, 0.0), (same, 1, -0.5),
-                                  (longer, 0, 0.0), (longer, 1, 0.0)):
-            with patch.object(trig, "MAX_P", 0):
-                lazy = geometric_sum(TrigPoly(h), 0.5, +1, -0.5).poly
-                merged = geometric_sum(TrigPoly(h), 0.5, +1, -0.5).poly
-            assert len(merged) == 3 and lazy.terms == 13
-            factors = [TrigPoly(partner)]
-            assert product_average(
-                factors[:at] + [merged] + factors[at:]) == want
-            got = product_average(factors[:at] + [lazy] + factors[at:])
-            assert got.hex() == want.hex(), (len(partner), at)
-            # only a partner certainly not longer, before the sum, joins
-            # without the merge
-            assert lazy.pending == (partner is same and at == 1)
+    def test_join_average_sums_in_key_order(self):
+        # the products 1, 1e16 and -1e16 sum to 0 in small's key order and
+        # to 1 in the reverse; an unmerged big is read in the same order,
+        # and product_average, given small first, joins the pair the same way
+        small = TrigPoly({(1, 0): 1.0, (2, 0): 1e16, (3, 0): -1e16})
+        big = {(-1, 0): 1.0, (-2, 0): 1.0, (-3, 0): 1.0}
+        with patch.object(trig, "MAX_P", 0):
+            lazy = geometric_sum(TrigPoly(big), 0.5, +1).poly
+        assert join_average(small, lazy) == 0.0
+        assert lazy.pending
+        assert join_average(small, TrigPoly(big)) == 0.0
+        assert product_average([small, TrigPoly(big)]) == 0.0
 
     @examples
     @given(polys, st.floats(-0.9, 0.9), st.sampled_from([1, -1]),
