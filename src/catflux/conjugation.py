@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .torus import HarmonicForce
+from .torus import HarmonicForce, check_count
 from .trig import (LAMBDA_MINUS, LAMBDA_PLUS, TrigPoly, V_MINUS, V_PLUS,
                    geometric_sum, join_average, product_average,
                    weighted_sum)
@@ -48,11 +49,22 @@ class OrderCapError(ValueError):
     pass
 
 
-def _check_order(k: int):
-    if k < 1:
-        raise ValueError("series order must be >= 1")
-    if k > ORDER_CAP:
-        raise OrderCapError(f"order {k} beyond cap {ORDER_CAP}")
+def _check_order(k: int, cap: int = ORDER_CAP) -> None:
+    """The one order check of the series and of the cumulant engine, each
+    with its own cap: k must be an integer, not a bool, in 1..cap."""
+    if isinstance(k, numbers.Integral) and k > cap:
+        raise OrderCapError(f"order {k} beyond cap {cap}")
+    check_count("order", k, 1, cap)
+
+
+def _solve(rhs: TrigPoly, ratio: float, direction: int, scale: float = 1.0
+           ) -> Tuple[TrigPoly, float]:
+    """The one cohomology solve, with its tail bound: scale * sum_{p>=0}
+    ratio^p rhs o S0^p (direction +1) or rhs o S0^{-(p+1)} (direction -1)."""
+    if direction < 0:
+        rhs = rhs.compose_power(-1)
+    gs = geometric_sum(rhs, ratio, direction, scale)
+    return gs.poly, gs.tail_bound
 
 
 def compositions(total: int, mins: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -146,7 +158,6 @@ class ConjugationSeries:
     """
 
     def __init__(self, force: HarmonicForce, max_order: int):
-        _check_order(max_order)
         self.force = force
         self.f_plus = force.f_alpha(+1)
         self.f_minus = force.f_alpha(-1)
@@ -161,26 +172,17 @@ class ConjugationSeries:
         for k in range(self.max_order + 1, order + 1):
             self._extend(k)
 
-    def _solve(self, alpha: int, rhs: TrigPoly) -> Tuple[TrigPoly, float]:
-        """Solve lambda_a h(psi) - h(S0 psi) = -rhs(psi) by geometric sum.
-
-        alpha=+1: h = -sum_{p>=0} lambda_+^{-(p+1)} rhs(S0^p psi)
-        alpha=-1: h = +sum_{p<=-1} lambda_-^{-p-1} rhs(S0^p psi)
-        """
-        if alpha > 0:
-            gs = geometric_sum(rhs, _LAMBDA, +1, scale=-_LAMBDA)
-        else:
-            gs = geometric_sum(rhs.compose_power(-1), _LAMBDA, -1)
-        return gs.poly, gs.tail_bound
-
     def _rhs(self, alpha: int, k: int) -> TrigPoly:
         """F_alpha^(k): the order-k part of f_alpha(psi + h(psi))."""
         f = self.f_plus if alpha > 0 else self.f_minus
         return chain_order(f, self.h_plus, self.h_minus, k - 1)
 
     def _extend(self, k: int):
-        hp, tp = self._solve(+1, self._rhs(+1, k))
-        hm, tm = self._solve(-1, self._rhs(-1, k))
+        """Solve lambda_a h(psi) - h(S0 psi) = -F_a^(k)(psi):
+        h_+ = -sum_{p>=0} lambda_+^{-(p+1)} F_+^(k)(S0^p psi) and
+        h_- = +sum_{p<=-1} lambda_-^{-p-1} F_-^(k)(S0^p psi)."""
+        hp, tp = _solve(self._rhs(+1, k), _LAMBDA, +1, -_LAMBDA)
+        hm, tm = _solve(self._rhs(-1, k), _LAMBDA, -1)
         self.h_plus.append(hp)
         self.h_minus.append(hm)
         self.tail_bounds.append(tp + tm)
@@ -274,14 +276,10 @@ class RateSeries:
                 for m in range(1, k):
                     # gamma^{(m)} * (k o S0)^{(k-m)}; both strictly lower order.
                     r = r - gammas[m] * ks[k - m].compose_power(1)
-                r = (-lam) * r
-                if alpha > 0:
-                    gs = geometric_sum(r.compose_power(-1), lam * lam, -1,
-                                       scale=-1.0)
-                else:
-                    gs = geometric_sum(r, lam * lam, +1)
-                ks.append(gs.poly)
-                self._tails[alpha].append(gs.tail_bound)
+                k_poly, tail = _solve((-lam) * r, lam * lam, -alpha,
+                                      -1.0 if alpha > 0 else 1.0)
+                ks.append(k_poly)
+                self._tails[alpha].append(tail)
 
     @property
     def tail_bounds(self) -> List[float]:
@@ -371,8 +369,7 @@ class ExpansionRateSeries:
         self._rebuild(order)
 
     def order(self, k: int) -> TrigPoly:
-        if k > self.max_order:
-            self.extend_to(k)
+        self.extend_to(k)
         return self._orders[k]
 
     @property

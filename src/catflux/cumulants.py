@@ -74,11 +74,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .conjugation import (ExpansionRateSeries, chain_average, chain_order,
-                          compositions, log1p_series)
+from .conjugation import (ExpansionRateSeries, _check_order, chain_average,
+                          chain_order, compositions, log1p_series)
 from .torus import HarmonicForce
-from .trig import (LAMBDA_PLUS, PAIR_CHUNK, SQRT5, TrigPoly, V_MINUS,
-                   V_PLUS, product_average)
+from .trig import (_SHADOW_REL, FREQ_LIMIT, LAMBDA_PLUS, PAIR_CHUNK, SQRT5,
+                   TrigPoly, V_MINUS, V_PLUS, product_average)
 
 # every shift sum is certified for this window; read at call time
 SHIFT_WINDOW = 12
@@ -119,8 +119,7 @@ def sigma_series(force: HarmonicForce, max_order: int) -> ObservableSeries:
     sigma^(1) = -2 cos psi1, sigma^(2) = 2 cos^2 psi1, sigma^(3) = -8/3 cos^3.
     The orders are the negated log1p expansion that A_u also uses.
     """
-    if max_order > ORDER_CAP:
-        raise ValueError(f"order {max_order} beyond cap {ORDER_CAP}")
+    _check_order(max_order, ORDER_CAP)
     log_orders = log1p_series([TrigPoly.zero(), force.jacobian_poly()],
                               max_order)
     return ObservableSeries([-1.0 * p for p in log_orders])
@@ -171,15 +170,16 @@ PROJECTION_SLACK = 1e-12
 def _norm_form(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """The integer norm n1^2 + n1 n2 - n2^2, as floats, without cancellation.
 
-    Where a float64 shadow of the form, plus its rounding bound, stays
-    below 2^62, the true value fits in int64 and the wrapping int64 form is
-    exact; elsewhere the shadow is used when its rounding bound is below
-    1e-15 of its value, and Python ints where it is not.
+    Where a float64 shadow of the form, plus its rounding bound (that of
+    trig's composition shadow), stays below FREQ_LIMIT = 2^62, the true
+    value fits in int64 and the wrapping int64 form is exact; elsewhere the
+    shadow is used when its rounding bound is below 1e-15 of its value, and
+    Python ints where it is not.
     """
     f1, f2 = n1.astype(float), n2.astype(float)
     shadow = f1 * f1 + f1 * f2 - f2 * f2
-    err = 8 * 2.0 ** -53 * (f1 * f1 + np.abs(f1 * f2) + f2 * f2)
-    exact = np.abs(shadow) + err < 2.0 ** 62
+    err = _SHADOW_REL * (f1 * f1 + np.abs(f1 * f2) + f2 * f2)
+    exact = np.abs(shadow) + err < FREQ_LIMIT
     out = np.where(exact, (n1 * n1 + n1 * n2 - n2 * n2).astype(float), shadow)
     for i in np.flatnonzero(~exact & (err > 1e-15 * np.abs(shadow))).tolist():
         x, y = int(n1[i]), int(n2[i])
@@ -503,8 +503,7 @@ class CorrelationEngine:
     """SRB means, cumulants, and joint cumulants for one force."""
 
     def __init__(self, force: HarmonicForce, max_order: int = 4):
-        if max_order > ORDER_CAP:
-            raise ValueError(f"order {max_order} beyond cap {ORDER_CAP}")
+        _check_order(max_order, ORDER_CAP)
         self.force = force
         self.max_order = max_order
         # the series extend lazily to whatever depth the requested orders
@@ -762,6 +761,7 @@ def build_table(force: HarmonicForce, max_order: int = 4,
                 engine: Optional[CorrelationEngine] = None) -> CumulantTable:
     """Means and cumulants C_2..C_max through total eps-order max_order,
     from a given engine built for this force to at least that order."""
+    _check_order(max_order, ORDER_CAP)
     eng = engine or CorrelationEngine(force, max_order)
     if eng.force != force or eng.max_order < max_order:
         raise ValueError("engine built for another force or a lower order "

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -30,7 +29,7 @@ import numpy as np
 from .qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
                      from_eigen, lattice_coords, lattice_from_b_shift,
                      lattice_from_eigen_shift)
-from .torus import TorusPoint
+from .torus import TorusPoint, check_count
 from .trig import s0_power
 
 TWO_PI = 2.0 * math.pi
@@ -498,7 +497,7 @@ class SymbolWindow:
     boundary_flags: List[bool] = field(default_factory=list)
 
     def __post_init__(self):
-        _check_count("n", self.n, 0)
+        check_count("n", self.n, 0)
         if len(self.symbols) != 2 * self.n + 1:
             raise ValueError(f"a window of depth n = {self.n} has "
                              f"{2 * self.n + 1} symbols, got "
@@ -694,14 +693,6 @@ def _cell_tests(x0, y0, side: float, foot: np.ndarray
     return meets, holds
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse a count that is a bool, not an integer, or below least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 class CatCoder:
     """Encode/decode points against a verified partition."""
 
@@ -767,7 +758,7 @@ class CatCoder:
         window of a point within 2^-64 of p; a flag marks a point within
         BOUNDARY_TOL of a side.
         """
-        _check_count("n", n, 0)
+        check_count("n", n, 0)
         a, b, c, d = s0_power(-n)
         X, Y = _lattice_point(p)
         X, Y = (a * X + b * Y) & _MASK64, (c * X + d * Y) & _MASK64
@@ -852,7 +843,7 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
     orbit point that no rectangle holds raises PartitionError: the
     frequencies would not sum over the torus.
     """
-    _check_count("n_steps", n_steps, 1)
+    check_count("n_steps", n_steps, 1)
     counts = np.zeros(len(coder.partition), dtype=int)
     done = 0
     missed = 0

@@ -30,15 +30,18 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .torus import CatSystem
+from .torus import CatSystem, check_count
+
+# seeds key the 128-bit Philox generator, so they lie in 0..SEED_LIMIT - 1
+SEED_LIMIT = 2 ** 128
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One Monte Carlo experiment, validated before any stepping.
 
-    Construction refuses an eps at which S_eps is not invertible (det DS_eps
-    <= 0 somewhere on T^2, where sigma is undefined).
+    Construction refuses bad counts, seeds and bin widths, and an eps at
+    which S_eps is not invertible (det DS_eps <= 0 somewhere on T^2).
     """
 
     system: CatSystem
@@ -51,14 +54,14 @@ class SimConfig:
     sigma_mode: str = "per_run"   # "per_run" (thesis protocol) or "pooled"
 
     def __post_init__(self):
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+        for name in ("T", "tau", "N", "workers"):
+            check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0, SEED_LIMIT - 1)
         if self.T % self.tau != 0:
             raise ValueError("T must be a multiple of tau")
-        if self.bin_width <= 0:
-            raise ValueError("bin width must be positive")
-        if self.N < 1 or self.workers < 1:
-            raise ValueError("N and workers must be >= 1")
+        if not 0 < self.bin_width < math.inf:
+            raise ValueError("bin width must be a positive finite number, "
+                             f"got {self.bin_width!r}")
         if self.sigma_mode not in ("per_run", "pooled"):
             raise ValueError("sigma_mode must be 'per_run' or 'pooled'")
         if self.system.epsilon == 0.0:

@@ -11,6 +11,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -19,6 +20,18 @@ import numpy as np
 from .trig import TrigPoly, V_MINUS, V_PLUS
 
 TWO_PI = 2.0 * math.pi
+
+
+def check_count(name: str, value, least: int, most=None) -> None:
+    """Refuse a count that is a bool, not an integer, below least or above
+    most (unbounded above when most is None); the message names the range."""
+    integral = (isinstance(value, numbers.Integral)
+                and not isinstance(value, bool))
+    if integral and least <= value and (most is None or value <= most):
+        return
+    span = f">= {least}" if most is None else f"in {least}..{most}"
+    raise ValueError(f"{name} must be {'' if integral else 'an integer '}"
+                     f"{span}, got {value!r}")
 
 
 @dataclass(frozen=True)

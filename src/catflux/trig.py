@@ -10,9 +10,9 @@ selection-rule integral reduces to exact frequency bookkeeping.  Every
 operation that can create equal frequencies (construction, sums, products,
 geometric sums) goes through one merge: lexsort, add.reduceat over equal
 keys, prune |c| > COEFF_TOL.  A geometric sum's merge is deferred until
-its columns are first read (DeferredSum); coefficients_at can read such a
-sum at a few frequencies without merging it, and join_average is the one
-join that asks for them.
+its columns are first read (DeferredSum); coefficients_at reads such a
+sum by preimage without merging it, and join_average is the one join that
+asks for it.
 
 One truncation rule serves every caller: coefficients of magnitude at most
 COEFF_TOL are dropped (by the merge, by scalar products and by derivatives),
@@ -460,16 +460,16 @@ class DeferredSum(TrigPoly):
     prunes that geometric_sum describes, in the same order.  Reading an
     entry whole (len, bool, a product, a composition, coeffs) therefore sees
     exactly the eagerly merged columns, and holds them from then on.
-    coefficients_at alone reads an unmerged sum without merging it, when
-    its queries are few (join_average, from conjugation.chain_average).
+    coefficients_at alone reads an unmerged sum without merging it
+    (join_average, from conjugation.chain_average).
     """
 
     __slots__ = ("_plan",)
 
     def __init__(self, f: TrigPoly, weights: Tuple[float, ...],
-                 direction: int, scale: float, terms: int):
+                 direction: int, scale: float):
         self._key = None
-        self._plan = (f, weights, direction, scale, terms)
+        self._plan = (f, weights, direction, scale)
 
     def __getattr__(self, name: str):
         # reached only while a slot is unset, i.e. before the merge
@@ -491,7 +491,7 @@ class DeferredSum(TrigPoly):
         return c if scale == 1.0 else c * scale
 
     def _merged(self) -> Columns:
-        f, weights, direction, _, _ = self._plan
+        f, weights, direction, _ = self._plan
         size = np.abs(f.c)
         parts = []
         for p, weight in enumerate(weights):
@@ -511,19 +511,17 @@ class DeferredSum(TrigPoly):
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """(c, found): the merged coefficient at each query frequency.
 
-        While the sum is unmerged and the reads cost no more than the merge
-        (queries times indices p at most the composed terms), it is read
-        without merging: the term of index p at nu comes from f at
-        S0^{-direction p} nu, found in f's keys (preimages in Python ints,
-        so one past the int64 range is simply absent) and kept by the live
-        rule.  Per query the terms are added in p order by np.add.reduceat,
-        as the merge adds them, then pruned, scaled and pruned again: the
-        same numbers as the merged columns hold at those frequencies.
-        Otherwise the sum is merged and looked up.
+        An unmerged sum is read without merging: the term of index p at nu
+        comes from f at S0^{-direction p} nu, found in f's keys (preimages
+        in Python ints, so one past the int64 range is simply absent) and
+        kept by the live rule.  Per query the terms are added in p order by
+        np.add.reduceat, as the merge adds them, then pruned, scaled and
+        pruned again: the same numbers as the merged columns hold at those
+        frequencies.  A merged sum is looked up.
         """
-        if self._plan is None or q1.size * len(self._plan[1]) > self._plan[4]:
+        if self._plan is None:
             return super().coefficients_at(q1, q2)
-        f, weights, direction, _, _ = self._plan
+        f, weights, direction, _ = self._plan
         queries = list(zip(q1.tolist(), q2.tolist()))
         pre = []
         for p in range(len(weights)):
@@ -593,29 +591,26 @@ def geometric_sum(f: TrigPoly, ratio: float, direction: int,
     size = np.abs(f.c)
     reach = max(_abs_max(f.n1), _abs_max(f.n2))
     weights = []
-    terms = 0
     weight = 1.0
     while len(weights) <= MAX_P and abs(weight) * norm > COEFF_TOL:
         live = size * abs(weight) > COEFF_TOL
-        count = int(np.count_nonzero(live))
-        if not count:
+        if not live.any():
             break
         power = direction * len(weights)
         if 2 * max(map(abs, s0_power(power))) * reach >= FREQ_LIMIT:
             _compose(f.n1[live], f.n2[live], power)
         weights.append(weight)
-        terms += count
         weight *= ratio
     tail = abs(scale) * (abs(weight) / (1.0 - abs(ratio)) * norm)
-    poly = DeferredSum(f, tuple(weights), direction, scale, terms)
+    poly = DeferredSum(f, tuple(weights), direction, scale)
     return GeometricSum(poly, tail)
 
 
 def join_average(small: TrigPoly, big: TrigPoly) -> float:
     """Exact torus average of small * big, <small big> = sum_nu small_nu
     big_{-nu}: small's terms looked up in big at their negated frequencies
-    (big.coefficients_at, so an unmerged big is read, not merged, when the
-    lookups are few) and summed in small's key order."""
+    (big.coefficients_at, so an unmerged big is read, not merged) and
+    summed in small's key order."""
     vals, found = big.coefficients_at(-small.n1, -small.n2)
     return float((small.c[found] * vals[found]).sum().real)
 

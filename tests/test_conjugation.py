@@ -66,6 +66,11 @@ class TestConjugationHigherOrders:
         with pytest.raises(OrderCapError, match="beyond cap 8"):
             ConjugationSeries(FORCE, 9)
 
+    @pytest.mark.parametrize("order", [0, True, 2.0])
+    def test_order_refused_outside_range(self, order):
+        with pytest.raises(ValueError, match=r"order must be .*in 1\.\.8"):
+            ConjugationSeries(FORCE, order)
+
     def test_residual_at_fixed_point(self):
         res = conjugacy_residual(FORCE, 2, [1e-3, 3e-3], grid_n=2)
         assert res["order"] == 2

@@ -227,6 +227,13 @@ class TestEngineSeries:
         with pytest.raises(ValueError, match="beyond cap 6"):
             CorrelationEngine(single_force, 7)
 
+    @pytest.mark.parametrize("order", [0, True, 2.0])
+    def test_order_refused_outside_range(self, single_force, order):
+        # refused up front, before any series or table work
+        for build in (CorrelationEngine, build_table):
+            with pytest.raises(ValueError, match=r"order must be .*in 1\.\.6"):
+                build(single_force, order)
+
 
 class TestContractedMean:
     # the top-order mean reads (sigma o H)^(m) only at nu = 0, so it is

@@ -1,5 +1,6 @@
 """No library module and no test file keeps a module-level import it never
-uses; no library dataclass keeps a field that nothing reads."""
+uses; no library dataclass keeps a field that nothing reads; no library
+module but trig spells the int64 limits."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,36 @@ def test_every_dataclass_field_is_read():
               for cls, name in dataclass_fields(path.read_text())]
     assert len(fields) > 50
     assert [f for f in fields if f[2] not in reads] == []
+
+
+# trig owns the int64 limits: FREQ_LIMIT = 2^62, the int64 range 2^63 and
+# the composition shadow's rounding bound _SHADOW_REL = 8 * 2^-53
+INT64_LIMITS = {2 ** 62, 2 ** 63, 8 * 2.0 ** -53}
+CONSTANT_NODES = (ast.BinOp, ast.UnaryOp, ast.Constant, ast.operator,
+                  ast.unaryop)
+
+
+def int64_limit_literals(source: str):
+    """(line, value) of every constant arithmetic expression that spells
+    one of the int64 limits."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and all(
+                isinstance(n, CONSTANT_NODES) for n in ast.walk(node)):
+            value = eval(compile(ast.Expression(node), "<literal>", "eval"))
+            if value in INT64_LIMITS:
+                found.append((node.lineno, value))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "trig.py"),
+    ids=lambda p: p.name)
+def test_int64_limits_are_spelled_only_in_trig(path):
+    assert int64_limit_literals(path.read_text()) == []
+
+
+def test_trig_spells_the_int64_limits():
+    found = {value for _, value in
+             int64_limit_literals((SRC / "trig.py").read_text())}
+    assert found == INT64_LIMITS

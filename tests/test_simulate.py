@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from catflux.simulate import (RatioCurve, RunStats, SimConfig, build_curve,
-                              fit_models, measure_asymmetry, simulate,
-                              slope_and_A)
+from catflux.simulate import (SEED_LIMIT, RatioCurve, RunStats, SimConfig,
+                              build_curve, fit_models, measure_asymmetry,
+                              simulate, slope_and_A)
 from catflux.torus import CatSystem, HarmonicForce
 
 # the package re-exports simulate(), which shadows the module attribute
@@ -34,6 +34,36 @@ class TestConfigValidation:
     def test_bin_width(self):
         with pytest.raises(ValueError):
             desk_config(bin_width=0.0)
+
+    # each refusal comes from the constructor, before any orbit is stepped
+
+    def test_zero_T_refused(self):
+        with pytest.raises(ValueError, match="T must be >= 1, got 0"):
+            desk_config(T=0)
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
+    def test_seed_outside_philox_key_range_refused(self, seed):
+        with pytest.raises(ValueError,
+                           match=f"seed must be in 0..{SEED_LIMIT - 1}"):
+            desk_config(seed=seed)
+
+    def test_largest_seed_runs(self):
+        # seed ^ r stays a valid 128-bit Philox key for every run r
+        assert SEED_LIMIT == 2 ** 128
+        stats = simulate(desk_config(seed=SEED_LIMIT - 1, T=5000, N=2))
+        assert len(stats) == 2
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_non_finite_bin_width_refused(self, width):
+        with pytest.raises(ValueError, match="positive finite number"):
+            desk_config(bin_width=width)
+
+    @pytest.mark.parametrize("key, value", [
+        ("N", True), ("T", 50_000.0), ("tau", True), ("workers", 1.0)])
+    def test_non_integer_count_refused(self, key, value):
+        with pytest.raises(ValueError,
+                           match=f"{key} must be an integer >= 1"):
+            desk_config(**{key: value})
 
 
 class TestInvertibility:
