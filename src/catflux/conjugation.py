@@ -369,6 +369,7 @@ class ExpansionRateSeries:
         self._rebuild(order)
 
     def order(self, k: int) -> TrigPoly:
+        check_count("order", k, 0)
         self.extend_to(k)
         return self._orders[k]
 

@@ -211,6 +211,12 @@ class TestExpansionRate:
         assert (au.order(1) - want).l1_norm() < 1e-12
         assert au.order(1).average() == 0.0
 
+    @pytest.mark.parametrize("k", [-1, True, 1.0])
+    def test_order_refused_below_range(self, k):
+        # -1 would otherwise index the top order from the end
+        with pytest.raises(ValueError, match=r"order must be .*>= 0"):
+            expansion_rate_series(FORCE, 2).order(k)
+
     def test_order_two_against_display(self):
         # A_u^(2) = lam^{-1}[d_a d_+ f_+ h_a^(1) + d_- f_+ k_-^(1)]
         #           - lam^{-2}/2 (d_+ f_+)^2   (boundary off)

@@ -385,7 +385,7 @@ class TestArrayKernelsAgainstDictModel:
         # live rule included, a few others, and one whose preimages pass
         # the int64 range at every p > 0.  Read in reads of one, a few and
         # all of them, each leaves the sum unmerged and equals the merged
-        # columns bit for bit
+        # columns bit for bit; so does the merged sum's own lookup
         ratio, max_p = ratio_max_p
         with patch.object(trig, "MAX_P", max_p):
             lazy, merged = (geometric_sum(TrigPoly(f), ratio, direction,
@@ -402,12 +402,13 @@ class TestArrayKernelsAgainstDictModel:
         q2 = np.array([q[1] for q in queries], dtype=np.int64)
         want = merged.coeffs
         assert not merged.pending
-        for step in (1, 3, q1.size):
+        for sum_, step in ((lazy, 1), (lazy, 3), (lazy, q1.size),
+                           (merged, q1.size)):
             reads = []
             for i in range(0, q1.size, step):
-                reads.append(lazy.coefficients_at(q1[i:i + step],
+                reads.append(sum_.coefficients_at(q1[i:i + step],
                                                   q2[i:i + step]))
-                assert lazy.pending
+                assert sum_.pending == (sum_ is lazy)
             got, found = map(np.concatenate, zip(*reads))
             for q, value, hit in zip(queries, got.tolist(), found.tolist()):
                 assert hit == (q in want)
