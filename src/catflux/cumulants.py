@@ -76,7 +76,7 @@ import numpy as np
 
 from .conjugation import (ExpansionRateSeries, _check_order, chain_average,
                           chain_order, compositions, log1p_series)
-from .torus import HarmonicForce
+from .torus import HarmonicForce, check_count
 from .trig import (_SHADOW_REL, FREQ_LIMIT, LAMBDA_PLUS, PAIR_CHUNK, SQRT5,
                    TrigPoly, V_MINUS, V_PLUS, product_average)
 
@@ -586,10 +586,9 @@ class CorrelationEngine:
 
         A lone observable's zero-insertion term is the torus average of
         (obs o H)^(m); it is contracted (composed_average), not built, so
-        the composed bases of a mean stop at order m - 1.
+        the composed bases of a mean stop at order m - 1.  The public
+        quantities check m, an integer in 0..max_order, before any work.
         """
-        if m > self.max_order:
-            raise ValueError(f"order {m} not available (max {self.max_order})")
         min_orders = tuple(obs.min_order for obs in observables)
         oids = tuple(self._obs_id(obs) for obs in observables)
         if len(observables) == 1:
@@ -654,6 +653,7 @@ class CorrelationEngine:
     def srb_mean_order(self, m: int, obs: Optional[ObservableSeries] = None
                        ) -> float:
         """<obs>_+ at eps-order m (obs defaults to sigma)."""
+        check_count("order", m, 0, self.max_order)
         obs = obs if obs is not None else self.sigma_observable()
         return self._shift_summed(self._resolve([obs], m), f"mean order {m}")
 
@@ -666,6 +666,7 @@ class CorrelationEngine:
         """C_n at eps-order m: summed joint SRB cumulant over n-1 shifts."""
         if n < 2:
             raise ValueError("cumulant order n must be >= 2 (use srb_mean_order)")
+        check_count("order", m, 0, self.max_order)
         if m < n:
             return 0.0
         obs = obs if obs is not None else self.sigma_observable()
@@ -676,6 +677,7 @@ class CorrelationEngine:
         """C_{alpha_1...alpha_k} at order m; index 1 -> sigma, 2 -> obs."""
         if any(a not in (1, 2) for a in multi_index):
             raise ValueError("multi-index entries must be 1 or 2")
+        check_count("order", m, 0, self.max_order)
         series = [self.sigma_observable() if a == 1 else obs for a in multi_index]
         return self._shift_summed(self._resolve(series, m), "joint cumulant")
 

@@ -18,6 +18,7 @@ eigen-coordinates of (m, n).
 
 from __future__ import annotations
 
+import array
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ import numpy as np
 
 from .qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
                      from_eigen, lattice_coords, lattice_from_b_shift,
-                     lattice_from_eigen_shift)
+                     lattice_from_eigen_shift, pair_sign)
 from .torus import TorusPoint, check_count
 from .trig import s0_power
 
@@ -52,6 +53,9 @@ GRID = 64              # CellTable cells per side of [0,1)^2
 SETTLE = 4             # CellTable subcells per cell side, settled one by one
 CELL_MARGIN = 1e-9     # slack of CellTable's tests and of the float shadows
 CHUNK = 1 << 16        # points per pass of CellTable.assign
+# X >> _SUBCELL_SHIFT is the CellTable subcell column (row, for Y) of the
+# lattice coordinate X in [0, 2^64): 64 - log2(GRID * SETTLE)
+_SUBCELL_SHIFT = 56
 
 
 class PartitionError(RuntimeError):
@@ -145,16 +149,17 @@ class MarkovPartition:
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
-def _first_crossing(cross: List[Tuple[Q5, Q5]], fcross: np.ndarray, end: Q5,
-                    sign: int, axis: int, lo: Q5, hi: Q5) -> Q5:
+def _first_crossing(cross: List[Tuple[int, int]], fcross: np.ndarray,
+                    end: Q5, sign: int, axis: int, lo: Q5, hi: Q5) -> Q5:
     """Least sign * p[axis] >= end over the crossings p = (t, s) whose other
     parameter lies in [lo, hi]; end itself when end is such a crossing.
 
-    fcross holds the float shadows of cross.  Only the crossings whose
-    shadows pass the window widened by CELL_MARGIN are tested exactly, in
-    ascending shadow order, up to the first shadow that clears the best
-    exact value by the margin; the shadows are off by far less (see
-    _eigen_shadow).
+    cross holds the lattice vectors (m, n) of the crossings, which are
+    (A, -B) for (A, B) = lattice_coords(m, n), and fcross their float
+    shadows.  Only the crossings whose shadows pass the window widened by
+    CELL_MARGIN are made exact and tested, in ascending shadow order, up
+    to the first shadow that clears the best exact value by the margin;
+    the shadows are off by far less (see _eigen_shadow).
     """
     eps = CELL_MARGIN
     fv = sign * fcross[:, axis]
@@ -165,7 +170,8 @@ def _first_crossing(cross: List[Tuple[Q5, Q5]], fcross: np.ndarray, end: Q5,
     for i in near[np.argsort(fv[near], kind="stable")]:
         if best is not None and fv[i] > cut:
             break
-        p = cross[i]
+        A, B = lattice_coords(*cross[i])
+        p = (A, -B)
         if lo <= p[1 - axis] <= hi:
             v = p[axis] if sign > 0 else -p[axis]
             if v >= end and (best is None or v < best):
@@ -179,7 +185,7 @@ def _first_crossing(cross: List[Tuple[Q5, Q5]], fcross: np.ndarray, end: Q5,
 
 
 def _close_endpoints(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
-                     cross: List[Tuple[Q5, Q5]], fcross: np.ndarray
+                     cross: List[Tuple[int, int]], fcross: np.ndarray
                      ) -> Tuple[Q5, Q5, Q5, Q5]:
     """Monotone endpoint closure: each segment end is pushed out to the
     first crossing whose partner parameter lies inside the current opposite
@@ -220,15 +226,17 @@ def build_cat_partition() -> MarkovPartition:
     words would name several cells and the coding would not separate points
     (the subshift entropy comes out below log lambda_+).
     """
+    # the translates (m, n) near the origin and the float shadows of their
+    # eigen-coordinates; the exact ones are made only where a float test
+    # selects them
     w = LATTICE_WINDOW
-    coords = [lattice_coords(m, n) for m in range(-w, w + 1)
-              for n in range(-w, w + 1)]
     span = np.arange(-w, w + 1)
-    fcoords = np.stack(_eigen_shadow(np.repeat(span, 2 * w + 1),
-                                     np.tile(span, 2 * w + 1)), axis=1)
+    ms, ns = np.repeat(span, 2 * w + 1), np.tile(span, 2 * w + 1)
+    mn = list(zip(ms.tolist(), ns.tolist()))
+    fcoords = np.stack(_eigen_shadow(ms, ns), axis=1)
     # crossings (t, s) = (A, -B) of the master lines; the origin is not one
-    off = [i for i, (A, B) in enumerate(coords) if not (A == 0 and B == 0)]
-    cross = [(coords[i][0], -1 * coords[i][1]) for i in off]
+    off = [i for i, v in enumerate(mn) if v != (0, 0)]
+    cross = [mn[i] for i in off]
     fcross = fcoords[off] * (1.0, -1.0)
     eps0 = Q5(Fraction(1, 10))
     u_minus = u_plus = s_minus = s_plus = eps0
@@ -236,7 +244,7 @@ def build_cat_partition() -> MarkovPartition:
     for _ in range(MAX_REFINEMENTS):
         u_minus, u_plus, s_minus, s_plus = _close_endpoints(
             u_minus, u_plus, s_minus, s_plus, cross, fcross)
-        rects = _extract_rectangles(u_minus, u_plus, s_minus, s_plus, coords,
+        rects = _extract_rectangles(u_minus, u_plus, s_minus, s_plus, mn,
                                     fcoords)
         part = MarkovPartition(rects)
         total = part.total_area()
@@ -269,22 +277,24 @@ def build_cat_partition() -> MarkovPartition:
 
 
 def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
-                        coords: List[Tuple[Q5, Q5]], fcoords: np.ndarray
+                        mn: List[Tuple[int, int]], fcoords: np.ndarray
                         ) -> List[Rectangle]:
     """Read each face of the boundary arrangement once, exactly.
 
-    coords holds the eigen-coordinates (A, B) of the lattice translates
-    near the origin; each carries a horizontal (unstable) piece b = B,
-    a in [A - u-, A + u+], and a vertical (stable) piece a = A,
-    b in [B - s-, B + s+], located in floats from fcoords (the shadows of
-    coords).  A face has its lower-left corner at a crossing, so one probe
-    up and to the right of each crossing near the canonical region lies in
-    a face, and the nearest covering pieces are its walls.  A face's side
-    lies on one piece (each line b = B(m, n) holds one translate), so
-    da <= u- + u+ and db <= s- + s+, and the padded piece region holds
-    every wall a probe reads: no probe reads a box larger than a face.
-    Each box is snapped to its exact walls and kept once, by its canonical
-    (center in [0,1)^2) translate.
+    mn holds the lattice translates near the origin, with eigen-coordinates
+    (A, B) = lattice_coords(m, n); each carries a horizontal (unstable)
+    piece b = B, a in [A - u-, A + u+], and a vertical (stable) piece
+    a = A, b in [B - s-, B + s+], located in floats from fcoords (the
+    shadows of (A, B)).  A face has its lower-left corner at a crossing,
+    so one probe up and to the right of each crossing near the canonical
+    region lies in a face, and the nearest covering pieces are its walls.
+    A face's side lies on one piece (each line b = B(m, n) holds one
+    translate), so da <= u- + u+ and db <= s- + s+, and the padded piece
+    region holds every wall a probe reads: no probe reads a box larger
+    than a face.
+    The probes of one face read the same four walls, so each set of walls
+    is snapped to its exact values once, and the box is kept once, by its
+    canonical (center in [0,1)^2) translate.
     """
     um, up, sm, sp = map(float, (u_minus, u_plus, s_minus, s_plus))
     fa, fb = fcoords.T
@@ -300,7 +310,7 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
 
     delta = 1e-7
     guard = 1e-10
-    faces = set()
+    walls = set()
     for i in np.flatnonzero(np.abs(va) <= 1.1):
         cross = ((hlo - 1e-12 <= va[i]) & (va[i] <= hhi + 1e-12)
                  & (vlo[i] - 1e-12 <= hb) & (hb <= vhi[i] + 1e-12)
@@ -315,11 +325,15 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
             above = np.flatnonzero(hcover & (hb > b + guard))
             if not (len(left) and len(right) and len(below) and len(above)):
                 continue
-            a0 = coords[vert_n[left[np.argmax(va[left])]]][0]
-            a1 = coords[vert_n[right[np.argmin(va[right])]]][0]
-            b0 = coords[horiz_n[below[np.argmax(hb[below])]]][1]
-            b1 = coords[horiz_n[above[np.argmin(hb[above])]]][1]
-            faces.add(_canonical_box(a0, b0, a1 - a0, b1 - b0))
+            walls.add((vert_n[left[np.argmax(va[left])]],
+                       vert_n[right[np.argmin(va[right])]],
+                       horiz_n[below[np.argmax(hb[below])]],
+                       horiz_n[above[np.argmin(hb[above])]]))
+    faces = set()
+    for left, right, below, above in walls:
+        a0, a1 = (lattice_coords(*mn[k])[0] for k in (left, right))
+        b0, b1 = (lattice_coords(*mn[k])[1] for k in (below, above))
+        faces.add(_canonical_box(a0, b0, a1 - a0, b1 - b0))
     return [Rectangle(i, *bx) for i, bx in enumerate(sorted(faces))]
 
 
@@ -525,7 +539,15 @@ class CellTable:
     same test, and the subcell's eigen-coordinate bounding box lies
     CELL_MARGIN inside that translate: every point of the subcell is then
     inside that box, farther than BOUNDARY_TOL from its sides, and gets its
-    id without a test (settled[subcell], -1 elsewhere).
+    id without a test (settled[subcell], -1 elsewhere; int8 for up to 127
+    boxes).
+
+    A lattice point (X, Y) 2^-64 of [0,1)^2 finds its subcell from the top
+    bits of X and Y (locate_lattice, assign_lattice): GRID * SETTLE is
+    2^(64 - _SUBCELL_SHIFT) and the point is read at 53 bits as
+    (X >> 11) 2^-53 (_lattice_read), so min(floor(x GRID SETTLE),
+    GRID SETTLE - 1) is exactly X >> _SUBCELL_SHIFT.  Only the points of
+    subcells that are not settled are read as floats, for the slot tests.
     """
 
     def __init__(self, boxes: List[Tuple[float, float, float, float]]):
@@ -573,9 +595,11 @@ class CellTable:
         self.cells = [hits[i:i + k] for i, k in zip(first.tolist(),
                                                     self.count.tolist())]
         # settle the subcells a band at a time, one test per subcell and
-        # slot of its cell's list
+        # slot of its cell's list; the least signed type that holds every
+        # id and -1
         fine, band = GRID * SETTLE, 4096
-        self.settled = np.full(fine ** 2, -1)
+        self.settled = np.full(fine ** 2, -1,
+                               dtype=np.min_scalar_type(-1 - len(boxes)))
         for lo in range(0, fine ** 2, band):
             ix, iy = np.divmod(np.arange(lo, lo + band), fine)
             cell = ix // SETTLE * GRID + iy // SETTLE
@@ -586,17 +610,37 @@ class CellTable:
             one = np.bincount(sub, weights=meets, minlength=band) == 1
             sure = one[sub] & meets & holds
             self.settled[lo + sub[sure]] = rid[t[sure]]
+        # the scalar queries read the table as Python ints, from a copy
+        # that pickles (a memoryview of it would not)
+        self._settled = array.array(self.settled.dtype.char,
+                                    self.settled.tobytes())
 
     def locate(self, x: float, y: float) -> Tuple[int, bool]:
         """See CatCoder.locate."""
-        tol = BOUNDARY_TOL
         fine = GRID * SETTLE
         kx, ky = math.floor(x), math.floor(y)
         ix = min(int((x - kx) * fine), fine - 1)
         iy = min(int((y - ky) * fine), fine - 1)
-        settled = self.settled[ix * fine + iy]
+        settled = self._settled[ix * fine + iy]
         if settled >= 0:
-            return int(settled), False
+            return settled, False
+        return self._scan(ix, iy, x, y, kx, ky)
+
+    def locate_lattice(self, X: int, Y: int) -> Tuple[int, bool]:
+        """locate at the lattice point (X, Y) 2^-64 read at 53 bits, for
+        X, Y in [0, 2^64); read only when its subcell is not settled."""
+        fine = GRID * SETTLE
+        ix, iy = X >> _SUBCELL_SHIFT, Y >> _SUBCELL_SHIFT
+        settled = self._settled[ix * fine + iy]
+        if settled >= 0:
+            return settled, False
+        return self._scan(ix, iy, _lattice_read(X), _lattice_read(Y), 0, 0)
+
+    def _scan(self, ix: int, iy: int, x: float, y: float, kx: int, ky: int
+              ) -> Tuple[int, bool]:
+        """locate's slot tests of the point (x, y) of subcell (ix, iy), with
+        integer parts (kx, ky), against its cell's list."""
+        tol = BOUNDARY_TOL
         hits: List[int] = []
         boundary = False
         for rid, m, n in self.cells[ix // SETTLE * GRID + iy // SETTLE]:
@@ -615,9 +659,7 @@ class CellTable:
 
     def assign(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """See assign_rectangles; CHUNK points at a time.  Points of settled
-        subcells take the subcell's id; the others are tested against their
-        cell's slots, each until it hits, with locate's expressions."""
-        tol = BOUNDARY_TOL
+        subcells take the subcell's id; the others run the slot tests."""
         fine = GRID * SETTLE
         shape, x, y = x.shape, x.ravel(), y.ravel()
         out = np.empty(x.shape, dtype=int)
@@ -626,27 +668,57 @@ class CellTable:
             kx, ky = np.floor(xs), np.floor(ys)
             ix = np.minimum(((xs - kx) * fine).astype(int), fine - 1)
             iy = np.minimum(((ys - ky) * fine).astype(int), fine - 1)
-            got = self.settled[ix * fine + iy]
+            got = out[lo:lo + CHUNK]
+            got[:] = self.settled[ix * fine + iy]
             todo = np.flatnonzero(got < 0)
-            cell = ix[todo] // SETTLE * GRID + iy[todo] // SETTLE
-            # slots are sorted by id, so the first hit is the least id
-            for k in range(self.cand.shape[1]):
-                more = k < self.count[cell]
-                todo, cell = todo[more], cell[more]
-                if not todo.size:
-                    break
-                rid, m, n = self.cand[cell, k].T
-                a0, b0, da, db = self.box[rid].T
-                a, b = _eigen_shadow(xs[todo] - (m + kx[todo]),
-                                     ys[todo] - (n + ky[todo]))
-                ra = a - a0
-                rb = b - b0
-                hit = ((ra >= -tol) & (ra <= da + tol)
-                       & (rb >= -tol) & (rb <= db + tol))
-                got[todo[hit]] = rid[hit]
-                todo, cell = todo[~hit], cell[~hit]
-            out[lo:lo + CHUNK] = got
+            got[todo] = self._slot_ids(ix[todo], iy[todo], xs[todo], ys[todo],
+                                       kx[todo], ky[todo])
         return out.reshape(shape)
+
+    def assign_lattice(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """assign at the lattice points (X, Y) 2^-64 read at 53 bits, for
+        uint64 arrays X, Y; only the points of subcells that are not
+        settled are read, with integer parts 0."""
+        sub = X >> _SUBCELL_SHIFT
+        sub *= GRID * SETTLE
+        sub += Y >> _SUBCELL_SHIFT
+        # an index below 2^16 reads the same as int64, without a cast
+        got = self.settled[sub.view(np.int64)]
+        todo = np.flatnonzero(got < 0)
+        X, Y = X[todo], Y[todo]
+        got[todo] = self._slot_ids(X >> _SUBCELL_SHIFT, Y >> _SUBCELL_SHIFT,
+                                   _lattice_read(X), _lattice_read(Y), 0, 0)
+        return got
+
+    def _slot_ids(self, ix: np.ndarray, iy: np.ndarray, x: np.ndarray,
+                  y: np.ndarray, kx, ky) -> np.ndarray:
+        """The least id of the boxes within BOUNDARY_TOL of each point
+        (x, y) of subcell (ix, iy), -1 where none is: its cell's slots, each
+        point until it hits, with locate's expressions.  kx, ky are the
+        points' integer parts, arrays like x or 0; m + 0.0 is float(m), so
+        0 gives what arrays of zeros give."""
+        tol = BOUNDARY_TOL
+        kx, ky = np.broadcast_to(kx, x.shape), np.broadcast_to(ky, y.shape)
+        got = np.full(x.shape, -1)
+        todo = np.arange(x.size)
+        cell = ix // SETTLE * GRID + iy // SETTLE
+        # slots are sorted by id, so the first hit is the least id
+        for k in range(self.cand.shape[1]):
+            more = k < self.count[cell]
+            todo, cell = todo[more], cell[more]
+            if not todo.size:
+                break
+            rid, m, n = self.cand[cell, k].T
+            a0, b0, da, db = self.box[rid].T
+            a, b = _eigen_shadow(x[todo] - (m + kx[todo]),
+                                 y[todo] - (n + ky[todo]))
+            ra = a - a0
+            rb = b - b0
+            hit = ((ra >= -tol) & (ra <= da + tol)
+                   & (rb >= -tol) & (rb <= db + tol))
+            got[todo[hit]] = rid[hit]
+            todo, cell = todo[~hit], cell[~hit]
+        return got
 
 
 def _ragged(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -753,19 +825,20 @@ class CatCoder:
 
         The orbit is the exact one of p's lattice point on 2^-64 Z^2, as
         in birkhoff_frequencies: moved to S^-n by s0_power(-n) mod 2^64,
-        then stepped (X, Y) -> (X + Y, X + 2Y) mod 2^64, each point read at
-        53 bits and located by CellTable.locate.  The window is the exact
-        window of a point within 2^-64 of p; a flag marks a point within
-        BOUNDARY_TOL of a side.
+        then stepped (X, Y) -> (X + Y, X + 2Y) mod 2^64, each point located
+        by CellTable.locate_lattice, as if read at 53 bits.  The window is
+        the exact window of a point within 2^-64 of p; a flag marks a point
+        within BOUNDARY_TOL of a side.
         """
         check_count("n", n, 0)
         a, b, c, d = s0_power(-n)
         X, Y = _lattice_point(p)
         X, Y = (a * X + b * Y) & _MASK64, (c * X + d * Y) & _MASK64
+        locate = self._cells.locate_lattice
         symbols = []
         flags = []
         for _ in range(2 * n + 1):
-            rid, fl = self._cells.locate(_lattice_read(X), _lattice_read(Y))
+            rid, fl = locate(X, Y)
             symbols.append(rid)
             flags.append(fl)
             X, Y = (X + Y) & _MASK64, (X + 2 * Y) & _MASK64
@@ -782,7 +855,8 @@ class CatCoder:
         Both run exactly on the integer pairs of __init__, where one step is
         (P, Q) -> ((3P - 5Q)/2, (3Q - P)/2) plus the shift, an exact integer
         division; the cell shrinks like lambda_-^n in both directions.  The
-        ends become Q5 once, for the clamp to Q_{sigma_0} and the centre.
+        clamp to the sides of Q_{sigma_0} compares pairs by the exact sign
+        of their difference, and each output coordinate becomes one Q5.
         """
         n = window.n
         sym = window.symbols
@@ -799,21 +873,25 @@ class CatCoder:
         # backward refinement of the b-interval, from sigma_{-n} up to sigma_0
         lo_b, hi_b = _contract(*self._sides[sym[0]][1],
                                [C for _, C in shifts[:n]])
-        den = self._den
-        lo_a, hi_a, lo_b, hi_b = (Q5.from_triple(P, Q, den)
-                                  for P, Q in (lo_a, hi_a, lo_b, hi_b))
-        a0, a1, b0, b1 = self.partition.rectangles[sym[n]].bounds()
-        lo_a = max(lo_a, a0)
-        hi_a = min(hi_a, a1)
-        lo_b = max(lo_b, b0)
-        hi_b = min(hi_b, b1)
-        if not (hi_a > lo_a and hi_b > lo_b):
+        (a0, a1), (b0, b1) = self._sides[sym[n]]
+        lo_a = lo_a if pair_sign(lo_a, a0) > 0 else a0
+        hi_a = hi_a if pair_sign(hi_a, a1) < 0 else a1
+        lo_b = lo_b if pair_sign(lo_b, b0) > 0 else b0
+        hi_b = hi_b if pair_sign(hi_b, b1) < 0 else b1
+        if not (pair_sign(hi_a, lo_a) > 0 and pair_sign(hi_b, lo_b) > 0):
             raise PartitionError("empty refinement cell for the given window")
-        x, y = from_eigen((lo_a + hi_a) / 2, (lo_b + hi_b) / 2)
+        # the centre's (a, b) is (pa + qa sqrt5, pb + qb sqrt5)/2den, so
+        # x = a + b and y = mu a + nu b, with mu, nu = (1 +- sqrt5)/2
+        den = self._den
+        pa, qa = lo_a[0] + hi_a[0], lo_a[1] + hi_a[1]
+        pb, qb = lo_b[0] + hi_b[0], lo_b[1] + hi_b[1]
+        x = Q5.from_triple(pa + pb, qa + qb, 2 * den)
+        y = Q5.from_triple(pa + 5 * qa + pb - 5 * qb, pa + qa - pb + qb,
+                           4 * den)
         center = TorusPoint(float(x.mod1()) * TWO_PI, float(y.mod1()) * TWO_PI)
-        da = float(hi_a - lo_a) * _EU_LEN
-        db = float(hi_b - lo_b) * _ES_LEN
-        diameter = math.hypot(da, db) * TWO_PI
+        da = float(Q5.from_triple(hi_a[0] - lo_a[0], hi_a[1] - lo_a[1], den))
+        db = float(Q5.from_triple(hi_b[0] - lo_b[0], hi_b[1] - lo_b[1], den))
+        diameter = math.hypot(da * _EU_LEN, db * _ES_LEN) * TWO_PI
         return center, diameter
 
 
@@ -838,23 +916,23 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
     """Visit frequencies of each rectangle along the orbit of x0.
 
     The orbit is the exact one of the lattice point of x0 on 2^-64 Z^2
-    (see _lattice_orbit), read at 53 bits by _lattice_read.  Membership is
-    evaluated by CellTable.assign, one chunk of the orbit at a time.  An
-    orbit point that no rectangle holds raises PartitionError: the
-    frequencies would not sum over the torus.
+    (see _lattice_orbit), read at 53 bits.  Membership is evaluated by
+    CellTable.assign_lattice, one chunk of the orbit at a time.  An orbit
+    point that no rectangle holds raises PartitionError: the frequencies
+    would not sum over the torus.
     """
     check_count("n_steps", n_steps, 1)
     counts = np.zeros(len(coder.partition), dtype=int)
     done = 0
     missed = 0
     for X, Y in _lattice_orbit(x0, n_steps):
-        x, y = _lattice_read(X), _lattice_read(Y)
-        assign = assign_rectangles(coder, x, y)
+        assign = coder._cells.assign_lattice(X, Y)
         out = np.flatnonzero(assign < 0)
         if not out.size:
             counts += np.bincount(assign, minlength=len(counts))
         elif not missed:
-            first = (done + out[0], x[out[0]], y[out[0]])
+            i = out[0]
+            first = (done + i, _lattice_read(X[i]), _lattice_read(Y[i]))
         missed += out.size
         done += X.size
     if missed:

@@ -203,6 +203,12 @@ def _sign(p: int, q: int) -> int:
     return 1 if 5 * q * q > p * p else -1
 
 
+def pair_sign(u: Tuple[int, int], v: Tuple[int, int]) -> int:
+    """Sign of u - v for integer pairs u = (p, q), read as (p + q sqrt5)/d
+    on one denominator d > 0."""
+    return _sign(u[0] - v[0], u[1] - v[1])
+
+
 LAMBDA_PLUS_Q = Q5(Fraction(3, 2), Fraction(1, 2))
 LAMBDA_MINUS_Q = Q5(Fraction(3, 2), Fraction(-1, 2))
 MU_Q = Q5(Fraction(1, 2), Fraction(1, 2))     # lambda_+ - 1, unstable slope

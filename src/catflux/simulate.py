@@ -23,7 +23,6 @@ that differ above bit log2(N).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Sequence, Tuple
@@ -141,6 +140,9 @@ def simulate(config: SimConfig) -> List[RunStats]:
     if config.workers == 1 or config.N == 1:
         raw = [_simulate_run(config, r) for r in range(config.N)]
     else:
+        # imported here: the pool's modules (multiprocessing, socket,
+        # logging, queue) would otherwise load with every import of catflux
+        from concurrent.futures import ProcessPoolExecutor
         # map returns the runs in run order, whatever the chunking
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             raw = list(pool.map(_simulate_run, repeat(config), range(config.N),

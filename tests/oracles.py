@@ -149,12 +149,13 @@ def lattice_orbit(x0: TorusPoint, n: int, back: int = 0
     return out
 
 
-def decode_q5(coder: CatCoder, window: SymbolWindow
-              ) -> Tuple[TorusPoint, float]:
-    """CatCoder.decode's cell of an admissible window by affine refinement
-    in Q5, from the strips of the partition: a -> lambda_- a + A forward
-    from sigma_n and b -> lambda_- (b - B) backward from sigma_{-n}, then
-    the clamp to Q_{sigma_0}; (centre, diameter) as decode converts them."""
+def refine_q5(coder: CatCoder, window: SymbolWindow
+              ) -> Tuple[Q5, Q5, Q5, Q5]:
+    """The ends (lo_a, hi_a, lo_b, hi_b) of CatCoder.decode's refinement
+    of an admissible window before the clamp to Q_{sigma_0}, by affine
+    refinement in Q5 from the strips of the partition: a -> lambda_- a + A
+    forward from sigma_n and b -> lambda_- (b - B) backward from
+    sigma_{-n}."""
     n = window.n
     sym = window.symbols
     rects = coder.partition.rectangles
@@ -172,7 +173,16 @@ def decode_q5(coder: CatCoder, window: SymbolWindow
         _, B = strips(sym[j], sym[j + 1])[0]
         lo_b = lm * (lo_b - B)
         hi_b = lm * (hi_b - B)
-    r0 = rects[sym[n]]
+    return lo_a, hi_a, lo_b, hi_b
+
+
+def decode_q5(coder: CatCoder, window: SymbolWindow
+              ) -> Tuple[TorusPoint, float]:
+    """CatCoder.decode's cell of an admissible window in Q5: refine_q5's
+    ends clamped to Q_{sigma_0}; (centre, diameter) as decode converts
+    them."""
+    lo_a, hi_a, lo_b, hi_b = refine_q5(coder, window)
+    r0 = coder.partition.rectangles[window.symbols[window.n]]
     lo_a = max(lo_a, r0.anchor_a)
     hi_a = min(hi_a, r0.anchor_a + r0.extent_a)
     lo_b = max(lo_b, r0.anchor_b)

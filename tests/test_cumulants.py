@@ -234,6 +234,27 @@ class TestEngineSeries:
             with pytest.raises(ValueError, match=r"order must be .*in 1\.\.6"):
                 build(single_force, order)
 
+    @pytest.mark.parametrize("m", [-1, True, 2.0, 4])
+    def test_quantity_order_refused_before_work(self, single_force, m):
+        # each quantity takes an order in 0..max_order: -1 and True read 0.0
+        # before, 2.0 raised a bare TypeError, 4 ran out of the table
+        eng = CorrelationEngine(single_force, 3)
+        sig = eng.sigma_observable()
+        queries = (lambda: eng.srb_mean_order(m), lambda: eng.cumulant(2, m),
+                   lambda: eng.joint_cumulant((1, 2), m, sig))
+        for query in queries:
+            with pytest.raises(ValueError, match=r"order must be .*in 0\.\.3"):
+                query()
+        assert not eng.engine.bases and not eng._cum_cache
+        assert eng.conj.max_order == 1
+
+    def test_quantity_order_zero_accepted(self, single_force):
+        eng = CorrelationEngine(single_force, 3)
+        sig = eng.sigma_observable()
+        assert eng.srb_mean_order(0) == 0.0
+        assert eng.cumulant(2, 0) == 0.0
+        assert eng.joint_cumulant((1, 2), 0, sig) == 0.0
+
 
 class TestContractedMean:
     # the top-order mean reads (sigma o H)^(m) only at nu = 0, so it is

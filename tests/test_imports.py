@@ -1,8 +1,12 @@
 """No library module and no test file keeps a module-level import it never
 uses; no library dataclass keeps a field that nothing reads; no library
-module but trig spells the int64 limits."""
+module but trig spells the int64 limits; importing catflux loads no process
+pool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +120,14 @@ def test_trig_spells_the_int64_limits():
     found = {value for _, value in
              int64_limit_literals((SRC / "trig.py").read_text())}
     assert found == INT64_LIMITS
+
+
+def test_import_loads_no_process_pool():
+    # simulate imports ProcessPoolExecutor only for workers > 1, so a plain
+    # import does not pay for multiprocessing, socket, logging and queue
+    code = ("import sys, catflux; print(sorted(m for m in ('concurrent.futures',"
+            " 'multiprocessing') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "[]"

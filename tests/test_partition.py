@@ -1,7 +1,9 @@
 import copy
 import json
 import math
+import pickle
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import catflux.partition as partition_module
 from catflux.partition import (GRID, SETTLE, CatCoder, CellTable,
                                MarkovPartition, PartitionError, Rectangle,
                                SymbolWindow, _eigen_shadow, _first_crossing,
-                               _lattice_orbit, _lattice_overlaps,
+                               _lattice_orbit, _lattice_overlaps, _lattice_read,
                                assign_rectangles,
                                birkhoff_frequencies, build_cat_partition,
                                partition_from_json, partition_to_json,
@@ -23,7 +25,7 @@ from catflux.qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
                             lattice_from_eigen_shift)
 from catflux.torus import CatSystem, TorusPoint
 from fractions import Fraction
-from oracles import decode_q5, eigen_coords, lattice_orbit
+from oracles import decode_q5, eigen_coords, lattice_orbit, refine_q5
 
 LAMBDA_PLUS = (3 + math.sqrt(5)) / 2
 TWO_PI = 2 * math.pi
@@ -303,13 +305,13 @@ class TestLatticeOverlaps:
 
 
 def small_crossings(w):
-    """Crossings (A, -B) of the translates |m|, |n| <= w but the origin, and
-    their float shadows, as build_cat_partition makes them."""
+    """The translates |m|, |n| <= w but the origin, as build_cat_partition
+    lists them, their crossings (A, -B) and the crossings' float shadows."""
     mn = [(m, n) for m in range(-w, w + 1) for n in range(-w, w + 1)
           if (m, n) != (0, 0)]
     cross = [(A, -1 * B) for A, B in (lattice_coords(m, n) for m, n in mn)]
     fa, fb = _eigen_shadow(*np.array(mn).T)
-    return cross, np.stack([fa, -fb], axis=1)
+    return mn, cross, np.stack([fa, -fb], axis=1)
 
 
 def scan_first_crossing(cross, end, sign, axis, lo, hi):
@@ -323,7 +325,7 @@ def scan_first_crossing(cross, end, sign, axis, lo, hi):
     return best
 
 
-CROSS, FCROSS = small_crossings(6)
+MN, CROSS, FCROSS = small_crossings(6)
 
 
 class TestFirstCrossing:
@@ -340,9 +342,9 @@ class TestFirstCrossing:
         want = scan_first_crossing(CROSS, end, sign, axis, lo, hi)
         if want is None:
             with pytest.raises(PartitionError, match="no crossing"):
-                _first_crossing(CROSS, FCROSS, end, sign, axis, lo, hi)
+                _first_crossing(MN, FCROSS, end, sign, axis, lo, hi)
         else:
-            assert _first_crossing(CROSS, FCROSS, end, sign, axis, lo, hi) == want
+            assert _first_crossing(MN, FCROSS, end, sign, axis, lo, hi) == want
 
 
 class TestCoding:
@@ -427,6 +429,49 @@ class TestCoding:
             assert coder.decode(window) == decode_q5(coder, window)
         assert depths == set(range(1, 17))
 
+    def test_decode_pairs_match_q5_oracle_bit_for_bit(self, cat_coder,
+                                                      cat_partition):
+        # windows of every depth 0-16, by float.hex, on the built coder and
+        # on one with every rectangle shrunk (shrunk_coder): there the
+        # refinements reach past the sides of Q_{sigma_0}, so each clamp
+        # cuts, and some cells lie wholly in the cut margins
+        shrunk = shrunk_coder(cat_partition)
+        assert np.array_equal(shrunk.matrix.T, cat_coder.matrix.T)
+        rng = np.random.default_rng(5)
+        taken, left = Counter(), Counter()
+        empty = 0
+        for i in range(1_700):
+            n = i % 17
+            window = cat_coder.encode(TorusPoint(*rng.uniform(0.0, TWO_PI, 2)),
+                                      n)
+            for coder in (cat_coder, shrunk):
+                ends = refine_q5(coder, window)
+                sides = coder.partition.rectangles[window.symbols[n]].bounds()
+                lo_a, hi_a, lo_b, hi_b = (max(ends[0], sides[0]),
+                                          min(ends[1], sides[1]),
+                                          max(ends[2], sides[2]),
+                                          min(ends[3], sides[3]))
+                if not (hi_a > lo_a and hi_b > lo_b):
+                    with pytest.raises(PartitionError,
+                                       match="empty refinement cell"):
+                        coder.decode(window)
+                    empty += 1
+                    continue
+                for k, (end, side) in enumerate(zip(ends, sides)):
+                    # a lower end (k even) is cut when it lies below its side
+                    past = end < side if k % 2 == 0 else end > side
+                    inside = end > side if k % 2 == 0 else end < side
+                    taken[k] += past
+                    left[k] += inside
+                centre, diameter = coder.decode(window)
+                want_centre, want_diameter = decode_q5(coder, window)
+                assert ([centre.psi1.hex(), centre.psi2.hex(), diameter.hex()]
+                        == [want_centre.psi1.hex(), want_centre.psi2.hex(),
+                            want_diameter.hex()])
+        assert min(taken[k] for k in range(4)) > 0
+        assert min(left[k] for k in range(4)) > 0
+        assert empty > 0
+
     def test_float_orbit_window_corrected(self, cat_coder):
         # point 1291 of default_rng(7): a float pseudo-orbit read symbols
         # [0, 6] at +15 and +16; the lattice orbit and a 60-digit mpmath
@@ -462,6 +507,16 @@ class TestCoding:
             w1 = cat_coder.encode(p, 4)
             w2 = cat_coder.encode(CatSystem().step(p), 3)
             assert w1.symbols[2:] == w2.symbols
+
+
+def shrunk_coder(partition, cut=Fraction(1, 1000)):
+    """A coder of the partition's rectangles, each cut at both ends of both
+    sides by `cut` of its extents."""
+    rects = [Rectangle(r.rid, r.anchor_a + cut * r.extent_a,
+                       r.anchor_b + cut * r.extent_b,
+                       (1 - 2 * cut) * r.extent_a, (1 - 2 * cut) * r.extent_b)
+             for r in partition.rectangles]
+    return CatCoder(MarkovPartition(rects))
 
 
 MU, NU, RT5 = float(MU_Q), float(NU_Q), math.sqrt(5.0)
@@ -518,13 +573,13 @@ def boundary_points(partition):
     return np.array(pts).T
 
 
-def locate_all(table, x, y):
-    """(id, flag) of table.locate at each point; (-1, False) where it
-    raises."""
+def locate_all(locate, x, y):
+    """(id, flag) of locate (CellTable.locate or locate_lattice) at each
+    point, as Python scalars; (-1, False) where it raises."""
     out = []
-    for px, py in zip(x, y):
+    for px, py in zip(x.tolist(), y.tolist()):
         try:
-            out.append(table.locate(float(px), float(py)))
+            out.append(locate(px, py))
         except PartitionError:
             out.append((-1, False))
     return out
@@ -597,7 +652,7 @@ class TestCellTable:
         assert (expected < 0).any()
         table = CellTable(boxes)
         assert np.array_equal(table.assign(x, y), expected)
-        assert locate_all(table, x, y) == window_pairs(boxes, x, y)
+        assert locate_all(table.locate, x, y) == window_pairs(boxes, x, y)
 
     def test_lower_id_duplicate_matches_window_scan(self, cat_coder, points):
         # id 0 is the middle quarter of the largest box, which now has a
@@ -610,7 +665,7 @@ class TestCellTable:
         expected, _ = window_locate(boxes, x, y)
         assert (expected == 0).sum() > 100
         assert np.array_equal(table.assign(x, y), expected)
-        assert locate_all(table, x, y) == window_pairs(boxes, x, y)
+        assert locate_all(table.locate, x, y) == window_pairs(boxes, x, y)
 
     def test_settled_cells_match_window_scan(self, cat_coder):
         # corners and centre of every settled subcell, on the built table,
@@ -630,6 +685,69 @@ class TestCellTable:
                 assert not flags.any()
                 assert np.array_equal(table.assign(x, y), table.settled[subcells])
 
+    def test_lattice_subcell_is_the_float_read_subcell(self, cat_coder):
+        # X >> _SUBCELL_SHIFT is min(int(x fine), fine - 1) at the 53-bit
+        # read x, on both sides of every subcell edge and at both ends of
+        # [0, 2^64); on each axis the lattice queries then give what the
+        # float ones give at the reads
+        fine = GRID * SETTLE
+        shift = partition_module._SUBCELL_SHIFT
+        edges = ([k << shift for k in range(fine)]
+                 + [(k << shift) - 1 for k in range(1, fine)] + [0, 2 ** 64 - 1])
+        for X in edges:
+            assert X >> shift == min(int(_lattice_read(X) * fine), fine - 1)
+        E = np.array(edges, dtype=np.uint64)
+        assert np.array_equal(E >> shift, np.minimum(
+            (_lattice_read(E) * fine).astype(int), fine - 1))
+        rng = np.random.default_rng(17)
+        M = rng.integers(0, 2 ** 64, E.size, dtype=np.uint64)
+        table = cat_coder._cells
+        for X, Y in ((E, M), (M, E)):
+            x, y = _lattice_read(X), _lattice_read(Y)
+            assert np.array_equal(table.assign_lattice(X, Y), table.assign(x, y))
+            assert (locate_all(table.locate_lattice, X, Y)
+                    == locate_all(table.locate, x, y))
+
+    def test_lattice_ids_match_float_queries(self, cat_coder):
+        # assign_lattice and locate_lattice equal assign and locate at the
+        # 53-bit reads: on the orbits of three benchmark start points, and
+        # on points drawn inside the subcells that are not settled, for the
+        # built, the holed and the lower-id-duplicate tables
+        fine = GRID * SETTLE
+        shift = partition_module._SUBCELL_SHIFT
+        boxes = cat_coder._cells.boxes
+        tables = (cat_coder._cells, CellTable(boxes[:-1]),
+                  CellTable(lower_id_duplicate(boxes)))
+        for seed in (1, 2, 3):
+            # the start point perfbench draws for this seed
+            rng = np.random.default_rng(seed)
+            rng.uniform(0.8, 1.25)
+            start = TorusPoint(*map(float, rng.uniform(0.0, TWO_PI, 2)))
+            for X, Y in _lattice_orbit(start, 100_000):
+                unsettled = cat_coder._cells.settled[(X >> shift) * fine
+                                                     + (Y >> shift)] < 0
+                assert 0 < unsettled.sum() < X.size
+                for table in tables:
+                    assert np.array_equal(
+                        table.assign_lattice(X, Y),
+                        table.assign(_lattice_read(X), _lattice_read(Y)))
+        rng = np.random.default_rng(19)
+        low = 1 << shift
+        # the holed table misses points, the duplicate's id 0 takes some
+        for table, shows in zip(tables, (lambda ids: True,
+                                         lambda ids: (ids < 0).any(),
+                                         lambda ids: (ids == 0).any())):
+            sub = rng.choice(np.flatnonzero(table.settled < 0), 20_000)
+            ix, iy = np.divmod(sub.astype(np.uint64), np.uint64(fine))
+            X = ix << shift | rng.integers(0, low, sub.size, dtype=np.uint64)
+            Y = iy << shift | rng.integers(0, low, sub.size, dtype=np.uint64)
+            x, y = _lattice_read(X), _lattice_read(Y)
+            ids = table.assign_lattice(X, Y)
+            assert np.array_equal(ids, table.assign(x, y))
+            assert shows(ids)
+            assert (locate_all(table.locate_lattice, X[:4_000], Y[:4_000])
+                    == locate_all(table.locate, x[:4_000], y[:4_000]))
+
     def test_most_subcells_are_settled(self, cat_coder):
         # the fast path of locate and assign: 54,586 of the 65,536
         # subcells of the built coder
@@ -640,6 +758,15 @@ class TestCellTable:
 
     def test_encode_agrees_at_every_depth(self, cat_coder):
         check_encode_windows(cat_coder, list(range(1, 17)))
+
+    def test_coder_pickles_and_copies(self, cat_coder):
+        # the scalar queries' copy of the settled table pickles, so a coder
+        # still pickles and deep-copies, and queries the same afterwards
+        p = TorusPoint(5.7891776325331215, 5.09064171177081)
+        for other in (pickle.loads(pickle.dumps(cat_coder)),
+                      copy.deepcopy(cat_coder)):
+            assert other.encode(p, 16) == cat_coder.encode(p, 16)
+            assert other.locate(0.3, 0.7) == cat_coder.locate(0.3, 0.7)
 
     def test_every_cell_has_a_candidate(self, cat_coder):
         # the rectangles tile the torus, so no cell of [0,1)^2 is empty
@@ -802,6 +929,12 @@ EIGENDATA = re.compile(r"SQRT5|LAMBDA_\w+|NORM_\w+_SQ|V_\w+|S0|S0_INV|\w+_Q"
 
 
 class TestConstants:
+    def test_subcell_shift_follows_grid(self):
+        # the lattice queries index subcells by the top bits of X and Y, so
+        # GRID * SETTLE must be 2^(64 - _SUBCELL_SHIFT): a change of either
+        # constant fails here instead of moving every lattice id
+        assert GRID * SETTLE == 1 << (64 - partition_module._SUBCELL_SHIFT)
+
     def test_readme_names_every_constant(self):
         # every library module's limits are module constants, listed in README
         names = []

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catflux.qfield import Q5, lattice_from_b_shift, lattice_from_eigen_shift
+from catflux.qfield import (Q5, lattice_from_b_shift, lattice_from_eigen_shift,
+                            pair_sign)
 
 examples = settings(deadline=None, max_examples=150)
 
@@ -151,6 +152,14 @@ class TestOrder:
         assert (qx < qy, qx <= qy, qx > qy, qx >= qy, qx == qy) == (
             s < 0, s <= 0, s > 0, s >= 0, s == 0)
         assert abs(qx).sign() == abs(ref_sign(x))
+
+    @examples
+    @given(values, values)
+    def test_pair_sign(self, x, y):
+        # x and y as integer pairs over their common denominator
+        d = math.lcm(*(c.denominator for c in x + y))
+        u, v = (tuple(int(c * d) for c in z) for z in (x, y))
+        assert pair_sign(u, v) == ref_sign(ref_sub(x, y))
 
     @examples
     @given(values)
