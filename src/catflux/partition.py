@@ -40,8 +40,7 @@ _MU, _NU = float(MU_Q), float(NU_Q)
 _RT5 = math.sqrt(5.0)
 _EU_LEN = math.sqrt(1.0 + _MU ** 2)
 _ES_LEN = math.sqrt(1.0 + _NU ** 2)
-# encode's and birkhoff_frequencies' orbits live on the lattice 2^-64 Z^2,
-# held mod 2^64
+# every point query reads its point on the lattice 2^-64 Z^2, held mod 2^64
 _MASK64 = (1 << 64) - 1
 
 MAX_REFINEMENTS = 8    # single-strip refinement rounds of the build
@@ -52,7 +51,7 @@ BOUNDARY_TOL = 1e-12   # eigen-coordinate distance that counts as boundary
 GRID = 64              # CellTable cells per side of [0,1)^2
 SETTLE = 4             # CellTable subcells per cell side, settled one by one
 CELL_MARGIN = 1e-9     # slack of CellTable's tests and of the float shadows
-CHUNK = 1 << 16        # points per pass of CellTable.assign
+CHUNK = 1 << 16        # points per pass of assign_rectangles and of an orbit
 # X >> _SUBCELL_SHIFT is the CellTable subcell column (row, for Y) of the
 # lattice coordinate X in [0, 2^64): 64 - log2(GRID * SETTLE)
 _SUBCELL_SHIFT = 56
@@ -523,14 +522,14 @@ class SymbolWindow:
 
 
 class CellTable:
-    """Float point location against a list of rectangle boxes.
+    """Point location on the lattice 2^-64 Z^2 against a list of rectangle
+    boxes.
 
     [0,1)^2 is cut into GRID x GRID cells; each cell lists, sorted by id, the
     box translates (rid, m, n) whose float footprint comes within
     CELL_MARGIN of it, in (x, y) and in eigen-coordinates alike (a
-    separating-axis test of two parallelograms, _cell_tests).  A point
-    (x, y) is tested only against the list of the cell of its fractional
-    part, with the translate shifted by its integer part; the margin, far
+    separating-axis test of two parallelograms, _cell_tests).  A point of
+    [0,1)^2 is tested only against the list of its cell; the margin, far
     above BOUNDARY_TOL and float rounding, keeps every translate that could
     hold the point in that list.
 
@@ -542,12 +541,11 @@ class CellTable:
     id without a test (settled[subcell], -1 elsewhere; int8 for up to 127
     boxes).
 
-    A lattice point (X, Y) 2^-64 of [0,1)^2 finds its subcell from the top
-    bits of X and Y (locate_lattice, assign_lattice): GRID * SETTLE is
-    2^(64 - _SUBCELL_SHIFT) and the point is read at 53 bits as
-    (X >> 11) 2^-53 (_lattice_read), so min(floor(x GRID SETTLE),
-    GRID SETTLE - 1) is exactly X >> _SUBCELL_SHIFT.  Only the points of
-    subcells that are not settled are read as floats, for the slot tests.
+    The queries take a lattice point (X, Y) 2^-64, X and Y in [0, 2^64),
+    and read it at 53 bits as (X >> 11) 2^-53 (_lattice_read).  Its subcell
+    is X >> _SUBCELL_SHIFT by Y >> _SUBCELL_SHIFT, since GRID * SETTLE is
+    2^(64 - _SUBCELL_SHIFT).  Only the points of subcells that are not
+    settled are read as floats, for the slot tests.
     """
 
     def __init__(self, boxes: List[Tuple[float, float, float, float]]):
@@ -615,70 +613,38 @@ class CellTable:
         self._settled = array.array(self.settled.dtype.char,
                                     self.settled.tobytes())
 
-    def locate(self, x: float, y: float) -> Tuple[int, bool]:
-        """See CatCoder.locate."""
-        fine = GRID * SETTLE
-        kx, ky = math.floor(x), math.floor(y)
-        ix = min(int((x - kx) * fine), fine - 1)
-        iy = min(int((y - ky) * fine), fine - 1)
-        settled = self._settled[ix * fine + iy]
-        if settled >= 0:
-            return settled, False
-        return self._scan(ix, iy, x, y, kx, ky)
-
     def locate_lattice(self, X: int, Y: int) -> Tuple[int, bool]:
-        """locate at the lattice point (X, Y) 2^-64 read at 53 bits, for
-        X, Y in [0, 2^64); read only when its subcell is not settled."""
+        """CatCoder.locate at the lattice point (X, Y) 2^-64, for Python
+        ints X, Y in [0, 2^64); read only when its subcell is not settled."""
         fine = GRID * SETTLE
         ix, iy = X >> _SUBCELL_SHIFT, Y >> _SUBCELL_SHIFT
         settled = self._settled[ix * fine + iy]
         if settled >= 0:
             return settled, False
-        return self._scan(ix, iy, _lattice_read(X), _lattice_read(Y), 0, 0)
+        return self._scan(ix, iy, _lattice_read(X), _lattice_read(Y))
 
-    def _scan(self, ix: int, iy: int, x: float, y: float, kx: int, ky: int
-              ) -> Tuple[int, bool]:
-        """locate's slot tests of the point (x, y) of subcell (ix, iy), with
-        integer parts (kx, ky), against its cell's list."""
+    def _scan(self, ix: int, iy: int, x: float, y: float) -> Tuple[int, bool]:
+        """locate_lattice's slot tests of the read (x, y) of subcell
+        (ix, iy) against its cell's list."""
         tol = BOUNDARY_TOL
         hits: List[int] = []
         boundary = False
         for rid, m, n in self.cells[ix // SETTLE * GRID + iy // SETTLE]:
             a0, b0, da, db = self.boxes[rid]
-            a, b = _eigen_shadow(x - (m + kx), y - (n + ky))
+            a, b = _eigen_shadow(x - m, y - n)
             ra = a - a0
             rb = b - b0
             if -tol <= ra <= da + tol and -tol <= rb <= db + tol:
-                inside = (tol < ra < da - tol and tol < rb < db - tol)
-                if not inside:
-                    boundary = True
+                boundary |= not (tol < ra < da - tol and tol < rb < db - tol)
                 hits.append(rid)
         if not hits:
             raise PartitionError(f"point ({x}, {y}) not located in any rectangle")
         return min(hits), boundary
 
-    def assign(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """See assign_rectangles; CHUNK points at a time.  Points of settled
-        subcells take the subcell's id; the others run the slot tests."""
-        fine = GRID * SETTLE
-        shape, x, y = x.shape, x.ravel(), y.ravel()
-        out = np.empty(x.shape, dtype=int)
-        for lo in range(0, x.size, CHUNK):
-            xs, ys = x[lo:lo + CHUNK], y[lo:lo + CHUNK]
-            kx, ky = np.floor(xs), np.floor(ys)
-            ix = np.minimum(((xs - kx) * fine).astype(int), fine - 1)
-            iy = np.minimum(((ys - ky) * fine).astype(int), fine - 1)
-            got = out[lo:lo + CHUNK]
-            got[:] = self.settled[ix * fine + iy]
-            todo = np.flatnonzero(got < 0)
-            got[todo] = self._slot_ids(ix[todo], iy[todo], xs[todo], ys[todo],
-                                       kx[todo], ky[todo])
-        return out.reshape(shape)
-
     def assign_lattice(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """assign at the lattice points (X, Y) 2^-64 read at 53 bits, for
-        uint64 arrays X, Y; only the points of subcells that are not
-        settled are read, with integer parts 0."""
+        """assign_rectangles at the lattice points (X, Y) 2^-64, for uint64
+        arrays X, Y; only the points of subcells that are not settled are
+        read."""
         sub = X >> _SUBCELL_SHIFT
         sub *= GRID * SETTLE
         sub += Y >> _SUBCELL_SHIFT
@@ -687,18 +653,15 @@ class CellTable:
         todo = np.flatnonzero(got < 0)
         X, Y = X[todo], Y[todo]
         got[todo] = self._slot_ids(X >> _SUBCELL_SHIFT, Y >> _SUBCELL_SHIFT,
-                                   _lattice_read(X), _lattice_read(Y), 0, 0)
+                                   _lattice_read(X), _lattice_read(Y))
         return got
 
     def _slot_ids(self, ix: np.ndarray, iy: np.ndarray, x: np.ndarray,
-                  y: np.ndarray, kx, ky) -> np.ndarray:
-        """The least id of the boxes within BOUNDARY_TOL of each point
+                  y: np.ndarray) -> np.ndarray:
+        """The least id of the boxes within BOUNDARY_TOL of each read
         (x, y) of subcell (ix, iy), -1 where none is: its cell's slots, each
-        point until it hits, with locate's expressions.  kx, ky are the
-        points' integer parts, arrays like x or 0; m + 0.0 is float(m), so
-        0 gives what arrays of zeros give."""
+        point until it hits, with _scan's expressions."""
         tol = BOUNDARY_TOL
-        kx, ky = np.broadcast_to(kx, x.shape), np.broadcast_to(ky, y.shape)
         got = np.full(x.shape, -1)
         todo = np.arange(x.size)
         cell = ix // SETTLE * GRID + iy // SETTLE
@@ -710,8 +673,7 @@ class CellTable:
                 break
             rid, m, n = self.cand[cell, k].T
             a0, b0, da, db = self.box[rid].T
-            a, b = _eigen_shadow(x[todo] - (m + kx[todo]),
-                                 y[todo] - (n + ky[todo]))
+            a, b = _eigen_shadow(x[todo] - m, y[todo] - n)
             ra = a - a0
             rb = b - b0
             hit = ((ra >= -tol) & (ra <= da + tol)
@@ -815,9 +777,14 @@ class CatCoder:
         """Rectangle id of the lattice-unit point (x, y); flags boundary hits.
 
         Points within BOUNDARY_TOL (eigen-coordinate distance) of the
-        boundary are assigned the lowest-id incident rectangle.
+        boundary are assigned the lowest-id incident rectangle.  The point
+        is read on the lattice at 53 bits (CellTable.locate_lattice): a
+        coordinate that is a multiple of 2^-53, as every |x| >= 1/2 is, is
+        read exactly mod 1, a finer one truncated by less than 2^-53.  A NaN
+        or infinite coordinate raises ValueError.
         """
-        return self._cells.locate(x, y)
+        _refuse_non_finite(x, y)
+        return self._cells.locate_lattice(_lattice_coord(x), _lattice_coord(y))
 
     # -- encoding ----------------------------------------------------------
     def encode(self, p: TorusPoint, n: int) -> SymbolWindow:
@@ -826,9 +793,9 @@ class CatCoder:
         The orbit is the exact one of p's lattice point on 2^-64 Z^2, as
         in birkhoff_frequencies: moved to S^-n by s0_power(-n) mod 2^64,
         then stepped (X, Y) -> (X + Y, X + 2Y) mod 2^64, each point located
-        by CellTable.locate_lattice, as if read at 53 bits.  The window is
-        the exact window of a point within 2^-64 of p; a flag marks a point
-        within BOUNDARY_TOL of a side.
+        by CellTable.locate_lattice.  The window is the exact window of a
+        point within 2^-64 of p; a flag marks a point within BOUNDARY_TOL of
+        a side.
         """
         check_count("n", n, 0)
         a, b, c, d = s0_power(-n)
@@ -857,9 +824,14 @@ class CatCoder:
         division; the cell shrinks like lambda_-^n in both directions.  The
         clamp to the sides of Q_{sigma_0} compares pairs by the exact sign
         of their difference, and each output coordinate becomes one Q5.
+        A symbol outside 0..q - 1 raises PartitionError.
         """
         n = window.n
         sym = window.symbols
+        # the other symbols are checked by the transition lookup
+        if not 0 <= sym[n] < len(self._sides):
+            raise PartitionError(f"symbol {sym[n]} at position 0 is outside "
+                                 f"0..{len(self._sides) - 1}")
         shifts = []
         for j in range(2 * n):
             shift = self._shifts.get((sym[j], sym[j + 1]))
@@ -923,8 +895,7 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
     """
     check_count("n_steps", n_steps, 1)
     counts = np.zeros(len(coder.partition), dtype=int)
-    done = 0
-    missed = 0
+    done = missed = 0
     for X, Y in _lattice_orbit(x0, n_steps):
         assign = coder._cells.assign_lattice(X, Y)
         out = np.flatnonzero(assign < 0)
@@ -947,8 +918,34 @@ def birkhoff_frequencies(coder: CatCoder, x0: TorusPoint,
 def _lattice_point(p: TorusPoint) -> Tuple[int, int]:
     """(X, Y) = floor(2^64 psi / 2 pi) mod 2^64: the lattice point of p on
     2^-64 Z^2, which S maps onto itself."""
-    return (math.floor(math.ldexp(p.psi1 / TWO_PI, 64)) & _MASK64,
-            math.floor(math.ldexp(p.psi2 / TWO_PI, 64)) & _MASK64)
+    return _lattice_coord(p.psi1 / TWO_PI), _lattice_coord(p.psi2 / TWO_PI)
+
+
+def _lattice_coord(x: float) -> int:
+    """X = floor(2^64 fmod(x, 1)) mod 2^64, the lattice coordinate of the
+    finite lattice-unit coordinate x on 2^-64 Z mod 1, in Python ints.
+    fmod is exact, so this is floor(2^64 x) mod 2^64 for every x."""
+    return math.floor(math.ldexp(math.fmod(x, 1.0), 64)) & _MASK64
+
+
+def _lattice_coords53(x: np.ndarray) -> np.ndarray:
+    """_lattice_coord of each finite coordinate, truncated to its top 53
+    bits, as uint64: floor(2^53 fmod(x, 1)) mod 2^53, shifted left by 11.
+    fmod, the scaling and floor are exact in floats; the shift of the
+    wrapped int64 drops what the mod drops."""
+    return np.floor(np.fmod(x, 1.0) * 2.0 ** 53).astype(np.int64).view(
+        np.uint64) << 11
+
+
+def _refuse_non_finite(x, y) -> None:
+    """Raise ValueError naming the first NaN or infinite coordinate of x,
+    then of y; each is a float or an array."""
+    for name, v in (("x", x), ("y", y)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            at = f"{name}[{bad[0]}]" if np.ndim(v) else name
+            raise ValueError(f"point coordinate {at} = {np.ravel(v)[bad[0]]} "
+                             "is not finite")
 
 
 def _lattice_read(X):
@@ -996,9 +993,17 @@ def _lattice_orbit(x0: TorusPoint, n_steps: int
 
 def assign_rectangles(coder: CatCoder, x: np.ndarray, y: np.ndarray
                       ) -> np.ndarray:
-    """Vectorized CatCoder.locate for lattice-unit points: the least id of
-    the boxes within BOUNDARY_TOL of each point, -1 where none is."""
-    return coder._cells.assign(x, y)
+    """Vectorized CatCoder.locate for lattice-unit points, each read as it
+    reads them: the least id of the boxes within BOUNDARY_TOL of each point,
+    -1 where none is; CHUNK points at a time."""
+    _refuse_non_finite(x, y)
+    shape, x, y = x.shape, x.ravel(), y.ravel()
+    out = np.empty(x.shape, dtype=int)
+    for lo in range(0, x.size, CHUNK):
+        out[lo:lo + CHUNK] = coder._cells.assign_lattice(
+            _lattice_coords53(x[lo:lo + CHUNK]),
+            _lattice_coords53(y[lo:lo + CHUNK]))
+    return out.reshape(shape)
 
 
 # ----------------------------------------------------------------------

@@ -36,14 +36,18 @@ def check_count(name: str, value, least: int, most=None) -> None:
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """A point of T^2 with angles reduced to [0, 2pi)."""
+    """A point of T^2 with angles reduced to [0, 2pi); a NaN or infinite
+    angle raises ValueError."""
 
     psi1: float
     psi2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "psi1", self.psi1 % TWO_PI)
-        object.__setattr__(self, "psi2", self.psi2 % TWO_PI)
+        for name in ("psi1", "psi2"):
+            psi = getattr(self, name)
+            if not math.isfinite(psi):
+                raise ValueError(f"angle {name} = {psi} is not finite")
+            object.__setattr__(self, name, psi % TWO_PI)
 
 
 @dataclass(frozen=True)

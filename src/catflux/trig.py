@@ -11,8 +11,8 @@ operation that can create equal frequencies (construction, sums, products,
 geometric sums) goes through one merge: lexsort, add.reduceat over equal
 keys, prune |c| > COEFF_TOL.  A geometric sum's merge is deferred until
 its columns are first read (DeferredSum); coefficients_at reads such a
-sum by preimage without merging it, and join_average is the one join that
-asks for it.
+sum through the same merge, run only on the terms that land on the
+queried frequencies, and join_average is the one join that asks for it.
 
 One truncation rule serves every caller: coefficients of magnitude at most
 COEFF_TOL are dropped (by the merge, by scalar products and by derivatives),
@@ -460,8 +460,9 @@ class DeferredSum(TrigPoly):
     prunes that geometric_sum describes, in the same order.  Reading an
     entry whole (len, bool, a product, a composition, coeffs) therefore sees
     exactly the eagerly merged columns, and holds them from then on.
-    coefficients_at alone reads an unmerged sum without merging it
-    (join_average, from conjugation.chain_average).
+    coefficients_at alone reads an unmerged sum without merging it whole
+    (join_average, from conjugation.chain_average): it sums the terms at
+    the queried frequencies with _summed, the routine that ends _merged.
     """
 
     __slots__ = ("_plan",)
@@ -475,7 +476,7 @@ class DeferredSum(TrigPoly):
         # reached only while a slot is unset, i.e. before the merge
         if name not in ("n1", "n2", "c") or self._plan is None:
             raise AttributeError(name)
-        self.n1, self.n2, self.c = self._merged()
+        self.n1, self.n2, self.c = self._merged()._columns()
         self._plan = None
         return getattr(self, name)
 
@@ -484,13 +485,7 @@ class DeferredSum(TrigPoly):
         """True until the columns have been merged."""
         return self._plan is not None
 
-    def _scaled(self, c: np.ndarray) -> np.ndarray:
-        """c times the scale.  A scale of 1.0 is skipped, as an unscaled sum
-        never multiplied: the complex product could flip a zero's sign."""
-        scale = self._plan[3]
-        return c if scale == 1.0 else c * scale
-
-    def _merged(self) -> Columns:
+    def _merged(self) -> TrigPoly:
         f, weights, direction, _ = self._plan
         size = np.abs(f.c)
         parts = []
@@ -500,59 +495,48 @@ class DeferredSum(TrigPoly):
             if p:
                 n1, n2 = _compose(n1, n2, direction * p)
             parts.append((n1, n2, weight * f.c[live]))
-        n1, n2, c = _merge_parts(parts, COEFF_TOL)
-        c = self._scaled(c)
-        keep = np.abs(c) > COEFF_TOL
-        if not keep.all():
-            n1, n2, c = n1[keep], n2[keep], c[keep]
-        return n1, n2, c
+        return self._summed(parts)
+
+    def _summed(self, parts: Iterable[Columns]) -> TrigPoly:
+        """The weighted terms of every index p, given in p order, merged (so
+        each frequency adds its terms in p order) and pruned, then times the
+        scale as a scalar product, which prunes again.  A scale of 1.0 is
+        skipped, as an unscaled sum never multiplied: the complex product
+        could flip a zero's sign."""
+        merged = TrigPoly._of(*_merge_parts(parts, COEFF_TOL))
+        scale = self._plan[3]
+        return merged if scale == 1.0 else merged * scale
 
     def coefficients_at(self, q1: np.ndarray, q2: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """(c, found): the merged coefficient at each query frequency.
 
-        An unmerged sum is read without merging: the term of index p at nu
-        comes from f at S0^{-direction p} nu, found in f's keys (preimages
-        in Python ints, so one past the int64 range is simply absent) and
-        kept by the live rule.  Per query the terms are added in p order by
-        np.add.reduceat, as the merge adds them, then pruned, scaled and
-        pruned again: the same numbers as the merged columns hold at those
-        frequencies.  A merged sum is looked up.
+        An unmerged sum is read through its own merge, restricted to the
+        queries: the term of index p at a query nu comes from f at
+        S0^{-direction p} nu, found in f's keys (preimages in Python ints,
+        so one past the int64 range is simply absent) and kept by the live
+        rule.  Those terms of every p, at the distinct queries, are summed
+        by _summed as _merged sums all of them, so each query reads the
+        number the merged columns hold there.  A merged sum is looked up.
         """
         if self._plan is None:
             return super().coefficients_at(q1, q2)
         f, weights, direction, _ = self._plan
-        queries = list(zip(q1.tolist(), q2.tolist()))
+        queries = sorted(set(zip(q1.tolist(), q2.tolist())))
         pre = []
         for p in range(len(weights)):
             a, b, c, d = s0_power(-direction * p)
-            for i, (x, y) in enumerate(queries):
+            for x, y in queries:
                 m1, m2 = a * x + c * y, b * x + d * y
                 if max(abs(m1), abs(m2)) < FREQ_LIMIT:
-                    pre.append((i, p, m1, m2))
-        out = np.zeros(len(queries), dtype=np.complex128)
-        hit = np.zeros(len(queries), dtype=bool)
-        if not pre:
-            return out, hit
-        qi, p, m1, m2 = (np.array(col, dtype=np.int64) for col in zip(*pre))
+                    pre.append((p, x, y, m1, m2))
+        p, n1, n2, m1, m2 = np.array(pre, dtype=np.int64).reshape(-1, 5).T
         idx, found = _find(f.n1, f.n2, m1, m2)
         w = np.array(weights)[p]
+        # _merged's live rule; the rows, like its parts, come in p order
         found &= np.abs(f.c[idx]) * np.abs(w) > COEFF_TOL
-        qi, w, idx = qi[found], w[found], idx[found]
-        if not qi.size:
-            return out, hit
-        # rows are grouped by p; a stable sort groups them by query in p order
-        order = np.argsort(qi, kind="stable")
-        qi, vals = qi[order], w[order] * f.c[idx[order]]
-        starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
-        sums = np.add.reduceat(vals, starts)
-        qi = qi[starts]
-        keep = np.abs(sums) > COEFF_TOL
-        qi, sums = qi[keep], self._scaled(sums[keep])
-        keep = np.abs(sums) > COEFF_TOL
-        out[qi[keep]] = sums[keep]
-        hit[qi[keep]] = True
-        return out, hit
+        parts = [(n1[found], n2[found], w[found] * f.c[idx[found]])]
+        return self._summed(parts).coefficients_at(q1, q2)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import catflux.partition as partition_module
 from catflux.partition import (GRID, SETTLE, CatCoder, CellTable,
                                MarkovPartition, PartitionError, Rectangle,
                                SymbolWindow, _eigen_shadow, _first_crossing,
+                               _lattice_coord, _lattice_coords53,
                                _lattice_orbit, _lattice_overlaps, _lattice_read,
                                assign_rectangles,
                                birkhoff_frequencies, build_cat_partition,
@@ -387,6 +388,17 @@ class TestCoding:
                 assert diam < prev
             prev = diam
 
+    @pytest.mark.parametrize("symbol", [-1, 19, 99])
+    def test_symbol_out_of_range_rejected(self, cat_coder, symbol):
+        # a depth-0 window reads sigma_0 without a transition lookup; -1
+        # would read rectangle 18's cell by negative indexing
+        assert len(cat_coder.partition) == 19
+        message = f"^symbol {symbol} at position 0 is outside 0..18$"
+        with pytest.raises(PartitionError, match=message):
+            cat_coder.decode(SymbolWindow([symbol], 0))
+        with pytest.raises(PartitionError, match="outside 0..18"):
+            cat_coder.decode(SymbolWindow([0, symbol, 0], 1))
+
     def test_incompatible_window_rejected(self, cat_coder, cat_matrix):
         q = len(cat_coder.partition)
         s0 = 0
@@ -574,8 +586,8 @@ def boundary_points(partition):
 
 
 def locate_all(locate, x, y):
-    """(id, flag) of locate (CellTable.locate or locate_lattice) at each
-    point, as Python scalars; (-1, False) where it raises."""
+    """(id, flag) of locate (a CellTable's locate_lattice) at each point,
+    as Python scalars; (-1, False) where it raises."""
     out = []
     for px, py in zip(x.tolist(), y.tolist()):
         try:
@@ -595,6 +607,13 @@ def lower_id_duplicate(boxes):
 def window_pairs(boxes, x, y):
     ids, flags = window_locate(boxes, x, y)
     return list(zip(ids.tolist(), flags.tolist()))
+
+
+def lattice_reads(x, y):
+    """The lattice points (X, Y) of the float points (x, y), as
+    assign_rectangles takes them, and their 53-bit reads."""
+    X, Y = _lattice_coords53(x), _lattice_coords53(y)
+    return X, Y, _lattice_read(X), _lattice_read(Y)
 
 
 def check_encode_windows(coder, depths):
@@ -647,12 +666,13 @@ class TestCellTable:
 
     def test_holed_table_matches_window_scan(self, cat_coder, points):
         boxes = cat_coder._cells.boxes[:-1]
-        x, y = points[:, :20_000]
+        X, Y, x, y = lattice_reads(*points[:, :20_000])
         expected, _ = window_locate(boxes, x, y)
         assert (expected < 0).any()
         table = CellTable(boxes)
-        assert np.array_equal(table.assign(x, y), expected)
-        assert locate_all(table.locate, x, y) == window_pairs(boxes, x, y)
+        assert np.array_equal(table.assign_lattice(X, Y), expected)
+        assert (locate_all(table.locate_lattice, X, Y)
+                == window_pairs(boxes, x, y))
 
     def test_lower_id_duplicate_matches_window_scan(self, cat_coder, points):
         # id 0 is the middle quarter of the largest box, which now has a
@@ -661,15 +681,17 @@ class TestCellTable:
         table = CellTable(boxes)
         assert (table.settled >= 0).sum() > 0
         assert (table.settled != 0).all()
-        x, y = points[:, :20_000]
+        X, Y, x, y = lattice_reads(*points[:, :20_000])
         expected, _ = window_locate(boxes, x, y)
         assert (expected == 0).sum() > 100
-        assert np.array_equal(table.assign(x, y), expected)
-        assert locate_all(table.locate, x, y) == window_pairs(boxes, x, y)
+        assert np.array_equal(table.assign_lattice(X, Y), expected)
+        assert (locate_all(table.locate_lattice, X, Y)
+                == window_pairs(boxes, x, y))
 
     def test_settled_cells_match_window_scan(self, cat_coder):
         # corners and centre of every settled subcell, on the built table,
-        # the holed one and the one with a lower-id duplicate
+        # the holed one and the one with a lower-id duplicate; a corner at
+        # 1 is read at 0, the same torus point
         fine = GRID * SETTLE
         boxes = cat_coder._cells.boxes
         for table in (cat_coder._cells, CellTable(boxes[:-1]),
@@ -679,17 +701,18 @@ class TestCellTable:
             assert subcells.size > 0
             ix, iy = np.divmod(subcells, fine)
             for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1), (0.5, 0.5)):
-                x, y = (ix + dx) / fine, (iy + dy) / fine
+                X, Y, x, y = lattice_reads((ix + dx) / fine, (iy + dy) / fine)
                 ids, flags = window_locate(table.boxes, x, y)
                 assert np.array_equal(ids, table.settled[subcells])
                 assert not flags.any()
-                assert np.array_equal(table.assign(x, y), table.settled[subcells])
+                assert np.array_equal(table.assign_lattice(X, Y),
+                                      table.settled[subcells])
 
     def test_lattice_subcell_is_the_float_read_subcell(self, cat_coder):
         # X >> _SUBCELL_SHIFT is min(int(x fine), fine - 1) at the 53-bit
         # read x, on both sides of every subcell edge and at both ends of
         # [0, 2^64); on each axis the lattice queries then give what the
-        # float ones give at the reads
+        # window scan gives at the reads
         fine = GRID * SETTLE
         shift = partition_module._SUBCELL_SHIFT
         edges = ([k << shift for k in range(fine)]
@@ -704,12 +727,13 @@ class TestCellTable:
         table = cat_coder._cells
         for X, Y in ((E, M), (M, E)):
             x, y = _lattice_read(X), _lattice_read(Y)
-            assert np.array_equal(table.assign_lattice(X, Y), table.assign(x, y))
+            ids, _ = window_locate(table.boxes, x, y)
+            assert np.array_equal(table.assign_lattice(X, Y), ids)
             assert (locate_all(table.locate_lattice, X, Y)
-                    == locate_all(table.locate, x, y))
+                    == window_pairs(table.boxes, x, y))
 
     def test_lattice_ids_match_float_queries(self, cat_coder):
-        # assign_lattice and locate_lattice equal assign and locate at the
+        # assign_lattice and locate_lattice equal the window scan at the
         # 53-bit reads: on the orbits of three benchmark start points, and
         # on points drawn inside the subcells that are not settled, for the
         # built, the holed and the lower-id-duplicate tables
@@ -728,9 +752,9 @@ class TestCellTable:
                                                      + (Y >> shift)] < 0
                 assert 0 < unsettled.sum() < X.size
                 for table in tables:
-                    assert np.array_equal(
-                        table.assign_lattice(X, Y),
-                        table.assign(_lattice_read(X), _lattice_read(Y)))
+                    ids, _ = window_locate(table.boxes, _lattice_read(X),
+                                           _lattice_read(Y))
+                    assert np.array_equal(table.assign_lattice(X, Y), ids)
         rng = np.random.default_rng(19)
         low = 1 << shift
         # the holed table misses points, the duplicate's id 0 takes some
@@ -743,10 +767,52 @@ class TestCellTable:
             Y = iy << shift | rng.integers(0, low, sub.size, dtype=np.uint64)
             x, y = _lattice_read(X), _lattice_read(Y)
             ids = table.assign_lattice(X, Y)
-            assert np.array_equal(ids, table.assign(x, y))
+            assert np.array_equal(ids, window_locate(table.boxes, x, y)[0])
             assert shows(ids)
             assert (locate_all(table.locate_lattice, X[:4_000], Y[:4_000])
-                    == locate_all(table.locate, x[:4_000], y[:4_000]))
+                    == window_pairs(table.boxes, x[:4_000], y[:4_000]))
+
+    def test_array_reads_equal_scalar_reads(self):
+        # assign_rectangles' lattice coordinate is locate's, truncated to
+        # its top 53 bits, at the edges of fmod, floor and the wrap
+        tiny = 2.0 ** -1074
+        edges = [-0.0, tiny, -tiny, 0.5 - 2.0 ** -54, 1 - 2.0 ** -53, -1e-17,
+                 2.0 ** 53 + 2, -(2.0 ** 53 + 2), 1e300, -1e300]
+        X = _lattice_coords53(np.array(edges))
+        assert X.dtype == np.uint64
+        assert X.tolist() == [_lattice_coord(x) >> 11 << 11 for x in edges]
+        top = 2 ** 64 - 2 ** 11
+        assert X.tolist() == [0, 0, top, 2 ** 63 - 2 ** 11, top, top,
+                              0, 0, 0, 0]
+        assert _lattice_coord(-1e-17) == 2 ** 64 - 185
+
+    def test_huge_coordinates_read_mod_one(self, cat_coder):
+        # all (0, 0) on the torus: a coordinate is read mod 1 and no
+        # integer part is added back, so nothing rounds past 2^53
+        want = cat_coder.locate(0.0, 0.0)
+        huge = [1e17, 2.0 ** 53 + 2, -(2.0 ** 53 + 2), 1e300]
+        for x in huge:
+            assert cat_coder.locate(x, 0.0) == want
+            assert cat_coder.locate(0.0, x) == want
+        x = np.array(huge + [0.0])
+        assert (assign_rectangles(cat_coder, x, x[::-1]) == want[0]).all()
+
+    def test_locate_refuses_non_finite_point(self, cat_coder):
+        cases = [(math.nan, 0.3, "x = nan"), (0.3, -math.inf, "y = -inf"),
+                 (math.inf, math.nan, "x = inf")]
+        for x, y, at in cases:
+            with pytest.raises(ValueError,
+                               match=f"^point coordinate {at} is not finite$"):
+                cat_coder.locate(x, y)
+
+    def test_assign_refuses_non_finite_point(self, cat_coder):
+        ok = np.array([0.3, 0.4, 0.5])
+        for x, y, at in (([0.3, math.nan, 0.2], ok, r"x\[1\] = nan"),
+                         (ok, [math.nan, 0.4, math.inf], r"y\[0\] = nan"),
+                         ([0.3, 0.4, -math.inf], ok, r"x\[2\] = -inf")):
+            with pytest.raises(ValueError,
+                               match=f"^point coordinate {at} is not finite$"):
+                assign_rectangles(cat_coder, np.array(x), np.array(y))
 
     def test_most_subcells_are_settled(self, cat_coder):
         # the fast path of locate and assign: 54,586 of the 65,536
@@ -800,8 +866,7 @@ class TestBirkhoff:
         start, n = TorusPoint(1e3, -25.0), 140_001
         boxes = cat_coder._cells.boxes[:-1]
         X, Y = np.array(lattice_orbit(start, n), dtype=np.uint64).T
-        ids = CellTable(boxes).assign((X >> 11) * 2.0 ** -53,
-                                      (Y >> 11) * 2.0 ** -53)
+        ids, _ = window_locate(boxes, _lattice_read(X), _lattice_read(Y))
         out = np.flatnonzero(ids < 0)
         assert out.size and out[0] < 65_536 < out[-1]
         holed = copy.copy(cat_coder)

@@ -116,6 +116,19 @@ class TestStepAndSigma:
         with pytest.raises(ValueError, match="not locally invertible"):
             sys1.step(TorusPoint(math.pi, 0.0))
 
+    @pytest.mark.parametrize("psi, name", [
+        ((math.inf, 0.3), "psi1 = inf"), ((0.1, math.nan), "psi2 = nan"),
+        ((-math.inf, math.nan), "psi1 = -inf")])
+    def test_non_finite_point_refused(self, psi, name):
+        # a NaN or infinite angle would reduce to nan and step and sigma
+        # would return nan silently; the message from a refused step still
+        # builds its point
+        with pytest.raises(ValueError, match=f"^angle {name} is not finite$"):
+            TorusPoint(*psi)
+        sys1 = CatSystem(epsilon=0.6, force=HarmonicForce.single_harmonic())
+        with pytest.raises(ValueError, match=r"at TorusPoint\(psi1=3\.14"):
+            sys1.step(TorusPoint(math.pi, 0.0))
+
     def test_orbit_is_chained_steps(self):
         # total, window sums and end point of one orbit equal, bit for bit,
         # 20 chained steps with sigma summed in the same order; a partial

@@ -177,6 +177,26 @@ class TestGeometricSum:
             g2 = geometric_sum(f, LAMBDA_MINUS, +1)
         assert g2.tail_bound == pytest.approx(g1.tail_bound * LAMBDA_MINUS, rel=1e-12)
 
+    def test_repeated_queries_read_once(self):
+        # a pending read sums each distinct query once, however often and
+        # in whatever order it is asked, and gives the merged columns
+        f = random_poly(np.random.default_rng(11), terms=6)
+        lazy, merged = (geometric_sum(f, LAMBDA_MINUS, -1, -LAMBDA_MINUS).poly
+                        for _ in range(2))
+        a, b, c, d = s0_power(-3)
+        x, y = int(f.n1[0]), int(f.n2[0])
+        image = (a * x + c * y, b * x + d * y)
+        queries = [image, (0, 0), image, (x, y), (7, -40), image, (x, y)]
+        q1, q2 = (np.array(col, dtype=np.int64) for col in zip(*queries))
+        got, found = lazy.coefficients_at(q1, q2)
+        assert lazy.pending
+        want = merged.coeffs
+        assert found.tolist() == [q in want for q in queries]
+        assert found[0] and not found[4]
+        assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == [
+            (complex(want.get(q, 0)).real.hex(),
+             complex(want.get(q, 0)).imag.hex()) for q in queries]
+
     def test_solves_cohomology(self):
         # h = -lambda sum_p lambda^p f o S^p solves lambda_+ h - h o S0 = -f
         f = TrigPoly.sine((1, 0), 0.8)
