@@ -49,12 +49,15 @@ MAX_ROUNDS = 64        # endpoint-closure rounds per refinement
 MIXING_CAP = 20        # largest mixing time transition_matrix searches
 BOUNDARY_TOL = 1e-12   # eigen-coordinate distance that counts as boundary
 GRID = 64              # CellTable cells per side of [0,1)^2
-SETTLE = 4             # CellTable subcells per cell side, settled one by one
+SETTLE = 8             # CellTable subcells per cell side, from column spans
 CELL_MARGIN = 1e-9     # slack of CellTable's tests and of the float shadows
 CHUNK = 1 << 16        # points per pass of assign_rectangles and of an orbit
 # X >> _SUBCELL_SHIFT is the CellTable subcell column (row, for Y) of the
 # lattice coordinate X in [0, 2^64): 64 - log2(GRID * SETTLE)
-_SUBCELL_SHIFT = 56
+_SUBCELL_SHIFT = 55
+# columns of CellTable subcells settled in one pass, which bounds the
+# build's temporaries
+_BAND = 64
 
 
 class PartitionError(RuntimeError):
@@ -528,18 +531,24 @@ class CellTable:
     [0,1)^2 is cut into GRID x GRID cells; each cell lists, sorted by id, the
     box translates (rid, m, n) whose float footprint comes within
     CELL_MARGIN of it, in (x, y) and in eigen-coordinates alike (a
-    separating-axis test of two parallelograms, _cell_tests).  A point of
+    separating-axis test of two parallelograms, _column_spans).  A point of
     [0,1)^2 is tested only against the list of its cell; the margin, far
     above BOUNDARY_TOL and float rounding, keeps every translate that could
     hold the point in that list.
 
     Each cell is cut again into SETTLE x SETTLE subcells.  A subcell is
-    settled when exactly one translate of its cell's list meets it, by the
-    same test, and the subcell's eigen-coordinate bounding box lies
-    CELL_MARGIN inside that translate: every point of the subcell is then
-    inside that box, farther than BOUNDARY_TOL from its sides, and gets its
-    id without a test (settled[subcell], -1 elsewhere; int8 for up to 127
-    boxes).
+    settled when exactly one translate meets it, by the same test, and the
+    subcell's eigen-coordinate bounding box lies CELL_MARGIN inside that
+    translate: every point of the subcell is then inside that box, farther
+    than BOUNDARY_TOL from its sides, and gets its id without a test
+    (settled[subcell], -1 elsewhere; int8 for up to 127 boxes).  A
+    translate that meets a subcell meets its cell, since each test's float
+    expressions round monotonically in the square's corners.
+
+    Both layers come from the same column spans: in a column of a grid, the
+    squares that a translate meets are one run of rows, and so are those it
+    holds (_column_spans).  The cell lists expand the runs at GRID; the
+    settled table sums them down each column at GRID * SETTLE (_settle).
 
     The queries take a lattice point (X, Y) 2^-64, X and Y in [0, 2^64),
     and read it at 53 bits as (X >> 11) 2^-53 (_lattice_read).  Its subcell
@@ -551,67 +560,39 @@ class CellTable:
     def __init__(self, boxes: List[Tuple[float, float, float, float]]):
         self.boxes = boxes
         self.box = np.array(boxes, dtype=float).reshape(-1, 4)
-        # every translate whose (x, y) footprint meets [0,1)^2, in
-        # (rid, m, n) order, with the block of cells [ix0, ix1) x [iy0, iy1)
-        # that its footprint, padded by a cell, covers
-        rows = []
+        # every translate whose (x, y) footprint can meet [0,1)^2, in
+        # (rid, m, n) order
+        triples = []
         for rid, (bx0, bx1, by0, by1) in enumerate(
                 _footprints(self.box, 0, 0)[:4].T.tolist()):
-            for m in range(math.floor(-bx1), math.ceil(1.0 - bx0) + 1):
-                for n in range(math.floor(-by1), math.ceil(1.0 - by0) + 1):
-                    ix0, ix1 = (min(GRID, max(0, math.floor(GRID * v)))
-                                for v in (bx0 + m - 1 / GRID, bx1 + m + 2 / GRID))
-                    iy0, iy1 = (min(GRID, max(0, math.floor(GRID * v)))
-                                for v in (by0 + n - 1 / GRID, by1 + n + 2 / GRID))
-                    if ix0 < ix1 and iy0 < iy1:
-                        rows.append((rid, m, n, ix0, ix1 - ix0, iy0, iy1 - iy0))
-        rid, m, n, ix0, wx, iy0, wy = np.array(rows, dtype=int).reshape(-1, 7).T
-        foot = _footprints(self.box[rid], m, n)
-        # one test per translate and cell of its block, a few translates
-        # at a time
-        found = [np.zeros((2, 0), dtype=int)]
-        for lo in range(0, rid.size, 8):
-            t, j = _ragged(wx[lo:lo + 8] * wy[lo:lo + 8])
-            t += lo
-            cell = (ix0[t] + j // wy[t]) * GRID + iy0[t] + j % wy[t]
-            x0, y0 = np.divmod(cell, GRID)
-            meets, _ = _cell_tests(x0 / GRID, y0 / GRID, 1.0 / GRID, foot[:, t])
-            found.append(np.stack([cell[meets], t[meets]]))
-        # the hits cell by cell, in (rid, m, n) order within a cell
-        cell, t = np.concatenate(found, axis=1)
-        order = np.argsort(cell, kind="stable")
-        t, cell = t[order], cell[order]
-        self.count = np.bincount(cell, minlength=GRID ** 2)
-        first = np.cumsum(self.count) - self.count
-        # translate t of each slot; the padding past count repeats
-        # translate 0 and is never read
-        slots = np.zeros((GRID ** 2, self.count.max()), dtype=int)
-        slots[cell, np.arange(cell.size) - first[cell]] = t
-        triples = np.stack([rid, m, n], axis=1)
-        self.cand = triples[slots]
-        hits = triples[t].tolist()
-        self.cells = [hits[i:i + k] for i, k in zip(first.tolist(),
-                                                    self.count.tolist())]
-        # settle the subcells a band at a time, one test per subcell and
-        # slot of its cell's list; the least signed type that holds every
-        # id and -1
-        fine, band = GRID * SETTLE, 4096
-        self.settled = np.full(fine ** 2, -1,
-                               dtype=np.min_scalar_type(-1 - len(boxes)))
-        for lo in range(0, fine ** 2, band):
-            ix, iy = np.divmod(np.arange(lo, lo + band), fine)
-            cell = ix // SETTLE * GRID + iy // SETTLE
-            sub, slot = _ragged(self.count[cell])
-            t = slots[cell[sub], slot]
-            meets, holds = _cell_tests(ix[sub] / fine, iy[sub] / fine,
-                                       1.0 / fine, foot[:, t])
-            one = np.bincount(sub, weights=meets, minlength=band) == 1
-            sure = one[sub] & meets & holds
-            self.settled[lo + sub[sure]] = rid[t[sure]]
-        # the scalar queries read the table as Python ints, from a copy
-        # that pickles (a memoryview of it would not)
-        self._settled = array.array(self.settled.dtype.char,
-                                    self.settled.tobytes())
+            ms = range(math.floor(-bx1), math.ceil(1.0 - bx0) + 1)
+            ns = range(math.floor(-by1), math.ceil(1.0 - by0) + 1)
+            triples += [(rid, m, n) for m in ms for n in ns]
+        triples = np.array(triples, dtype=int).reshape(-1, 3)
+        rid = triples[:, 0]
+        foot = _footprints(self.box[rid], triples[:, 1], triples[:, 2])
+        (_, t, ix, lo, hi, _, _), = _column_spans(foot, GRID, GRID, 0, GRID)
+        self.count, self.cand, self.cells = _cell_lists(triples, t, ix, lo, hi)
+        # a translate meets only subcells of the cells it meets, so the
+        # settle reads only the translates that meet a cell, each in the
+        # subcell columns of its first to its last such cell
+        meet = lo < hi
+        live, at, n = np.unique(t[meet], return_index=True, return_counts=True)
+        col = ix[meet] * SETTLE
+        # the least signed type that holds every id and -1, held once, as
+        # an array.array that pickles and that locate_lattice reads as
+        # Python ints
+        kind = np.min_scalar_type(-1 - len(boxes))
+        size = (GRID * SETTLE) ** 2 * kind.itemsize
+        self._settled = array.array(kind.char, bytes(size))
+        _settle(self.settled, rid[live], foot[:, live], col[at],
+                col[at + n - 1] + SETTLE)
+
+    @property
+    def settled(self) -> np.ndarray:
+        """The settled id of each subcell ix * GRID * SETTLE + iy, -1 where
+        none is: a numpy view of the table locate_lattice reads."""
+        return np.frombuffer(self._settled, dtype=self._settled.typecode)
 
     def locate_lattice(self, X: int, Y: int) -> Tuple[int, bool]:
         """CatCoder.locate at the lattice point (X, Y) 2^-64, for Python
@@ -702,29 +683,133 @@ def _footprints(box: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
                      a0 + A, a0 + da + A, b0 + B, b0 + db + B])
 
 
-def _cell_tests(x0, y0, side: float, foot: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """(meets, holds) of the squares [x0, x0 + side] x [y0, y0 + side] and
-    the translates of the _footprints rows foot, pair by pair.
+def _cell_lists(triples: np.ndarray, t: np.ndarray, ix: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, List[List[List[int]]]]:
+    """(count, cand, cells) of CellTable from the _column_spans (t, ix,
+    lo, hi) at GRID of the translates triples (rid, m, n): the translates
+    that meet each cell, in (rid, m, n) order within a cell."""
+    k, j = _ragged(hi - lo)
+    cell = ix[k] * GRID + lo[k] + j
+    order = np.argsort(cell, kind="stable")
+    t, cell = t[k[order]], cell[order]
+    count = np.bincount(cell, minlength=GRID ** 2)
+    first = np.cumsum(count) - count
+    # translate t of each slot; the padding past count repeats translate 0
+    # and is never read
+    slots = np.zeros((GRID ** 2, count.max()), dtype=int)
+    slots[cell, np.arange(cell.size) - first[cell]] = t
+    hits = triples[t].tolist()
+    return count, triples[slots], [hits[i:i + k] for i, k in
+                                   zip(first.tolist(), count.tolist())]
 
-    meets: the two parallelograms come within CELL_MARGIN of each other on
-    each of the four separating axes, x, y, a and b.  holds: the square's
-    eigen-coordinate bounding box lies CELL_MARGIN inside the translate.
+
+def _settle(settled: np.ndarray, rid: np.ndarray, foot: np.ndarray,
+            first: np.ndarray, end: np.ndarray) -> None:
+    """Fill settled, the (GRID * SETTLE)^2 subcells in CellTable's order, a
+    band of columns at a time, from the translates of ids rid with
+    footprints foot, each read in its columns first <= ix < end.  Down
+    each column, a running sum of +-1 at the ends of the spans counts the
+    translates that meet a subcell, in the low bits, and adds up rid + 1
+    of those that hold it, in the high bits: a subcell is settled when the
+    count is 1 and the one translate holds it."""
+    fine = GRID * SETTLE
+    settled = settled.reshape(fine, fine)
+    bits = rid.size.bit_length()
+    for c0, t, ix, lo, hi, hlo, hhi in _column_spans(foot, fine, _BAND,
+                                                     first, end):
+        band = settled[c0:c0 + _BAND]
+        at = (ix - c0) * (fine + 1)
+        held = (rid[t] + 1) << bits
+        runs = np.zeros((len(band), fine + 1), dtype=np.int64)
+        np.add.at(runs.ravel(),
+                  np.concatenate([at + lo, at + hi, at + hlo, at + hhi]),
+                  np.concatenate([np.ones_like(lo), -np.ones_like(hi),
+                                  held, -held]))
+        np.cumsum(runs, axis=1, out=runs)
+        one = (runs & ((1 << bits) - 1)) == 1
+        runs >>= bits
+        runs -= 1
+        runs[~one] = -1
+        band[:] = runs[:, :fine]
+
+
+def _column_spans(foot: np.ndarray, g: int, band: int, first, end
+                  ) -> Iterator[Tuple[np.ndarray, ...]]:
+    """The squares of the g x g grid of [0,1)^2 that the translates of the
+    _footprints rows foot meet and hold, as spans of rows, column by column:
+    (c0, t, ix, lo, hi, hlo, hhi) for each band of columns c0 <= ix < c0 +
+    band, with one entry per translate t and column ix that it meets on the
+    x axis, in (t, ix) order.  Translate t is read only in the columns
+    first[t] <= ix < end[t] (first and end may be ints).  In column ix
+    translate t meets the rows lo <= iy < hi, empty where lo = hi, and
+    holds the rows hlo <= iy < hhi, a span within [lo, hi).
+
+    The square [x0, x0 + s] x [y0, y0 + s], s = 1/g, with x0 = ix/g and
+    y0 = iy/g: meets means that it and the translate come within
+    CELL_MARGIN of each other on each of the four separating axes, x, y, a
+    and b; holds means that its eigen-coordinate bounding box lies
+    CELL_MARGIN inside the translate.  In a column, each of these float
+    tests either does not involve y0 or compares a float expression that
+    rounds monotonically in y0 with a bound, so the rows where it passes
+    run from an edge up, or up to an edge.  Each edge is estimated from the
+    bound and then set by the float test itself (_rise), so a span holds
+    exactly the rows where the tests pass.
     """
-    mu, nu, rt5 = _MU, _NU, _RT5
-    eps = CELL_MARGIN
-    fx0, fx1, fy0, fy1, fa0, fa1, fb0, fb1 = foot
-    x1, y1 = x0 + side, y0 + side
-    # the squares' eigen-coordinate ranges (mu > 0 > nu)
-    ca0, ca1 = (y0 - nu * x0) / rt5, (y1 - nu * x1) / rt5
-    cb0, cb1 = (mu * x0 - y1) / rt5, (mu * x1 - y0) / rt5
-    meets = ((x0 <= fx1 + eps) & (fx0 <= x1 + eps)
-             & (y0 <= fy1 + eps) & (fy0 <= y1 + eps)
-             & (ca0 <= fa1 + eps) & (fa0 <= ca1 + eps)
-             & (cb0 <= fb1 + eps) & (fb0 <= cb1 + eps))
-    holds = ((fa0 + eps <= ca0) & (ca1 <= fa1 - eps)
-             & (fb0 + eps <= cb0) & (cb1 <= fb1 - eps))
-    return meets, holds
+    mu, nu, rt5, eps = _MU, _NU, _RT5, CELL_MARGIN
+    s = 1.0 / g
+    # the columns on the x axis
+    fx0, fx1 = foot[:2]
+    first = np.maximum(first, _rise(lambda k: fx0 <= k / g + s + eps,
+                                    fx0 - eps - s, g))
+    end = np.minimum(end, _rise(lambda k: ~(k / g <= fx1 + eps),
+                                fx1 + eps, g))
+    for c0 in range(0, g, band):
+        t, j = _ragged(np.maximum(np.minimum(end, c0 + band)
+                                  - np.maximum(first, c0), 0))
+        ix = np.maximum(first, c0)[t] + j
+        fy0, fy1, fa0, fa1, fb0, fb1 = foot[2:, t]
+        x0 = ix / g
+        nx0, nx1, mx0, mx1 = nu * x0, nu * (x0 + s), mu * x0, mu * (x0 + s)
+        # the rows on the y, a and b axes, in the corners that each test
+        # reads: (y0 - nu x0)/rt5 is the square's least a, (mu x1 - y0)/rt5
+        # its greatest b, and so on
+        lo = _rise(lambda k: ((fy0 <= k / g + s + eps)
+                              & (fa0 <= (k / g + s - nx1) / rt5 + eps)
+                              & ((mx0 - (k / g + s)) / rt5 <= fb1 + eps)),
+                   np.maximum.reduce([fy0 - eps, (fa0 - eps) * rt5 + nx1,
+                                      mx0 - (fb1 + eps) * rt5]) - s, g)
+        hi = _rise(lambda k: ~((k / g <= fy1 + eps)
+                               & ((k / g - nx0) / rt5 <= fa1 + eps)
+                               & (fb0 <= (mx1 - k / g) / rt5 + eps)),
+                   np.minimum.reduce([fy1 + eps, (fa1 + eps) * rt5 + nx0,
+                                      mx1 - (fb0 - eps) * rt5]), g)
+        hlo = _rise(lambda k: ((fa0 + eps <= (k / g - nx0) / rt5)
+                               & ((mx1 - k / g) / rt5 <= fb1 - eps)),
+                    np.maximum((fa0 + eps) * rt5 + nx0,
+                               mx1 - (fb1 - eps) * rt5), g)
+        hhi = _rise(lambda k: ~(((k / g + s - nx1) / rt5 <= fa1 - eps)
+                                & (fb0 + eps <= (mx0 - (k / g + s)) / rt5)),
+                    np.minimum((fa1 - eps) * rt5 + nx1,
+                               mx0 - (fb0 + eps) * rt5) - s, g)
+        hi = np.maximum(hi, lo)
+        hlo = np.clip(hlo, lo, hi)
+        yield c0, t, ix, lo, hi, hlo, np.clip(hhi, hlo, hi)
+
+
+def _rise(test: Callable[[np.ndarray], np.ndarray], edge: np.ndarray,
+          top: int) -> np.ndarray:
+    """The least k in [0, top] where test(k) passes, top where it passes
+    nowhere below top, for a test that passes from some k on: found from
+    the estimate ceil(edge * top) by unit steps, each entry until test(k)
+    passes and test(k - 1) does not."""
+    k = np.clip(np.ceil(edge * top), 0, top).astype(np.int64)
+    while True:
+        step = (k < top) & ~test(k)
+        step = step.astype(np.int64) - ((k > 0) & test(k - 1))
+        if not step.any():
+            return k
+        k += step
 
 
 class CatCoder:
@@ -995,7 +1080,11 @@ def assign_rectangles(coder: CatCoder, x: np.ndarray, y: np.ndarray
                       ) -> np.ndarray:
     """Vectorized CatCoder.locate for lattice-unit points, each read as it
     reads them: the least id of the boxes within BOUNDARY_TOL of each point,
-    -1 where none is; CHUNK points at a time."""
+    -1 where none is; CHUNK points at a time.  x and y of different shapes
+    raise ValueError."""
+    if x.shape != y.shape:
+        raise ValueError(f"x of shape {x.shape} and y of shape {y.shape} "
+                         "differ")
     _refuse_non_finite(x, y)
     shape, x, y = x.shape, x.ravel(), y.ravel()
     out = np.empty(x.shape, dtype=int)

@@ -148,8 +148,10 @@ class CatSystem:
 
         sigma = -log1p(eps g) is taken at each point before the step; the
         window sums cover the T // tau complete windows of tau steps.  This
-        loop is the one implementation of the step and of sigma.
+        loop is the one implementation of the step and of sigma.  A NaN or
+        infinite start angle raises ValueError before the first step.
         """
+        TorusPoint(psi1, psi2)
         eps = self.epsilon
         harmonics = [(h.nu[0], h.nu[1], h.amp, h.jac_amp)
                      for h in self.force.harmonics]

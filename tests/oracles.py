@@ -5,12 +5,13 @@ the code it checks: sigma from the assembled 2 x 2 Jacobian, torus
 averages and recorded moments by grid quadrature, zeta(p) by a brute
 Legendre maximum over a beta grid, eigen-coordinates by exact inversion,
 the cumulants of sigma from periodic-orbit sums, the Birkhoff and encode
-orbits step by step in Python ints, and the decoded cell by Q(sqrt5)
-arithmetic.  displacement evaluates the conjugation H(psi) - psi
-pointwise for the defining-relation check.  eager_geometric_sum merges a
-geometric sum at once, in numpy and Python ints, in the summation order
-the library's deferred merge must keep.  No subcommand or library code
-runs them; the tests import them from here.
+orbits step by step in Python ints, the decoded cell by Q(sqrt5)
+arithmetic, and the point locator's cell lists and settled subcells by one
+separating-axis test per translate and square.  displacement evaluates the
+conjugation H(psi) - psi pointwise for the defining-relation check.
+eager_geometric_sum merges a geometric sum at once, in numpy and Python
+ints, in the summation order the library's deferred merge must keep.  No
+subcommand or library code runs them; the tests import them from here.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 
 from catflux.conjugation import ConjugationSeries
 from catflux.cumulants import CumulantTable, FactorRef, MomentEngine
-from catflux.partition import CatCoder, SymbolWindow
+from catflux.partition import CELL_MARGIN, CatCoder, SymbolWindow
 from catflux.qfield import LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, from_eigen
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
 from catflux.trig import (COEFF_TOL, MAX_P, TrigPoly, V_MINUS, V_PLUS,
@@ -147,6 +148,112 @@ def lattice_orbit(x0: TorusPoint, n: int, back: int = 0
         out.append((X, Y))
         X, Y = (X + Y) % 2 ** 64, (X + 2 * Y) % 2 ** 64
     return out
+
+
+def per_pair_cell_table(boxes: List[Tuple[float, float, float, float]],
+                        grid: int, settle: int
+                        ) -> Tuple[np.ndarray, List[List[List[int]]],
+                                   np.ndarray]:
+    """(count, cells, settled) of partition.CellTable with grid cells and
+    settle subcells per side, square by square: the oracle for its column
+    spans.
+
+    Each box translate (rid, m, n) whose footprint, padded by a cell, meets
+    [0,1)^2 is tested against every cell of that padded block, eight
+    translates at a time; a cell lists the translates that meet it, in
+    (rid, m, n) order.  Each subcell is tested against every translate of
+    its cell's list, 4,096 subcells at a time, and is settled to the id of
+    the one translate that meets it when that translate holds it.
+    """
+    box = np.array(boxes, dtype=float).reshape(-1, 4)
+    rows = []
+    for rid, (bx0, bx1, by0, by1) in enumerate(
+            _box_footprints(box, 0, 0)[:4].T.tolist()):
+        for m in range(math.floor(-bx1), math.ceil(1.0 - bx0) + 1):
+            for n in range(math.floor(-by1), math.ceil(1.0 - by0) + 1):
+                ix0, ix1 = (min(grid, max(0, math.floor(grid * v)))
+                            for v in (bx0 + m - 1 / grid, bx1 + m + 2 / grid))
+                iy0, iy1 = (min(grid, max(0, math.floor(grid * v)))
+                            for v in (by0 + n - 1 / grid, by1 + n + 2 / grid))
+                if ix0 < ix1 and iy0 < iy1:
+                    rows.append((rid, m, n, ix0, ix1 - ix0, iy0, iy1 - iy0))
+    rid, m, n, ix0, wx, iy0, wy = np.array(rows, dtype=int).reshape(-1, 7).T
+    foot = _box_footprints(box[rid], m, n)
+    found = [np.zeros((2, 0), dtype=int)]
+    for lo in range(0, rid.size, 8):
+        t, j = _ragged_pairs(wx[lo:lo + 8] * wy[lo:lo + 8])
+        t += lo
+        cell = (ix0[t] + j // wy[t]) * grid + iy0[t] + j % wy[t]
+        x0, y0 = np.divmod(cell, grid)
+        meets, _ = _square_tests(x0 / grid, y0 / grid, 1.0 / grid,
+                                 foot[:, t])
+        found.append(np.stack([cell[meets], t[meets]]))
+    cell, t = np.concatenate(found, axis=1)
+    order = np.argsort(cell, kind="stable")
+    t, cell = t[order], cell[order]
+    count = np.bincount(cell, minlength=grid ** 2)
+    first = np.cumsum(count) - count
+    slots = np.zeros((grid ** 2, count.max()), dtype=int)
+    slots[cell, np.arange(cell.size) - first[cell]] = t
+    hits = np.stack([rid, m, n], axis=1)[t].tolist()
+    cells = [hits[i:i + k] for i, k in zip(first.tolist(), count.tolist())]
+    fine, band = grid * settle, 4096
+    settled = np.full(fine ** 2, -1,
+                      dtype=np.min_scalar_type(-1 - len(boxes)))
+    for lo in range(0, fine ** 2, band):
+        ix, iy = np.divmod(np.arange(lo, lo + band), fine)
+        cell = ix // settle * grid + iy // settle
+        sub, slot = _ragged_pairs(count[cell])
+        t = slots[cell[sub], slot]
+        meets, holds = _square_tests(ix[sub] / fine, iy[sub] / fine,
+                                     1.0 / fine, foot[:, t])
+        one = np.bincount(sub, weights=meets, minlength=band) == 1
+        sure = one[sub] & meets & holds
+        settled[lo + sub[sure]] = rid[t[sure]]
+    return count, cells, settled
+
+
+def _ragged_pairs(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every j < k[i], i ascending."""
+    i = np.repeat(np.arange(k.size), k)
+    return i, np.arange(i.size) - np.repeat(np.cumsum(k) - k, k)
+
+
+def _box_footprints(box: np.ndarray, m, n) -> np.ndarray:
+    """Rows x0, x1, y0, y1, a0, a1, b0, b1: the (x, y) and eigen-coordinate
+    ranges of the box translates, box rows (a0, b0, da, db) shifted by the
+    lattice vectors (m, n), with the library's float expressions."""
+    mu, nu, rt5 = float(MU_Q), float(NU_Q), math.sqrt(5.0)
+    a0, b0, da, db = box.T
+    A, B = (n - nu * m) / rt5, (mu * m - n) / rt5
+    return np.stack([a0 + b0 + m, a0 + da + b0 + db + m,
+                     a0 * mu + (b0 + db) * nu + n, (a0 + da) * mu + b0 * nu + n,
+                     a0 + A, a0 + da + A, b0 + B, b0 + db + B])
+
+
+def _square_tests(x0, y0, side: float, foot: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """(meets, holds) of the squares [x0, x0 + side] x [y0, y0 + side] and
+    the translates of the _box_footprints rows foot, pair by pair.
+
+    meets: the two parallelograms come within CELL_MARGIN of each other on
+    each of the four separating axes, x, y, a and b.  holds: the square's
+    eigen-coordinate bounding box lies CELL_MARGIN inside the translate.
+    """
+    mu, nu, rt5 = float(MU_Q), float(NU_Q), math.sqrt(5.0)
+    eps = CELL_MARGIN
+    fx0, fx1, fy0, fy1, fa0, fa1, fb0, fb1 = foot
+    x1, y1 = x0 + side, y0 + side
+    # the squares' eigen-coordinate ranges (mu > 0 > nu)
+    ca0, ca1 = (y0 - nu * x0) / rt5, (y1 - nu * x1) / rt5
+    cb0, cb1 = (mu * x0 - y1) / rt5, (mu * x1 - y0) / rt5
+    meets = ((x0 <= fx1 + eps) & (fx0 <= x1 + eps)
+             & (y0 <= fy1 + eps) & (fy0 <= y1 + eps)
+             & (ca0 <= fa1 + eps) & (fa0 <= ca1 + eps)
+             & (cb0 <= fb1 + eps) & (fb0 <= cb1 + eps))
+    holds = ((fa0 + eps <= ca0) & (ca1 <= fa1 - eps)
+             & (fb0 + eps <= cb0) & (cb1 <= fb1 - eps))
+    return meets, holds
 
 
 def refine_q5(coder: CatCoder, window: SymbolWindow

@@ -26,7 +26,8 @@ from catflux.qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
                             lattice_from_eigen_shift)
 from catflux.torus import CatSystem, TorusPoint
 from fractions import Fraction
-from oracles import decode_q5, eigen_coords, lattice_orbit, refine_q5
+from oracles import (decode_q5, eigen_coords, lattice_orbit,
+                     per_pair_cell_table, refine_q5)
 
 LAMBDA_PLUS = (3 + math.sqrt(5)) / 2
 TWO_PI = 2 * math.pi
@@ -538,7 +539,14 @@ def window_locate(boxes, x, y, tol=partition_module.BOUNDARY_TOL):
     """Brute-force oracle for CatCoder.locate, vectorised over points: every
     box translate in the window that the box's (x, y) footprint allows is
     tested with locate's expressions.  Returns (ids, flags), id -1 where no
-    box holds the point."""
+    box holds the point.  Points are taken 2^14 at a time, which keeps the
+    temporaries in cache and each window to what its points need."""
+    parts = [_window_locate(boxes, x[lo:lo + (1 << 14)], y[lo:lo + (1 << 14)],
+                            tol) for lo in range(0, x.size, 1 << 14)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _window_locate(boxes, x, y, tol):
     ids = np.full(x.shape, -1)
     flags = np.zeros(x.shape, dtype=bool)
     for rid, (a0, b0, da, db) in enumerate(boxes):
@@ -688,10 +696,11 @@ class TestCellTable:
         assert (locate_all(table.locate_lattice, X, Y)
                 == window_pairs(boxes, x, y))
 
+    @pytest.mark.slow
     def test_settled_cells_match_window_scan(self, cat_coder):
-        # corners and centre of every settled subcell, on the built table,
-        # the holed one and the one with a lower-id duplicate; a corner at
-        # 1 is read at 0, the same torus point
+        # corners and centre of every settled subcell, none sampled, on the
+        # built table, the holed one and the one with a lower-id duplicate;
+        # a corner at 1 is read at 0, the same torus point
         fine = GRID * SETTLE
         boxes = cat_coder._cells.boxes
         for table in (cat_coder._cells, CellTable(boxes[:-1]),
@@ -814,10 +823,35 @@ class TestCellTable:
                                match=f"^point coordinate {at} is not finite$"):
                 assign_rectangles(cat_coder, np.array(x), np.array(y))
 
+    def test_assign_refuses_mismatched_shapes(self, cat_coder):
+        # y is not broadcast against x: a y of one point would silently put
+        # every point at its y
+        x = np.array([0.3, 0.4, 0.5])
+        for y in (np.array([0.3]), np.array([0.3, 0.4]), x[:, None]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"x of shape (3,) and y of shape {y.shape} differ")):
+                assign_rectangles(cat_coder, x, y)
+
     def test_most_subcells_are_settled(self, cat_coder):
-        # the fast path of locate and assign: 54,586 of the 65,536
+        # the fast path of locate and assign: 240,210 of the 262,144
         # subcells of the built coder
-        assert (cat_coder._cells.settled >= 0).mean() >= 0.8
+        assert (cat_coder._cells.settled >= 0).sum() == 240_210
+
+    def test_spans_match_per_pair_build(self, cat_coder):
+        # the column spans give, bit for bit, the cell lists and the
+        # settled table of one test per translate and square, on the
+        # built, the holed and the lower-id-duplicate tables
+        boxes = cat_coder._cells.boxes
+        for table in (cat_coder._cells, CellTable(boxes[:-1]),
+                      CellTable(lower_id_duplicate(boxes))):
+            count, cells, settled = per_pair_cell_table(table.boxes, GRID,
+                                                        SETTLE)
+            assert np.array_equal(table.count, count)
+            assert table.cells == cells
+            used = np.arange(table.cand.shape[1]) < count[:, None]
+            assert table.cand[used].tolist() == [h for c in cells for h in c]
+            assert table.settled.dtype == settled.dtype
+            assert np.array_equal(table.settled, settled)
 
     def test_encode_agrees_with_locate_and_assign(self, cat_coder):
         check_encode_windows(cat_coder, [16])
@@ -826,7 +860,7 @@ class TestCellTable:
         check_encode_windows(cat_coder, list(range(1, 17)))
 
     def test_coder_pickles_and_copies(self, cat_coder):
-        # the scalar queries' copy of the settled table pickles, so a coder
+        # the settled table is an array.array, which pickles, so a coder
         # still pickles and deep-copies, and queries the same afterwards
         p = TorusPoint(5.7891776325331215, 5.09064171177081)
         for other in (pickle.loads(pickle.dumps(cat_coder)),
@@ -997,8 +1031,10 @@ class TestConstants:
     def test_subcell_shift_follows_grid(self):
         # the lattice queries index subcells by the top bits of X and Y, so
         # GRID * SETTLE must be 2^(64 - _SUBCELL_SHIFT): a change of either
-        # constant fails here instead of moving every lattice id
+        # constant fails here instead of moving every lattice id.  512 x 512
+        # subcells are read from X >> 55
         assert GRID * SETTLE == 1 << (64 - partition_module._SUBCELL_SHIFT)
+        assert partition_module._SUBCELL_SHIFT == 55
 
     def test_readme_names_every_constant(self):
         # every library module's limits are module constants, listed in README

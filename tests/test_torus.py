@@ -129,6 +129,15 @@ class TestStepAndSigma:
         with pytest.raises(ValueError, match=r"at TorusPoint\(psi1=3\.14"):
             sys1.step(TorusPoint(math.pi, 0.0))
 
+    @pytest.mark.parametrize("psi, name", [
+        ((math.nan, 0.3), "psi1 = nan"), ((0.3, math.inf), "psi2 = inf")])
+    def test_orbit_refuses_non_finite_start(self, psi, name):
+        # before any step: a NaN start would run on as nan, and an infinite
+        # one would fail first in math.sin
+        system = CatSystem(epsilon=0.1, force=HarmonicForce.single_harmonic())
+        with pytest.raises(ValueError, match=f"^angle {name} is not finite$"):
+            system.orbit(*psi, 5, 1)
+
     def test_orbit_is_chained_steps(self):
         # total, window sums and end point of one orbit equal, bit for bit,
         # 20 chained steps with sigma summed in the same order; a partial
