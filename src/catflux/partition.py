@@ -28,8 +28,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
-                     from_eigen, lattice_coords, lattice_from_b_shift,
-                     lattice_from_eigen_shift, pair_sign)
+                     from_eigen, lattice_coords, lattice_from_eigen_shift,
+                     pair_sign)
 from .torus import TorusPoint, check_count
 from .trig import s0_power
 
@@ -51,7 +51,8 @@ BOUNDARY_TOL = 1e-12   # eigen-coordinate distance that counts as boundary
 GRID = 64              # CellTable cells per side of [0,1)^2
 SETTLE = 8             # CellTable subcells per cell side, from column spans
 CELL_MARGIN = 1e-9     # slack of CellTable's tests and of the float shadows
-CHUNK = 1 << 16        # points per pass of assign_rectangles and of an orbit
+CHUNK = 1 << 16        # points per pass of assign_rectangles and of an orbit,
+                       # translates per pass of _lattice_overlaps
 # X >> _SUBCELL_SHIFT is the CellTable subcell column (row, for Y) of the
 # lattice coordinate X in [0, 2^64): 64 - log2(GRID * SETTLE)
 _SUBCELL_SHIFT = 55
@@ -129,14 +130,21 @@ class MarkovPartition:
         pair.  S^{-1} scales the a-extent by lambda_- and the b-extent by
         lambda_+.
         """
-        key = (s1, s2)
-        if key not in self._strips:
-            a0, a1, b0, b1 = self.rectangles[s2].bounds()
-            self._strips[key] = _lattice_overlaps(
-                *self.rectangles[s1].bounds(),
-                LAMBDA_MINUS_Q * a0, LAMBDA_MINUS_Q * a1,
-                LAMBDA_PLUS_Q * b0, LAMBDA_PLUS_Q * b1)
-        return self._strips[key]
+        if (s1, s2) not in self._strips:
+            self._fill_strips([(s1, s2)])
+        return self._strips[s1, s2]
+
+    def _fill_strips(self, pairs: List[Tuple[int, int]]) -> None:
+        """Memoise the strips of the pairs (s1, s2) not yet held, in one
+        batched _lattice_overlaps call."""
+        todo = [pair for pair in pairs if pair not in self._strips]
+        if not todo:
+            return
+        boxes = [r.bounds() for r in self.rectangles]
+        images = [(LAMBDA_MINUS_Q * a0, LAMBDA_MINUS_Q * a1,
+                   LAMBDA_PLUS_Q * b0, LAMBDA_PLUS_Q * b1)
+                  for a0, a1, b0, b1 in boxes]
+        self._strips.update(zip(todo, _lattice_overlaps(boxes, images, todo)))
 
     def total_area(self) -> Q5:
         total = Q5(0)
@@ -234,11 +242,11 @@ def build_cat_partition() -> MarkovPartition:
     w = LATTICE_WINDOW
     span = np.arange(-w, w + 1)
     ms, ns = np.repeat(span, 2 * w + 1), np.tile(span, 2 * w + 1)
-    mn = list(zip(ms.tolist(), ns.tolist()))
+    mn = np.stack([ms, ns], axis=1)
     fcoords = np.stack(_eigen_shadow(ms, ns), axis=1)
     # crossings (t, s) = (A, -B) of the master lines; the origin is not one
-    off = [i for i, v in enumerate(mn) if v != (0, 0)]
-    cross = [mn[i] for i in off]
+    off = np.flatnonzero(ms | ns)
+    cross = list(zip(ms[off].tolist(), ns[off].tolist()))
     fcross = fcoords[off] * (1.0, -1.0)
     eps0 = Q5(Fraction(1, 10))
     u_minus = u_plus = s_minus = s_plus = eps0
@@ -259,13 +267,13 @@ def build_cat_partition() -> MarkovPartition:
                     f"db={float(r.extent_b):.6f}" for r in rects))
         # distinct strips of one pair differ in a or in b, which decides
         # the refinement direction
+        part._fill_strips([(s1, s2) for s1 in range(len(rects))
+                           for s2 in range(len(rects))])
         need_a = need_b = False
-        for s1 in range(len(rects)):
-            for s2 in range(len(rects)):
-                hits = part.strips(s1, s2)
-                if len(hits) > 1:
-                    need_a = need_a or len({A for A, _ in hits}) > 1
-                    need_b = need_b or len({B for _, B in hits}) > 1
+        for hits in part._strips.values():
+            if len(hits) > 1:
+                need_a = need_a or len({A for A, _ in hits}) > 1
+                need_b = need_b or len({B for _, B in hits}) > 1
         if not (need_a or need_b):
             return part
         if need_a:
@@ -279,24 +287,27 @@ def build_cat_partition() -> MarkovPartition:
 
 
 def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
-                        mn: List[Tuple[int, int]], fcoords: np.ndarray
+                        mn: np.ndarray, fcoords: np.ndarray
                         ) -> List[Rectangle]:
     """Read each face of the boundary arrangement once, exactly.
 
-    mn holds the lattice translates near the origin, with eigen-coordinates
-    (A, B) = lattice_coords(m, n); each carries a horizontal (unstable)
-    piece b = B, a in [A - u-, A + u+], and a vertical (stable) piece
-    a = A, b in [B - s-, B + s+], located in floats from fcoords (the
-    shadows of (A, B)).  A face has its lower-left corner at a crossing,
-    so one probe up and to the right of each crossing near the canonical
-    region lies in a face, and the nearest covering pieces are its walls.
+    mn holds the lattice translates (m, n) near the origin, one row each,
+    with eigen-coordinates (A, B) = lattice_coords(m, n); each carries a
+    horizontal (unstable) piece b = B, a in [A - u-, A + u+], and a
+    vertical (stable) piece a = A, b in [B - s-, B + s+], located in floats
+    from fcoords (the shadows of (A, B)).  A face has its lower-left corner
+    at a crossing, so one probe up and to the right of each crossing near
+    the canonical region lies in a face, and the nearest covering pieces
+    are its walls.  All probes are tested against all pieces at once.
     A face's side lies on one piece (each line b = B(m, n) holds one
     translate), so da <= u- + u+ and db <= s- + s+, and the padded piece
     region holds every wall a probe reads: no probe reads a box larger
     than a face.
-    The probes of one face read the same four walls, so each set of walls
-    is snapped to its exact values once, and the box is kept once, by its
-    canonical (center in [0,1)^2) translate.
+    A lattice translate of a face shifts its four walls by one (m, n), and
+    A(m, n) fixes (m, n), so two sets of walls read the same canonical box
+    exactly when their translates less those of the left wall agree.  One
+    set of walls per such key is snapped to its exact values, and the box
+    is kept by its canonical (center in [0,1)^2) translate.
     """
     um, up, sm, sp = map(float, (u_minus, u_plus, s_minus, s_plus))
     fa, fb = fcoords.T
@@ -312,30 +323,35 @@ def _extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5, s_plus: Q5,
 
     delta = 1e-7
     guard = 1e-10
-    walls = set()
-    for i in np.flatnonzero(np.abs(va) <= 1.1):
-        cross = ((hlo - 1e-12 <= va[i]) & (va[i] <= hhi + 1e-12)
-                 & (vlo[i] - 1e-12 <= hb) & (hb <= vhi[i] + 1e-12)
-                 & (np.abs(hb) <= 1.5))
-        for j in np.flatnonzero(cross):
-            a, b = va[i] + delta, hb[j] + delta
-            vcover = (vlo - guard <= b) & (b <= vhi + guard)
-            left = np.flatnonzero(vcover & (va < a - guard))
-            right = np.flatnonzero(vcover & (va > a + guard))
-            hcover = (hlo - guard <= a) & (a <= hhi + guard)
-            below = np.flatnonzero(hcover & (hb < b - guard))
-            above = np.flatnonzero(hcover & (hb > b + guard))
-            if not (len(left) and len(right) and len(below) and len(above)):
-                continue
-            walls.add((vert_n[left[np.argmax(va[left])]],
-                       vert_n[right[np.argmin(va[right])]],
-                       horiz_n[below[np.argmax(hb[below])]],
-                       horiz_n[above[np.argmin(hb[above])]]))
-    faces = set()
-    for left, right, below, above in walls:
-        a0, a1 = (lattice_coords(*mn[k])[0] for k in (left, right))
-        b0, b1 = (lattice_coords(*mn[k])[1] for k in (below, above))
-        faces.add(_canonical_box(a0, b0, a1 - a0, b1 - b0))
+    # the probes: one past each crossing of a vertical piece near the
+    # canonical region with a horizontal piece
+    near = np.flatnonzero(np.abs(va) <= 1.1)
+    x, xlo, xhi = va[near, None], vlo[near, None], vhi[near, None]
+    i, j = np.nonzero((hlo - 1e-12 <= x) & (x <= hhi + 1e-12)
+                      & (xlo - 1e-12 <= hb) & (hb <= xhi + 1e-12)
+                      & (np.abs(hb) <= 1.5))
+    a = va[near[i], None] + delta
+    b = hb[j, None] + delta
+    # the nearest covering piece on each side, where there is one: left,
+    # right, below and above
+    found = np.ones(len(a), dtype=bool)
+    walls = []
+    for ids, at, lo, hi, p, q in ((vert_n, va, vlo, vhi, a, b),
+                                  (horiz_n, hb, hlo, hhi, b, a)):
+        cover = (lo - guard <= q) & (q <= hi + guard)
+        before = cover & (at < p - guard)
+        after = cover & (at > p + guard)
+        found &= before.any(axis=1) & after.any(axis=1)
+        walls += [ids[np.where(before, at, -np.inf).argmax(axis=1)],
+                  ids[np.where(after, at, np.inf).argmin(axis=1)]]
+    t = mn[np.stack(walls, axis=1)[found]]
+    _, first = np.unique((t[:, 1:] - t[:, :1]).reshape(len(t), 6), axis=0,
+                         return_index=True)
+    faces = []
+    for left, right, below, above in t[first].tolist():
+        a0, a1 = lattice_coords(*left)[0], lattice_coords(*right)[0]
+        b0, b1 = lattice_coords(*below)[1], lattice_coords(*above)[1]
+        faces.append(_canonical_box(a0, b0, a1 - a0, b1 - b0))
     return [Rectangle(i, *bx) for i, bx in enumerate(sorted(faces))]
 
 
@@ -390,15 +406,15 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
     if not partition.total_area() == Q5(1):
         msgs.append(f"areas sum to {float(partition.total_area()):.12f}, not 1")
 
-    for i, r1 in enumerate(rects):
-        for j in range(i, len(rects)):
-            r2 = rects[j]
-            for A, _ in _lattice_overlaps(*r1.bounds(), *r2.bounds()):
-                mn = lattice_from_eigen_shift(A)
-                if i == j and mn == (0, 0):
-                    continue
-                msgs.append(f"interiors of R{r1.rid} and R{r2.rid} overlap "
-                            f"(translate {mn})")
+    boxes = [r.bounds() for r in rects]
+    pairs = [(i, j) for i in range(len(rects)) for j in range(i, len(rects))]
+    for (i, j), hits in zip(pairs, _lattice_overlaps(boxes, boxes, pairs)):
+        for A, _ in hits:
+            mn = lattice_from_eigen_shift(A)
+            if i == j and mn == (0, 0):
+                continue
+            msgs.append(f"interiors of R{rects[i].rid} and R{rects[j].rid} "
+                        f"overlap (translate {mn})")
 
     # stable sides are vertical segments (a = const, b-interval), unstable
     # ones horizontal (b = const, a-interval)
@@ -410,8 +426,8 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
         unstable_sides += [(b0, a0, a1, r.rid), (b1, a0, a1, r.rid)]
     # S maps a -> lambda_+ a, b -> lambda_- b; S^{-1} the other way round,
     # so each side's image has constant lambda_+ c and span lambda_- [lo, hi]
-    stable_bad = _uncovered_sides(stable_sides, lattice_from_eigen_shift, 1)
-    unstable_bad = _uncovered_sides(unstable_sides, lattice_from_b_shift, 0)
+    stable_bad = _uncovered_sides(stable_sides, 1)
+    unstable_bad = _uncovered_sides(unstable_sides, 0)
     msgs += [f"S(stable side a={float(c):.6f} of R{rid}) "
              "not contained in stable boundary" for c, rid in stable_bad]
     msgs += [f"S^-1(unstable side b={float(c):.6f} of R{rid}) "
@@ -419,27 +435,58 @@ def verify_markov(partition: MarkovPartition) -> MarkovReport:
     return MarkovReport(not msgs, msgs)
 
 
-def _uncovered_sides(sides: List[Tuple[Q5, Q5, Q5, int]],
-                     lattice_from_shift: Callable[[Q5], Optional[Tuple[int, int]]],
-                     along: int) -> List[Tuple[Q5, int]]:
+def _uncovered_sides(sides: List[Tuple[Q5, Q5, Q5, int]], along: int
+                     ) -> List[Tuple[Q5, int]]:
     """(c, rid) of the sides (c, lo, hi, rid) whose image, at constant
     lambda_+ c over lambda_- [lo, hi], is not covered by lattice translates
-    of the sides.  A translate (m, n) carries side c2 onto the image line
-    when lattice_from_shift(lambda_+ c - c2) finds it; the side then shifts
-    along the line by coordinate `along` of lattice_coords(m, n).
+    of the sides.  The sides are stable ones (c = a) for along = 1 and
+    unstable ones (c = b) for along = 0.  A translate (m, n) carries side
+    c2 onto the image line when coordinate 1 - along of lattice_coords(m, n)
+    is lambda_+ c - c2; the side then shifts along the line by coordinate
+    `along` of it.
+
+    The shifts of all pairs of sides are found at once and exactly, on the
+    integer pairs (P, Q) of lambda_+ c - c2 = (P + Q sqrt5)/den over one
+    denominator: A(m, n) = (P + Q sqrt5)/den for m = 2P/den and
+    n = (P + 5Q)/den when both are integers, and B(m, n) = A(m, m - n).
+    Only the shifted sides whose float shadows come within CELL_MARGIN of
+    the image are made exact and handed to _interval_cover, which drops
+    every side that misses the image: a bound of three float(Q5) or shadow
+    terms below 10^2 is off by less than 1e-12 (see _eigen_shadow).
     """
-    bad = []
-    for c, lo, hi, rid in sides:
-        ic = LAMBDA_PLUS_Q * c
-        pieces = []
-        for c2, lo2, hi2, _ in sides:
-            mn = lattice_from_shift(ic - c2)
-            if mn is not None:
-                t = lattice_coords(*mn)[along]
-                pieces.append((lo2 + t, hi2 + t))
-        if not _interval_cover(LAMBDA_MINUS_Q * lo, LAMBDA_MINUS_Q * hi, pieces):
-            bad.append((c, rid))
-    return bad
+    eps = CELL_MARGIN
+    images = [(LAMBDA_MINUS_Q * lo, LAMBDA_MINUS_Q * hi)
+              for _, lo, hi, _ in sides]
+    cs = [side[0] for side in sides]
+    triples = [v.triple for v in [LAMBDA_PLUS_Q * v for v in cs] + cs]
+    den = math.lcm(*(d for _, _, d in triples))
+    pq = [(p * (den // d), q * (den // d)) for p, q, d in triples]
+    # int64 while 2P and P + 5Q stay far below 2^63
+    big = max(abs(v) for pair in [(den, 0)] + pq for v in pair) >= 1 << 56
+    P, Q = np.array(pq, dtype=object if big else np.int64).reshape(-1, 2).T
+    k = len(sides)
+    P = P[:k, None] - P[None, k:]
+    Q = Q[:k, None] - Q[None, k:]
+    s, s2 = np.nonzero((2 * P % den == 0) & ((P + 5 * Q) % den == 0))
+    m = 2 * P[s, s2] // den
+    n = (P[s, s2] + 5 * Q[s, s2]) // den
+    if not along:
+        n = m - n
+    # the shifted sides' float shadows against the images, widened
+    fimage = np.array([[float(v) for v in image]
+                       for image in images]).reshape(-1, 2)
+    fside = np.array([[float(lo), float(hi)]
+                      for _, lo, hi, _ in sides]).reshape(-1, 2)
+    t = _eigen_shadow(m.astype(float), n.astype(float))[along]
+    keep = ((fside[s2, 1] + t > fimage[s, 0] - eps)
+            & (fside[s2, 0] + t < fimage[s, 1] + eps))
+    pieces: List[List[Tuple[Q5, Q5]]] = [[] for _ in sides]
+    for i, j, mi, ni in zip(s[keep].tolist(), s2[keep].tolist(),
+                            m[keep].tolist(), n[keep].tolist()):
+        shift = lattice_coords(mi, ni)[along]
+        pieces[i].append((sides[j][1] + shift, sides[j][2] + shift))
+    return [(c, rid) for (c, _, _, rid), image, got
+            in zip(sides, images, pieces) if not _interval_cover(*image, got)]
 
 
 # ----------------------------------------------------------------------
@@ -454,11 +501,12 @@ class TransitionMatrix:
 def transition_matrix(partition: MarkovPartition) -> TransitionMatrix:
     """T[s, s'] = 1 iff int Q_s meets S^{-1} int Q_{s'} (exact box overlap)."""
     q = len(partition)
-    T = np.zeros((q, q), dtype=int)
-    for s1 in range(q):
-        for s2 in range(q):
-            if partition.strips(s1, s2):
-                T[s1, s2] = 1
+    if not q:
+        raise PartitionError("the partition has no rectangles")
+    pairs = [(s1, s2) for s1 in range(q) for s2 in range(q)]
+    partition._fill_strips(pairs)
+    T = np.array([bool(partition.strips(*pair)) for pair in pairs],
+                 dtype=int).reshape(q, q)
     if not (T.sum(axis=0).all() and T.sum(axis=1).all()):
         raise PartitionError("transition matrix has an empty row or column")
     power = T.copy()
@@ -471,35 +519,61 @@ def transition_matrix(partition: MarkovPartition) -> TransitionMatrix:
     return TransitionMatrix(T, a)
 
 
-def _lattice_overlaps(a0, a1, b0, b1, c0, c1, d0, d1) -> List[Tuple[Q5, Q5]]:
-    """Translates (A, B) giving open overlap of [a0,a1]x[b0,b1] with
-    [c0,c1]x[d0,d1] + (A, B), in (m, n) order.
+def _lattice_overlaps(boxes: List[Tuple[Q5, Q5, Q5, Q5]],
+                      others: List[Tuple[Q5, Q5, Q5, Q5]],
+                      pairs: List[Tuple[int, int]]
+                      ) -> List[List[Tuple[Q5, Q5]]]:
+    """For each pair (i, j), the translates (A, B) giving open overlap of
+    boxes[i] = [a0,a1]x[b0,b1] with others[j] = [c0,c1]x[d0,d1] + (A, B),
+    in (m, n) order.
 
     An overlap needs A in (a0 - c1, a1 - c0) and B in (b0 - d1, b1 - d0).
-    Each (m, n) is tested first by its float shadow against those bounds
-    widened by CELL_MARGIN, and only the candidates that pass are tested
-    exactly.  A bound is a difference of two float(Q5) values, and it is
+    Every (m, n) of each pair's window on those bounds, widened by
+    CELL_MARGIN, is tested at once by its float shadow, and only the
+    candidates that pass are tested exactly, pair by pair.  A bound is a
+    difference of two float(Q5) values, made once per box, and it is
     compared with a shadow: the three are off by less than 1e-12 in all
     (see _eigen_shadow), so the filter never drops a translate the exact
     test keeps.
     """
-    fa0, fa1, fb0, fb1, fc0, fc1, fd0, fd1 = map(
-        float, (a0, a1, b0, b1, c0, c1, d0, d1))
+    hits: List[List[Tuple[Q5, Q5]]] = [[] for _ in pairs]
+    if not pairs:
+        return hits
     eps = CELL_MARGIN
+    i, j = np.array(pairs).reshape(-1, 2).T
+    fa0, fa1, fb0, fb1 = np.array([[float(v) for v in box]
+                                   for box in boxes]).T[:, i]
+    fc0, fc1, fd0, fd1 = np.array([[float(v) for v in box]
+                                   for box in others]).T[:, j]
     a_lo, a_hi = fa0 - fc1 - eps, fa1 - fc0 + eps
     b_lo, b_hi = fb0 - fd1 - eps, fb1 - fd0 + eps
-    hits = []
     # m = A + B and n = mu A + nu B, with mu > 0 > nu
-    for m in range(math.floor(a_lo + b_lo), math.ceil(a_hi + b_hi) + 1):
-        for n in range(math.floor(_MU * a_lo + _NU * b_hi),
-                       math.ceil(_MU * a_hi + _NU * b_lo) + 1):
-            fa, fb = _eigen_shadow(m, n)
-            if not (a_lo < fa < a_hi and b_lo < fb < b_hi):
-                continue
-            A, B = lattice_coords(m, n)
+    m0 = np.floor(a_lo + b_lo).astype(np.int64)
+    n0 = np.floor(_MU * a_lo + _NU * b_hi).astype(np.int64)
+    wm = np.maximum(np.ceil(a_hi + b_hi).astype(np.int64) + 1 - m0, 0)
+    wn = np.maximum(np.ceil(_MU * a_hi + _NU * b_lo).astype(np.int64) + 1
+                    - n0, 0)
+    # the candidates c of all windows in (pair, m, n) order, CHUNK at a
+    # time: pair k and translate (m, n) of each
+    size = wm * wn
+    end = np.cumsum(size)
+    for lo in range(0, int(end[-1]), CHUNK):
+        c = np.arange(lo, min(lo + CHUNK, int(end[-1])))
+        k = np.searchsorted(end, c, side="right")
+        r = c - (end - size)[k]
+        m = m0[k] + r // wn[k]
+        n = n0[k] + r % wn[k]
+        fa, fb = _eigen_shadow(m, n)
+        keep = ((a_lo[k] < fa) & (fa < a_hi[k])
+                & (b_lo[k] < fb) & (fb < b_hi[k]))
+        for t, mt, nt in zip(k[keep].tolist(), m[keep].tolist(),
+                             n[keep].tolist()):
+            a0, a1, b0, b1 = boxes[pairs[t][0]]
+            c0, c1, d0, d1 = others[pairs[t][1]]
+            A, B = lattice_coords(mt, nt)
             if (min(a1, c1 + A) > max(a0, c0 + A)
                     and min(b1, d1 + B) > max(b0, d0 + B)):
-                hits.append((A, B))
+                hits[t].append((A, B))
     return hits
 
 
@@ -817,6 +891,11 @@ class CatCoder:
 
     def __init__(self, partition: MarkovPartition,
                  matrix: Optional[TransitionMatrix] = None):
+        q = len(partition)
+        if matrix is not None and matrix.T.shape != (q, q):
+            raise PartitionError(
+                f"transition matrix of shape {matrix.T.shape} for a "
+                f"partition of {q} rectangles; it must be {q} x {q}")
         self.partition = partition
         self.matrix = matrix or transition_matrix(partition)
         self._cells = CellTable([(float(r.anchor_a), float(r.anchor_b),
@@ -824,18 +903,21 @@ class CatCoder:
                                  for r in partition.rectangles])
         # decode reads the one strip of each allowed transition
         rects = partition.rectangles
-        q = len(partition)
+        allowed = list(map(tuple, np.argwhere(self.matrix.T).tolist()))
+        partition._fill_strips(allowed)
         strips = {}
-        for s1 in range(q):
-            for s2 in range(q):
-                if not self.matrix.T[s1, s2]:
-                    continue
-                hits = partition.strips(s1, s2)
-                if len(hits) != 1:
-                    raise PartitionError(
-                        f"transition {s1}->{s2} has {len(hits)} strips; "
-                        "partition is not single-strip")
-                strips[s1, s2] = hits[0]
+        for s1, s2 in allowed:
+            hits = partition.strips(s1, s2)
+            if not hits:
+                raise PartitionError(
+                    f"transition {s1}->{s2} is allowed by the matrix, but "
+                    f"R{s1} does not meet S^-1 R{s2}: the matrix does not "
+                    "match the partition")
+            if len(hits) > 1:
+                raise PartitionError(
+                    f"transition {s1}->{s2} has {len(hits)} strips; "
+                    "partition is not single-strip")
+            strips[s1, s2] = hits[0]
         # decode runs on integer pairs (P, Q) meaning (P + Q sqrt5)/den with
         # den = 2D, D the lcm of the denominators of the sides and strips:
         # those are then pairs of even integers, and every value of decode

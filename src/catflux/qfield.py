@@ -41,6 +41,11 @@ class Q5:
     def b(self) -> Fraction:
         return Fraction(self._q, self._d)
 
+    @property
+    def triple(self) -> Tuple[int, int, int]:
+        """The lowest-terms integers (p, q, d)."""
+        return self._p, self._q, self._d
+
     # ------------------------------------------------------------------
     def __add__(self, other):
         p, q, d = _parts(other)

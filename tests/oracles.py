@@ -7,7 +7,9 @@ Legendre maximum over a beta grid, eigen-coordinates by exact inversion,
 the cumulants of sigma from periodic-orbit sums, the Birkhoff and encode
 orbits step by step in Python ints, the decoded cell by Q(sqrt5)
 arithmetic, and the point locator's cell lists and settled subcells by one
-separating-axis test per translate and square.  displacement evaluates the
+separating-axis test per translate and square.  The Markov partition's
+faces, strips and verification messages are read one probe, one pair and
+one unfiltered side at a time.  displacement evaluates the
 conjugation H(psi) - psi pointwise for the defining-relation check.
 eager_geometric_sum merges a geometric sum at once, in numpy and Python
 ints, in the summation order the library's deferred merge must keep.  No
@@ -17,14 +19,17 @@ subcommand or library code runs them; the tests import them from here.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from catflux.conjugation import ConjugationSeries
 from catflux.cumulants import CumulantTable, FactorRef, MomentEngine
-from catflux.partition import CELL_MARGIN, CatCoder, SymbolWindow
-from catflux.qfield import LAMBDA_MINUS_Q, MU_Q, NU_Q, Q5, from_eigen
+from catflux.partition import (CELL_MARGIN, CatCoder, MarkovPartition,
+                               SymbolWindow, _interval_cover)
+from catflux.qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
+                            from_eigen, lattice_coords, lattice_from_b_shift,
+                            lattice_from_eigen_shift)
 from catflux.torus import CatSystem, HarmonicForce, TorusPoint
 from catflux.trig import (COEFF_TOL, MAX_P, TrigPoly, V_MINUS, V_PLUS,
                           s0_power)
@@ -254,6 +259,148 @@ def _square_tests(x0, y0, side: float, foot: np.ndarray
     holds = ((fa0 + eps <= ca0) & (ca1 <= fa1 - eps)
              & (fb0 + eps <= cb0) & (cb1 <= fb1 - eps))
     return meets, holds
+
+
+def _shadow(m, n) -> Tuple[float, float]:
+    """The library's float eigen-coordinates of the lattice vector (m, n)."""
+    mu, nu, rt5 = float(MU_Q), float(NU_Q), math.sqrt(5.0)
+    return (n - nu * m) / rt5, (mu * m - n) / rt5
+
+
+def per_pair_lattice_overlaps(a0, a1, b0, b1, c0, c1, d0, d1
+                              ) -> List[Tuple[Q5, Q5]]:
+    """partition._lattice_overlaps of one pair of boxes, (m, n) by (m, n):
+    the translates (A, B) giving open overlap of [a0,a1]x[b0,b1] with
+    [c0,c1]x[d0,d1] + (A, B), in (m, n) order.  Each (m, n) of the window
+    on the float bounds, widened by CELL_MARGIN, is tested by its shadow,
+    and exactly where the shadow passes."""
+    mu, nu = float(MU_Q), float(NU_Q)
+    fa0, fa1, fb0, fb1, fc0, fc1, fd0, fd1 = map(
+        float, (a0, a1, b0, b1, c0, c1, d0, d1))
+    eps = CELL_MARGIN
+    a_lo, a_hi = fa0 - fc1 - eps, fa1 - fc0 + eps
+    b_lo, b_hi = fb0 - fd1 - eps, fb1 - fd0 + eps
+    hits = []
+    for m in range(math.floor(a_lo + b_lo), math.ceil(a_hi + b_hi) + 1):
+        for n in range(math.floor(mu * a_lo + nu * b_hi),
+                       math.ceil(mu * a_hi + nu * b_lo) + 1):
+            fa, fb = _shadow(m, n)
+            if not (a_lo < fa < a_hi and b_lo < fb < b_hi):
+                continue
+            A, B = lattice_coords(m, n)
+            if (min(a1, c1 + A) > max(a0, c0 + A)
+                    and min(b1, d1 + B) > max(b0, d0 + B)):
+                hits.append((A, B))
+    return hits
+
+
+def per_probe_extract_rectangles(u_minus: Q5, u_plus: Q5, s_minus: Q5,
+                                 s_plus: Q5, mn: np.ndarray,
+                                 fcoords: np.ndarray
+                                 ) -> List[Tuple[Q5, Q5, Q5, Q5]]:
+    """(anchor_a, anchor_b, extent_a, extent_b) of the rectangles of
+    partition._extract_rectangles, probe by probe: the oracle for its
+    broadcast probes and its deduplication by translate keys.
+
+    One probe up and to the right of each crossing of a vertical piece
+    near the canonical region with a horizontal piece reads the nearest
+    covering piece on each side, by four masks over the pieces; every
+    distinct set of four walls is snapped to its Q5 values and kept by the
+    translate of its box whose center lies in [0,1)^2.
+    """
+    um, up, sm, sp = map(float, (u_minus, u_plus, s_minus, s_plus))
+    fa, fb = fcoords.T
+    amax = 2.0 + 1.5 * (um + up)
+    bmax = 2.0 + 1.5 * (sm + sp)
+    vert_n = np.flatnonzero((np.abs(fa) <= amax) & (fb + sp >= -bmax)
+                            & (fb - sm <= bmax))
+    horiz_n = np.flatnonzero((np.abs(fb) <= bmax) & (fa + up >= -amax)
+                             & (fa - um <= amax))
+    va, vlo, vhi = fa[vert_n], fb[vert_n] - sm, fb[vert_n] + sp
+    hb, hlo, hhi = fb[horiz_n], fa[horiz_n] - um, fa[horiz_n] + up
+    delta = 1e-7
+    guard = 1e-10
+    walls = set()
+    for i in np.flatnonzero(np.abs(va) <= 1.1):
+        cross = ((hlo - 1e-12 <= va[i]) & (va[i] <= hhi + 1e-12)
+                 & (vlo[i] - 1e-12 <= hb) & (hb <= vhi[i] + 1e-12)
+                 & (np.abs(hb) <= 1.5))
+        for j in np.flatnonzero(cross):
+            a, b = va[i] + delta, hb[j] + delta
+            vcover = (vlo - guard <= b) & (b <= vhi + guard)
+            left = np.flatnonzero(vcover & (va < a - guard))
+            right = np.flatnonzero(vcover & (va > a + guard))
+            hcover = (hlo - guard <= a) & (a <= hhi + guard)
+            below = np.flatnonzero(hcover & (hb < b - guard))
+            above = np.flatnonzero(hcover & (hb > b + guard))
+            if not (len(left) and len(right) and len(below) and len(above)):
+                continue
+            walls.add((vert_n[left[np.argmax(va[left])]],
+                       vert_n[right[np.argmin(va[right])]],
+                       horiz_n[below[np.argmax(hb[below])]],
+                       horiz_n[above[np.argmin(hb[above])]]))
+    faces = set()
+    for left, right, below, above in walls:
+        a0, a1 = (lattice_coords(*mn[k].tolist())[0] for k in (left, right))
+        b0, b1 = (lattice_coords(*mn[k].tolist())[1] for k in (below, above))
+        x, y = from_eigen(a0 + (a1 - a0) / 2, b0 + (b1 - b0) / 2)
+        A, B = lattice_coords(x.floor(), y.floor())
+        faces.add((a0 - A, b0 - B, a1 - a0, b1 - b0))
+    return sorted(faces)
+
+
+def unfiltered_uncovered_sides(
+        sides: List[Tuple[Q5, Q5, Q5, int]],
+        lattice_from_shift: Callable[[Q5], Optional[Tuple[int, int]]],
+        along: int) -> List[Tuple[Q5, int]]:
+    """(c, rid) of the sides (c, lo, hi, rid) whose image, at constant
+    lambda_+ c over lambda_- [lo, hi], is not covered by lattice translates
+    of the sides: every pair of sides shifted in Q5, every shifted side
+    handed to the library's covering test.  The oracle for
+    partition._uncovered_sides' integer shifts and float filter."""
+    bad = []
+    for c, lo, hi, rid in sides:
+        ic = LAMBDA_PLUS_Q * c
+        pieces = []
+        for c2, lo2, hi2, _ in sides:
+            mn = lattice_from_shift(ic - c2)
+            if mn is not None:
+                t = lattice_coords(*mn)[along]
+                pieces.append((lo2 + t, hi2 + t))
+        if not _interval_cover(LAMBDA_MINUS_Q * lo, LAMBDA_MINUS_Q * hi,
+                               pieces):
+            bad.append((c, rid))
+    return bad
+
+
+def per_pair_verify_messages(partition: MarkovPartition) -> List[str]:
+    """The messages of partition.verify_markov, in its order, from
+    per_pair_lattice_overlaps and unfiltered_uncovered_sides."""
+    msgs = []
+    rects = partition.rectangles
+    total = sum((r.area() for r in rects), Q5(0))
+    if not total == Q5(1):
+        msgs.append(f"areas sum to {float(total):.12f}, not 1")
+    for i, r1 in enumerate(rects):
+        for r2 in rects[i:]:
+            for A, _ in per_pair_lattice_overlaps(*r1.bounds(), *r2.bounds()):
+                mn = lattice_from_eigen_shift(A)
+                if r1 is r2 and mn == (0, 0):
+                    continue
+                msgs.append(f"interiors of R{r1.rid} and R{r2.rid} overlap "
+                            f"(translate {mn})")
+    stable, unstable = [], []
+    for r in rects:
+        a0, a1, b0, b1 = r.bounds()
+        stable += [(a0, b0, b1, r.rid), (a1, b0, b1, r.rid)]
+        unstable += [(b0, a0, a1, r.rid), (b1, a0, a1, r.rid)]
+    msgs += [f"S(stable side a={float(c):.6f} of R{rid}) not contained in "
+             "stable boundary" for c, rid in unfiltered_uncovered_sides(
+                 stable, lattice_from_eigen_shift, 1)]
+    msgs += [f"S^-1(unstable side b={float(c):.6f} of R{rid}) not contained "
+             "in unstable boundary" for c, rid in unfiltered_uncovered_sides(
+                 unstable, lattice_from_b_shift, 0)]
+    return msgs
 
 
 def refine_q5(coder: CatCoder, window: SymbolWindow

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 import catflux.partition as partition_module
 from catflux.partition import (GRID, SETTLE, CatCoder, CellTable,
                                MarkovPartition, PartitionError, Rectangle,
-                               SymbolWindow, _eigen_shadow, _first_crossing,
-                               _lattice_coord, _lattice_coords53,
-                               _lattice_orbit, _lattice_overlaps, _lattice_read,
-                               assign_rectangles,
-                               birkhoff_frequencies, build_cat_partition,
+                               SymbolWindow, TransitionMatrix, _eigen_shadow,
+                               _first_crossing, _lattice_coord,
+                               _lattice_coords53, _lattice_orbit,
+                               _lattice_overlaps, _lattice_read,
+                               assign_rectangles, birkhoff_frequencies,
+                               build_cat_partition,
                                partition_from_json, partition_to_json,
                                transition_matrix, verify_markov)
 from catflux.qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
@@ -27,7 +28,9 @@ from catflux.qfield import (LAMBDA_MINUS_Q, LAMBDA_PLUS_Q, MU_Q, NU_Q, Q5,
 from catflux.torus import CatSystem, TorusPoint
 from fractions import Fraction
 from oracles import (decode_q5, eigen_coords, lattice_orbit,
-                     per_pair_cell_table, refine_q5)
+                     per_pair_cell_table, per_pair_lattice_overlaps,
+                     per_pair_verify_messages, per_probe_extract_rectangles,
+                     refine_q5)
 
 LAMBDA_PLUS = (3 + math.sqrt(5)) / 2
 TWO_PI = 2 * math.pi
@@ -66,6 +69,7 @@ class TestConstruction:
     def test_verify_passes(self, cat_partition):
         report = verify_markov(cat_partition)
         assert report.ok, report.messages
+        assert per_pair_verify_messages(cat_partition) == []
 
     def test_total_area(self, cat_partition):
         # areas sum to the full torus (4 pi^2 in angle units, 1 in lattice units)
@@ -98,27 +102,16 @@ class TestConstruction:
     def test_every_round_tiles_the_torus(self, monkeypatch):
         # the first round's faces are wider than the torus in a (da > 3);
         # the golden file pins only the last round.  Faces are read off the
-        # boundary pieces alone: the extraction computes no overlaps.
-        rounds = []
-        inner = partition_module._extract_rectangles
-        overlaps = partition_module._lattice_overlaps
-
-        def no_overlaps(*args):
-            raise AssertionError("_extract_rectangles computed an overlap")
-
-        def recorded(*args):
-            monkeypatch.setattr(partition_module, "_lattice_overlaps",
-                                no_overlaps)
-            rounds.append(inner(*args))
-            monkeypatch.setattr(partition_module, "_lattice_overlaps",
-                                overlaps)
-            return rounds[-1]
-
-        monkeypatch.setattr(partition_module, "_extract_rectangles", recorded)
-        build_cat_partition()
-        assert [len(rects) for rects in rounds] == [3, 19]
-        assert max(float(r.extent_a) for r in rounds[0]) > 3
-        for rects in rounds:
+        # boundary pieces alone: the extraction computes no overlaps
+        # (extraction_rounds fails any batched overlap call inside it).
+        rounds = extraction_rounds(monkeypatch)
+        assert [len(rects) for _, rects in rounds] == [3, 19]
+        assert max(float(r.extent_a) for r in rounds[0][1]) > 3
+        for args, rects in rounds:
+            # the broadcast probes and the translate-key deduplication keep
+            # the faces of the per-probe scan, in the same order
+            assert [(r.anchor_a, r.anchor_b, r.extent_a, r.extent_b)
+                    for r in rects] == per_probe_extract_rectangles(*args)
             part = MarkovPartition(rects)
             assert part.total_area() == Q5(1)
             report = verify_markov(part)
@@ -150,6 +143,29 @@ class TestConstruction:
             assert col == LAMBDA_PLUS_Q * rects[i].extent_b
 
 
+def extraction_rounds(monkeypatch):
+    """(args, rectangles) of each _extract_rectangles call of one
+    build_cat_partition; a _lattice_overlaps call made during an
+    extraction raises AssertionError."""
+    rounds = []
+    inner = partition_module._extract_rectangles
+    overlaps = partition_module._lattice_overlaps
+
+    def no_overlaps(*args):
+        raise AssertionError("_extract_rectangles computed an overlap")
+
+    def recorded(*args):
+        monkeypatch.setattr(partition_module, "_lattice_overlaps",
+                            no_overlaps)
+        rounds.append((args, inner(*args)))
+        monkeypatch.setattr(partition_module, "_lattice_overlaps", overlaps)
+        return rounds[-1][1]
+
+    monkeypatch.setattr(partition_module, "_extract_rectangles", recorded)
+    build_cat_partition()
+    return rounds
+
+
 class TestGolden:
     def test_build_equals_reference(self, cat_partition, cat_matrix):
         # the committed reference partition pins the build bit for bit
@@ -173,14 +189,41 @@ class TestVerifyRejectsBadPartitions:
         report = verify_markov(broken)
         assert not report.ok
         assert any("overlap" in m for m in report.messages)
+        assert report.messages == per_pair_verify_messages(broken)
+
+    def test_huge_denominator_matches_oracle(self, cat_partition):
+        # a loaded partition's sides need not fit 64-bit integer pairs: a
+        # shift of 2^-60 puts the common denominator past 2^60, and the
+        # shifts must still be found exactly
+        rects = list(cat_partition.rectangles)
+        r = rects[4]
+        shifted = Rectangle(r.rid, r.anchor_a + Q5(Fraction(1, 2 ** 60)),
+                            r.anchor_b, r.extent_a, r.extent_b)
+        broken = MarkovPartition(rects[:4] + [shifted] + rects[5:], "loaded")
+        report = verify_markov(broken)
+        assert not report.ok
+        assert report.messages == per_pair_verify_messages(broken)
+
+    def test_empty_partition_fails(self):
+        empty = MarkovPartition([])
+        report = verify_markov(empty)
+        assert report.messages == ["areas sum to 0.000000000000, not 1"]
+        assert report.messages == per_pair_verify_messages(empty)
 
     def test_single_rectangle_fails(self):
-        whole = Rectangle(0, Q5(0), Q5(0), Q5(1), Q5(1))
-        report = verify_markov(MarkovPartition([whole], "loaded"))
+        whole = MarkovPartition([Rectangle(0, Q5(0), Q5(0), Q5(1), Q5(1))],
+                                "loaded")
+        report = verify_markov(whole)
         assert not report.ok
+        assert report.messages == per_pair_verify_messages(whole)
 
 
 class TestTransitionMatrix:
+    def test_empty_partition_refused(self):
+        # T of no rectangles would pass the row/column check vacuously
+        with pytest.raises(PartitionError, match="no rectangles"):
+            transition_matrix(MarkovPartition([]))
+
     def test_rows_and_columns_nonzero(self, cat_matrix):
         assert cat_matrix.T.sum(axis=0).min() >= 1
         assert cat_matrix.T.sum(axis=1).min() >= 1
@@ -198,12 +241,13 @@ class TestTransitionMatrix:
 class TestStrips:
     @pytest.fixture
     def overlap_calls(self, monkeypatch):
+        # the pairs of each batched _lattice_overlaps call
         calls = []
         inner = partition_module._lattice_overlaps
 
-        def counted(*args):
-            calls.append(args)
-            return inner(*args)
+        def counted(boxes, others, pairs):
+            calls.append(list(pairs))
+            return inner(boxes, others, pairs)
 
         monkeypatch.setattr(partition_module, "_lattice_overlaps", counted)
         return calls
@@ -221,13 +265,135 @@ class TestStrips:
     def test_loaded_coder_computes_allowed_pairs_only(self, cat_partition,
                                                       cat_matrix,
                                                       overlap_calls):
+        # one batched call, of the 51 allowed pairs only
         loaded = partition_from_json(partition_to_json(cat_partition))
         CatCoder(loaded, cat_matrix)
         allowed = {(int(i), int(j)) for i, j in zip(*np.nonzero(cat_matrix.T))}
-        assert len(overlap_calls) == len(allowed)
+        assert len(allowed) == 51
+        assert len(overlap_calls) == 1
+        assert sorted(overlap_calls[0]) == sorted(allowed)
         assert set(loaded._strips) == allowed
         assert {pair: loaded.strips(*pair) for pair in allowed} == {
             pair: cat_partition.strips(*pair) for pair in allowed}
+
+    def test_every_strip_matches_per_pair_oracle(self, cat_partition):
+        # all q^2 strips of the build's batched call, order within a pair
+        # included, against one exact pass per pair
+        rects = cat_partition.rectangles
+        for s1, r1 in enumerate(rects):
+            for s2, r2 in enumerate(rects):
+                a0, a1, b0, b1 = r2.bounds()
+                assert cat_partition.strips(s1, s2) == per_pair_lattice_overlaps(
+                    *r1.bounds(), LAMBDA_MINUS_Q * a0, LAMBDA_MINUS_Q * a1,
+                    LAMBDA_PLUS_Q * b0, LAMBDA_PLUS_Q * b1)
+
+
+class TestExactWork:
+    def test_build_and_verify_counts(self, monkeypatch):
+        # the exact Q5 work of one build and one verification: translates
+        # made exact by the batched overlaps (strips in the build,
+        # disjointness in verify_markov), faces snapped to Q5, and shifted
+        # sides handed to the covering test, per family of sides.  A slide
+        # back to exact work for every pair, probe or side raises them many
+        # times over.
+        counts = Counter()
+        families = []
+        coords = partition_module.lattice_coords
+        overlaps = partition_module._lattice_overlaps
+        sides = partition_module._uncovered_sides
+        snap = partition_module._canonical_box
+        cover = partition_module._interval_cover
+
+        def counted_coords(m, n):
+            counts["lattice_coords"] += 1
+            return coords(m, n)
+
+        def counted_overlaps(*args):
+            before = counts["lattice_coords"]
+            hits = overlaps(*args)
+            counts["overlap candidates"] += counts["lattice_coords"] - before
+            return hits
+
+        def counted_sides(*args):
+            before = counts["side pieces"]
+            bad = sides(*args)
+            families.append(counts["side pieces"] - before)
+            return bad
+
+        def counted_snap(*args):
+            counts["faces"] += 1
+            return snap(*args)
+
+        def counted_cover(lo, hi, pieces):
+            counts["side pieces"] += len(pieces)
+            return cover(lo, hi, pieces)
+
+        for name, counted in (("lattice_coords", counted_coords),
+                              ("_lattice_overlaps", counted_overlaps),
+                              ("_uncovered_sides", counted_sides),
+                              ("_canonical_box", counted_snap),
+                              ("_interval_cover", counted_cover)):
+            monkeypatch.setattr(partition_module, name, counted)
+        part = build_cat_partition()
+        assert dict(counts) == {"lattice_coords": 300, "faces": 3 + 19,
+                                "overlap candidates": 178}
+        counts.clear()
+        assert verify_markov(part).ok
+        # of the 38^2 pairs of sides of each family, 132 shifted sides
+        # reach the covering test, and only those are made exact
+        assert families == [132, 132]
+        assert dict(counts) == {"lattice_coords": 93 + 2 * 132,
+                                "overlap candidates": 93,
+                                "side pieces": 2 * 132}
+
+
+class TestCoderMatrix:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        # a refusal "before any work" builds no locator
+        def refused(*args):
+            raise AssertionError("CatCoder built its CellTable")
+
+        monkeypatch.setattr(partition_module, "CellTable", refused)
+
+    @pytest.mark.parametrize("q", [5, 25])
+    def test_wrong_shape_refused(self, cat_partition, no_work, q):
+        tm = TransitionMatrix(np.ones((q, q), dtype=int), 1)
+        message = (rf"^transition matrix of shape \({q}, {q}\) for a partition "
+                   r"of 19 rectangles; it must be 19 x 19$")
+        with pytest.raises(PartitionError, match=message):
+            CatCoder(cat_partition, tm)
+
+    def test_non_square_refused(self, cat_partition, no_work):
+        tm = TransitionMatrix(np.ones(19, dtype=int), 1)
+        with pytest.raises(PartitionError, match=r"shape \(19,\)"):
+            CatCoder(cat_partition, tm)
+
+    def test_transition_without_strip_refused(self, cat_partition):
+        # all ones allows 0 -> 1, whose rectangles do not meet
+        assert not cat_partition.strips(0, 1)
+        tm = TransitionMatrix(np.ones((19, 19), dtype=int), 1)
+        with pytest.raises(PartitionError,
+                           match=r"^transition 0->1 is allowed by the matrix, "
+                           r"but R0 does not meet S\^-1 R1: the matrix does "
+                           r"not match the partition$"):
+            CatCoder(cat_partition, tm)
+
+    def test_several_strips_refused(self, monkeypatch):
+        # the first round's rectangles are not single-strip
+        (_, rects), _ = extraction_rounds(monkeypatch)
+        part = MarkovPartition(rects)
+        q = len(part)
+        T = np.array([[len(part.strips(i, j)) for j in range(q)]
+                      for i in range(q)])
+        tm = TransitionMatrix((T > 0).astype(int), 1)
+        many = np.argwhere(T > 1)
+        assert len(many)
+        i, j = many[0]
+        message = (rf"^transition {i}->{j} has {len(part.strips(i, j))} "
+                   "strips; partition is not single-strip$")
+        with pytest.raises(PartitionError, match=message):
+            CatCoder(part, tm)
 
 
 def scan_overlaps(a0, a1, b0, b1, c0, c1, d0, d1):
@@ -278,11 +444,29 @@ def box_pairs(draw):
     return a0, a0 + da, b0, b0 + db, c0, c0 + dc, d0, d0 + dd
 
 
+def one_pair(*bounds):
+    """_lattice_overlaps of the one pair of boxes bounds[:4], bounds[4:]."""
+    hits, = _lattice_overlaps([bounds[:4]], [bounds[4:]], [(0, 0)])
+    return hits
+
+
 class TestLatticeOverlaps:
     @settings(deadline=None, max_examples=400)
     @given(box_pairs())
     def test_filter_matches_exact_scan(self, boxes):
-        assert _lattice_overlaps(*boxes) == scan_overlaps(*boxes)
+        assert one_pair(*boxes) == scan_overlaps(*boxes)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(box_pairs(), min_size=1, max_size=4))
+    def test_batched_pairs_match_exact_scan(self, drawn):
+        # one call for every pair of a drawn box with a drawn other box,
+        # slivers included: each pair's hits are its own, in (m, n) order
+        boxes = [d[:4] for d in drawn]
+        others = [d[4:] for d in drawn]
+        pairs = [(i, j) for i in range(len(drawn))
+                 for j in range(len(drawn))]
+        assert _lattice_overlaps(boxes, others, pairs) == [
+            scan_overlaps(*boxes[i], *others[j]) for i, j in pairs]
 
     def test_contacts_and_slivers(self):
         # unit boxes side by side after the translate (1, 2): touching
@@ -292,18 +476,30 @@ class TestLatticeOverlaps:
         for tiny, hit in ((Q5(0), False), (Q5(Fraction(1, 10 ** 10)), False),
                           (Q5(Fraction(-1, 10 ** 10)), True)):
             c0 = one - A + tiny
-            got = _lattice_overlaps(Q5(0), one, Q5(0), one,
-                                    c0, c0 + one, -1 * B, one - B)
+            got = one_pair(Q5(0), one, Q5(0), one,
+                           c0, c0 + one, -1 * B, one - B)
             assert ((A, B) in got) == hit
             assert got == scan_overlaps(Q5(0), one, Q5(0), one,
                                         c0, c0 + one, -1 * B, one - B)
 
     def test_partition_boxes_match_exact_scan(self, cat_partition):
-        rects = cat_partition.rectangles
-        for i, r1 in enumerate(rects):
-            for r2 in rects[i:]:
-                assert (_lattice_overlaps(*r1.bounds(), *r2.bounds())
-                        == scan_overlaps(*r1.bounds(), *r2.bounds()))
+        # verify_markov's disjointness pairs in one call
+        boxes = [r.bounds() for r in cat_partition.rectangles]
+        pairs = [(i, j) for i in range(len(boxes))
+                 for j in range(i, len(boxes))]
+        assert _lattice_overlaps(boxes, boxes, pairs) == [
+            scan_overlaps(*boxes[i], *boxes[j]) for i, j in pairs]
+        assert _lattice_overlaps(boxes, boxes, []) == []
+
+
+    def test_candidates_in_small_chunks(self, cat_partition, monkeypatch):
+        # chunks of 7 translates split windows and pairs alike
+        monkeypatch.setattr(partition_module, "CHUNK", 7)
+        boxes = [r.bounds() for r in cat_partition.rectangles]
+        pairs = [(i, j) for i in range(len(boxes))
+                 for j in range(i, len(boxes))]
+        assert _lattice_overlaps(boxes, boxes, pairs) == [
+            scan_overlaps(*boxes[i], *boxes[j]) for i, j in pairs]
 
 
 def small_crossings(w):
